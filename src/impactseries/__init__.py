@@ -1,126 +1,10 @@
 """Two-photon impact-series interferometer: analytic predictors and a
-deterministic Monte Carlo engine for the coincidence measurement."""
+deterministic Monte Carlo engine for the coincidence measurement.
 
-from .amplitudes import (
-    JOINT_MAGNITUDE,
-    SINGLE_MAGNITUDE,
-    PhaseSettings,
-    amp_joint_long,
-    amp_joint_short,
-    amp_single,
-)
-from .bsnetwork import (
-    Geometry,
-    SplitterConvention,
-    default_geometry,
-    derive_tables,
-    load_geometry,
-    parse_geometry,
-    trace_amplitude,
-    validate_against_reference,
-)
-from .montecarlo import (
-    BLOCK_SIZE,
-    SUBENSEMBLE_ORDER,
-    SUBENSEMBLE_WEIGHTS,
-    CoincidenceTally,
-    EstimateE,
-    RunConfig,
-    ScanPoint,
-    block_tallies,
-    derive_point_seed,
-    estimate_E,
-    merge_tallies,
-    outcome_distribution,
-    run,
-    scan_phases,
-    tally_marginals,
-)
-from .pathspace import (
-    OUTCOMES,
-    Arm,
-    Arm2Path,
-    Outcome,
-    PathPair,
-    Sign,
-    Subensemble,
-    TimeOrdering,
-    classify,
-    enumerate_path_pairs,
-    members,
-)
-from .theories import (
-    JointDistribution,
-    Prediction,
-    Side,
-    SinglesPair,
-    TheoryKind,
-    TheoryModel,
-    causal_singles_side1,
-    causal_singles_side2,
-    causal_singles_side2_closed_form,
-    marginal_side1,
-    marginal_side2,
-    predict,
-    qm_joint,
-    qm_singles_closed_form,
-)
+Library names are imported from their modules, e.g.
+``from impactseries.theories import predict``; the package re-exports none.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Arm",
-    "Arm2Path",
-    "BLOCK_SIZE",
-    "CoincidenceTally",
-    "EstimateE",
-    "Geometry",
-    "JOINT_MAGNITUDE",
-    "JointDistribution",
-    "OUTCOMES",
-    "Outcome",
-    "PathPair",
-    "PhaseSettings",
-    "Prediction",
-    "RunConfig",
-    "SINGLE_MAGNITUDE",
-    "SUBENSEMBLE_ORDER",
-    "SUBENSEMBLE_WEIGHTS",
-    "ScanPoint",
-    "Side",
-    "Sign",
-    "SinglesPair",
-    "SplitterConvention",
-    "Subensemble",
-    "TheoryKind",
-    "TheoryModel",
-    "TimeOrdering",
-    "amp_joint_long",
-    "amp_joint_short",
-    "amp_single",
-    "block_tallies",
-    "causal_singles_side1",
-    "causal_singles_side2",
-    "causal_singles_side2_closed_form",
-    "classify",
-    "default_geometry",
-    "derive_point_seed",
-    "derive_tables",
-    "enumerate_path_pairs",
-    "estimate_E",
-    "load_geometry",
-    "marginal_side1",
-    "marginal_side2",
-    "members",
-    "merge_tallies",
-    "outcome_distribution",
-    "parse_geometry",
-    "predict",
-    "qm_joint",
-    "qm_singles_closed_form",
-    "run",
-    "scan_phases",
-    "tally_marginals",
-    "trace_amplitude",
-    "validate_against_reference",
-]
+__all__: list[str] = []

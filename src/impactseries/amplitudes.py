@@ -1,35 +1,42 @@
 """Closed-form probability amplitudes for the in-scope paths.
 
 Joint amplitudes are tabulated for the six path pairs of the two central
-arrival-time classes (difference ``L`` and difference ``l``); each table is
+arrival-time classes (difference ``L`` and difference ``l``); each class is
 normalized to its own three pairs, which fixes every entry's magnitude at
 ``1/(2*sqrt(3))``.  Single-path amplitudes cover photon 2's three paths
 ``Ll``, ``lL`` and ``LL`` as if the setup carried only those paths, which
 fixes their magnitude at ``1/sqrt(6)``.  The two satellite pairs ``(l,LL)``
-and ``(L,ll)`` have no table; nothing in scope needs them.
+and ``(L,ll)`` have no row; nothing in scope needs them.
 
 Phase bookkeeping: ``alpha`` sits on photon 1's long arm, ``beta`` on the long
 arm of photon 2's first interferometer, ``gamma`` on the second one.  Each
-tabulated entry is a fixed unit coefficient times ``exp(i*(k_a*alpha +
-k_b*beta + k_g*gamma))`` with small integer exponents; the network derivation
-in :mod:`impactseries.bsnetwork` reproduces these tables independently.
+table is a pair of arrays: unit coefficients ``C[row, column]`` and integer
+phase exponents ``K[row, (alpha, beta, gamma)]``, so entry ``(row, column)``
+is ``magnitude * C[row, column] * exp(i * K[row] . phases)``.  The network
+derivation in :mod:`impactseries.bsnetwork` reproduces both tables
+independently.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from .pathspace import (
-    Arm,
+    OUTCOMES,
     Arm2Path,
     Outcome,
     PathPair,
     Sign,
     Subensemble,
-    classify,
+    members,
 )
+
+#: The three adjustable phases, in the column order of the exponent arrays.
+PHASE_NAMES = ("alpha", "beta", "gamma")
 
 #: Magnitude shared by every joint-table entry.
 JOINT_MAGNITUDE = 1.0 / (2.0 * math.sqrt(3.0))
@@ -47,106 +54,87 @@ class PhaseSettings:
     gamma: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "gamma"):
+        for name in PHASE_NAMES:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"phase {name} must be finite")
 
 
-# Joint tables.  Per pair: integer phase exponents (k_alpha, k_beta, k_gamma)
-# and the unit coefficient per outcome, in the order ++, +-, -+, --.
-_JOINT_TABLE: dict[PathPair, tuple[tuple[int, int, int], dict[Outcome, complex]]] = {
-    # difference-L class
-    PathPair(Arm.SHORT, Arm2Path.LONG_SHORT): (
-        (0, 1, 0),
-        {
-            Outcome.PLUS_PLUS: -1,
-            Outcome.PLUS_MINUS: -1j,
-            Outcome.MINUS_PLUS: -1j,
-            Outcome.MINUS_MINUS: 1,
-        },
-    ),
-    PathPair(Arm.SHORT, Arm2Path.SHORT_LONG): (
-        (0, 0, 1),
-        {
-            Outcome.PLUS_PLUS: -1,
-            Outcome.PLUS_MINUS: 1j,
-            Outcome.MINUS_PLUS: -1j,
-            Outcome.MINUS_MINUS: -1,
-        },
-    ),
-    PathPair(Arm.LONG, Arm2Path.LONG_LONG): (
-        (1, 1, 1),
-        {
-            Outcome.PLUS_PLUS: 1,
-            Outcome.PLUS_MINUS: -1j,
-            Outcome.MINUS_PLUS: -1j,
-            Outcome.MINUS_MINUS: -1,
-        },
-    ),
-    # difference-l class
-    PathPair(Arm.SHORT, Arm2Path.SHORT_SHORT): (
-        (0, 0, 0),
-        {
-            Outcome.PLUS_PLUS: 1,
-            Outcome.PLUS_MINUS: 1j,
-            Outcome.MINUS_PLUS: 1j,
-            Outcome.MINUS_MINUS: -1,
-        },
-    ),
-    PathPair(Arm.LONG, Arm2Path.SHORT_LONG): (
-        (1, 0, 1),
-        {
-            Outcome.PLUS_PLUS: 1,
-            Outcome.PLUS_MINUS: -1j,
-            Outcome.MINUS_PLUS: -1j,
-            Outcome.MINUS_MINUS: -1,
-        },
-    ),
-    PathPair(Arm.LONG, Arm2Path.LONG_SHORT): (
-        (1, 1, 0),
-        {
-            Outcome.PLUS_PLUS: 1,
-            Outcome.PLUS_MINUS: 1j,
-            Outcome.MINUS_PLUS: -1j,
-            Outcome.MINUS_MINUS: 1,
-        },
-    ),
+#: Rows of the joint table: the difference-L class, then the difference-l class.
+JOINT_PAIRS: tuple[PathPair, ...] = members(Subensemble.LONG) + members(Subensemble.SHORT)
+
+#: Joint-table rows of each central class.
+CLASS_ROWS: dict[Subensemble, tuple[int, ...]] = {
+    Subensemble.LONG: (0, 1, 2),
+    Subensemble.SHORT: (3, 4, 5),
 }
 
-# Single-path table for photon 2: exponents and coefficient per detector sign.
-_SINGLE_TABLE: dict[Arm2Path, tuple[tuple[int, int, int], dict[Sign, complex]]] = {
-    Arm2Path.LONG_SHORT: ((0, 1, 0), {Sign.PLUS: -1, Sign.MINUS: -1j}),
-    Arm2Path.SHORT_LONG: ((0, 0, 1), {Sign.PLUS: -1, Sign.MINUS: 1j}),
-    Arm2Path.LONG_LONG: ((0, 1, 1), {Sign.PLUS: -1, Sign.MINUS: 1j}),
-}
+# Columns in outcome order ++, +-, -+, --.
+JOINT_COEFFICIENTS = np.array(
+    [
+        [-1, 1j, -1j, -1],  # (l,lL)
+        [-1, -1j, -1j, 1],  # (l,Ll)
+        [1, -1j, -1j, -1],  # (L,LL)
+        [1, 1j, 1j, -1],  # (l,ll)
+        [1, -1j, -1j, -1],  # (L,lL)
+        [1, 1j, -1j, 1],  # (L,Ll)
+    ]
+)
+JOINT_EXPONENTS = np.array(
+    [[0, 0, 1], [0, 1, 0], [1, 1, 1], [0, 0, 0], [1, 0, 1], [1, 1, 0]]
+)
+
+#: Rows of the single-path table for photon 2.
+SINGLE_PATHS = (Arm2Path.LONG_SHORT, Arm2Path.SHORT_LONG, Arm2Path.LONG_LONG)
+
+#: Single-path rows that still interfere when photon 2 impacts first: Ll and
+#: lL recombine, while LL is distinguishable at impact time.
+SEQUENTIAL_GROUPS = ((0, 1), (2,))
+
+# Columns in detector order +, -.
+SINGLE_COEFFICIENTS = np.array([[-1, -1j], [-1, 1j], [-1, 1j]])
+SINGLE_EXPONENTS = np.array([[0, 1, 0], [0, 0, 1], [0, 1, 1]])
+
+_JOINT_ROW = {pair: row for row, pair in enumerate(JOINT_PAIRS)}
+_SINGLE_ROW = {path: row for row, path in enumerate(SINGLE_PATHS)}
+_SIGNS = tuple(Sign)
 
 
-def _phase_factor(exponents: tuple[int, int, int], phases: PhaseSettings) -> complex:
-    k_a, k_b, k_g = exponents
-    return cmath.exp(1j * (k_a * phases.alpha + k_b * phases.beta + k_g * phases.gamma))
+def _table(
+    magnitude: float, coefficients: np.ndarray, exponents: np.ndarray, phases: PhaseSettings
+) -> np.ndarray:
+    angle = exponents @ (phases.alpha, phases.beta, phases.gamma)
+    return coefficients * magnitude * np.exp(1j * angle)[:, None]
 
 
-def _joint_entry(pair: PathPair, outcome: Outcome, phases: PhaseSettings) -> complex:
-    exponents, coefficients = _JOINT_TABLE[pair]
-    return coefficients[outcome] * JOINT_MAGNITUDE * _phase_factor(exponents, phases)
+def joint_amplitudes(phases: PhaseSettings) -> np.ndarray:
+    """The joint table at ``phases``: rows :data:`JOINT_PAIRS`, columns outcomes."""
+    return _table(JOINT_MAGNITUDE, JOINT_COEFFICIENTS, JOINT_EXPONENTS, phases)
 
 
-def amp_joint_long(pair: PathPair, outcome: Outcome, phases: PhaseSettings) -> complex:
-    """Joint amplitude for a pair in the difference-``L`` class.
+def single_amplitudes(phases: PhaseSettings) -> np.ndarray:
+    """The single-path table: rows :data:`SINGLE_PATHS`, columns signs + and -."""
+    return _table(SINGLE_MAGNITUDE, SINGLE_COEFFICIENTS, SINGLE_EXPONENTS, phases)
 
-    Raises ``ValueError`` for pairs outside that class; they belong to a
-    different table (or, for the satellites, to no table at all).
+
+def interference_law(
+    amplitudes: np.ndarray, groups: Sequence[Sequence[int]]
+) -> np.ndarray:
+    """Per column, the sum over ``groups`` of ``|sum of the group's rows|^2``.
+
+    Rows within a group are indistinguishable and add as amplitudes; distinct
+    groups are distinguishable and add as probabilities.
     """
-    if classify(pair) is not Subensemble.LONG:
-        raise ValueError(f"path pair {pair.label} is not in the difference-L class")
-    return _joint_entry(pair, outcome, phases)
+    return sum(np.abs(amplitudes[list(group)].sum(axis=0)) ** 2 for group in groups)
 
 
-def amp_joint_short(pair: PathPair, outcome: Outcome, phases: PhaseSettings) -> complex:
-    """Joint amplitude for a pair in the difference-``l`` class."""
-    if classify(pair) is not Subensemble.SHORT:
-        raise ValueError(f"path pair {pair.label} is not in the difference-l class")
-    return _joint_entry(pair, outcome, phases)
+def amp_joint(pair: PathPair, outcome: Outcome, phases: PhaseSettings) -> complex:
+    """Joint amplitude of ``pair`` reaching ``outcome``.
+
+    Raises ``ValueError`` for the satellite pairs, which have no row.
+    """
+    if pair not in _JOINT_ROW:
+        raise ValueError(f"path pair {pair.label} has no joint amplitude")
+    return complex(joint_amplitudes(phases)[_JOINT_ROW[pair], OUTCOMES.index(outcome)])
 
 
 def amp_single(path: Arm2Path, sign: Sign, phases: PhaseSettings) -> complex:
@@ -155,7 +143,6 @@ def amp_single(path: Arm2Path, sign: Sign, phases: PhaseSettings) -> complex:
     Defined for the three paths Ll, lL, LL that coexist with a difference-L
     coincidence selection; the path ll is not part of this table.
     """
-    if path not in _SINGLE_TABLE:
+    if path not in _SINGLE_ROW:
         raise ValueError(f"path {path.value} has no single-path amplitude")
-    exponents, coefficients = _SINGLE_TABLE[path]
-    return coefficients[sign] * SINGLE_MAGNITUDE * _phase_factor(exponents, phases)
+    return complex(single_amplitudes(phases)[_SINGLE_ROW[path], _SIGNS.index(sign)])

@@ -29,9 +29,9 @@ Geometry file format (``#`` starts a comment)::
     photon2.detector.plus  = a
     photon2.detector.minus = b
 
-Derived tables are compared with the reference ones on probabilities and on
-within-class amplitude ratios only; absolute phases are unphysical and are
-never asserted.
+Derived tables are compared with the reference ones on magnitudes, on
+within-class amplitude ratios and on probabilities only; absolute phases are
+unphysical and are never asserted.
 """
 
 from __future__ import annotations
@@ -41,32 +41,29 @@ import re
 from dataclasses import dataclass
 from enum import Enum, unique
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Sequence, Union
+
+import numpy as np
 
 from .amplitudes import (
+    CLASS_ROWS,
     JOINT_MAGNITUDE,
+    JOINT_PAIRS,
+    PHASE_NAMES,
+    SEQUENTIAL_GROUPS,
     SINGLE_MAGNITUDE,
+    SINGLE_PATHS,
     PhaseSettings,
-    amp_joint_long,
-    amp_joint_short,
-    amp_single,
+    interference_law,
+    joint_amplitudes,
+    single_amplitudes,
 )
-from .pathspace import (
-    OUTCOMES,
-    Arm,
-    Arm2Path,
-    Outcome,
-    PathPair,
-    Sign,
-    Subensemble,
-    members,
-)
+from .pathspace import OUTCOMES, Arm, Arm2Path, Sign, Subensemble
 
 _UNITARITY_TOL = 1e-12
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 PORTS = ("a", "b")
-PHASE_NAMES = ("alpha", "beta", "gamma")
 
 
 @dataclass(frozen=True)
@@ -281,33 +278,25 @@ def path_trace(
     return tuple(segments)
 
 
-@dataclass(frozen=True)
-class DerivedTables:
-    """Network-derived amplitudes, renormalized like the reference tables."""
-
-    joint: Mapping[tuple[PathPair, Outcome], complex]
-    single: Mapping[tuple[Arm2Path, Sign], complex]
-
-
-def _renormalize(raw: dict, keys: Iterable) -> None:
-    total = sum(abs(raw[key]) ** 2 for key in keys)
+def _renormalized(table: np.ndarray) -> np.ndarray:
+    total = float(np.sum(np.abs(table) ** 2))
     if total <= 0.0:
         raise ValueError("cascade yields zero total probability; cannot renormalize")
-    scale = 1.0 / math.sqrt(total)
-    for key in keys:
-        raw[key] = raw[key] * scale
+    return table * (1.0 / math.sqrt(total))
 
 
 def derive_tables(
     geometry: Geometry,
     convention: SplitterConvention,
     phases: PhaseSettings,
-) -> DerivedTables:
+) -> tuple[np.ndarray, np.ndarray]:
     """Path-by-path amplitudes of the cascade at the given phase settings.
 
-    Joint entries cover the six pairs of the two central arrival-time
-    classes, renormalized within each class; single-path entries cover
-    photon 2's paths Ll, lL, LL, renormalized over those three.
+    Returns the joint and single-path tables in the shapes of
+    :func:`~impactseries.amplitudes.joint_amplitudes` and
+    :func:`~impactseries.amplitudes.single_amplitudes`: joint rows are
+    renormalized within each arrival-time class, single-path rows over
+    photon 2's paths Ll, lL, LL.
     """
     convention.require_unitary()
     if len(geometry.photon1.stages) != 1 or len(geometry.photon2.stages) != 2:
@@ -315,39 +304,28 @@ def derive_tables(
             "reference tables need one stage for photon 1 and two for photon 2"
         )
 
+    def amplitude(wiring: PhotonWiring, arms: Sequence[Arm], sign: Sign) -> complex:
+        return trace_amplitude(path_trace(wiring, arms, sign, phases), convention)
+
     amp1 = {
-        (arm, sign): trace_amplitude(
-            path_trace(geometry.photon1, (arm,), sign, phases), convention
-        )
-        for arm in Arm
-        for sign in Sign
+        (arm, sign): amplitude(geometry.photon1, (arm,), sign) for arm in Arm for sign in Sign
     }
     amp2 = {
-        (path, sign): trace_amplitude(
-            path_trace(geometry.photon2, (path.first, path.second), sign, phases),
-            convention,
-        )
+        (path, sign): amplitude(geometry.photon2, (path.first, path.second), sign)
         for path in Arm2Path
         for sign in Sign
     }
-
-    joint: dict[tuple[PathPair, Outcome], complex] = {}
-    for sub in (Subensemble.LONG, Subensemble.SHORT):
-        for pair in members(sub):
-            for outcome in OUTCOMES:
-                joint[(pair, outcome)] = (
-                    amp1[(pair.photon1, outcome.sigma)]
-                    * amp2[(pair.photon2, outcome.omega)]
-                )
-        _renormalize(
-            joint, [(pair, outcome) for pair in members(sub) for outcome in OUTCOMES]
-        )
-
-    single_paths = (Arm2Path.LONG_SHORT, Arm2Path.SHORT_LONG, Arm2Path.LONG_LONG)
-    single = {(path, sign): amp2[(path, sign)] for path in single_paths for sign in Sign}
-    _renormalize(single, list(single))
-
-    return DerivedTables(joint=joint, single=single)
+    joint = np.array(
+        [
+            [amp1[pair.photon1, outcome.sigma] * amp2[pair.photon2, outcome.omega]
+             for outcome in OUTCOMES]
+            for pair in JOINT_PAIRS
+        ]
+    )
+    for rows in CLASS_ROWS.values():
+        joint[list(rows)] = _renormalized(joint[list(rows)])
+    single = np.array([[amp2[path, sign] for sign in Sign] for path in SINGLE_PATHS])
+    return joint, _renormalized(single)
 
 
 @dataclass(frozen=True)
@@ -392,11 +370,15 @@ class _Check:
         self.max_deviation = 0.0
         self.first_mismatch: str | None = None
 
-    def record(self, deviation: float, description: str) -> None:
-        if deviation > self.max_deviation:
-            self.max_deviation = deviation
-        if deviation > self.tolerance and self.first_mismatch is None:
-            self.first_mismatch = description
+    def record(
+        self, deviations: np.ndarray, describe: Callable[[int, int], str]
+    ) -> None:
+        """Fold in a (row, column) array of deviations."""
+        self.max_deviation = max(self.max_deviation, float(deviations.max()))
+        failed = deviations > self.tolerance
+        if self.first_mismatch is None and failed.any():
+            row, column = np.unravel_index(np.argmax(failed), failed.shape)
+            self.first_mismatch = describe(row, column)
 
     def result(self) -> CheckResult:
         return CheckResult(
@@ -408,7 +390,49 @@ class _Check:
         )
 
 
-_REFERENCE_JOINT = {Subensemble.LONG: amp_joint_long, Subensemble.SHORT: amp_joint_short}
+@dataclass(frozen=True)
+class _Group:
+    """Rows of one table that are checked together.
+
+    ``rows`` are compared on magnitudes and on ratios to their first row;
+    ``law_groups`` are the interfering row groups of the probability law.
+    """
+
+    names: tuple[str, ...]  # magnitude, ratio and law check names
+    table: int  # 0: joint table, 1: single-path table
+    rows: tuple[int, ...]
+    law_groups: tuple[tuple[int, ...], ...]
+    magnitude: float
+    row_labels: tuple[str, ...]
+    column_labels: tuple[str, ...]
+
+
+def _class_group(sub: Subensemble) -> _Group:
+    names = tuple(
+        f"joint {check}, difference-{sub.value} class"
+        for check in ("magnitudes", "amplitude ratios", "probabilities")
+    )
+    rows = CLASS_ROWS[sub]
+    labels = tuple(JOINT_PAIRS[row].label for row in rows)
+    return _Group(
+        names, 0, rows, (rows,), JOINT_MAGNITUDE, labels, tuple(o.value for o in OUTCOMES)
+    )
+
+
+_GROUPS = (
+    _class_group(Subensemble.LONG),
+    _class_group(Subensemble.SHORT),
+    _Group(
+        names=("single-path magnitudes", "single-path amplitude ratios",
+               "sequential-impact singles probabilities"),
+        table=1,
+        rows=tuple(range(len(SINGLE_PATHS))),
+        law_groups=SEQUENTIAL_GROUPS,
+        magnitude=SINGLE_MAGNITUDE,
+        row_labels=tuple(f"({path.value})" for path in SINGLE_PATHS),
+        column_labels=tuple(sign.value for sign in Sign),
+    ),
+)
 
 
 def _phase_label(phases: PhaseSettings) -> str:
@@ -423,112 +447,47 @@ def validate_against_reference(
 ) -> OracleReport:
     """Compare the cascade-derived tables against the hand-coded ones.
 
-    Checks, per arrival-time class: entry magnitudes, within-class amplitude
-    ratios relative to the class's first member, and the joint outcome
-    probabilities obtained by superposing the class members.  The single-path
-    table is checked the same way, plus the sequential-impact singles law
-    built from it.  Ratios and probabilities are global-phase-free, so a
-    cascade matching them reproduces the tables in every physical respect.
+    Three row groups are checked the same way: the difference-L class and
+    the difference-l class of the joint table, and the single-path table.
+    Per group: entry magnitudes, amplitude ratios relative to the group's
+    first row, and the probability law that superposes the group's
+    interfering rows (the sequential-impact law for the single-path table).
+    Ratios and probabilities are global-phase-free, so a cascade matching
+    them reproduces the tables in every physical respect.
     """
     if phase_grid is None:
         phase_grid = default_phase_grid()
-
-    checks: dict[str, _Check] = {}
-
-    def check(name: str) -> _Check:
-        if name not in checks:
-            checks[name] = _Check(name, tolerance)
-        return checks[name]
+    checks = {name: _Check(name, tolerance) for group in _GROUPS for name in group.names}
 
     for phases in phase_grid:
-        tables = derive_tables(geometry, convention, phases)
+        derived_tables = derive_tables(geometry, convention, phases)
+        reference_tables = (joint_amplitudes(phases), single_amplitudes(phases))
+        at = _phase_label(phases)
+        for group in _GROUPS:
+            rows, columns = group.row_labels, group.column_labels
+            derived = derived_tables[group.table][list(group.rows)]
+            reference = reference_tables[group.table][list(group.rows)]
+            magnitudes, ratios, law = (checks[name] for name in group.names)
 
-        for sub in (Subensemble.LONG, Subensemble.SHORT):
-            reference = _REFERENCE_JOINT[sub]
-            pairs = members(sub)
-            anchor = pairs[0]
-            magnitude_check = check(f"joint magnitudes, difference-{sub.value} class")
-            ratio_check = check(f"joint amplitude ratios, difference-{sub.value} class")
-            prob_check = check(f"joint probabilities, difference-{sub.value} class")
-
-            for pair in pairs:
-                for outcome in OUTCOMES:
-                    derived = tables.joint[(pair, outcome)]
-                    magnitude_check.record(
-                        abs(abs(derived) - JOINT_MAGNITUDE),
-                        f"|A{outcome.value}{pair.label}| = {abs(derived):.12g}, "
-                        f"expected {JOINT_MAGNITUDE:.12g} at {_phase_label(phases)}",
-                    )
-                    if pair is anchor:
-                        continue
-                    derived_ratio = derived / tables.joint[(anchor, outcome)]
-                    reference_ratio = reference(pair, outcome, phases) / reference(
-                        anchor, outcome, phases
-                    )
-                    ratio_check.record(
-                        abs(derived_ratio - reference_ratio),
-                        f"A{outcome.value}{pair.label}/A{outcome.value}{anchor.label}: "
-                        f"derived {derived_ratio:.9g}, reference {reference_ratio:.9g} "
-                        f"at {_phase_label(phases)}",
-                    )
-
-            for outcome in OUTCOMES:
-                derived_p = abs(sum(tables.joint[(pair, outcome)] for pair in pairs)) ** 2
-                reference_p = abs(sum(reference(pair, outcome, phases) for pair in pairs)) ** 2
-                prob_check.record(
-                    abs(derived_p - reference_p),
-                    f"P({outcome.value}): derived {derived_p:.12g}, "
-                    f"reference {reference_p:.12g} at {_phase_label(phases)}",
-                )
-
-        single_paths = (Arm2Path.LONG_SHORT, Arm2Path.SHORT_LONG, Arm2Path.LONG_LONG)
-        anchor_path = single_paths[0]
-        magnitude_check = check("single-path magnitudes")
-        ratio_check = check("single-path amplitude ratios")
-        singles_check = check("sequential-impact singles probabilities")
-
-        for path in single_paths:
-            for sign in Sign:
-                derived = tables.single[(path, sign)]
-                magnitude_check.record(
-                    abs(abs(derived) - SINGLE_MAGNITUDE),
-                    f"|A{sign.value}({path.value})| = {abs(derived):.12g}, "
-                    f"expected {SINGLE_MAGNITUDE:.12g} at {_phase_label(phases)}",
-                )
-                if path is anchor_path:
-                    continue
-                derived_ratio = derived / tables.single[(anchor_path, sign)]
-                reference_ratio = amp_single(path, sign, phases) / amp_single(
-                    anchor_path, sign, phases
-                )
-                ratio_check.record(
-                    abs(derived_ratio - reference_ratio),
-                    f"A{sign.value}({path.value})/A{sign.value}({anchor_path.value}): "
-                    f"derived {derived_ratio:.9g}, reference {reference_ratio:.9g} "
-                    f"at {_phase_label(phases)}",
-                )
-
-        for sign in Sign:
-            derived_p = (
-                abs(tables.single[(Arm2Path.LONG_LONG, sign)]) ** 2
-                + abs(
-                    tables.single[(Arm2Path.LONG_SHORT, sign)]
-                    + tables.single[(Arm2Path.SHORT_LONG, sign)]
-                )
-                ** 2
+            magnitudes.record(
+                np.abs(np.abs(derived) - group.magnitude),
+                lambda i, j: f"|A{columns[j]}{rows[i]}| = {abs(derived[i, j]):.12g}, "
+                f"expected {group.magnitude:.12g} at {at}",
             )
-            reference_p = (
-                abs(amp_single(Arm2Path.LONG_LONG, sign, phases)) ** 2
-                + abs(
-                    amp_single(Arm2Path.LONG_SHORT, sign, phases)
-                    + amp_single(Arm2Path.SHORT_LONG, sign, phases)
-                )
-                ** 2
+            derived_ratio = derived[1:] / derived[0]
+            reference_ratio = reference[1:] / reference[0]
+            ratios.record(
+                np.abs(derived_ratio - reference_ratio),
+                lambda i, j: f"A{columns[j]}{rows[i + 1]}/A{columns[j]}{rows[0]}: "
+                f"derived {derived_ratio[i, j]:.9g}, reference {reference_ratio[i, j]:.9g} "
+                f"at {at}",
             )
-            singles_check.record(
-                abs(derived_p - reference_p),
-                f"P{sign.value} (sequential impacts): derived {derived_p:.12g}, "
-                f"reference {reference_p:.12g} at {_phase_label(phases)}",
+            derived_p = interference_law(derived_tables[group.table], group.law_groups)
+            reference_p = interference_law(reference_tables[group.table], group.law_groups)
+            law.record(
+                np.abs(derived_p - reference_p)[None, :],
+                lambda _, j: f"P({columns[j]}): derived {derived_p[j]:.12g}, "
+                f"reference {reference_p[j]:.12g} at {at}",
             )
 
     return OracleReport(checks=tuple(check.result() for check in checks.values()))

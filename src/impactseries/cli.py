@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .amplitudes import PhaseSettings
+from .amplitudes import PHASE_NAMES, PhaseSettings
 from .bsnetwork import (
     SplitterConvention,
     default_geometry,
@@ -37,16 +37,7 @@ from .montecarlo import (
     tally_marginals,
 )
 from .pathspace import Outcome, Subensemble, TimeOrdering
-from .theories import (
-    JointDistribution,
-    SinglesPair,
-    TheoryKind,
-    TheoryModel,
-    marginal_side1,
-    marginal_side2,
-    predict,
-    qm_joint,
-)
+from .theories import Prediction, SinglesPair, TheoryKind, TheoryModel, predict
 
 #: Frozen column order shared by every CSV/JSON emission.
 COLUMNS = (
@@ -120,20 +111,15 @@ def _fill_phases(row: dict, phases: PhaseSettings) -> None:
     row["gamma"] = phases.gamma
 
 
-def _fill_analytic(
-    row: dict,
-    side1: SinglesPair | None,
-    side2: SinglesPair | None,
-    joint: JointDistribution | None,
-) -> None:
-    if side1 is not None:
-        row["p1_plus_analytic"] = side1.p_plus
-        row["p1_minus_analytic"] = side1.p_minus
-    if side2 is not None:
-        row["p2_plus_analytic"] = side2.p_plus
-        row["p2_minus_analytic"] = side2.p_minus
-    if joint is not None:
-        pp, pm, mp, mm = joint.as_tuple()
+def _fill_analytic(row: dict, prediction: Prediction) -> None:
+    if prediction.side1 is not None:
+        row["p1_plus_analytic"] = prediction.side1.p_plus
+        row["p1_minus_analytic"] = prediction.side1.p_minus
+    if prediction.side2 is not None:
+        row["p2_plus_analytic"] = prediction.side2.p_plus
+        row["p2_minus_analytic"] = prediction.side2.p_minus
+    if prediction.joint is not None:
+        pp, pm, mp, mm = prediction.joint.as_tuple()
         row["joint_pp"], row["joint_pm"], row["joint_mp"], row["joint_mm"] = pp, pm, mp, mm
 
 
@@ -149,14 +135,6 @@ def _fill_tally(row: dict, tally: CoincidenceTally, estimate: EstimateE) -> None
     row["e_std_error"] = estimate.std_error
     row["e_analytic_qm"] = estimate.analytic_qm
     row["e_analytic_causal"] = estimate.analytic_causal
-
-
-def _analytic_parts(model: TheoryModel, target: Subensemble, phases: PhaseSettings):
-    if model.kind is TheoryKind.QM:
-        joint = qm_joint(target, phases)
-        return marginal_side1(joint), marginal_side2(joint), joint
-    prediction = predict(model, phases)
-    return prediction.side1, prediction.side2, None
 
 
 def _emit(rows: list[dict], fmt: str, out_path: str) -> None:
@@ -227,7 +205,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     model = _parse_model(args)
     phases = _phases_from(args)
     target = _SUBENSEMBLE_BY_FLAG[args.subensemble]
-    side1, side2, joint = _analytic_parts(model, target, phases)
+    prediction = predict(model, phases, target)
     rule1, rule2 = _rule_labels(model, target)
 
     print(
@@ -235,16 +213,16 @@ def cmd_predict(args: argparse.Namespace) -> int:
         f"subensemble={args.subensemble} alpha={_format_cell(phases.alpha)} "
         f"beta={_format_cell(phases.beta)} gamma={_format_cell(phases.gamma)}"
     )
-    if joint is not None:
+    if prediction.joint is not None:
         cells = " ".join(
             f"p({outcome.value})={_format_cell(p)}"
-            for outcome, p in zip(Outcome, joint.as_tuple())
+            for outcome, p in zip(Outcome, prediction.joint.as_tuple())
         )
         print(f"joint: {cells}")
     else:
         print("joint: undefined for this model (singles only)")
-    print(_singles_line("side1", side1, rule1))
-    print(_singles_line("side2", side2, rule2))
+    print(_singles_line("side1", prediction.side1, rule1))
+    print(_singles_line("side2", prediction.side2, rule2))
 
     if args.out:
         row = _empty_row()
@@ -253,16 +231,15 @@ def cmd_predict(args: argparse.Namespace) -> int:
         row["ordering"] = model.ordering.value
         row["subensemble"] = args.subensemble
         _fill_phases(row, phases)
-        _fill_analytic(row, side1, side2, joint)
+        _fill_analytic(row, prediction)
         _emit([row], args.format, args.out)
     return 0
 
 
 def _simulate_row(
     command: str,
-    model: TheoryModel,
-    target: Subensemble,
     config: RunConfig,
+    prediction: Prediction,
     tally: CoincidenceTally,
     estimate: EstimateE,
     axis: str | None = None,
@@ -270,15 +247,15 @@ def _simulate_row(
 ) -> dict:
     row = _empty_row()
     row["command"] = command
-    row["model"] = model.kind.value
-    row["ordering"] = model.ordering.value
-    row["subensemble"] = _FLAG_BY_SUBENSEMBLE[target]
+    row["model"] = config.model.kind.value
+    row["ordering"] = config.model.ordering.value
+    row["subensemble"] = _FLAG_BY_SUBENSEMBLE[config.target_sub]
     row["axis"] = axis
     row["angle"] = angle
     _fill_phases(row, config.phases)
     row["events"] = config.events
     row["seed"] = config.seed
-    _fill_analytic(row, *_analytic_parts(model, target, config.phases))
+    _fill_analytic(row, prediction)
     _fill_tally(row, tally, estimate)
     return row
 
@@ -291,7 +268,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         model=model, phases=phases, events=args.events, seed=args.seed, target_sub=target
     )
     tally = run(config)
-    estimate = estimate_E(tally, model, phases)
+    estimate = estimate_E(tally, phases)
 
     print(
         f"model={model.kind.value} ordering={model.ordering.value} "
@@ -312,7 +289,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
 
     if args.out:
-        _emit([_simulate_row("simulate", model, target, config, tally, estimate)],
+        prediction = predict(model, phases, target)
+        _emit([_simulate_row("simulate", config, prediction, tally, estimate)],
               args.format, args.out)
     return 0
 
@@ -330,18 +308,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
         model = TheoryModel(kind=kind, ordering=TimeOrdering(args.ordering))
         points = scan_phases(model, args.axis, grid, phases, args.events, args.seed)
         for point in points:
-            config = RunConfig(
-                model=model,
-                phases=point.phases,
-                events=point.events,
-                seed=point.seed,
-            )
             rows.append(
                 _simulate_row(
                     "compare",
-                    model,
-                    Subensemble.LONG,
-                    config,
+                    point.config,
+                    point.prediction,
                     point.tally,
                     point.estimate,
                     axis=args.axis,
@@ -349,11 +320,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 )
             )
             side1_mc, _ = tally_marginals(point.tally)
-            analytic1 = (
-                _format_cell(point.analytic_side1.p_plus)
-                if point.analytic_side1
-                else "n/a"
-            )
+            side1 = point.prediction.side1
+            analytic1 = _format_cell(side1.p_plus) if side1 else "n/a"
             print(
                 f"model={kind.value} angle={_format_cell(point.angle)} "
                 f"p1_plus analytic={analytic1} mc={_format_cell(side1_mc.p_plus)} "
@@ -444,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=TimeOrdering.SPACELIKE.value,
     )
     _add_phase_arguments(p)
-    p.add_argument("--axis", choices=["alpha", "beta", "gamma"], default="alpha")
+    p.add_argument("--axis", choices=PHASE_NAMES, default="alpha")
     p.add_argument(
         "--grid",
         default=f"0:{2 * math.pi}:13",

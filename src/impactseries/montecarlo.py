@@ -12,8 +12,8 @@ block ``j`` uses the PCG64 stream seeded by ``SeedSequence(seed,
 spawn_key=(j,))`` and consumes exactly two uniform doubles per event (class
 draw, then outcome draw), sampled by inverse CDF over ``Generator.random()``
 output only.  Per-block tallies merge by addition, so the merged result is
-bit-identical for any assignment of blocks to workers and reproducible across
-platforms for a given seed.
+independent of how blocks are partitioned and merged (no parallel runner
+exists) and reproducible across platforms for a given seed.
 """
 
 from __future__ import annotations
@@ -24,19 +24,18 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .amplitudes import PhaseSettings
+from .amplitudes import PHASE_NAMES, PhaseSettings
 from .pathspace import OUTCOMES, Outcome, Subensemble
 from .theories import (
     JointDistribution,
+    Prediction,
     Side,
     SinglesPair,
-    TheoryKind,
     TheoryModel,
     predict,
-    qm_joint,
 )
 
-#: Events per RNG block; fixed so tallies are independent of worker count.
+#: Events per RNG block; fixed so tallies are independent of how blocks are grouped.
 BLOCK_SIZE = 1 << 16
 
 #: Arrival-time classes in draw order, with their a-priori weights.
@@ -50,9 +49,6 @@ SUBENSEMBLE_WEIGHTS: tuple[float, ...] = (0.125, 0.375, 0.375, 0.125)
 
 _SUB_CUMULATIVE = np.cumsum(SUBENSEMBLE_WEIGHTS)
 
-#: Axes accepted by :func:`scan_phases`.
-SCAN_AXES = ("alpha", "beta", "gamma")
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -65,6 +61,10 @@ class RunConfig:
     target_sub: Subensemble = Subensemble.LONG
 
     def __post_init__(self) -> None:
+        for name in ("events", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, not {type(value).__name__}")
         if self.events < 1:
             raise ValueError("events must be at least 1")
         if not 0 <= self.seed < 2**64:
@@ -110,16 +110,13 @@ class EstimateE:
 
 @dataclass(frozen=True)
 class ScanPoint:
-    """One grid point of a phase scan, with enough provenance to replay it."""
+    """One grid point of a phase scan: the run it made and its analytic law."""
 
     angle: float
-    phases: PhaseSettings
-    seed: int
-    events: int
+    config: RunConfig
     tally: CoincidenceTally
     estimate: EstimateE
-    analytic_side1: SinglesPair | None
-    analytic_side2: SinglesPair | None
+    prediction: Prediction
 
 
 def outcome_distribution(
@@ -132,16 +129,13 @@ def outcome_distribution(
     defined singles, with any undefined side filled in uniformly; this cannot
     bias the side-1 asymmetry, but it is not a physical correlation model.
     """
-    if model.kind is TheoryKind.QM:
-        return qm_joint(target_sub, phases)
-    prediction = predict(model, phases)
+    prediction = predict(model, phases, target_sub)
+    if prediction.joint is not None:
+        return prediction.joint
     side1 = prediction.side1 or SinglesPair(0.5, 0.5, Side.SIDE1)
     side2 = prediction.side2 or SinglesPair(0.5, 0.5, Side.SIDE2)
-    p1 = {"+": side1.p_plus, "-": side1.p_minus}
-    p2 = {"+": side2.p_plus, "-": side2.p_minus}
-    return JointDistribution(
-        {outcome: p1[outcome.sigma.value] * p2[outcome.omega.value] for outcome in OUTCOMES}
-    )
+    p = np.outer((side1.p_plus, side1.p_minus), (side2.p_plus, side2.p_minus))
+    return JointDistribution(dict(zip(OUTCOMES, p.ravel().tolist())))
 
 
 def _block_sizes(events: int) -> Iterable[tuple[int, int]]:
@@ -201,14 +195,12 @@ def run(config: RunConfig) -> CoincidenceTally:
     return merge_tallies(block_tallies(config))
 
 
-def estimate_E(
-    tally: CoincidenceTally, model: TheoryModel, phases: PhaseSettings
-) -> EstimateE:
+def estimate_E(tally: CoincidenceTally, phases: PhaseSettings) -> EstimateE:
     """Normalized side-1 counter asymmetry (R++ + R+- - R-+ - R--)/accepted.
 
-    ``model`` is carried for provenance only; the analytic anchors are the
-    superposition-rule value (2/3)*|cos(alpha+beta)| and the causal value 0,
-    so any tally can be compared against both.
+    The analytic anchors are the superposition-rule value
+    (2/3)*|cos(alpha+beta)| and the causal value 0, so any tally can be
+    compared against both.
     """
     if tally.accepted == 0:
         raise ValueError("cannot estimate E from an empty tally")
@@ -257,36 +249,33 @@ def scan_phases(
     events_per_point: int,
     seed: int,
 ) -> list[ScanPoint]:
-    """One simulated run per grid angle, alongside the analytic singles.
+    """One simulated run per grid angle, alongside the analytic prediction.
 
     ``axis`` names the phase being swept; the other two stay at their ``base``
     values.  Point ``k`` runs with the derived seed
-    :func:`derive_point_seed`\\ ``(seed, k)``, which is embedded in the result
-    so any single point can be replayed with :func:`run`.
+    :func:`derive_point_seed`\\ ``(seed, k)``; its :class:`RunConfig` is kept
+    in the result, so any single point can be replayed with :func:`run`.
     """
-    if axis not in SCAN_AXES:
-        raise ValueError(f"axis must be one of {SCAN_AXES}")
+    if axis not in PHASE_NAMES:
+        raise ValueError(f"axis must be one of {PHASE_NAMES}")
     if len(grid) == 0:
         raise ValueError("grid must not be empty")
     points = []
     for k, angle in enumerate(grid):
-        phases = replace(base, **{axis: float(angle)})
-        point_seed = derive_point_seed(seed, k)
         config = RunConfig(
-            model=model, phases=phases, events=events_per_point, seed=point_seed
+            model=model,
+            phases=replace(base, **{axis: float(angle)}),
+            events=events_per_point,
+            seed=derive_point_seed(seed, k),
         )
         tally = run(config)
-        prediction = predict(model, phases)
         points.append(
             ScanPoint(
                 angle=float(angle),
-                phases=phases,
-                seed=point_seed,
-                events=events_per_point,
+                config=config,
                 tally=tally,
-                estimate=estimate_E(tally, model, phases),
-                analytic_side1=prediction.side1,
-                analytic_side2=prediction.side2,
+                estimate=estimate_E(tally, config.phases),
+                prediction=predict(model, config.phases),
             )
         )
     return points

@@ -144,6 +144,12 @@ def classify(pair: PathPair) -> Subensemble:
     return _CLASS_BY_COEFFICIENTS[_difference_coefficients(pair)]
 
 
+_MEMBERS = {
+    sub: tuple(pair for pair in enumerate_path_pairs() if classify(pair) is sub)
+    for sub in Subensemble
+}
+
+
 def members(sub: Subensemble) -> tuple[PathPair, ...]:
     """Path pairs belonging to ``sub``, in canonical order."""
-    return tuple(pair for pair in enumerate_path_pairs() if classify(pair) is sub)
+    return _MEMBERS[sub]

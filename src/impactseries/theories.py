@@ -24,16 +24,15 @@ from dataclasses import dataclass
 from enum import Enum, unique
 from typing import Mapping
 
-from .amplitudes import PhaseSettings, amp_joint_long, amp_joint_short, amp_single
-from .pathspace import (
-    OUTCOMES,
-    Arm2Path,
-    Outcome,
-    Sign,
-    Subensemble,
-    TimeOrdering,
-    members,
+from .amplitudes import (
+    CLASS_ROWS,
+    SEQUENTIAL_GROUPS,
+    PhaseSettings,
+    interference_law,
+    joint_amplitudes,
+    single_amplitudes,
 )
+from .pathspace import OUTCOMES, Outcome, Subensemble, TimeOrdering
 
 _PROBABILITY_TOL = 1e-9
 
@@ -118,18 +117,10 @@ def qm_joint(sub: Subensemble, phases: PhaseSettings) -> JointDistribution:
     Available for the difference-L and difference-l classes only; the
     satellite classes have a single member and no amplitude table.
     """
-    if sub is Subensemble.LONG:
-        amp = amp_joint_long
-    elif sub is Subensemble.SHORT:
-        amp = amp_joint_short
-    else:
+    if sub not in CLASS_ROWS:
         raise ValueError(f"no amplitude table for satellite class {sub.value}")
-    pairs = members(sub)
-    p = {
-        outcome: abs(sum(amp(pair, outcome, phases) for pair in pairs)) ** 2
-        for outcome in OUTCOMES
-    }
-    return JointDistribution(p)
+    p = interference_law(joint_amplitudes(phases), (CLASS_ROWS[sub],))
+    return JointDistribution(dict(zip(OUTCOMES, p.tolist())))
 
 
 def marginal_side1(joint: JointDistribution) -> SinglesPair:
@@ -176,14 +167,8 @@ def causal_singles_side2(phases: PhaseSettings) -> SinglesPair:
     indistinguishable and interfere, while LL is distinguishable at impact
     time and contributes as a plain probability.
     """
-    p = {}
-    for sign in Sign:
-        interfering = amp_single(Arm2Path.LONG_SHORT, sign, phases) + amp_single(
-            Arm2Path.SHORT_LONG, sign, phases
-        )
-        lone = amp_single(Arm2Path.LONG_LONG, sign, phases)
-        p[sign] = abs(lone) ** 2 + abs(interfering) ** 2
-    return SinglesPair(p[Sign.PLUS], p[Sign.MINUS], Side.SIDE2)
+    p_plus, p_minus = interference_law(single_amplitudes(phases), SEQUENTIAL_GROUPS).tolist()
+    return SinglesPair(p_plus, p_minus, Side.SIDE2)
 
 
 def causal_singles_side2_closed_form(phases: PhaseSettings) -> SinglesPair:
@@ -202,18 +187,27 @@ def causal_singles_side1() -> SinglesPair:
     return SinglesPair(0.5, 0.5, Side.SIDE1)
 
 
-def predict(model: TheoryModel, phases: PhaseSettings) -> Prediction:
-    """Analytic prediction of ``model`` for the difference-L selection.
+def predict(
+    model: TheoryModel, phases: PhaseSettings, target: Subensemble = Subensemble.LONG
+) -> Prediction:
+    """Analytic prediction of ``model`` for the ``target`` arrival-time class.
 
-    QM yields the joint distribution and both marginals.  The causal rule
-    yields only the first-impacting photon's singles and leaves the rest
-    undefined.  RNL yields both singles (causal rules under every ordering)
-    but no joint distribution.
+    QM yields the joint distribution and both marginals for either central
+    class.  The causal rule yields only the first-impacting photon's singles
+    and leaves the rest undefined.  RNL yields both singles (causal rules
+    under every ordering) but no joint distribution.  The causal rules are
+    built from the difference-L class's paths, so any other target is a
+    ``ValueError``.
     """
     if model.kind is TheoryKind.QM:
-        joint = qm_joint(Subensemble.LONG, phases)
+        joint = qm_joint(target, phases)
         return Prediction(
             side1=marginal_side1(joint), side2=marginal_side2(joint), joint=joint
+        )
+    if target is not Subensemble.LONG:
+        raise ValueError(
+            f"the {model.kind.value} rule is defined for the difference-L class only, "
+            f"not {target.value}"
         )
     if model.kind is TheoryKind.CAUSAL:
         if model.ordering is TimeOrdering.PHOTON2_FIRST:

@@ -145,12 +145,10 @@ def test_criterion_5_headline_discriminator():
 
     qm_estimate = estimate_E(
         run(RunConfig(model=qm_model, phases=aligned, events=1_000_000, seed=42)),
-        qm_model,
         aligned,
     )
     rnl_estimate = estimate_E(
         run(RunConfig(model=rnl_model, phases=aligned, events=1_000_000, seed=42)),
-        rnl_model,
         aligned,
     )
     elapsed = time.perf_counter() - start

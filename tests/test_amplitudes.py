@@ -13,8 +13,7 @@ from impactseries.amplitudes import (
     JOINT_MAGNITUDE,
     SINGLE_MAGNITUDE,
     PhaseSettings,
-    amp_joint_long,
-    amp_joint_short,
+    amp_joint,
     amp_single,
 )
 from impactseries.pathspace import (
@@ -50,27 +49,27 @@ def phase_grid(n: int = 5):
 class TestTabulatedValues:
     def test_long_class_spot_values(self):
         zero = PhaseSettings()
-        assert amp_joint_long(pair("l", "Ll"), Outcome.PLUS_PLUS, zero) == pytest.approx(
+        assert amp_joint(pair("l", "Ll"), Outcome.PLUS_PLUS, zero) == pytest.approx(
             -C, abs=TOL
         )
-        assert amp_joint_long(pair("L", "LL"), Outcome.PLUS_PLUS, zero) == pytest.approx(
+        assert amp_joint(pair("L", "LL"), Outcome.PLUS_PLUS, zero) == pytest.approx(
             C, abs=TOL
         )
         # the +i coefficient rotated by gamma = pi/2 lands on the negative real axis
         quarter = PhaseSettings(gamma=math.pi / 2)
-        assert amp_joint_long(
+        assert amp_joint(
             pair("l", "lL"), Outcome.PLUS_MINUS, quarter
         ) == pytest.approx(-C, abs=TOL)
 
     def test_short_class_spot_values(self):
         for ph in (PhaseSettings(), PhaseSettings(1.3, -0.4, 2.9)):
-            assert amp_joint_short(
+            assert amp_joint(
                 pair("l", "ll"), Outcome.PLUS_PLUS, ph
             ) == pytest.approx(C, abs=TOL)
-        assert amp_joint_short(
+        assert amp_joint(
             pair("L", "Ll"), Outcome.PLUS_MINUS, PhaseSettings(gamma=0.8)
         ) == pytest.approx(1j * C, abs=TOL)
-        assert amp_joint_short(
+        assert amp_joint(
             pair("L", "lL"), Outcome.MINUS_MINUS, PhaseSettings(beta=1.1)
         ) == pytest.approx(-C, abs=TOL)
 
@@ -89,13 +88,13 @@ class TestTabulatedValues:
 
     def test_phase_exponents(self):
         ph = PhaseSettings(0.7, -1.2, 2.1)
-        assert amp_joint_long(pair("l", "Ll"), Outcome.PLUS_PLUS, ph) == pytest.approx(
+        assert amp_joint(pair("l", "Ll"), Outcome.PLUS_PLUS, ph) == pytest.approx(
             -C * cmath.exp(1j * ph.beta), abs=TOL
         )
-        assert amp_joint_long(pair("L", "LL"), Outcome.PLUS_PLUS, ph) == pytest.approx(
+        assert amp_joint(pair("L", "LL"), Outcome.PLUS_PLUS, ph) == pytest.approx(
             C * cmath.exp(1j * (ph.alpha + ph.beta + ph.gamma)), abs=TOL
         )
-        assert amp_joint_short(pair("L", "lL"), Outcome.PLUS_PLUS, ph) == pytest.approx(
+        assert amp_joint(pair("L", "lL"), Outcome.PLUS_PLUS, ph) == pytest.approx(
             C * cmath.exp(1j * (ph.alpha + ph.gamma)), abs=TOL
         )
         assert amp_single(Arm2Path.LONG_LONG, Sign.MINUS, ph) == pytest.approx(
@@ -104,47 +103,48 @@ class TestTabulatedValues:
 
 
 class TestSignRelations:
-    # (table, pair, equal outcome pairs, opposite outcome pairs)
+    # (pair, equal outcome pairs, opposite outcome pairs)
     CASES = [
-        (amp_joint_long, ("l", "Ll"),
+        (("l", "Ll"),
          [(Outcome.PLUS_MINUS, Outcome.MINUS_PLUS)],
          [(Outcome.PLUS_PLUS, Outcome.MINUS_MINUS)]),
-        (amp_joint_long, ("l", "lL"),
+        (("l", "lL"),
          [(Outcome.PLUS_PLUS, Outcome.MINUS_MINUS)],
          [(Outcome.PLUS_MINUS, Outcome.MINUS_PLUS)]),
-        (amp_joint_long, ("L", "LL"),
+        (("L", "LL"),
          [(Outcome.PLUS_MINUS, Outcome.MINUS_PLUS)],
          [(Outcome.PLUS_PLUS, Outcome.MINUS_MINUS)]),
-        (amp_joint_short, ("l", "ll"),
+        (("l", "ll"),
          [(Outcome.PLUS_MINUS, Outcome.MINUS_PLUS)],
          [(Outcome.PLUS_PLUS, Outcome.MINUS_MINUS)]),
-        (amp_joint_short, ("L", "lL"),
+        (("L", "lL"),
          [(Outcome.PLUS_MINUS, Outcome.MINUS_PLUS)],
          [(Outcome.PLUS_PLUS, Outcome.MINUS_MINUS)]),
-        (amp_joint_short, ("L", "Ll"),
+        (("L", "Ll"),
          [(Outcome.PLUS_PLUS, Outcome.MINUS_MINUS)],
          [(Outcome.PLUS_MINUS, Outcome.MINUS_PLUS)]),
     ]
 
-    @pytest.mark.parametrize("amp, labels, equal, opposite", CASES)
-    def test_relations_hold_over_dense_grid(self, amp, labels, equal, opposite):
+    @pytest.mark.parametrize("labels, equal, opposite", CASES)
+    def test_relations_hold_over_dense_grid(self, labels, equal, opposite):
         p = pair(*labels)
         for ph in phase_grid():
             for first, second in equal:
-                assert amp(p, first, ph) == pytest.approx(amp(p, second, ph), abs=TOL)
+                assert amp_joint(p, first, ph) == pytest.approx(
+                    amp_joint(p, second, ph), abs=TOL
+                )
             for first, second in opposite:
-                assert amp(p, first, ph) == pytest.approx(-amp(p, second, ph), abs=TOL)
+                assert amp_joint(p, first, ph) == pytest.approx(
+                    -amp_joint(p, second, ph), abs=TOL
+                )
 
 
 class TestNormalization:
-    @pytest.mark.parametrize(
-        "amp, sub",
-        [(amp_joint_long, Subensemble.LONG), (amp_joint_short, Subensemble.SHORT)],
-    )
-    def test_superposed_class_probability_is_one(self, amp, sub):
+    @pytest.mark.parametrize("sub", [Subensemble.LONG, Subensemble.SHORT])
+    def test_superposed_class_probability_is_one(self, sub):
         for ph in phase_grid():
             total = sum(
-                abs(sum(amp(p, outcome, ph) for p in members(sub))) ** 2
+                abs(sum(amp_joint(p, outcome, ph) for p in members(sub))) ** 2
                 for outcome in OUTCOMES
             )
             assert total == pytest.approx(1.0, abs=1e-12)
@@ -163,10 +163,10 @@ class TestNormalization:
 @given(alpha=phases_strategy, beta=phases_strategy, gamma=phases_strategy)
 def test_magnitudes_are_phase_independent(alpha, beta, gamma):
     ph = PhaseSettings(alpha, beta, gamma)
-    for sub, amp in ((Subensemble.LONG, amp_joint_long), (Subensemble.SHORT, amp_joint_short)):
+    for sub in (Subensemble.LONG, Subensemble.SHORT):
         for p in members(sub):
             for outcome in OUTCOMES:
-                assert abs(amp(p, outcome, ph)) == pytest.approx(C, abs=TOL)
+                assert abs(amp_joint(p, outcome, ph)) == pytest.approx(C, abs=TOL)
     for path in (Arm2Path.LONG_SHORT, Arm2Path.SHORT_LONG, Arm2Path.LONG_LONG):
         for sign in Sign:
             assert abs(amp_single(path, sign, ph)) == pytest.approx(S, abs=TOL)
@@ -188,8 +188,8 @@ def test_two_pi_periodicity_in_each_phase(alpha, beta, gamma, shifted):
         }
     )
     p = pair("L", "LL")
-    assert amp_joint_long(p, Outcome.MINUS_PLUS, bumped) == pytest.approx(
-        amp_joint_long(p, Outcome.MINUS_PLUS, base), abs=1e-12
+    assert amp_joint(p, Outcome.MINUS_PLUS, bumped) == pytest.approx(
+        amp_joint(p, Outcome.MINUS_PLUS, base), abs=1e-12
     )
     assert amp_single(Arm2Path.LONG_LONG, Sign.MINUS, bumped) == pytest.approx(
         amp_single(Arm2Path.LONG_LONG, Sign.MINUS, base), abs=1e-12
@@ -197,17 +197,10 @@ def test_two_pi_periodicity_in_each_phase(alpha, beta, gamma, shifted):
 
 
 class TestContracts:
-    def test_long_table_rejects_other_classes(self):
+    @pytest.mark.parametrize("labels", [("l", "LL"), ("L", "ll")])
+    def test_joint_table_rejects_the_satellite_pairs(self, labels):
         with pytest.raises(ValueError):
-            amp_joint_long(pair("l", "ll"), Outcome.PLUS_PLUS, PhaseSettings())
-        with pytest.raises(ValueError):
-            amp_joint_long(pair("l", "LL"), Outcome.PLUS_PLUS, PhaseSettings())
-
-    def test_short_table_rejects_other_classes(self):
-        with pytest.raises(ValueError):
-            amp_joint_short(pair("l", "Ll"), Outcome.PLUS_PLUS, PhaseSettings())
-        with pytest.raises(ValueError):
-            amp_joint_short(pair("L", "ll"), Outcome.PLUS_PLUS, PhaseSettings())
+            amp_joint(pair(*labels), Outcome.PLUS_PLUS, PhaseSettings())
 
     def test_single_table_rejects_the_double_short_path(self):
         with pytest.raises(ValueError):

@@ -3,15 +3,18 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from impactseries.amplitudes import (
     JOINT_MAGNITUDE,
+    JOINT_PAIRS,
     SINGLE_MAGNITUDE,
     PhaseSettings,
-    amp_joint_long,
-    amp_joint_short,
-    amp_single,
+    joint_amplitudes,
+    single_amplitudes,
 )
 from impactseries.bsnetwork import (
     ArmWiring,
@@ -22,6 +25,7 @@ from impactseries.bsnetwork import (
     SplitterConvention,
     Stage,
     default_geometry,
+    default_phase_grid,
     derive_tables,
     load_geometry,
     parse_geometry,
@@ -29,19 +33,15 @@ from impactseries.bsnetwork import (
     trace_amplitude,
     validate_against_reference,
 )
-from impactseries.pathspace import (
-    OUTCOMES,
-    Arm,
-    Arm2Path,
-    Sign,
-    Subensemble,
-    members,
-)
+from impactseries.pathspace import Arm, Arm2Path, Sign, Subensemble, members
 
 TRANSMIT = SplitterAction.TRANSMIT
 REFLECT = SplitterAction.REFLECT
 
 DEFAULT = SplitterConvention()
+
+#: Every 16th point of the default 125-point grid, for the property tests.
+SPARSE_GRID = default_phase_grid()[::16]
 
 CROSSED_STAGE2 = """
 photon1.source = a
@@ -102,39 +102,27 @@ class TestConvention:
 class TestDefaultGeometry:
     def test_reproduces_the_joint_tables_exactly(self):
         # the default layout happens to match including the global phase
-        reference = {Subensemble.LONG: amp_joint_long, Subensemble.SHORT: amp_joint_short}
         for ph in (PhaseSettings(), PhaseSettings(0.7, -1.1, 2.3)):
-            tables = derive_tables(default_geometry(), DEFAULT, ph)
-            for sub, amp in reference.items():
-                for pair in members(sub):
-                    for outcome in OUTCOMES:
-                        assert tables.joint[(pair, outcome)] == pytest.approx(
-                            amp(pair, outcome, ph), abs=1e-12
-                        )
+            joint, _ = derive_tables(default_geometry(), DEFAULT, ph)
+            assert np.abs(joint - joint_amplitudes(ph)).max() <= 1e-12
 
     def test_reproduces_the_single_path_table_exactly(self):
         ph = PhaseSettings(0.2, 1.9, -0.4)
-        tables = derive_tables(default_geometry(), DEFAULT, ph)
-        for path in (Arm2Path.LONG_SHORT, Arm2Path.SHORT_LONG, Arm2Path.LONG_LONG):
-            for sign in Sign:
-                assert tables.single[(path, sign)] == pytest.approx(
-                    amp_single(path, sign, ph), abs=1e-12
-                )
+        _, single = derive_tables(default_geometry(), DEFAULT, ph)
+        assert np.abs(single - single_amplitudes(ph)).max() <= 1e-12
 
     def test_renormalized_magnitudes(self):
-        tables = derive_tables(default_geometry(), DEFAULT, PhaseSettings(1.0, 2.0, 3.0))
-        for value in tables.joint.values():
-            assert abs(value) == pytest.approx(JOINT_MAGNITUDE, abs=1e-12)
-        for value in tables.single.values():
-            assert abs(value) == pytest.approx(SINGLE_MAGNITUDE, abs=1e-12)
+        joint, single = derive_tables(default_geometry(), DEFAULT, PhaseSettings(1.0, 2.0, 3.0))
+        assert joint.shape == (6, 4) and single.shape == (3, 2)
+        assert np.abs(np.abs(joint) - JOINT_MAGNITUDE).max() <= 1e-12
+        assert np.abs(np.abs(single) - SINGLE_MAGNITUDE).max() <= 1e-12
 
     def test_sign_relation_between_outcomes_survives_derivation(self):
         ph = PhaseSettings(0.3, 0.8, -1.6)
-        tables = derive_tables(default_geometry(), DEFAULT, ph)
+        joint, _ = derive_tables(default_geometry(), DEFAULT, ph)
         pair = next(p for p in members(Subensemble.LONG) if p.photon2 is Arm2Path.SHORT_LONG)
-        assert tables.joint[(pair, OUTCOMES[0])] == pytest.approx(
-            tables.joint[(pair, OUTCOMES[3])], abs=1e-12
-        )
+        row = JOINT_PAIRS.index(pair)
+        assert joint[row, 0] == pytest.approx(joint[row, 3], abs=1e-12)
 
     def test_validation_report_passes(self):
         report = validate_against_reference(default_geometry(), DEFAULT)
@@ -274,3 +262,77 @@ class TestWiringValidation:
             REFLECT,
             TRANSMIT,
         )
+
+
+@st.composite
+def wirings(draw) -> str:
+    """Wiring files over the documented grammar, one in ten choices off the
+    usual layout: dangling ports and missing or extra stages."""
+
+    def mostly(usual, unusual):
+        return draw(unusual if draw(st.integers(0, 9)) == 0 else usual)
+
+    def port_pair() -> str:
+        return mostly(st.sampled_from(["ab", "ba"]), st.sampled_from(["aa", "bb"]))
+
+    phase = st.sampled_from(["", " phase=alpha", " phase=beta", " phase=gamma"])
+    lines = []
+    for photon, usual_stages in (("photon1", 1), ("photon2", 2)):
+        lines.append(f"{photon}.source = {draw(st.sampled_from('ab'))}")
+        stages = mostly(st.just(usual_stages), st.integers(min_value=0, max_value=3))
+        for k in range(1, stages + 1):
+            out_ports, in_ports = port_pair(), port_pair()
+            for index, arm in enumerate(("short", "long")):
+                lines.append(
+                    f"{photon}.stage{k}.{arm} = "
+                    f"{out_ports[index]}->{in_ports[index]}{draw(phase)}"
+                )
+        detectors = port_pair()
+        lines.append(f"{photon}.detector.plus = {detectors[0]}")
+        lines.append(f"{photon}.detector.minus = {detectors[1]}")
+    return "\n".join(lines)
+
+
+class TestOracleProperties:
+    """The oracle's verdict over families of conventions and wirings."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(a=st.floats(min_value=-math.pi, max_value=math.pi), sign=st.sampled_from([1, -1]))
+    def test_every_unitary_balanced_convention_passes(self, a, sign):
+        # t = e^{ia}/sqrt(2), r = +-i e^{ia}/sqrt(2) spans the 50/50 conventions
+        # up to the global phase, which the oracle never observes
+        spin = cmath.exp(1j * a)
+        convention = SplitterConvention(t=spin / math.sqrt(2), r=sign * 1j * spin / math.sqrt(2))
+        convention.require_unitary()
+        assert validate_against_reference(default_geometry(), convention, SPARSE_GRID).passed
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        theta=st.one_of(
+            st.floats(min_value=0.05, max_value=math.pi / 4 - 0.05),
+            st.floats(min_value=math.pi / 4 + 0.05, max_value=math.pi / 2 - 0.05),
+        ),
+        a=st.floats(min_value=-math.pi, max_value=math.pi),
+        sign=st.sampled_from([1, -1]),
+    )
+    def test_unbalanced_unitary_conventions_fail_every_magnitude_check(self, theta, a, sign):
+        spin = cmath.exp(1j * a)
+        convention = SplitterConvention(
+            t=math.cos(theta) * spin, r=sign * 1j * math.sin(theta) * spin
+        )
+        convention.require_unitary()
+        report = validate_against_reference(default_geometry(), convention, SPARSE_GRID)
+        magnitude_checks = [check for check in report.checks if "magnitudes" in check.name]
+        assert len(magnitude_checks) == 3
+        assert not any(check.passed for check in magnitude_checks)
+        assert all(check.first_mismatch for check in magnitude_checks)
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=wirings())
+    def test_random_wirings_validate_or_raise_value_error(self, text):
+        try:
+            report = validate_against_reference(parse_geometry(text), DEFAULT, SPARSE_GRID)
+        except ValueError:
+            return
+        assert len(report.checks) == 9
+        assert report.passed == all(check.passed for check in report.checks)

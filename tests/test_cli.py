@@ -61,6 +61,21 @@ class TestPredict:
         assert code == 0
         assert "side1: p(+)=0.833333" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["predict", "--model", "rnl", "--subensemble", "l"],
+            ["predict", "--model", "causal", "--ordering", "1", "--subensemble", "l"],
+            ["simulate", "--model", "rnl", "--subensemble", "l", "--events", "1000"],
+        ],
+    )
+    def test_causal_rules_outside_their_domain_are_contract_errors(self, argv, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "difference-L class only" in captured.err
+        assert captured.out == ""
+
     def test_row_emission(self, tmp_path, capsys):
         out_file = tmp_path / "predict.json"
         code = main(["predict", "--model", "qm", "--format", "json", "--out", str(out_file)])

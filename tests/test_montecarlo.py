@@ -102,6 +102,13 @@ class TestOutcomeDistribution:
         ordering_two = outcome_distribution(CAUSAL_2, ZERO, Subensemble.LONG)
         assert ordering_two.as_tuple() == pytest.approx((0.25,) * 4, abs=1e-12)
 
+    @pytest.mark.parametrize("model", [RNL, CAUSAL_1, CAUSAL_2])
+    @pytest.mark.parametrize("target", [Subensemble.SHORT, Subensemble.SATELLITE_LONG])
+    def test_causal_rules_reject_targets_other_than_difference_L(self, model, target):
+        # the causal singles law is built from the difference-L class's paths
+        with pytest.raises(ValueError, match="difference-L class only"):
+            run(RunConfig(model=model, phases=ZERO, events=10, seed=0, target_sub=target))
+
     def test_qm_rejects_satellite_targets(self):
         with pytest.raises(ValueError):
             run(
@@ -144,30 +151,30 @@ class TestAcceptanceRate:
 class TestEstimator:
     def test_counter_asymmetry_and_binomial_error(self):
         t = tally(10, 20, 30, 40)
-        estimate = estimate_E(t, QM, ZERO)
+        estimate = estimate_E(t, ZERO)
         assert estimate.value == pytest.approx((10 + 20 - 30 - 40) / 100)
         p = 30 / 100
         assert estimate.std_error == pytest.approx(2 * math.sqrt(p * (1 - p) / 100))
 
     def test_single_count_edge_case(self):
-        estimate = estimate_E(tally(1, 0, 0, 0), QM, ZERO)
+        estimate = estimate_E(tally(1, 0, 0, 0), ZERO)
         assert estimate.value == 1.0
         assert estimate.std_error == 0.0
 
     def test_empty_tally_is_rejected(self):
         with pytest.raises(ValueError):
-            estimate_E(tally(0, 0, 0, 0, rejected=5), QM, ZERO)
+            estimate_E(tally(0, 0, 0, 0, rejected=5), ZERO)
 
     def test_analytic_anchors(self):
-        estimate = estimate_E(tally(1, 1, 1, 1), QM, ZERO)
+        estimate = estimate_E(tally(1, 1, 1, 1), ZERO)
         assert estimate.analytic_qm == pytest.approx(2 / 3, abs=1e-12)
         assert estimate.analytic_causal == 0.0
-        quarter = estimate_E(tally(1, 1, 1, 1), QM, PhaseSettings(alpha=math.pi / 2))
+        quarter = estimate_E(tally(1, 1, 1, 1), PhaseSettings(alpha=math.pi / 2))
         assert quarter.analytic_qm == pytest.approx(0.0, abs=1e-12)
 
     def test_qm_run_at_aligned_phases_reaches_minus_two_thirds(self):
         result = run(RunConfig(model=QM, phases=ZERO, events=1_000_000, seed=42))
-        estimate = estimate_E(result, QM, ZERO)
+        estimate = estimate_E(result, ZERO)
         # side-1 plus is the rarer outcome here, so the signed value is negative
         assert estimate.value == pytest.approx(-2 / 3, abs=0.01)
         assert abs(estimate.value) == pytest.approx(estimate.analytic_qm, abs=0.01)
@@ -179,7 +186,7 @@ class TestEstimator:
 
     def test_rnl_run_is_consistent_with_zero(self):
         result = run(RunConfig(model=RNL, phases=ZERO, events=1_000_000, seed=42))
-        estimate = estimate_E(result, RNL, ZERO)
+        estimate = estimate_E(result, ZERO)
         assert abs(estimate.value) <= 4.0 * estimate.std_error
 
     @settings(max_examples=50)
@@ -187,7 +194,7 @@ class TestEstimator:
     def test_value_stays_in_the_unit_interval(self, counts):
         if sum(counts) == 0:
             return
-        estimate = estimate_E(tally(*counts), QM, ZERO)
+        estimate = estimate_E(tally(*counts), ZERO)
         assert -1.0 <= estimate.value <= 1.0
         assert estimate.std_error >= 0.0
 
@@ -238,11 +245,44 @@ class TestStatisticalConsistency:
     def test_contrast_between_the_two_theories(self):
         qm_result = run(RunConfig(model=QM, phases=ZERO, events=1_000_000, seed=77))
         rnl_result = run(RunConfig(model=RNL, phases=ZERO, events=1_000_000, seed=78))
-        qm_e = estimate_E(qm_result, QM, ZERO)
-        rnl_e = estimate_E(rnl_result, RNL, ZERO)
+        qm_e = estimate_E(qm_result, ZERO)
+        rnl_e = estimate_E(rnl_result, ZERO)
         contrast = abs(qm_e.value) - abs(rnl_e.value)
         combined = 4.0 * math.hypot(qm_e.std_error, rnl_e.std_error)
         assert contrast == pytest.approx(2 / 3, abs=combined)
+
+
+def chi2_survival_3dof(x: float) -> float:
+    """P(X > x) for a chi-square variable with 3 degrees of freedom."""
+    return math.erfc(math.sqrt(x / 2)) + math.sqrt(2 * x / math.pi) * math.exp(-x / 2)
+
+
+class TestJointLaw:
+    """Pearson chi-square (3 dof) of the four counters against the sampled law,
+    so the correlations between the two sides are tested, not only the singles."""
+
+    GRID = [
+        PhaseSettings(0.0, 0.0, 0.0),
+        PhaseSettings(0.5, -0.5, 1.0),
+        PhaseSettings(1.3, 0.4, -0.9),
+        PhaseSettings(2.2, 1.7, 0.3),
+        PhaseSettings(-1.1, 2.9, 2.0),
+        PhaseSettings(3.0, -2.4, -1.6),
+    ]
+
+    def test_survival_function_matches_tabulated_quantiles(self):
+        assert chi2_survival_3dof(0.0) == pytest.approx(1.0)
+        assert chi2_survival_3dof(7.8147) == pytest.approx(0.05, abs=1e-5)
+        assert chi2_survival_3dof(11.3449) == pytest.approx(0.01, abs=1e-6)
+
+    @pytest.mark.parametrize("model, seed", [(QM, 505), (RNL, 606)])
+    def test_counters_follow_the_outcome_distribution(self, model, seed):
+        for k, ph in enumerate(self.GRID):
+            result = run(RunConfig(model=model, phases=ph, events=200_000, seed=seed + k))
+            law = outcome_distribution(model, ph, Subensemble.LONG).as_tuple()
+            expected = [result.accepted * p for p in law]
+            chi2 = sum((n - e) ** 2 / e for n, e in zip(result.counts(), expected))
+            assert chi2_survival_3dof(chi2) >= 1e-4, f"point {k}: chi2 = {chi2:.2f}"
 
 
 class TestScan:
@@ -250,24 +290,27 @@ class TestScan:
 
     def test_analytic_side1_follows_the_fringe(self):
         points = scan_phases(QM, "alpha", self.GRID, ZERO, 20_000, seed=9)
-        values = [p.analytic_side1.p_plus for p in points]
+        values = [p.prediction.side1.p_plus for p in points]
         assert values == pytest.approx([1 / 6, 0.5, 5 / 6], abs=1e-12)
 
     def test_causal_side1_is_flat(self):
         points = scan_phases(CAUSAL_2, "alpha", self.GRID, ZERO, 20_000, seed=9)
-        assert [p.analytic_side1.p_plus for p in points] == [0.5, 0.5, 0.5]
-        assert all(p.analytic_side2 is None for p in points)
+        assert [p.prediction.side1.p_plus for p in points] == [0.5, 0.5, 0.5]
+        assert all(p.prediction.side2 is None for p in points)
 
     def test_single_point_grid(self):
         points = scan_phases(RNL, "beta", [0.25], ZERO, 5_000, seed=4)
         assert len(points) == 1
-        assert points[0].phases == PhaseSettings(beta=0.25)
+        assert points[0].config.phases == PhaseSettings(beta=0.25)
 
     def test_each_point_is_replayable_from_its_provenance(self):
         points = scan_phases(QM, "gamma", self.GRID, ZERO, 30_000, seed=123)
         for point in points:
             config = RunConfig(
-                model=QM, phases=point.phases, events=point.events, seed=point.seed
+                model=QM,
+                phases=point.config.phases,
+                events=point.config.events,
+                seed=point.config.seed,
             )
             assert run(config) == point.tally
 
@@ -290,6 +333,9 @@ class TestValueValidation:
             RunConfig(model=QM, phases=ZERO, events=10, seed=-1)
         with pytest.raises(ValueError):
             RunConfig(model=QM, phases=ZERO, events=10, seed=2**64)
+        for events, seed in ((True, 0), (2.5, 0), (10.0, 0), (10, True), (10, 1.0)):
+            with pytest.raises(ValueError, match="must be an int"):
+                RunConfig(model=QM, phases=ZERO, events=events, seed=seed)
 
     def test_tally_consistency_checks(self):
         counts = dict(zip(OUTCOMES, (1, 2, 3, 4)))

@@ -229,6 +229,31 @@ class TestPredict:
             assert (prediction.side1.p_plus, prediction.side1.p_minus) == (0.5, 0.5)
             assert prediction.side2.p_plus == pytest.approx(5 / 6, abs=1e-12)
 
+    def test_qm_predicts_either_central_class(self):
+        ph = PhaseSettings(0.0, 0.0, 1.7)
+        short = predict(TheoryModel(TheoryKind.QM), ph, Subensemble.SHORT)
+        assert short.joint == qm_joint(Subensemble.SHORT, ph)
+        assert short.side1.p_plus == pytest.approx(5 / 6, abs=1e-12)
+        assert predict(TheoryModel(TheoryKind.QM), ph) == predict(
+            TheoryModel(TheoryKind.QM), ph, Subensemble.LONG
+        )
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            TheoryModel(TheoryKind.RNL),
+            TheoryModel(TheoryKind.CAUSAL, TimeOrdering.PHOTON2_FIRST),
+            TheoryModel(TheoryKind.CAUSAL, TimeOrdering.PHOTON1_FIRST),
+        ],
+    )
+    def test_causal_rules_are_defined_for_the_difference_L_class_only(self, model):
+        # the single-path table has no row for ll, a photon-2 path of the l class
+        for target in (
+            Subensemble.SHORT, Subensemble.SATELLITE_LONG, Subensemble.SATELLITE_SHORT
+        ):
+            with pytest.raises(ValueError, match="difference-L class only"):
+                predict(model, PhaseSettings(), target)
+
     def test_causal_model_rejects_spacelike_ordering(self):
         with pytest.raises(ValueError):
             TheoryModel(TheoryKind.CAUSAL, TimeOrdering.SPACELIKE)
