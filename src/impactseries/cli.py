@@ -36,7 +36,7 @@ from .montecarlo import (
     scan_phases,
     tally_marginals,
 )
-from .pathspace import Outcome, Subensemble, TimeOrdering
+from .pathspace import OUTCOMES, Subensemble, TimeOrdering
 from .theories import Prediction, SinglesPair, TheoryKind, TheoryModel, predict
 
 #: Frozen column order shared by every CSV/JSON emission.
@@ -80,8 +80,6 @@ COLUMNS = (
 _SUBENSEMBLE_BY_FLAG = {"L": Subensemble.LONG, "l": Subensemble.SHORT}
 _FLAG_BY_SUBENSEMBLE = {v: k for k, v in _SUBENSEMBLE_BY_FLAG.items()}
 
-_SQRT_HALF = 1.0 / math.sqrt(2.0)
-
 
 def _sig6(value: float) -> float:
     return float(f"{value:.6g}")
@@ -119,15 +117,14 @@ def _fill_analytic(row: dict, prediction: Prediction) -> None:
         row["p2_plus_analytic"] = prediction.side2.p_plus
         row["p2_minus_analytic"] = prediction.side2.p_minus
     if prediction.joint is not None:
-        pp, pm, mp, mm = prediction.joint.as_tuple()
-        row["joint_pp"], row["joint_pm"], row["joint_mp"], row["joint_mm"] = pp, pm, mp, mm
+        row["joint_pp"], row["joint_pm"], row["joint_mp"], row["joint_mm"] = prediction.joint.p
 
 
 def _fill_tally(row: dict, tally: CoincidenceTally, estimate: EstimateE) -> None:
     row["accepted"] = tally.accepted
     row["rejected"] = tally.rejected
     row["acceptance_rate"] = tally.accepted / tally.events
-    row["r_pp"], row["r_pm"], row["r_mp"], row["r_mm"] = tally.counts()
+    row["r_pp"], row["r_pm"], row["r_mp"], row["r_mm"] = tally.r
     side1, side2 = tally_marginals(tally)
     row["p1_plus_mc"], row["p1_minus_mc"] = side1.p_plus, side1.p_minus
     row["p2_plus_mc"], row["p2_minus_mc"] = side2.p_plus, side2.p_minus
@@ -216,7 +213,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if prediction.joint is not None:
         cells = " ".join(
             f"p({outcome.value})={_format_cell(p)}"
-            for outcome, p in zip(Outcome, prediction.joint.as_tuple())
+            for outcome, p in zip(OUTCOMES, prediction.joint.p)
         )
         print(f"joint: {cells}")
     else:
@@ -239,7 +236,6 @@ def cmd_predict(args: argparse.Namespace) -> int:
 def _simulate_row(
     command: str,
     config: RunConfig,
-    prediction: Prediction,
     tally: CoincidenceTally,
     estimate: EstimateE,
     axis: str | None = None,
@@ -255,7 +251,7 @@ def _simulate_row(
     _fill_phases(row, config.phases)
     row["events"] = config.events
     row["seed"] = config.seed
-    _fill_analytic(row, prediction)
+    _fill_analytic(row, config.prediction)
     _fill_tally(row, tally, estimate)
     return row
 
@@ -276,7 +272,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         f"beta={_format_cell(phases.beta)} gamma={_format_cell(phases.gamma)} "
         f"events={config.events} seed={config.seed}"
     )
-    pp, pm, mp, mm = tally.counts()
+    pp, pm, mp, mm = tally.r
     print(
         f"counts: R(++)={pp} R(+-)={pm} R(-+)={mp} R(--)={mm} "
         f"accepted={tally.accepted} rejected={tally.rejected}"
@@ -289,9 +285,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
 
     if args.out:
-        prediction = predict(model, phases, target)
-        _emit([_simulate_row("simulate", config, prediction, tally, estimate)],
-              args.format, args.out)
+        _emit([_simulate_row("simulate", config, tally, estimate)], args.format, args.out)
     return 0
 
 
@@ -312,7 +306,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 _simulate_row(
                     "compare",
                     point.config,
-                    point.prediction,
                     point.tally,
                     point.estimate,
                     axis=args.axis,
@@ -320,7 +313,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 )
             )
             side1_mc, _ = tally_marginals(point.tally)
-            side1 = point.prediction.side1
+            side1 = point.config.prediction.side1
             analytic1 = _format_cell(side1.p_plus) if side1 else "n/a"
             print(
                 f"model={kind.value} angle={_format_cell(point.angle)} "
@@ -367,14 +360,18 @@ def _add_phase_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--degrees", action="store_true", help="angles given in degrees instead of radians")
 
 
-def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", required=True, choices=[k.value for k in TheoryKind])
+def _add_ordering_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--ordering",
         choices=[o.value for o in TimeOrdering],
         default=TimeOrdering.SPACELIKE.value,
         help="impact time ordering: 1 (photon 2 first), 2 (photon 1 first), spacelike",
     )
+
+
+def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--model", required=True, choices=[k.value for k in TheoryKind])
+    _add_ordering_argument(parser)
 
 
 def _add_output_arguments(parser: argparse.ArgumentParser) -> None:
@@ -406,11 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_simulate)
 
     p = sub.add_parser("compare", help="QM vs RNL phase scan, analytic and Monte Carlo")
-    p.add_argument(
-        "--ordering",
-        choices=[o.value for o in TimeOrdering],
-        default=TimeOrdering.SPACELIKE.value,
-    )
+    _add_ordering_argument(p)
     _add_phase_arguments(p)
     p.add_argument("--axis", choices=PHASE_NAMES, default="alpha")
     p.add_argument(
@@ -425,16 +418,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate-oracle", help="check amplitude tables against the splitter-network derivation")
     p.add_argument("--geometry", help="wiring description file (defaults to the built-in layout)")
+    default_convention = SplitterConvention()
     p.add_argument(
         "--splitter-t",
         type=complex,
-        default=complex(_SQRT_HALF, 0.0),
+        default=default_convention.t,
         help="complex transmission amplitude, e.g. 0.7071067811865476",
     )
     p.add_argument(
         "--splitter-r",
         type=complex,
-        default=complex(0.0, _SQRT_HALF),
+        default=default_convention.r,
         help="complex reflection amplitude, e.g. 0.7071067811865476j",
     )
     p.set_defaults(handler=cmd_validate_oracle)

@@ -5,7 +5,10 @@ Each emitted pair is assigned an arrival-time class with the a-priori weights
 interference redistributes probability only within a class).  Events outside
 the target class are rejected, emulating the coincidence electronics; accepted
 events draw a joint outcome from the active model's distribution and feed the
-four counters.
+four counters.  A :class:`RunConfig` computes its model's analytic
+``prediction`` once, when it is built, so a request outside the model's
+domain fails there; the counters are a 4-tuple in ``OUTCOMES`` order, like
+the law they sample.
 
 Determinism contract: events are processed in fixed blocks of ``BLOCK_SIZE``;
 block ``j`` uses the PCG64 stream seeded by ``SeedSequence(seed,
@@ -19,19 +22,19 @@ exists) and reproducible across platforms for a given seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .amplitudes import PHASE_NAMES, PhaseSettings
-from .pathspace import OUTCOMES, Outcome, Subensemble
+from .pathspace import OUTCOMES, Subensemble
 from .theories import (
     JointDistribution,
     Prediction,
-    Side,
     SinglesPair,
     TheoryModel,
+    marginals,
     predict,
 )
 
@@ -52,13 +55,14 @@ _SUB_CUMULATIVE = np.cumsum(SUBENSEMBLE_WEIGHTS)
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Full provenance of one simulated run."""
+    """Full provenance of one simulated run, and the analytic law it samples."""
 
     model: TheoryModel
     phases: PhaseSettings
     events: int
     seed: int
     target_sub: Subensemble = Subensemble.LONG
+    prediction: Prediction = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for name in ("events", "seed"):
@@ -69,33 +73,32 @@ class RunConfig:
             raise ValueError("events must be at least 1")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
+        prediction = predict(self.model, self.phases, self.target_sub)
+        object.__setattr__(self, "prediction", prediction)
 
 
 @dataclass(frozen=True)
 class CoincidenceTally:
-    """The four coincidence counters plus accepted/rejected totals."""
+    """The four coincidence counters in ``OUTCOMES`` order, and the rejected total."""
 
-    r: Mapping[Outcome, int]
-    accepted: int
+    r: tuple[int, int, int, int]
     rejected: int
 
     def __post_init__(self) -> None:
-        if set(self.r) != set(OUTCOMES):
+        if len(self.r) != len(OUTCOMES):
             raise ValueError("tally must carry all four counters")
-        if any(count < 0 for count in self.r.values()):
+        if any(count < 0 for count in self.r):
             raise ValueError("negative counter")
-        if self.accepted != sum(self.r.values()):
-            raise ValueError("accepted total must equal the counter sum")
         if self.rejected < 0:
             raise ValueError("negative rejected total")
 
     @property
+    def accepted(self) -> int:
+        return sum(self.r)
+
+    @property
     def events(self) -> int:
         return self.accepted + self.rejected
-
-    def counts(self) -> tuple[int, int, int, int]:
-        """Counters in canonical outcome order."""
-        return tuple(self.r[outcome] for outcome in OUTCOMES)
 
 
 @dataclass(frozen=True)
@@ -110,18 +113,18 @@ class EstimateE:
 
 @dataclass(frozen=True)
 class ScanPoint:
-    """One grid point of a phase scan: the run it made and its analytic law."""
+    """One grid point of a phase scan; ``config.prediction`` is its analytic law."""
 
     angle: float
     config: RunConfig
     tally: CoincidenceTally
     estimate: EstimateE
-    prediction: Prediction
 
 
-def outcome_distribution(
-    model: TheoryModel, phases: PhaseSettings, target_sub: Subensemble
-) -> JointDistribution:
+_EVEN = SinglesPair(0.5, 0.5)
+
+
+def outcome_distribution(prediction: Prediction) -> JointDistribution:
     """Distribution an accepted event's outcome is drawn from.
 
     QM samples its joint distribution for the target class.  Causal and RNL
@@ -129,13 +132,17 @@ def outcome_distribution(
     defined singles, with any undefined side filled in uniformly; this cannot
     bias the side-1 asymmetry, but it is not a physical correlation model.
     """
-    prediction = predict(model, phases, target_sub)
     if prediction.joint is not None:
         return prediction.joint
-    side1 = prediction.side1 or SinglesPair(0.5, 0.5, Side.SIDE1)
-    side2 = prediction.side2 or SinglesPair(0.5, 0.5, Side.SIDE2)
-    p = np.outer((side1.p_plus, side1.p_minus), (side2.p_plus, side2.p_minus))
-    return JointDistribution(dict(zip(OUTCOMES, p.ravel().tolist())))
+    side1 = prediction.side1 or _EVEN
+    side2 = prediction.side2 or _EVEN
+    return JointDistribution(
+        tuple(
+            p1 * p2
+            for p1 in (side1.p_plus, side1.p_minus)
+            for p2 in (side2.p_plus, side2.p_minus)
+        )
+    )
 
 
 def _block_sizes(events: int) -> Iterable[tuple[int, int]]:
@@ -148,8 +155,8 @@ def _block_sizes(events: int) -> Iterable[tuple[int, int]]:
 
 def block_tallies(config: RunConfig) -> list[CoincidenceTally]:
     """Per-block tallies in block order; ``run`` is their merge."""
-    distribution = outcome_distribution(config.model, config.phases, config.target_sub)
-    outcome_cum = np.cumsum(distribution.as_tuple())
+    distribution = outcome_distribution(config.prediction)
+    outcome_cum = np.cumsum(distribution.p)
     outcome_cum[-1] = 1.0  # guard against rounding below the top uniform
     target_index = SUBENSEMBLE_ORDER.index(config.target_sub)
 
@@ -165,29 +172,19 @@ def block_tallies(config: RunConfig) -> list[CoincidenceTally]:
         outcome_index = np.searchsorted(
             outcome_cum, u_outcome[accepted_mask], side="right"
         )
-        counts = np.bincount(outcome_index, minlength=4)
-        accepted = int(accepted_mask.sum())
-        tallies.append(
-            CoincidenceTally(
-                r={outcome: int(count) for outcome, count in zip(OUTCOMES, counts)},
-                accepted=accepted,
-                rejected=size - accepted,
-            )
-        )
+        counts = tuple(np.bincount(outcome_index, minlength=len(OUTCOMES)).tolist())
+        tallies.append(CoincidenceTally(r=counts, rejected=size - len(outcome_index)))
     return tallies
 
 
 def merge_tallies(tallies: Iterable[CoincidenceTally]) -> CoincidenceTally:
     """Component-wise sum; the order of the tallies does not matter."""
-    r = {outcome: 0 for outcome in OUTCOMES}
-    accepted = 0
+    r = (0,) * len(OUTCOMES)
     rejected = 0
     for tally in tallies:
-        for outcome in OUTCOMES:
-            r[outcome] += tally.r[outcome]
-        accepted += tally.accepted
+        r = tuple(total + count for total, count in zip(r, tally.r))
         rejected += tally.rejected
-    return CoincidenceTally(r=r, accepted=accepted, rejected=rejected)
+    return CoincidenceTally(r=r, rejected=rejected)
 
 
 def run(config: RunConfig) -> CoincidenceTally:
@@ -198,17 +195,24 @@ def run(config: RunConfig) -> CoincidenceTally:
 def estimate_E(tally: CoincidenceTally, phases: PhaseSettings) -> EstimateE:
     """Normalized side-1 counter asymmetry (R++ + R+- - R-+ - R--)/accepted.
 
-    The analytic anchors are the superposition-rule value
-    (2/3)*|cos(alpha+beta)| and the causal value 0, so any tally can be
-    compared against both.
+    The error is the binomial ``2*sqrt(p*(1-p)/n)`` of the side-1 "+"
+    fraction ``p``.  When every accepted event lands on one side-1 detector
+    that formula gives 0, so the error is instead ``1/(n+1)``, the z = 1
+    Wilson score half-width (Wilson 1927) on the E scale.  The analytic
+    anchors are the superposition-rule value (2/3)*|cos(alpha+beta)| and the
+    causal value 0, so any tally can be compared against both.
     """
-    if tally.accepted == 0:
-        raise ValueError("cannot estimate E from an empty tally")
     n = tally.accepted
-    plus_side1 = tally.r[Outcome.PLUS_PLUS] + tally.r[Outcome.PLUS_MINUS]
+    if n == 0:
+        raise ValueError("cannot estimate E from an empty tally")
+    pp, pm, _, _ = tally.r
+    plus_side1 = pp + pm
     value = (2 * plus_side1 - n) / n
-    p = plus_side1 / n
-    std_error = 2.0 * math.sqrt(p * (1.0 - p) / n)
+    if plus_side1 in (0, n):
+        std_error = 1.0 / (n + 1)
+    else:
+        p = plus_side1 / n
+        std_error = 2.0 * math.sqrt(p * (1.0 - p) / n)
     return EstimateE(
         value=value,
         std_error=std_error,
@@ -221,18 +225,7 @@ def tally_marginals(tally: CoincidenceTally) -> tuple[SinglesPair, SinglesPair]:
     """Estimated singles (side 1, side 2) from the coincidence counters."""
     if tally.accepted == 0:
         raise ValueError("cannot estimate marginals from an empty tally")
-    n = tally.accepted
-    side1 = SinglesPair(
-        (tally.r[Outcome.PLUS_PLUS] + tally.r[Outcome.PLUS_MINUS]) / n,
-        (tally.r[Outcome.MINUS_PLUS] + tally.r[Outcome.MINUS_MINUS]) / n,
-        Side.SIDE1,
-    )
-    side2 = SinglesPair(
-        (tally.r[Outcome.PLUS_PLUS] + tally.r[Outcome.MINUS_PLUS]) / n,
-        (tally.r[Outcome.PLUS_MINUS] + tally.r[Outcome.MINUS_MINUS]) / n,
-        Side.SIDE2,
-    )
-    return side1, side2
+    return marginals(tally.r, tally.accepted)
 
 
 def derive_point_seed(seed: int, index: int) -> int:
@@ -249,7 +242,7 @@ def scan_phases(
     events_per_point: int,
     seed: int,
 ) -> list[ScanPoint]:
-    """One simulated run per grid angle, alongside the analytic prediction.
+    """One simulated run per grid angle; each carries its analytic prediction.
 
     ``axis`` names the phase being swept; the other two stay at their ``base``
     values.  Point ``k`` runs with the derived seed
@@ -275,7 +268,6 @@ def scan_phases(
                 config=config,
                 tally=tally,
                 estimate=estimate_E(tally, config.phases),
-                prediction=predict(model, config.phases),
             )
         )
     return points

@@ -13,8 +13,11 @@ Three models are implemented.
 * ``RNL``: singles depend on local information under every time ordering, so
   the causal sum-of-probabilities rules apply even for spacelike impacts.
 
-Every printed closed form has a second, independent route through the
-amplitude tables; the two routes are cross-checked in the test suite.
+Every four-outcome quantity (a joint law, or counts of the four outcomes) is
+a 4-tuple in ``OUTCOMES`` order (++, +-, -+, --); :func:`marginals` folds one
+into the two sides' singles.  Every printed closed form has a second, independent route
+through the amplitude tables; the two routes are cross-checked in the test
+suite.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum, unique
-from typing import Mapping
+from typing import Sequence
 
 from .amplitudes import (
     CLASS_ROWS,
@@ -32,14 +35,14 @@ from .amplitudes import (
     joint_amplitudes,
     single_amplitudes,
 )
-from .pathspace import OUTCOMES, Outcome, Subensemble, TimeOrdering
+from .pathspace import OUTCOMES, Subensemble, TimeOrdering
 
 _PROBABILITY_TOL = 1e-9
 
 
 @unique
 class Side(Enum):
-    """Which side of the setup a singles probability refers to."""
+    """Which side's closed form :func:`qm_singles_closed_form` returns."""
 
     SIDE1 = 1
     SIDE2 = 2
@@ -51,7 +54,6 @@ class SinglesPair:
 
     p_plus: float
     p_minus: float
-    side: Side
 
     def __post_init__(self) -> None:
         for value in (self.p_plus, self.p_minus):
@@ -63,22 +65,18 @@ class SinglesPair:
 
 @dataclass(frozen=True)
 class JointDistribution:
-    """Probabilities of the four joint outcomes; entries sum to 1."""
+    """Probabilities of the four joint outcomes in ``OUTCOMES`` order; they sum to 1."""
 
-    p: Mapping[Outcome, float]
+    p: tuple[float, float, float, float]
 
     def __post_init__(self) -> None:
-        if set(self.p) != set(OUTCOMES):
+        if len(self.p) != len(OUTCOMES):
             raise ValueError("joint distribution must cover the four outcomes")
-        for value in self.p.values():
+        for value in self.p:
             if not -_PROBABILITY_TOL <= value <= 1.0 + _PROBABILITY_TOL:
                 raise ValueError(f"probability {value} outside [0, 1]")
-        if abs(sum(self.p.values()) - 1.0) > _PROBABILITY_TOL:
+        if abs(sum(self.p) - 1.0) > _PROBABILITY_TOL:
             raise ValueError("joint probabilities must sum to 1")
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        """Entries in canonical outcome order (++, +-, -+, --)."""
-        return tuple(self.p[outcome] for outcome in OUTCOMES)
 
 
 @unique
@@ -120,21 +118,22 @@ def qm_joint(sub: Subensemble, phases: PhaseSettings) -> JointDistribution:
     if sub not in CLASS_ROWS:
         raise ValueError(f"no amplitude table for satellite class {sub.value}")
     p = interference_law(joint_amplitudes(phases), (CLASS_ROWS[sub],))
-    return JointDistribution(dict(zip(OUTCOMES, p.tolist())))
+    return JointDistribution(tuple(p.tolist()))
 
 
-def marginal_side1(joint: JointDistribution) -> SinglesPair:
-    """Photon 1's singles from a joint distribution."""
-    p_plus = joint.p[Outcome.PLUS_PLUS] + joint.p[Outcome.PLUS_MINUS]
-    p_minus = joint.p[Outcome.MINUS_PLUS] + joint.p[Outcome.MINUS_MINUS]
-    return SinglesPair(p_plus, p_minus, Side.SIDE1)
+def marginals(
+    weights: Sequence[float], total: float = 1
+) -> tuple[SinglesPair, SinglesPair]:
+    """Side-1 and side-2 singles of four ``OUTCOMES``-ordered weights.
 
-
-def marginal_side2(joint: JointDistribution) -> SinglesPair:
-    """Photon 2's singles from a joint distribution."""
-    p_plus = joint.p[Outcome.PLUS_PLUS] + joint.p[Outcome.MINUS_PLUS]
-    p_minus = joint.p[Outcome.PLUS_MINUS] + joint.p[Outcome.MINUS_MINUS]
-    return SinglesPair(p_plus, p_minus, Side.SIDE2)
+    Each side's sums are divided by ``total``: 1 for a joint law, the
+    accepted count for a tally's counters.
+    """
+    pp, pm, mp, mm = weights
+    return (
+        SinglesPair((pp + pm) / total, (mp + mm) / total),
+        SinglesPair((pp + mp) / total, (pm + mm) / total),
+    )
 
 
 def qm_singles_closed_form(
@@ -144,19 +143,19 @@ def qm_singles_closed_form(
 
     Covers (difference-L, side 2), (difference-L, side 1) and
     (difference-l, side 1).  The fourth combination has no closed form here;
-    compute it through :func:`qm_joint` and a marginal instead.
+    compute it through :func:`qm_joint` and :func:`marginals` instead.
     """
     if sub is Subensemble.LONG and side is Side.SIDE2:
         shift = math.cos(phases.beta - phases.gamma) / 3.0
-        return SinglesPair(0.5 + shift, 0.5 - shift, Side.SIDE2)
+        return SinglesPair(0.5 + shift, 0.5 - shift)
     if sub is Subensemble.LONG and side is Side.SIDE1:
         shift = math.cos(phases.alpha + phases.beta) / 3.0
-        return SinglesPair(0.5 - shift, 0.5 + shift, Side.SIDE1)
+        return SinglesPair(0.5 - shift, 0.5 + shift)
     if sub is Subensemble.SHORT and side is Side.SIDE1:
         shift = math.cos(phases.alpha + phases.beta) / 3.0
-        return SinglesPair(0.5 + shift, 0.5 - shift, Side.SIDE1)
+        return SinglesPair(0.5 + shift, 0.5 - shift)
     raise ValueError(
-        f"no closed form for ({sub.value}, side {side.value}); use qm_joint + marginal"
+        f"no closed form for ({sub.value}, side {side.value}); use qm_joint + marginals"
     )
 
 
@@ -168,13 +167,13 @@ def causal_singles_side2(phases: PhaseSettings) -> SinglesPair:
     time and contributes as a plain probability.
     """
     p_plus, p_minus = interference_law(single_amplitudes(phases), SEQUENTIAL_GROUPS).tolist()
-    return SinglesPair(p_plus, p_minus, Side.SIDE2)
+    return SinglesPair(p_plus, p_minus)
 
 
 def causal_singles_side2_closed_form(phases: PhaseSettings) -> SinglesPair:
     """Cosine closed form equivalent to :func:`causal_singles_side2`."""
     shift = math.cos(phases.beta - phases.gamma) / 3.0
-    return SinglesPair(0.5 + shift, 0.5 - shift, Side.SIDE2)
+    return SinglesPair(0.5 + shift, 0.5 - shift)
 
 
 def causal_singles_side1() -> SinglesPair:
@@ -184,7 +183,7 @@ def causal_singles_side1() -> SinglesPair:
     add as probabilities and the counts split evenly, independent of every
     phase setting.
     """
-    return SinglesPair(0.5, 0.5, Side.SIDE1)
+    return SinglesPair(0.5, 0.5)
 
 
 def predict(
@@ -201,9 +200,8 @@ def predict(
     """
     if model.kind is TheoryKind.QM:
         joint = qm_joint(target, phases)
-        return Prediction(
-            side1=marginal_side1(joint), side2=marginal_side2(joint), joint=joint
-        )
+        side1, side2 = marginals(joint.p)
+        return Prediction(side1=side1, side2=side2, joint=joint)
     if target is not Subensemble.LONG:
         raise ValueError(
             f"the {model.kind.value} rule is defined for the difference-L class only, "

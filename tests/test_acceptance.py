@@ -24,8 +24,7 @@ from impactseries.theories import (
     causal_singles_side1,
     causal_singles_side2,
     causal_singles_side2_closed_form,
-    marginal_side1,
-    marginal_side2,
+    marginals,
     qm_joint,
     qm_singles_closed_form,
 )
@@ -91,11 +90,11 @@ def test_criterion_2_route_equivalence():
         short_joint = qm_joint(Subensemble.SHORT, ph)
         worst = max(
             worst,
-            abs(marginal_side2(long_joint).p_plus
+            abs(marginals(long_joint.p)[1].p_plus
                 - qm_singles_closed_form(Subensemble.LONG, Side.SIDE2, ph).p_plus),
-            abs(marginal_side1(long_joint).p_plus
+            abs(marginals(long_joint.p)[0].p_plus
                 - qm_singles_closed_form(Subensemble.LONG, Side.SIDE1, ph).p_plus),
-            abs(marginal_side1(short_joint).p_plus
+            abs(marginals(short_joint.p)[0].p_plus
                 - qm_singles_closed_form(Subensemble.SHORT, Side.SIDE1, ph).p_plus),
             abs(causal_singles_side2(ph).p_plus
                 - causal_singles_side2_closed_form(ph).p_plus),
@@ -113,7 +112,7 @@ def test_criterion_3_joint_normalization():
     worst = 0.0
     for _, _, ph in grid_13x13():
         for sub in (Subensemble.LONG, Subensemble.SHORT):
-            worst = max(worst, abs(sum(qm_joint(sub, ph).as_tuple()) - 1.0))
+            worst = max(worst, abs(sum(qm_joint(sub, ph).p) - 1.0))
     report(
         3,
         f"joint distributions sum to 1 for both central classes "

@@ -1,12 +1,16 @@
 """Command-line surface: exit codes, output schema, reproducibility."""
 
 import csv
+import itertools
 import json
 import math
 
 import pytest
 
-from impactseries.cli import COLUMNS, main
+from impactseries.amplitudes import PhaseSettings
+from impactseries.cli import COLUMNS, _rule_labels, main
+from impactseries.pathspace import Subensemble, TimeOrdering
+from impactseries.theories import TheoryKind, TheoryModel, marginals, predict
 
 
 def read_csv(path):
@@ -86,6 +90,44 @@ class TestPredict:
         assert rows[0]["p1_plus_analytic"] == pytest.approx(0.166667)
         assert rows[0]["events"] is None
         assert list(rows[0]) == list(COLUMNS)
+
+
+class TestRuleLabels:
+    """The printed ``p(+) = ...`` labels state the law that computed the number."""
+
+    IN_DOMAIN = [
+        *[(TheoryKind.QM, ordering, sub) for ordering in TimeOrdering
+          for sub in (Subensemble.LONG, Subensemble.SHORT)],
+        *[(TheoryKind.CAUSAL, ordering, Subensemble.LONG)
+          for ordering in (TimeOrdering.PHOTON2_FIRST, TimeOrdering.PHOTON1_FIRST)],
+        *[(TheoryKind.RNL, ordering, Subensemble.LONG) for ordering in TimeOrdering],
+    ]
+    GRID = [
+        PhaseSettings(*angles)
+        for angles in itertools.product((0.0, 0.7, -1.3, 2.9), repeat=3)
+    ]
+
+    @pytest.mark.parametrize("kind, ordering, target", IN_DOMAIN)
+    def test_labels_evaluate_to_the_predicted_singles(self, kind, ordering, target):
+        model = TheoryModel(kind, ordering)
+        labels = _rule_labels(model, target)
+        for ph in self.GRID:
+            prediction = predict(model, ph, target)
+            pairs = (prediction.side1, prediction.side2)
+            for side, (label, pair) in enumerate(zip(labels, pairs)):
+                assert (label is None) == (pair is None)
+                if label is None:
+                    continue
+                if label == "1/2 exactly":
+                    assert pair.p_plus == 0.5
+                elif "cos" in label:
+                    phases = {"alpha": ph.alpha, "beta": ph.beta, "gamma": ph.gamma}
+                    value = eval(label, {"__builtins__": {}, "cos": math.cos}, phases)
+                    assert value == pytest.approx(pair.p_plus, abs=1e-12)
+                else:
+                    # a label without a formula only where the side is the joint's marginal
+                    assert prediction.joint is not None
+                    assert pair == marginals(prediction.joint.p)[side]
 
 
 class TestSimulate:
@@ -198,7 +240,7 @@ class TestCompare:
                 seed=int(row["seed"]),
             )
             replayed = run(config)
-            assert replayed.counts() == (
+            assert replayed.r == (
                 int(row["r_pp"]), int(row["r_pm"]), int(row["r_mp"]), int(row["r_mm"])
             )
 

@@ -28,8 +28,8 @@ from impactseries.theories import (
     TheoryKind,
     TheoryModel,
     causal_singles_side2_closed_form,
-    marginal_side1,
-    marginal_side2,
+    marginals,
+    predict,
     qm_joint,
 )
 
@@ -42,8 +42,7 @@ ZERO = PhaseSettings()
 
 
 def tally(pp, pm, mp, mm, rejected=0) -> CoincidenceTally:
-    counts = dict(zip(OUTCOMES, (pp, pm, mp, mm)))
-    return CoincidenceTally(r=counts, accepted=sum(counts.values()), rejected=rejected)
+    return CoincidenceTally(r=(pp, pm, mp, mm), rejected=rejected)
 
 
 class TestDeterminism:
@@ -56,7 +55,7 @@ class TestDeterminism:
         # two uniforms per event, inverse CDF in canonical category order)
         config = RunConfig(model=QM, phases=ZERO, events=1000, seed=1)
         result = run(config)
-        assert result.counts() == (32, 31, 295, 28)
+        assert result.r == (32, 31, 295, 28)
         assert result.accepted == 386
         assert result.rejected == 614
 
@@ -84,23 +83,23 @@ class TestDeterminism:
 class TestOutcomeDistribution:
     def test_qm_uses_the_superposed_joint_law(self):
         ph = PhaseSettings(0.9, -0.2, 1.4)
-        assert outcome_distribution(QM, ph, Subensemble.LONG) == qm_joint(
+        assert outcome_distribution(predict(QM, ph, Subensemble.LONG)) == qm_joint(
             Subensemble.LONG, ph
         )
 
     def test_rnl_is_a_product_of_its_singles(self):
-        distribution = outcome_distribution(RNL, ZERO, Subensemble.LONG)
-        assert distribution.as_tuple() == pytest.approx(
+        distribution = outcome_distribution(predict(RNL, ZERO, Subensemble.LONG))
+        assert distribution.p == pytest.approx(
             (5 / 12, 1 / 12, 5 / 12, 1 / 12), abs=1e-12
         )
 
     def test_causal_uniform_completion_of_the_undefined_side(self):
-        ordering_one = outcome_distribution(CAUSAL_1, ZERO, Subensemble.LONG)
-        assert ordering_one.as_tuple() == pytest.approx(
+        ordering_one = outcome_distribution(predict(CAUSAL_1, ZERO, Subensemble.LONG))
+        assert ordering_one.p == pytest.approx(
             (5 / 12, 1 / 12, 5 / 12, 1 / 12), abs=1e-12
         )
-        ordering_two = outcome_distribution(CAUSAL_2, ZERO, Subensemble.LONG)
-        assert ordering_two.as_tuple() == pytest.approx((0.25,) * 4, abs=1e-12)
+        ordering_two = outcome_distribution(predict(CAUSAL_2, ZERO, Subensemble.LONG))
+        assert ordering_two.p == pytest.approx((0.25,) * 4, abs=1e-12)
 
     @pytest.mark.parametrize("model", [RNL, CAUSAL_1, CAUSAL_2])
     @pytest.mark.parametrize("target", [Subensemble.SHORT, Subensemble.SATELLITE_LONG])
@@ -157,9 +156,14 @@ class TestEstimator:
         assert estimate.std_error == pytest.approx(2 * math.sqrt(p * (1 - p) / 100))
 
     def test_single_count_edge_case(self):
+        # all events on one side-1 detector: the z = 1 Wilson score
+        # half-width on the E scale, 1/(n+1), not a zero error
         estimate = estimate_E(tally(1, 0, 0, 0), ZERO)
         assert estimate.value == 1.0
-        assert estimate.std_error == 0.0
+        assert estimate.std_error == 0.5
+        all_minus = estimate_E(tally(0, 0, 3, 1), ZERO)
+        assert all_minus.value == -1.0
+        assert all_minus.std_error == 1 / 5
 
     def test_empty_tally_is_rejected(self):
         with pytest.raises(ValueError):
@@ -179,7 +183,7 @@ class TestEstimator:
         assert estimate.value == pytest.approx(-2 / 3, abs=0.01)
         assert abs(estimate.value) == pytest.approx(estimate.analytic_qm, abs=0.01)
         # the dominant counter holds 3/4 of the accepted events
-        assert result.r[Outcome.MINUS_PLUS] / result.accepted == pytest.approx(
+        assert result.r[OUTCOMES.index(Outcome.MINUS_PLUS)] / result.accepted == pytest.approx(
             0.75, abs=0.003
         )
         assert result.accepted / result.events == pytest.approx(0.375, abs=0.002)
@@ -196,7 +200,7 @@ class TestEstimator:
             return
         estimate = estimate_E(tally(*counts), ZERO)
         assert -1.0 <= estimate.value <= 1.0
-        assert estimate.std_error >= 0.0
+        assert estimate.std_error > 0.0
 
 
 class TestStatisticalConsistency:
@@ -227,8 +231,9 @@ class TestStatisticalConsistency:
 
             if model.kind is TheoryKind.QM:
                 joint = qm_joint(Subensemble.LONG, ph)
-                expected1 = marginal_side1(joint).p_plus
-                expected2 = marginal_side2(joint).p_plus
+                side1_law, side2_law = marginals(joint.p)
+                expected1 = side1_law.p_plus
+                expected2 = side2_law.p_plus
             else:
                 expected1 = 0.5 if model is not CAUSAL_1 else None
                 expected2 = (
@@ -279,9 +284,9 @@ class TestJointLaw:
     def test_counters_follow_the_outcome_distribution(self, model, seed):
         for k, ph in enumerate(self.GRID):
             result = run(RunConfig(model=model, phases=ph, events=200_000, seed=seed + k))
-            law = outcome_distribution(model, ph, Subensemble.LONG).as_tuple()
+            law = outcome_distribution(predict(model, ph, Subensemble.LONG)).p
             expected = [result.accepted * p for p in law]
-            chi2 = sum((n - e) ** 2 / e for n, e in zip(result.counts(), expected))
+            chi2 = sum((n - e) ** 2 / e for n, e in zip(result.r, expected))
             assert chi2_survival_3dof(chi2) >= 1e-4, f"point {k}: chi2 = {chi2:.2f}"
 
 
@@ -290,13 +295,13 @@ class TestScan:
 
     def test_analytic_side1_follows_the_fringe(self):
         points = scan_phases(QM, "alpha", self.GRID, ZERO, 20_000, seed=9)
-        values = [p.prediction.side1.p_plus for p in points]
+        values = [p.config.prediction.side1.p_plus for p in points]
         assert values == pytest.approx([1 / 6, 0.5, 5 / 6], abs=1e-12)
 
     def test_causal_side1_is_flat(self):
         points = scan_phases(CAUSAL_2, "alpha", self.GRID, ZERO, 20_000, seed=9)
-        assert [p.prediction.side1.p_plus for p in points] == [0.5, 0.5, 0.5]
-        assert all(p.prediction.side2 is None for p in points)
+        assert [p.config.prediction.side1.p_plus for p in points] == [0.5, 0.5, 0.5]
+        assert all(p.config.prediction.side2 is None for p in points)
 
     def test_single_point_grid(self):
         points = scan_phases(RNL, "beta", [0.25], ZERO, 5_000, seed=4)
@@ -337,19 +342,22 @@ class TestValueValidation:
             with pytest.raises(ValueError, match="must be an int"):
                 RunConfig(model=QM, phases=ZERO, events=events, seed=seed)
 
+    def test_run_config_carries_its_prediction(self):
+        config = RunConfig(model=RNL, phases=PhaseSettings(0.3, 1.0, -0.5), events=10, seed=0)
+        assert config.prediction == predict(RNL, PhaseSettings(0.3, 1.0, -0.5))
+        with pytest.raises(ValueError, match="difference-L class only"):
+            RunConfig(model=RNL, phases=ZERO, events=10, seed=0, target_sub=Subensemble.SHORT)
+
     def test_tally_consistency_checks(self):
-        counts = dict(zip(OUTCOMES, (1, 2, 3, 4)))
         with pytest.raises(ValueError):
-            CoincidenceTally(r=counts, accepted=11, rejected=0)
+            CoincidenceTally(r=(1, 2, 3, 4), rejected=-1)
         with pytest.raises(ValueError):
-            CoincidenceTally(r=counts, accepted=10, rejected=-1)
-        with pytest.raises(ValueError):
-            CoincidenceTally(r={Outcome.PLUS_PLUS: 1}, accepted=1, rejected=0)
+            CoincidenceTally(r=(1,), rejected=0)
 
     def test_merge_preserves_totals(self):
         first = tally(1, 2, 3, 4, rejected=10)
         second = tally(5, 6, 7, 8, rejected=20)
         merged = merge_tallies([first, second])
-        assert merged.counts() == (6, 8, 10, 12)
+        assert merged.r == (6, 8, 10, 12)
         assert merged.accepted == 36
         assert merged.rejected == 30

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from impactseries.amplitudes import PhaseSettings
-from impactseries.pathspace import OUTCOMES, Outcome, Subensemble, TimeOrdering
+from impactseries.pathspace import Subensemble, TimeOrdering
 from impactseries.theories import (
     JointDistribution,
     Side,
@@ -19,8 +19,7 @@ from impactseries.theories import (
     causal_singles_side1,
     causal_singles_side2,
     causal_singles_side2_closed_form,
-    marginal_side1,
-    marginal_side2,
+    marginals,
     predict,
     qm_joint,
     qm_singles_closed_form,
@@ -30,7 +29,7 @@ angle_strategy = st.floats(min_value=-8 * math.pi, max_value=8 * math.pi)
 
 
 def joint(pp, pm, mp, mm) -> JointDistribution:
-    return JointDistribution(dict(zip(OUTCOMES, (pp, pm, mp, mm))))
+    return JointDistribution((pp, pm, mp, mm))
 
 
 def phase_grid(n: int = 5):
@@ -43,16 +42,16 @@ class TestQmJoint:
         # brute-force sum of the three tabulated amplitudes per outcome
         distribution = qm_joint(Subensemble.LONG, PhaseSettings())
         expected = (1 / 12, 1 / 12, 3 / 4, 1 / 12)
-        assert distribution.as_tuple() == pytest.approx(expected, abs=1e-12)
+        assert distribution.p == pytest.approx(expected, abs=1e-12)
 
     def test_entries_sum_to_one_for_both_classes(self):
         for sub in (Subensemble.LONG, Subensemble.SHORT):
             for ph in phase_grid():
-                assert sum(qm_joint(sub, ph).as_tuple()) == pytest.approx(1.0, abs=1e-9)
+                assert sum(qm_joint(sub, ph).p) == pytest.approx(1.0, abs=1e-9)
 
     def test_short_class_side1_marginal_at_aligned_phases(self):
         distribution = qm_joint(Subensemble.SHORT, PhaseSettings(0.0, 0.0, 1.7))
-        assert marginal_side1(distribution).p_plus == pytest.approx(5 / 6, abs=1e-12)
+        assert marginals(distribution.p)[0].p_plus == pytest.approx(5 / 6, abs=1e-12)
 
     @pytest.mark.parametrize(
         "sub", [Subensemble.SATELLITE_LONG, Subensemble.SATELLITE_SHORT]
@@ -64,21 +63,24 @@ class TestQmJoint:
 
 class TestMarginals:
     def test_side2_of_the_zero_phase_distribution(self):
-        pair = marginal_side2(joint(1 / 12, 1 / 12, 3 / 4, 1 / 12))
+        _, pair = marginals(joint(1 / 12, 1 / 12, 3 / 4, 1 / 12).p)
         assert (pair.p_plus, pair.p_minus) == pytest.approx((5 / 6, 1 / 6), abs=1e-12)
-        assert pair.side is Side.SIDE2
 
     def test_side1_of_the_zero_phase_distribution(self):
-        pair = marginal_side1(joint(1 / 12, 1 / 12, 3 / 4, 1 / 12))
+        pair, _ = marginals(joint(1 / 12, 1 / 12, 3 / 4, 1 / 12).p)
         assert (pair.p_plus, pair.p_minus) == pytest.approx((1 / 6, 5 / 6), abs=1e-12)
-        assert pair.side is Side.SIDE1
+
+    def test_counts_are_divided_by_the_total(self):
+        side1, side2 = marginals((1, 2, 3, 4), 10)
+        assert (side1.p_plus, side1.p_minus) == (3 / 10, 7 / 10)
+        assert (side2.p_plus, side2.p_minus) == (4 / 10, 6 / 10)
 
     def test_uniform_and_degenerate_distributions(self):
         uniform = joint(0.25, 0.25, 0.25, 0.25)
-        assert marginal_side1(uniform).p_plus == pytest.approx(0.5)
-        assert marginal_side2(uniform).p_plus == pytest.approx(0.5)
-        assert marginal_side2(joint(1.0, 0.0, 0.0, 0.0)).p_plus == pytest.approx(1.0)
-        assert marginal_side1(joint(0.0, 0.0, 0.5, 0.5)).p_plus == pytest.approx(0.0)
+        assert marginals(uniform.p)[0].p_plus == pytest.approx(0.5)
+        assert marginals(uniform.p)[1].p_plus == pytest.approx(0.5)
+        assert marginals(joint(1.0, 0.0, 0.0, 0.0).p)[1].p_plus == pytest.approx(1.0)
+        assert marginals(joint(0.0, 0.0, 0.5, 0.5).p)[0].p_plus == pytest.approx(0.0)
 
 
 class TestClosedForms:
@@ -110,19 +112,19 @@ class TestRouteEquivalence:
 
     def test_long_class_side2(self):
         for ph in phase_grid():
-            by_amplitudes = marginal_side2(qm_joint(Subensemble.LONG, ph))
+            _, by_amplitudes = marginals(qm_joint(Subensemble.LONG, ph).p)
             closed = qm_singles_closed_form(Subensemble.LONG, Side.SIDE2, ph)
             assert by_amplitudes.p_plus == pytest.approx(closed.p_plus, abs=1e-9)
 
     def test_long_class_side1(self):
         for ph in phase_grid():
-            by_amplitudes = marginal_side1(qm_joint(Subensemble.LONG, ph))
+            by_amplitudes, _ = marginals(qm_joint(Subensemble.LONG, ph).p)
             closed = qm_singles_closed_form(Subensemble.LONG, Side.SIDE1, ph)
             assert by_amplitudes.p_plus == pytest.approx(closed.p_plus, abs=1e-9)
 
     def test_short_class_side1(self):
         for ph in phase_grid():
-            by_amplitudes = marginal_side1(qm_joint(Subensemble.SHORT, ph))
+            by_amplitudes, _ = marginals(qm_joint(Subensemble.SHORT, ph).p)
             closed = qm_singles_closed_form(Subensemble.SHORT, Side.SIDE1, ph)
             assert by_amplitudes.p_plus == pytest.approx(closed.p_plus, abs=1e-9)
 
@@ -148,7 +150,6 @@ class TestCausalRules:
         pair = causal_singles_side1()
         assert pair.p_plus == 0.5
         assert pair.p_minus == 0.5
-        assert pair.side is Side.SIDE1
 
     def test_side2_agrees_with_the_superposition_rule(self):
         for ph in phase_grid():
@@ -181,8 +182,8 @@ def test_probability_outputs_are_well_formed(alpha, beta, gamma):
     ph = PhaseSettings(alpha, beta, gamma)
     for sub in (Subensemble.LONG, Subensemble.SHORT):
         distribution = qm_joint(sub, ph)
-        assert all(0.0 <= p <= 1.0 + 1e-12 for p in distribution.as_tuple())
-        for pair in (marginal_side1(distribution), marginal_side2(distribution)):
+        assert all(0.0 <= p <= 1.0 + 1e-12 for p in distribution.p)
+        for pair in marginals(distribution.p):
             assert pair.p_plus + pair.p_minus == pytest.approx(1.0, abs=1e-9)
 
 
@@ -264,9 +265,9 @@ class TestPredict:
 class TestValueValidation:
     def test_singles_pair_must_sum_to_one(self):
         with pytest.raises(ValueError):
-            SinglesPair(0.7, 0.7, Side.SIDE1)
+            SinglesPair(0.7, 0.7)
         with pytest.raises(ValueError):
-            SinglesPair(-0.2, 1.2, Side.SIDE1)
+            SinglesPair(-0.2, 1.2)
 
     def test_joint_distribution_validation(self):
         with pytest.raises(ValueError):
@@ -274,4 +275,4 @@ class TestValueValidation:
         with pytest.raises(ValueError):
             joint(1.5, -0.5, 0.0, 0.0)
         with pytest.raises(ValueError):
-            JointDistribution({Outcome.PLUS_PLUS: 1.0})
+            JointDistribution((1.0,))
