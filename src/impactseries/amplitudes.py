@@ -12,16 +12,17 @@ Phase bookkeeping: ``alpha`` sits on photon 1's long arm, ``beta`` on the long
 arm of photon 2's first interferometer, ``gamma`` on the second one.  Each
 table is a pair of arrays: unit coefficients ``C[row, column]`` and integer
 phase exponents ``K[row, (alpha, beta, gamma)]``, so entry ``(row, column)``
-is ``magnitude * C[row, column] * exp(i * K[row] . phases)``.  The network
-derivation in :mod:`impactseries.bsnetwork` reproduces both tables
-independently.
+is ``magnitude * C[row, column] * exp(i * K[row] . phases)``.  The tables
+take one :class:`PhaseSettings` or a grid of them; a grid adds a leading
+point axis.  The network derivation in :mod:`impactseries.bsnetwork`
+reproduces both tables independently, in the same coefficient/exponent form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -99,21 +100,34 @@ _SINGLE_ROW = {path: row for row, path in enumerate(SINGLE_PATHS)}
 _SIGNS = tuple(Sign)
 
 
-def _table(
-    magnitude: float, coefficients: np.ndarray, exponents: np.ndarray, phases: PhaseSettings
-) -> np.ndarray:
-    angle = exponents @ (phases.alpha, phases.beta, phases.gamma)
-    return coefficients * magnitude * np.exp(1j * angle)[:, None]
+#: One phase setting, or a grid of them.
+Phases = Union[PhaseSettings, Sequence[PhaseSettings]]
 
 
-def joint_amplitudes(phases: PhaseSettings) -> np.ndarray:
+def evaluate(coefficients: np.ndarray, exponents: np.ndarray, phases: Phases) -> np.ndarray:
+    """Entry ``(row, column)`` is ``coefficients[row, column] * exp(i * exponents[row] . phases)``.
+
+    One setting gives a ``(rows, columns)`` table; a grid gives one per point
+    on a leading axis.  A setting is evaluated as a grid of one, and the
+    exponent sum runs over an outer axis, term by term in phase order, so grid
+    slices and one-setting tables agree bit for bit.
+    """
+    point = isinstance(phases, PhaseSettings)
+    grid = [(p.alpha, p.beta, p.gamma) for p in ((phases,) if point else phases)]
+    phi = np.array(grid, dtype=float).reshape(-1, len(PHASE_NAMES))
+    angle = (phi.T[:, :, None] * exponents.T[:, None, :]).sum(axis=0)
+    table = coefficients * np.exp(1j * angle)[..., None]
+    return table[0] if point else table
+
+
+def joint_amplitudes(phases: Phases) -> np.ndarray:
     """The joint table at ``phases``: rows :data:`JOINT_PAIRS`, columns outcomes."""
-    return _table(JOINT_MAGNITUDE, JOINT_COEFFICIENTS, JOINT_EXPONENTS, phases)
+    return evaluate(JOINT_COEFFICIENTS * JOINT_MAGNITUDE, JOINT_EXPONENTS, phases)
 
 
-def single_amplitudes(phases: PhaseSettings) -> np.ndarray:
+def single_amplitudes(phases: Phases) -> np.ndarray:
     """The single-path table: rows :data:`SINGLE_PATHS`, columns signs + and -."""
-    return _table(SINGLE_MAGNITUDE, SINGLE_COEFFICIENTS, SINGLE_EXPONENTS, phases)
+    return evaluate(SINGLE_COEFFICIENTS * SINGLE_MAGNITUDE, SINGLE_EXPONENTS, phases)
 
 
 def interference_law(
@@ -122,9 +136,10 @@ def interference_law(
     """Per column, the sum over ``groups`` of ``|sum of the group's rows|^2``.
 
     Rows within a group are indistinguishable and add as amplitudes; distinct
-    groups are distinguishable and add as probabilities.
+    groups are distinguishable and add as probabilities.  Rows are the
+    second-to-last axis, so a grid of tables gives one law per point.
     """
-    return sum(np.abs(amplitudes[list(group)].sum(axis=0)) ** 2 for group in groups)
+    return sum(np.abs(amplitudes[..., list(group), :].sum(axis=-2)) ** 2 for group in groups)
 
 
 def amp_joint(pair: PathPair, outcome: Outcome, phases: PhaseSettings) -> complex:

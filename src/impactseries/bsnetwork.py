@@ -1,10 +1,14 @@
 """First-principles derivation of the amplitude tables from splitter cascades.
 
-Every path amplitude is a product of elementary factors: a complex
-transmission or reflection coefficient at each splitter and ``exp(i*phase)``
-on each phased arm.  The wiring of the cascade is data, described by a small
-plain-text format, so alternative readings of the optical layout can be tried
-against the hand-coded tables in :mod:`impactseries.amplitudes`.
+Every path amplitude is a splitter factor times integer phase exponents:
+the product of the complex transmission or reflection coefficient at each
+splitter it passes, times ``exp(i * k . (alpha, beta, gamma))`` where ``k``
+counts each named phase on its arms.  That is the coefficient/exponent form
+of the hand-coded tables in :mod:`impactseries.amplitudes`, so the cascade
+is walked once per derivation and evaluated at one phase setting or over a
+whole grid.  The wiring of the cascade is data, described by a small
+plain-text format, so alternative readings of the optical layout can be
+tried against the hand-coded tables.
 
 Network model. Each photon crosses a chain of two-port splitters with ports
 ``a`` and ``b``; consecutive splitters are connected by a short and a long
@@ -30,8 +34,9 @@ Geometry file format (``#`` starts a comment)::
     photon2.detector.minus = b
 
 Derived tables are compared with the reference ones on magnitudes, on
-within-class amplitude ratios and on probabilities only; absolute phases are
-unphysical and are never asserted.
+within-class amplitude ratios and on probabilities only, over the whole phase
+grid in one array pass; absolute phases are unphysical and are never
+asserted.
 """
 
 from __future__ import annotations
@@ -39,9 +44,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from enum import Enum, unique
+from itertools import product
 from pathlib import Path
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -53,12 +58,14 @@ from .amplitudes import (
     SEQUENTIAL_GROUPS,
     SINGLE_MAGNITUDE,
     SINGLE_PATHS,
+    Phases,
     PhaseSettings,
+    evaluate,
     interference_law,
     joint_amplitudes,
     single_amplitudes,
 )
-from .pathspace import OUTCOMES, Arm, Arm2Path, Sign, Subensemble
+from .pathspace import OUTCOMES, Arm, Sign
 
 _UNITARITY_TOL = 1e-12
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -73,45 +80,14 @@ class SplitterConvention:
     t: complex = complex(_INV_SQRT2, 0.0)
     r: complex = complex(0.0, _INV_SQRT2)
 
-    def is_unitary(self, tol: float = _UNITARITY_TOL) -> bool:
+    def require_unitary(self) -> None:
         norm = abs(abs(self.t) ** 2 + abs(self.r) ** 2 - 1.0)
         cross = abs(self.t * self.r.conjugate() + self.r * self.t.conjugate())
-        return norm <= tol and cross <= tol
-
-    def require_unitary(self) -> None:
-        if not self.is_unitary():
+        if not (norm <= _UNITARITY_TOL and cross <= _UNITARITY_TOL):
             raise ValueError(
                 "splitter convention is not unitary: need |t|^2+|r|^2 = 1 "
                 "and t*conj(r) + r*conj(t) = 0"
             )
-
-
-@unique
-class SplitterAction(Enum):
-    TRANSMIT = "t"
-    REFLECT = "r"
-
-
-@dataclass(frozen=True)
-class PhaseShift:
-    angle: float
-
-
-Segment = Union[SplitterAction, PhaseShift]
-PathTrace = tuple[Segment, ...]
-
-
-def trace_amplitude(trace: PathTrace, convention: SplitterConvention) -> complex:
-    """Product of the per-element factors along one path."""
-    amplitude = complex(1.0, 0.0)
-    for segment in trace:
-        if segment is SplitterAction.TRANSMIT:
-            amplitude *= convention.t
-        elif segment is SplitterAction.REFLECT:
-            amplitude *= convention.r
-        else:
-            amplitude *= complex(math.cos(segment.angle), math.sin(segment.angle))
-    return amplitude
 
 
 @dataclass(frozen=True)
@@ -175,24 +151,12 @@ class Geometry:
 
 def default_geometry() -> Geometry:
     """Straight wiring with the middle splitter of photon 2's chain shared."""
-    straight_short = ArmWiring("a", "a")
-    return Geometry(
-        photon1=PhotonWiring(
-            source_port="a",
-            stages=(Stage(straight_short, ArmWiring("b", "b", "alpha")),),
-            detector_plus="a",
-            detector_minus="b",
-        ),
-        photon2=PhotonWiring(
-            source_port="a",
-            stages=(
-                Stage(straight_short, ArmWiring("b", "b", "beta")),
-                Stage(straight_short, ArmWiring("b", "b", "gamma")),
-            ),
-            detector_plus="a",
-            detector_minus="b",
-        ),
-    )
+
+    def straight(*phases: str) -> PhotonWiring:
+        stages = tuple(Stage(ArmWiring("a", "a"), ArmWiring("b", "b", phase)) for phase in phases)
+        return PhotonWiring(source_port="a", stages=stages, detector_plus="a", detector_minus="b")
+
+    return Geometry(photon1=straight("alpha"), photon2=straight("beta", "gamma"))
 
 
 _ARM_PATTERN = re.compile(
@@ -252,80 +216,86 @@ def load_geometry(path: str | Path) -> Geometry:
     return parse_geometry(Path(path).read_text(encoding="utf-8"))
 
 
-def path_trace(
+def walk_path(
     wiring: PhotonWiring,
     arms: Sequence[Arm],
     detector: Sign,
-    phases: PhaseSettings,
-) -> PathTrace:
-    """Element sequence for one choice of arms ending at one detector."""
+    convention: SplitterConvention,
+) -> tuple[complex, tuple[int, ...]]:
+    """Splitter factor and phase exponents of one choice of arms ending at one detector.
+
+    The factor multiplies ``t`` at each splitter the photon leaves on the
+    port it arrived on and ``r`` at each other one; the exponents count each
+    of :data:`PHASE_NAMES` on the chosen arms.  The path's amplitude is
+    ``factor * exp(i * exponents . phases)``.
+    """
     if len(arms) != len(wiring.stages):
         raise ValueError("one arm choice is needed per stage")
-    segments: list[Segment] = []
+    factor = complex(1.0, 0.0)
+    exponents = [0] * len(PHASE_NAMES)
     port = wiring.source_port
     for stage, arm in zip(wiring.stages, arms):
         chosen = stage.short if arm is Arm.SHORT else stage.long
-        segments.append(
-            SplitterAction.TRANSMIT if chosen.out_port == port else SplitterAction.REFLECT
-        )
+        factor *= convention.t if chosen.out_port == port else convention.r
         if chosen.phase is not None:
-            segments.append(PhaseShift(getattr(phases, chosen.phase)))
+            exponents[PHASE_NAMES.index(chosen.phase)] += 1
         port = chosen.in_port
     detector_port = wiring.detector_plus if detector is Sign.PLUS else wiring.detector_minus
-    segments.append(
-        SplitterAction.TRANSMIT if detector_port == port else SplitterAction.REFLECT
-    )
-    return tuple(segments)
+    factor *= convention.t if detector_port == port else convention.r
+    return factor, tuple(exponents)
 
 
-def _renormalized(table: np.ndarray) -> np.ndarray:
-    total = float(np.sum(np.abs(table) ** 2))
+def _renormalized(coefficients: np.ndarray) -> np.ndarray:
+    total = float(np.sum(np.abs(coefficients) ** 2))
     if total <= 0.0:
         raise ValueError("cascade yields zero total probability; cannot renormalize")
-    return table * (1.0 / math.sqrt(total))
+    return coefficients * (1.0 / math.sqrt(total))
+
+
+def _walks(
+    wiring: PhotonWiring, arm_choices: Sequence[Sequence[Arm]], convention: SplitterConvention
+) -> tuple[np.ndarray, np.ndarray]:
+    """Factors ``[choice, sign]`` and exponents ``[choice, phase]`` of one photon's paths."""
+    # Phases sit on arms, not on detectors: both signs walk the same exponents.
+    walks = [[walk_path(wiring, arms, sign, convention) for sign in Sign] for arms in arm_choices]
+    factors = np.array([[factor for factor, _ in row] for row in walks])
+    return factors, np.array([row[0][1] for row in walks])
 
 
 def derive_tables(
     geometry: Geometry,
     convention: SplitterConvention,
-    phases: PhaseSettings,
+    phases: Phases,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Path-by-path amplitudes of the cascade at the given phase settings.
+    """Path-by-path amplitudes of the cascade at one phase setting or over a grid.
 
     Returns the joint and single-path tables in the shapes of
     :func:`~impactseries.amplitudes.joint_amplitudes` and
     :func:`~impactseries.amplitudes.single_amplitudes`: joint rows are
     renormalized within each arrival-time class, single-path rows over
-    photon 2's paths Ll, lL, LL.
+    photon 2's paths Ll, lL, LL.  The cascade is walked once into
+    coefficients and exponents; every phase factor has modulus 1, so one
+    renormalization of the coefficients serves every phase setting.
     """
     convention.require_unitary()
     if len(geometry.photon1.stages) != 1 or len(geometry.photon2.stages) != 2:
         raise ValueError(
             "reference tables need one stage for photon 1 and two for photon 2"
         )
-
-    def amplitude(wiring: PhotonWiring, arms: Sequence[Arm], sign: Sign) -> complex:
-        return trace_amplitude(path_trace(wiring, arms, sign, phases), convention)
-
-    amp1 = {
-        (arm, sign): amplitude(geometry.photon1, (arm,), sign) for arm in Arm for sign in Sign
-    }
-    amp2 = {
-        (path, sign): amplitude(geometry.photon2, (path.first, path.second), sign)
-        for path in Arm2Path
-        for sign in Sign
-    }
-    joint = np.array(
-        [
-            [amp1[pair.photon1, outcome.sigma] * amp2[pair.photon2, outcome.omega]
-             for outcome in OUTCOMES]
-            for pair in JOINT_PAIRS
-        ]
-    )
+    arms1 = [(pair.photon1,) for pair in JOINT_PAIRS]
+    arms2 = [(pair.photon2.first, pair.photon2.second) for pair in JOINT_PAIRS]
+    factors1, exponents1 = _walks(geometry.photon1, arms1, convention)
+    factors2, exponents2 = _walks(geometry.photon2, arms2, convention)
+    # Outcome columns ++, +-, -+, --: photon 1's sign, then photon 2's.
+    joint = (factors1[:, :, None] * factors2[:, None, :]).reshape(len(JOINT_PAIRS), len(OUTCOMES))
     for rows in CLASS_ROWS.values():
         joint[list(rows)] = _renormalized(joint[list(rows)])
-    single = np.array([[amp2[path, sign] for sign in Sign] for path in SINGLE_PATHS])
-    return joint, _renormalized(single)
+    single_arms = [(path.first, path.second) for path in SINGLE_PATHS]
+    single, single_exponents = _walks(geometry.photon2, single_arms, convention)
+    return (
+        evaluate(joint, exponents1 + exponents2, phases),
+        evaluate(_renormalized(single), single_exponents, phases),
+    )
 
 
 @dataclass(frozen=True)
@@ -353,41 +323,8 @@ _DEFAULT_GRID_VALUES = (0.0, 0.7, 1.9, math.pi, 4.4)
 
 
 def default_phase_grid() -> tuple[PhaseSettings, ...]:
-    return tuple(
-        PhaseSettings(a, b, g)
-        for a in _DEFAULT_GRID_VALUES
-        for b in _DEFAULT_GRID_VALUES
-        for g in _DEFAULT_GRID_VALUES
-    )
-
-
-class _Check:
-    """Accumulates deviations and remembers the first point past tolerance."""
-
-    def __init__(self, name: str, tolerance: float) -> None:
-        self.name = name
-        self.tolerance = tolerance
-        self.max_deviation = 0.0
-        self.first_mismatch: str | None = None
-
-    def record(
-        self, deviations: np.ndarray, describe: Callable[[int, int], str]
-    ) -> None:
-        """Fold in a (row, column) array of deviations."""
-        self.max_deviation = max(self.max_deviation, float(deviations.max()))
-        failed = deviations > self.tolerance
-        if self.first_mismatch is None and failed.any():
-            row, column = np.unravel_index(np.argmax(failed), failed.shape)
-            self.first_mismatch = describe(row, column)
-
-    def result(self) -> CheckResult:
-        return CheckResult(
-            name=self.name,
-            max_deviation=self.max_deviation,
-            tolerance=self.tolerance,
-            passed=self.max_deviation <= self.tolerance,
-            first_mismatch=self.first_mismatch,
-        )
+    """Every combination of the grid values, alpha-major, then beta, then gamma."""
+    return tuple(PhaseSettings(*point) for point in product(_DEFAULT_GRID_VALUES, repeat=3))
 
 
 @dataclass(frozen=True)
@@ -407,21 +344,21 @@ class _Group:
     column_labels: tuple[str, ...]
 
 
-def _class_group(sub: Subensemble) -> _Group:
-    names = tuple(
-        f"joint {check}, difference-{sub.value} class"
-        for check in ("magnitudes", "amplitude ratios", "probabilities")
+_GROUPS = tuple(
+    _Group(
+        names=tuple(
+            f"joint {check}, difference-{sub.value} class"
+            for check in ("magnitudes", "amplitude ratios", "probabilities")
+        ),
+        table=0,
+        rows=rows,
+        law_groups=(rows,),
+        magnitude=JOINT_MAGNITUDE,
+        row_labels=tuple(JOINT_PAIRS[row].label for row in rows),
+        column_labels=tuple(outcome.value for outcome in OUTCOMES),
     )
-    rows = CLASS_ROWS[sub]
-    labels = tuple(JOINT_PAIRS[row].label for row in rows)
-    return _Group(
-        names, 0, rows, (rows,), JOINT_MAGNITUDE, labels, tuple(o.value for o in OUTCOMES)
-    )
-
-
-_GROUPS = (
-    _class_group(Subensemble.LONG),
-    _class_group(Subensemble.SHORT),
+    for sub, rows in CLASS_ROWS.items()
+) + (
     _Group(
         names=("single-path magnitudes", "single-path amplitude ratios",
                "sequential-impact singles probabilities"),
@@ -435,8 +372,26 @@ _GROUPS = (
 )
 
 
-def _phase_label(phases: PhaseSettings) -> str:
-    return f"alpha={phases.alpha:.6g} beta={phases.beta:.6g} gamma={phases.gamma:.6g}"
+def _check(
+    name: str,
+    deviations: np.ndarray,
+    tolerance: float,
+    grid: Sequence[PhaseSettings],
+    describe: Callable[[int, int, int], str],
+) -> CheckResult:
+    """Aggregate a ``(point, row, column)`` array of deviations.
+
+    The first mismatch is the first entry past tolerance in point-major,
+    then row, then column order.
+    """
+    failed = deviations > tolerance
+    first_mismatch = None
+    if failed.any():
+        point, row, column = np.unravel_index(np.argmax(failed), failed.shape)
+        at = " ".join(f"{phase}={getattr(grid[point], phase):.6g}" for phase in PHASE_NAMES)
+        first_mismatch = f"{describe(point, row, column)} at {at}"
+    max_deviation = float(deviations.max(initial=0.0))
+    return CheckResult(name, max_deviation, tolerance, first_mismatch is None, first_mismatch)
 
 
 def validate_against_reference(
@@ -453,41 +408,39 @@ def validate_against_reference(
     first row, and the probability law that superposes the group's
     interfering rows (the sequential-impact law for the single-path table).
     Ratios and probabilities are global-phase-free, so a cascade matching
-    them reproduces the tables in every physical respect.
+    them reproduces the tables in every physical respect.  Each check is
+    one array comparison over the whole phase grid.
     """
-    if phase_grid is None:
-        phase_grid = default_phase_grid()
-    checks = {name: _Check(name, tolerance) for group in _GROUPS for name in group.names}
-
-    for phases in phase_grid:
-        derived_tables = derive_tables(geometry, convention, phases)
-        reference_tables = (joint_amplitudes(phases), single_amplitudes(phases))
-        at = _phase_label(phases)
-        for group in _GROUPS:
-            rows, columns = group.row_labels, group.column_labels
-            derived = derived_tables[group.table][list(group.rows)]
-            reference = reference_tables[group.table][list(group.rows)]
-            magnitudes, ratios, law = (checks[name] for name in group.names)
-
-            magnitudes.record(
-                np.abs(np.abs(derived) - group.magnitude),
-                lambda i, j: f"|A{columns[j]}{rows[i]}| = {abs(derived[i, j]):.12g}, "
-                f"expected {group.magnitude:.12g} at {at}",
-            )
-            derived_ratio = derived[1:] / derived[0]
-            reference_ratio = reference[1:] / reference[0]
-            ratios.record(
-                np.abs(derived_ratio - reference_ratio),
-                lambda i, j: f"A{columns[j]}{rows[i + 1]}/A{columns[j]}{rows[0]}: "
-                f"derived {derived_ratio[i, j]:.9g}, reference {reference_ratio[i, j]:.9g} "
-                f"at {at}",
-            )
-            derived_p = interference_law(derived_tables[group.table], group.law_groups)
-            reference_p = interference_law(reference_tables[group.table], group.law_groups)
-            law.record(
-                np.abs(derived_p - reference_p)[None, :],
-                lambda _, j: f"P({columns[j]}): derived {derived_p[j]:.12g}, "
-                f"reference {reference_p[j]:.12g} at {at}",
-            )
-
-    return OracleReport(checks=tuple(check.result() for check in checks.values()))
+    grid = default_phase_grid() if phase_grid is None else tuple(phase_grid)
+    derived_tables = derive_tables(geometry, convention, grid)
+    reference_tables = (joint_amplitudes(grid), single_amplitudes(grid))
+    checks = []
+    for group in _GROUPS:
+        rows, columns = group.row_labels, group.column_labels
+        derived = derived_tables[group.table][:, list(group.rows)]
+        reference = reference_tables[group.table][:, list(group.rows)]
+        magnitudes = np.abs(derived)
+        derived_ratio = derived[:, 1:] / derived[:, :1]
+        reference_ratio = reference[:, 1:] / reference[:, :1]
+        derived_p = interference_law(derived_tables[group.table], group.law_groups)
+        reference_p = interference_law(reference_tables[group.table], group.law_groups)
+        magnitude_name, ratio_name, law_name = group.names
+        checks += (
+            _check(
+                magnitude_name, np.abs(magnitudes - group.magnitude), tolerance, grid,
+                lambda p, i, j: f"|A{columns[j]}{rows[i]}| = {magnitudes[p, i, j]:.12g}, "
+                f"expected {group.magnitude:.12g}",
+            ),
+            _check(
+                ratio_name, np.abs(derived_ratio - reference_ratio), tolerance, grid,
+                lambda p, i, j: f"A{columns[j]}{rows[i + 1]}/A{columns[j]}{rows[0]}: "
+                f"derived {derived_ratio[p, i, j]:.9g}, "
+                f"reference {reference_ratio[p, i, j]:.9g}",
+            ),
+            _check(
+                law_name, np.abs(derived_p - reference_p)[:, None, :], tolerance, grid,
+                lambda p, _, j: f"P({columns[j]}): derived {derived_p[p, j]:.12g}, "
+                f"reference {reference_p[p, j]:.12g}",
+            ),
+        )
+    return OracleReport(checks=tuple(checks))

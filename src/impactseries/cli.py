@@ -302,24 +302,21 @@ def cmd_compare(args: argparse.Namespace) -> int:
         model = TheoryModel(kind=kind, ordering=TimeOrdering(args.ordering))
         points = scan_phases(model, args.axis, grid, phases, args.events, args.seed)
         for point in points:
-            rows.append(
-                _simulate_row(
-                    "compare",
-                    point.config,
-                    point.tally,
-                    point.estimate,
-                    axis=args.axis,
-                    angle=point.angle,
-                )
+            row = _simulate_row(
+                "compare",
+                point.config,
+                point.tally,
+                point.estimate,
+                axis=args.axis,
+                angle=point.angle,
             )
-            side1_mc, _ = tally_marginals(point.tally)
-            side1 = point.config.prediction.side1
-            analytic1 = _format_cell(side1.p_plus) if side1 else "n/a"
+            rows.append(row)
+            analytic1 = row["p1_plus_analytic"]
             print(
                 f"model={kind.value} angle={_format_cell(point.angle)} "
-                f"p1_plus analytic={analytic1} mc={_format_cell(side1_mc.p_plus)} "
-                f"E={_format_cell(point.estimate.value)}"
-                f"±{_format_cell(point.estimate.std_error)}"
+                f"p1_plus analytic={'n/a' if analytic1 is None else _format_cell(analytic1)} "
+                f"mc={_format_cell(row['p1_plus_mc'])} "
+                f"E={_format_cell(row['e_value'])}±{_format_cell(row['e_std_error'])}"
             )
     if args.out:
         _emit(rows, args.format, args.out)

@@ -1,4 +1,4 @@
-"""Splitter-network oracle: trace products, wiring, table reproduction."""
+"""Splitter-network oracle: path walks, wiring, table reproduction."""
 
 import cmath
 import math
@@ -13,15 +13,14 @@ from impactseries.amplitudes import (
     JOINT_PAIRS,
     SINGLE_MAGNITUDE,
     PhaseSettings,
+    interference_law,
     joint_amplitudes,
     single_amplitudes,
 )
 from impactseries.bsnetwork import (
     ArmWiring,
     Geometry,
-    PhaseShift,
     PhotonWiring,
-    SplitterAction,
     SplitterConvention,
     Stage,
     default_geometry,
@@ -29,19 +28,30 @@ from impactseries.bsnetwork import (
     derive_tables,
     load_geometry,
     parse_geometry,
-    path_trace,
-    trace_amplitude,
     validate_against_reference,
+    walk_path,
 )
 from impactseries.pathspace import Arm, Arm2Path, Sign, Subensemble, members
-
-TRANSMIT = SplitterAction.TRANSMIT
-REFLECT = SplitterAction.REFLECT
 
 DEFAULT = SplitterConvention()
 
 #: Every 16th point of the default 125-point grid, for the property tests.
 SPARSE_GRID = default_phase_grid()[::16]
+
+DEFAULT_GEOM = (
+    "photon1.source = a\n"
+    "photon1.stage1.short = a->a\n"
+    "photon1.stage1.long  = b->b phase=alpha\n"
+    "photon1.detector.plus  = a\n"
+    "photon1.detector.minus = b\n"
+    "photon2.source = a\n"
+    "photon2.stage1.short = a->a\n"
+    "photon2.stage1.long  = b->b phase=beta\n"
+    "photon2.stage2.short = a->a\n"
+    "photon2.stage2.long  = b->b phase=gamma\n"
+    "photon2.detector.plus  = a\n"
+    "photon2.detector.minus = b\n"
+)
 
 CROSSED_STAGE2 = """
 photon1.source = a
@@ -59,24 +69,27 @@ photon2.detector.minus = b
 """
 
 
-class TestTraceAmplitude:
+class TestWalkPath:
     def test_two_transmissions(self):
-        assert trace_amplitude((TRANSMIT, TRANSMIT), DEFAULT) == pytest.approx(
-            0.5, abs=1e-12
-        )
+        factor, exponents = walk_path(default_geometry().photon1, (Arm.SHORT,), Sign.PLUS, DEFAULT)
+        assert factor == pytest.approx(0.5, abs=1e-12)
+        assert exponents == (0, 0, 0)
 
     def test_transmit_then_reflect(self):
-        assert trace_amplitude((TRANSMIT, REFLECT), DEFAULT) == pytest.approx(
-            0.5j, abs=1e-12
+        factor, exponents = walk_path(
+            default_geometry().photon1, (Arm.SHORT,), Sign.MINUS, DEFAULT
         )
+        assert factor == pytest.approx(0.5j, abs=1e-12)
+        assert exponents == (0, 0, 0)
 
-    def test_phase_shift_in_the_product(self):
-        beta = 1.234
-        amplitude = trace_amplitude((TRANSMIT, PhaseShift(beta), REFLECT), DEFAULT)
-        assert amplitude == pytest.approx(0.5j * cmath.exp(1j * beta), abs=1e-12)
-
-    def test_empty_trace_is_unity(self):
-        assert trace_amplitude((), DEFAULT) == 1.0
+    def test_phase_is_an_exponent_not_a_factor(self):
+        # long arm: reflect out of port a, phase alpha, arrive on b;
+        # detector minus on b: transmit
+        factor, exponents = walk_path(
+            default_geometry().photon1, (Arm.LONG,), Sign.MINUS, DEFAULT
+        )
+        assert factor == pytest.approx(0.5j, abs=1e-12)
+        assert exponents == (1, 0, 0)
 
 
 class TestConvention:
@@ -105,6 +118,19 @@ class TestDefaultGeometry:
         for ph in (PhaseSettings(), PhaseSettings(0.7, -1.1, 2.3)):
             joint, _ = derive_tables(default_geometry(), DEFAULT, ph)
             assert np.abs(joint - joint_amplitudes(ph)).max() <= 1e-12
+        # a grid call is the stack of the one-setting calls, bit for bit
+        joints, singles = derive_tables(default_geometry(), DEFAULT, SPARSE_GRID)
+        reference_joints = joint_amplitudes(SPARSE_GRID)
+        reference_singles = single_amplitudes(SPARSE_GRID)
+        assert joints.shape == (len(SPARSE_GRID), 6, 4)
+        assert singles.shape == (len(SPARSE_GRID), 3, 2)
+        for k, ph in enumerate(SPARSE_GRID):
+            joint, single = derive_tables(default_geometry(), DEFAULT, ph)
+            assert np.array_equal(joints[k], joint)
+            assert np.array_equal(singles[k], single)
+            assert np.array_equal(reference_joints[k], joint_amplitudes(ph))
+            assert np.array_equal(reference_singles[k], single_amplitudes(ph))
+        assert np.abs(joints - reference_joints).max() <= 1e-12
 
     def test_reproduces_the_single_path_table_exactly(self):
         ph = PhaseSettings(0.2, 1.9, -0.4)
@@ -154,6 +180,39 @@ class TestMiswiredGeometry:
         assert ratio_failures[0].first_mismatch is not None
         assert "derived" in ratio_failures[0].first_mismatch
 
+    def test_first_mismatch_is_the_first_failing_grid_point(self):
+        # alpha moved onto the first stage of photon 1's long arm as beta:
+        # every magnitude and the single-path table stay right, while the
+        # joint table is wrong wherever beta is not 0
+        text = DEFAULT_GEOM.replace("b->b phase=alpha", "b->b phase=beta")
+        geometry = parse_geometry(text)
+        grid = default_phase_grid()
+        report = validate_against_reference(geometry, DEFAULT)
+        by_name = {check.name: check for check in report.checks}
+        failing = {
+            f"joint {check}, difference-{sub} class"
+            for check in ("amplitude ratios", "probabilities")
+            for sub in ("L", "l")
+        }
+        assert {name for name, check in by_name.items() if not check.passed} == failing
+        assert grid[5] == PhaseSettings(0.0, 0.7, 0.0)
+        for name in failing:
+            assert by_name[name].first_mismatch.endswith("at alpha=0 beta=0.7 gamma=0")
+
+        def joint_law_deviation(ph: PhaseSettings) -> float:
+            joint, _ = derive_tables(geometry, DEFAULT, ph)
+            return max(
+                np.abs(
+                    interference_law(joint, (rows,))
+                    - interference_law(joint_amplitudes(ph), (rows,))
+                ).max()
+                for rows in ((0, 1, 2), (3, 4, 5))
+            )
+
+        first = next(k for k, ph in enumerate(grid) if joint_law_deviation(ph) > 1e-9)
+        assert first == 5
+        assert joint_law_deviation(grid[0]) <= 1e-12
+
     def test_unbalanced_convention_fails_magnitude_checks(self):
         convention = SplitterConvention(t=0.8, r=0.6j)
         convention.require_unitary()
@@ -163,23 +222,9 @@ class TestMiswiredGeometry:
 
 class TestGeometryParsing:
     def test_file_matches_the_builtin_default(self, tmp_path):
-        text = (
-            "photon1.source = a\n"
-            "photon1.stage1.short = a->a\n"
-            "photon1.stage1.long  = b->b phase=alpha\n"
-            "photon1.detector.plus  = a\n"
-            "photon1.detector.minus = b\n"
-            "photon2.source = a\n"
-            "photon2.stage1.short = a->a\n"
-            "photon2.stage1.long  = b->b phase=beta\n"
-            "photon2.stage2.short = a->a\n"
-            "photon2.stage2.long  = b->b phase=gamma\n"
-            "photon2.detector.plus  = a\n"
-            "photon2.detector.minus = b\n"
-        )
-        assert parse_geometry(text) == default_geometry()
+        assert parse_geometry(DEFAULT_GEOM) == default_geometry()
         path = tmp_path / "layout.geom"
-        path.write_text(text)
+        path.write_text(DEFAULT_GEOM)
         assert load_geometry(path) == default_geometry()
 
     def test_comments_and_blank_lines_are_ignored(self):
@@ -245,23 +290,18 @@ class TestWiringValidation:
         with pytest.raises(ValueError, match="two for photon 2"):
             derive_tables(geometry, DEFAULT, PhaseSettings())
 
-    def test_path_trace_needs_one_arm_per_stage(self):
+    def test_path_walk_needs_one_arm_per_stage(self):
         with pytest.raises(ValueError):
-            path_trace(default_geometry().photon2, (Arm.SHORT,), Sign.PLUS, PhaseSettings())
+            walk_path(default_geometry().photon2, (Arm.SHORT,), Sign.PLUS, DEFAULT)
 
-    def test_trace_construction_matches_hand_wiring(self):
-        ph = PhaseSettings(beta=0.5, gamma=1.5)
-        trace = path_trace(
-            default_geometry().photon2, (Arm.LONG, Arm.SHORT), Sign.PLUS, ph
+    def test_path_walk_matches_hand_wiring(self):
+        factor, exponents = walk_path(
+            default_geometry().photon2, (Arm.LONG, Arm.SHORT), Sign.PLUS, DEFAULT
         )
         # long arm: reflect out, phase beta; arrive on b, leave on a: reflect;
         # arrive on a, detector plus on a: transmit
-        assert trace == (
-            REFLECT,
-            PhaseShift(0.5),
-            REFLECT,
-            TRANSMIT,
-        )
+        assert factor == pytest.approx(DEFAULT.r * DEFAULT.r * DEFAULT.t, abs=1e-12)
+        assert exponents == (0, 1, 0)
 
 
 @st.composite
