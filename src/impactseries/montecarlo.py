@@ -12,11 +12,14 @@ the law they sample.
 
 Determinism contract: events are processed in fixed blocks of ``BLOCK_SIZE``;
 block ``j`` uses the PCG64 stream seeded by ``SeedSequence(seed,
-spawn_key=(j,))`` and consumes exactly two uniform doubles per event (class
-draw, then outcome draw), sampled by inverse CDF over ``Generator.random()``
-output only.  Per-block tallies merge by addition, so the merged result is
-independent of how blocks are partitioned and merged (no parallel runner
-exists) and reproducible across platforms for a given seed.
+spawn_key=(j,))``.  A block of ``size`` events makes one ``random(2*size)``
+draw: the first ``size`` doubles are the events' class draws and the next
+``size`` their outcome draws, so every event, rejected or not, consumes its
+outcome draw.  Categories are picked by thresholds on the cumulative weights,
+which equals an inverse CDF (``searchsorted(..., side="right")``).  Per-block
+tallies merge by addition, so the merged result is independent of how blocks
+are partitioned and merged (no parallel runner exists) and reproducible
+across platforms for a given seed.
 """
 
 from __future__ import annotations
@@ -50,7 +53,8 @@ SUBENSEMBLE_ORDER: tuple[Subensemble, ...] = (
 )
 SUBENSEMBLE_WEIGHTS: tuple[float, ...] = (0.125, 0.375, 0.375, 0.125)
 
-_SUB_CUMULATIVE = np.cumsum(SUBENSEMBLE_WEIGHTS)
+#: Class ``k`` takes the class draws in ``[edges[k], edges[k+1])``; exact dyadics.
+_CLASS_EDGES: tuple[float, ...] = (0.0, *np.cumsum(SUBENSEMBLE_WEIGHTS).tolist())
 
 
 @dataclass(frozen=True)
@@ -153,27 +157,38 @@ def _block_sizes(events: int) -> Iterable[tuple[int, int]]:
         yield full, remainder
 
 
+def _threshold_counts(u: np.ndarray, cumulative: np.ndarray) -> tuple[int, ...]:
+    """How many of the uniforms ``u`` fall in each category of ``cumulative``.
+
+    Category ``k`` takes ``cumulative[k-1] <= u < cumulative[k]``, which equals
+    ``bincount(searchsorted(cumulative, u, side="right"))`` provided
+    ``cumulative[-1]`` is 1.0, above every uniform; tied edges (a category of
+    probability zero) give a zero count.
+    """
+    at_or_above = [len(u), *(int(np.count_nonzero(u >= c)) for c in cumulative[:-1]), 0]
+    return tuple(n - m for n, m in zip(at_or_above, at_or_above[1:]))
+
+
 def block_tallies(config: RunConfig) -> list[CoincidenceTally]:
     """Per-block tallies in block order; ``run`` is their merge."""
     distribution = outcome_distribution(config.prediction)
     outcome_cum = np.cumsum(distribution.p)
     outcome_cum[-1] = 1.0  # guard against rounding below the top uniform
     target_index = SUBENSEMBLE_ORDER.index(config.target_sub)
+    lo, hi = _CLASS_EDGES[target_index : target_index + 2]
+    # sized by the run, so a one-block run allocates no more than it draws
+    draws = np.empty(2 * min(config.events, BLOCK_SIZE))
 
     tallies = []
     for j, size in _block_sizes(config.events):
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(config.seed, spawn_key=(j,)))
         )
-        u_class = rng.random(size)
-        u_outcome = rng.random(size)
-        class_index = np.searchsorted(_SUB_CUMULATIVE, u_class, side="right")
-        accepted_mask = class_index == target_index
-        outcome_index = np.searchsorted(
-            outcome_cum, u_outcome[accepted_mask], side="right"
-        )
-        counts = tuple(np.bincount(outcome_index, minlength=len(OUTCOMES)).tolist())
-        tallies.append(CoincidenceTally(r=counts, rejected=size - len(outcome_index)))
+        u = rng.random(out=draws[: 2 * size])
+        u_class, u_outcome = u[:size], u[size:]
+        accepted = u_outcome[(u_class >= lo) & (u_class < hi)]
+        counts = _threshold_counts(accepted, outcome_cum)
+        tallies.append(CoincidenceTally(r=counts, rejected=size - len(accepted)))
     return tallies
 
 

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from impactseries.montecarlo import (
     run,
     scan_phases,
     tally_marginals,
+    _threshold_counts,
 )
 from impactseries.pathspace import OUTCOMES, Outcome, Subensemble, TimeOrdering
 from impactseries.theories import (
@@ -45,6 +47,35 @@ def tally(pp, pm, mp, mm, rejected=0) -> CoincidenceTally:
     return CoincidenceTally(r=(pp, pm, mp, mm), rejected=rejected)
 
 
+def searchsorted_block_tallies(config: RunConfig) -> list[CoincidenceTally]:
+    """Reference sampler: two draws per block, inverse CDF by searchsorted, bincount."""
+    outcome_cum = np.cumsum(outcome_distribution(config.prediction).p)
+    outcome_cum[-1] = 1.0
+    class_cum = np.cumsum(SUBENSEMBLE_WEIGHTS)
+    target_index = SUBENSEMBLE_ORDER.index(config.target_sub)
+    full, remainder = divmod(config.events, BLOCK_SIZE)
+    sizes = [BLOCK_SIZE] * full + ([remainder] if remainder else [])
+    tallies = []
+    for j, size in enumerate(sizes):
+        rng = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(config.seed, spawn_key=(j,)))
+        )
+        u_class = rng.random(size)
+        u_outcome = rng.random(size)
+        class_index = np.searchsorted(class_cum, u_class, side="right")
+        outcome_index = np.searchsorted(
+            outcome_cum, u_outcome[class_index == target_index], side="right"
+        )
+        counts = tuple(np.bincount(outcome_index, minlength=len(OUTCOMES)).tolist())
+        tallies.append(CoincidenceTally(r=counts, rejected=size - len(outcome_index)))
+    return tallies
+
+
+# (+,-) has probability ~3e-33 in the difference-L class here, below the
+# rounding of its cumulative edge, so two outcome edges tie
+TIED = PhaseSettings(0.0, math.pi / 3, 2 * math.pi / 3)
+
+
 class TestDeterminism:
     def test_identical_configs_yield_identical_tallies(self):
         config = RunConfig(model=QM, phases=ZERO, events=300_000, seed=42)
@@ -58,6 +89,38 @@ class TestDeterminism:
         assert result.r == (32, 31, 295, 28)
         assert result.accepted == 386
         assert result.rejected == 614
+
+    def test_frozen_multi_block_tally(self):
+        # pinned from the two-draw searchsorted sampler: three full blocks
+        # and a partial one
+        config = RunConfig(model=QM, phases=ZERO, events=3 * BLOCK_SIZE + 17, seed=5)
+        assert run(config) == tally(6316, 6225, 55249, 6147, rejected=122688)
+
+    @pytest.mark.parametrize(
+        "model, phases, target",
+        [
+            (QM, ZERO, Subensemble.LONG),
+            (QM, PhaseSettings(0.9, -0.2, 1.4), Subensemble.SHORT),
+            (QM, TIED, Subensemble.LONG),
+            (RNL, PhaseSettings(0.3, 1.0, -0.5), Subensemble.LONG),
+            (CAUSAL_1, PhaseSettings(-1.2, 0.4, 2.5), Subensemble.LONG),
+        ],
+    )
+    @pytest.mark.parametrize("events", [1, 17, BLOCK_SIZE, 3 * BLOCK_SIZE + 17])
+    def test_block_tallies_match_the_searchsorted_reference(
+        self, model, phases, target, events
+    ):
+        config = RunConfig(
+            model=model, phases=phases, events=events, seed=2024, target_sub=target
+        )
+        assert block_tallies(config) == searchsorted_block_tallies(config)
+
+    def test_tied_outcome_edge_is_never_drawn(self):
+        cum = np.cumsum(outcome_distribution(predict(QM, TIED)).p)
+        assert cum[0] == cum[1]
+        config = RunConfig(model=QM, phases=TIED, events=3 * BLOCK_SIZE + 17, seed=5)
+        result = run(config)
+        assert result.r[1] == 0 and min(result.r[0], result.r[2], result.r[3]) > 0
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -78,6 +141,27 @@ class TestDeterminism:
         grouped = [merge_tallies(shuffled[:2]), merge_tallies(shuffled[2:])]
         assert merge_tallies(shuffled) == run(config)
         assert merge_tallies(grouped) == run(config)
+
+
+class TestThresholdCounts:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        weights=st.lists(
+            st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)),
+            min_size=4,
+            max_size=4,
+        ).filter(lambda w: sum(w) > 0),
+        uniforms=st.lists(
+            st.floats(min_value=0.0, max_value=1.0, exclude_max=True), max_size=200
+        ),
+    )
+    def test_equals_searchsorted_then_bincount(self, weights, uniforms):
+        cum = np.cumsum(np.array(weights) / sum(weights))
+        cum[-1] = 1.0
+        # uniforms landing exactly on an edge must go to the category above it
+        u = np.array(uniforms + [c for c in cum.tolist() if c < 1.0], dtype=float)
+        expected = np.bincount(np.searchsorted(cum, u, side="right"), minlength=4)
+        assert _threshold_counts(u, cum) == tuple(expected.tolist())
 
 
 class TestOutcomeDistribution:
