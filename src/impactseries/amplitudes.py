@@ -26,15 +26,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .pathspace import (
-    OUTCOMES,
-    Arm2Path,
-    Outcome,
-    PathPair,
-    Sign,
-    Subensemble,
-    members,
-)
+from .pathspace import Arm2Path, PathPair, Subensemble, members
 
 #: The three adjustable phases, in the column order of the exponent arrays.
 PHASE_NAMES = ("alpha", "beta", "gamma")
@@ -95,11 +87,6 @@ SEQUENTIAL_GROUPS = ((0, 1), (2,))
 SINGLE_COEFFICIENTS = np.array([[-1, -1j], [-1, 1j], [-1, 1j]])
 SINGLE_EXPONENTS = np.array([[0, 1, 0], [0, 0, 1], [0, 1, 1]])
 
-_JOINT_ROW = {pair: row for row, pair in enumerate(JOINT_PAIRS)}
-_SINGLE_ROW = {path: row for row, path in enumerate(SINGLE_PATHS)}
-_SIGNS = tuple(Sign)
-
-
 #: One phase setting, or a grid of them.
 Phases = Union[PhaseSettings, Sequence[PhaseSettings]]
 
@@ -141,23 +128,3 @@ def interference_law(
     """
     return sum(np.abs(amplitudes[..., list(group), :].sum(axis=-2)) ** 2 for group in groups)
 
-
-def amp_joint(pair: PathPair, outcome: Outcome, phases: PhaseSettings) -> complex:
-    """Joint amplitude of ``pair`` reaching ``outcome``.
-
-    Raises ``ValueError`` for the satellite pairs, which have no row.
-    """
-    if pair not in _JOINT_ROW:
-        raise ValueError(f"path pair {pair.label} has no joint amplitude")
-    return complex(joint_amplitudes(phases)[_JOINT_ROW[pair], OUTCOMES.index(outcome)])
-
-
-def amp_single(path: Arm2Path, sign: Sign, phases: PhaseSettings) -> complex:
-    """Single-path amplitude for photon 2 reaching detector ``sign``.
-
-    Defined for the three paths Ll, lL, LL that coexist with a difference-L
-    coincidence selection; the path ll is not part of this table.
-    """
-    if path not in _SINGLE_ROW:
-        raise ValueError(f"path {path.value} has no single-path amplitude")
-    return complex(single_amplitudes(phases)[_SINGLE_ROW[path], _SIGNS.index(sign)])

@@ -29,7 +29,6 @@ from .bsnetwork import (
 )
 from .montecarlo import (
     CoincidenceTally,
-    EstimateE,
     RunConfig,
     estimate_E,
     run,
@@ -81,10 +80,6 @@ _SUBENSEMBLE_BY_FLAG = {"L": Subensemble.LONG, "l": Subensemble.SHORT}
 _FLAG_BY_SUBENSEMBLE = {v: k for k, v in _SUBENSEMBLE_BY_FLAG.items()}
 
 
-def _sig6(value: float) -> float:
-    return float(f"{value:.6g}")
-
-
 def _format_cell(value) -> str:
     if value is None:
         return ""
@@ -94,22 +89,27 @@ def _format_cell(value) -> str:
 
 
 def _jsonable(value):
-    if isinstance(value, float):
-        return _sig6(value)
-    return value
+    return float(f"{value:.6g}") if isinstance(value, float) else value
 
 
-def _empty_row() -> dict:
-    return dict.fromkeys(COLUMNS)
-
-
-def _fill_phases(row: dict, phases: PhaseSettings) -> None:
-    row["alpha"] = phases.alpha
-    row["beta"] = phases.beta
-    row["gamma"] = phases.gamma
-
-
-def _fill_analytic(row: dict, prediction: Prediction) -> None:
+def _analytic_row(
+    command: str,
+    model: TheoryModel,
+    target: Subensemble,
+    phases: PhaseSettings,
+    prediction: Prediction,
+) -> dict:
+    """A row with its provenance, phases and analytic columns; the rest are None."""
+    row = dict.fromkeys(COLUMNS)
+    row.update(
+        command=command,
+        model=model.kind.value,
+        ordering=model.ordering.value,
+        subensemble=_FLAG_BY_SUBENSEMBLE[target],
+        alpha=phases.alpha,
+        beta=phases.beta,
+        gamma=phases.gamma,
+    )
     if prediction.side1 is not None:
         row["p1_plus_analytic"] = prediction.side1.p_plus
         row["p1_minus_analytic"] = prediction.side1.p_minus
@@ -118,20 +118,44 @@ def _fill_analytic(row: dict, prediction: Prediction) -> None:
         row["p2_minus_analytic"] = prediction.side2.p_minus
     if prediction.joint is not None:
         row["joint_pp"], row["joint_pm"], row["joint_mp"], row["joint_mm"] = prediction.joint.p
+    return row
 
 
-def _fill_tally(row: dict, tally: CoincidenceTally, estimate: EstimateE) -> None:
-    row["accepted"] = tally.accepted
-    row["rejected"] = tally.rejected
-    row["acceptance_rate"] = tally.accepted / tally.events
-    row["r_pp"], row["r_pm"], row["r_mp"], row["r_mm"] = tally.r
+def _run_row(
+    command: str, config: RunConfig, tally: CoincidenceTally, axis: str | None = None
+) -> dict:
+    """The analytic row of ``config`` plus its run's counters, singles and E.
+
+    ``axis`` names the phase a scan sweeps; the row's ``angle`` is its value.
+    """
+    row = _analytic_row(
+        command, config.model, config.target_sub, config.phases, config.prediction
+    )
+    estimate = estimate_E(tally, config.phases)
     side1, side2 = tally_marginals(tally)
-    row["p1_plus_mc"], row["p1_minus_mc"] = side1.p_plus, side1.p_minus
-    row["p2_plus_mc"], row["p2_minus_mc"] = side2.p_plus, side2.p_minus
-    row["e_value"] = estimate.value
-    row["e_std_error"] = estimate.std_error
-    row["e_analytic_qm"] = estimate.analytic_qm
-    row["e_analytic_causal"] = estimate.analytic_causal
+    row.update(
+        axis=axis,
+        angle=None if axis is None else getattr(config.phases, axis),
+        events=config.events,
+        seed=config.seed,
+        accepted=tally.accepted,
+        rejected=tally.rejected,
+        acceptance_rate=tally.accepted / tally.events,
+        p1_plus_mc=side1.p_plus,
+        p1_minus_mc=side1.p_minus,
+        p2_plus_mc=side2.p_plus,
+        p2_minus_mc=side2.p_minus,
+        e_value=estimate.value,
+        e_std_error=estimate.std_error,
+        e_analytic_qm=estimate.analytic_qm,
+        e_analytic_causal=0.0,  # the causal rules split side 1 evenly at any phase
+    )
+    row["r_pp"], row["r_pm"], row["r_mp"], row["r_mm"] = tally.r
+    return row
+
+
+def _fields(row: dict, *names: str) -> str:
+    return " ".join(f"{name}={_format_cell(row[name])}" for name in names)
 
 
 def _emit(rows: list[dict], fmt: str, out_path: str) -> None:
@@ -145,7 +169,10 @@ def _emit(rows: list[dict], fmt: str, out_path: str) -> None:
     else:
         payload = {"rows": [{c: _jsonable(row[c]) for c in COLUMNS} for row in rows]}
         text = json.dumps(payload, indent=2) + "\n"
-    Path(out_path).write_text(text, encoding="utf-8")
+    try:
+        Path(out_path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write --out file: {exc}") from None
 
 
 def _parse_model(args: argparse.Namespace) -> TheoryModel:
@@ -203,13 +230,12 @@ def cmd_predict(args: argparse.Namespace) -> int:
     phases = _phases_from(args)
     target = _SUBENSEMBLE_BY_FLAG[args.subensemble]
     prediction = predict(model, phases, target)
-    rule1, rule2 = _rule_labels(model, target)
+    row = _analytic_row("predict", model, target, phases, prediction)
+    if args.out:
+        _emit([row], args.format, args.out)
 
-    print(
-        f"model={model.kind.value} ordering={model.ordering.value} "
-        f"subensemble={args.subensemble} alpha={_format_cell(phases.alpha)} "
-        f"beta={_format_cell(phases.beta)} gamma={_format_cell(phases.gamma)}"
-    )
+    rule1, rule2 = _rule_labels(model, target)
+    print(_fields(row, "model", "ordering", "subensemble", *PHASE_NAMES))
     if prediction.joint is not None:
         cells = " ".join(
             f"p({outcome.value})={_format_cell(p)}"
@@ -220,106 +246,65 @@ def cmd_predict(args: argparse.Namespace) -> int:
         print("joint: undefined for this model (singles only)")
     print(_singles_line("side1", prediction.side1, rule1))
     print(_singles_line("side2", prediction.side2, rule2))
-
-    if args.out:
-        row = _empty_row()
-        row["command"] = "predict"
-        row["model"] = model.kind.value
-        row["ordering"] = model.ordering.value
-        row["subensemble"] = args.subensemble
-        _fill_phases(row, phases)
-        _fill_analytic(row, prediction)
-        _emit([row], args.format, args.out)
     return 0
 
 
-def _simulate_row(
-    command: str,
-    config: RunConfig,
-    tally: CoincidenceTally,
-    estimate: EstimateE,
-    axis: str | None = None,
-    angle: float | None = None,
-) -> dict:
-    row = _empty_row()
-    row["command"] = command
-    row["model"] = config.model.kind.value
-    row["ordering"] = config.model.ordering.value
-    row["subensemble"] = _FLAG_BY_SUBENSEMBLE[config.target_sub]
-    row["axis"] = axis
-    row["angle"] = angle
-    _fill_phases(row, config.phases)
-    row["events"] = config.events
-    row["seed"] = config.seed
-    _fill_analytic(row, config.prediction)
-    _fill_tally(row, tally, estimate)
-    return row
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
-    model = _parse_model(args)
-    phases = _phases_from(args)
-    target = _SUBENSEMBLE_BY_FLAG[args.subensemble]
     config = RunConfig(
-        model=model, phases=phases, events=args.events, seed=args.seed, target_sub=target
+        model=_parse_model(args),
+        phases=_phases_from(args),
+        events=args.events,
+        seed=args.seed,
+        target_sub=_SUBENSEMBLE_BY_FLAG[args.subensemble],
     )
-    tally = run(config)
-    estimate = estimate_E(tally, phases)
-
-    print(
-        f"model={model.kind.value} ordering={model.ordering.value} "
-        f"subensemble={args.subensemble} alpha={_format_cell(phases.alpha)} "
-        f"beta={_format_cell(phases.beta)} gamma={_format_cell(phases.gamma)} "
-        f"events={config.events} seed={config.seed}"
-    )
-    pp, pm, mp, mm = tally.r
-    print(
-        f"counts: R(++)={pp} R(+-)={pm} R(-+)={mp} R(--)={mm} "
-        f"accepted={tally.accepted} rejected={tally.rejected}"
-    )
-    print(f"acceptance_rate={_format_cell(tally.accepted / tally.events)}")
-    print(
-        f"E={_format_cell(estimate.value)} std_error={_format_cell(estimate.std_error)} "
-        f"[analytic: qm {_format_cell(estimate.analytic_qm)}, "
-        f"causal {_format_cell(estimate.analytic_causal)}]"
-    )
-
+    row = _run_row("simulate", config, run(config))
     if args.out:
-        _emit([_simulate_row("simulate", config, tally, estimate)], args.format, args.out)
+        _emit([row], args.format, args.out)
+
+    print(_fields(row, "model", "ordering", "subensemble", *PHASE_NAMES, "events", "seed"))
+    print(
+        f"counts: R(++)={row['r_pp']} R(+-)={row['r_pm']} R(-+)={row['r_mp']} "
+        f"R(--)={row['r_mm']} {_fields(row, 'accepted', 'rejected')}"
+    )
+    print(_fields(row, "acceptance_rate"))
+    print(
+        f"E={_format_cell(row['e_value'])} std_error={_format_cell(row['e_std_error'])} "
+        f"[analytic: qm {_format_cell(row['e_analytic_qm'])}, "
+        f"causal {_format_cell(row['e_analytic_causal'])}]"
+    )
     return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     phases = _phases_from(args)
     grid = _parse_grid(args.grid, args.degrees)
-    rows = []
-    print(
-        f"compare axis={args.axis} points={len(grid)} events_per_point={args.events} "
-        f"seed={args.seed} base alpha={_format_cell(phases.alpha)} "
-        f"beta={_format_cell(phases.beta)} gamma={_format_cell(phases.gamma)}"
-    )
-    for kind in (TheoryKind.QM, TheoryKind.RNL):
-        model = TheoryModel(kind=kind, ordering=TimeOrdering(args.ordering))
-        points = scan_phases(model, args.axis, grid, phases, args.events, args.seed)
-        for point in points:
-            row = _simulate_row(
-                "compare",
-                point.config,
-                point.tally,
-                point.estimate,
-                axis=args.axis,
-                angle=point.angle,
-            )
-            rows.append(row)
-            analytic1 = row["p1_plus_analytic"]
-            print(
-                f"model={kind.value} angle={_format_cell(point.angle)} "
-                f"p1_plus analytic={'n/a' if analytic1 is None else _format_cell(analytic1)} "
-                f"mc={_format_cell(row['p1_plus_mc'])} "
-                f"E={_format_cell(row['e_value'])}±{_format_cell(row['e_std_error'])}"
-            )
+    rows = [
+        _run_row("compare", point.config, point.tally, axis=args.axis)
+        for kind in (TheoryKind.QM, TheoryKind.RNL)
+        for point in scan_phases(
+            TheoryModel(kind=kind, ordering=TimeOrdering(args.ordering)),
+            args.axis,
+            grid,
+            phases,
+            args.events,
+            args.seed,
+        )
+    ]
     if args.out:
         _emit(rows, args.format, args.out)
+
+    print(
+        f"compare axis={args.axis} points={len(grid)} events_per_point={args.events} "
+        f"seed={args.seed} base {_fields(vars(phases), *PHASE_NAMES)}"
+    )
+    for row in rows:
+        analytic1 = row["p1_plus_analytic"]
+        print(
+            f"{_fields(row, 'model', 'angle')} "
+            f"p1_plus analytic={'n/a' if analytic1 is None else _format_cell(analytic1)} "
+            f"mc={_format_cell(row['p1_plus_mc'])} "
+            f"E={_format_cell(row['e_value'])}±{_format_cell(row['e_std_error'])}"
+        )
     return 0
 
 

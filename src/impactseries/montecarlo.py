@@ -107,22 +107,23 @@ class CoincidenceTally:
 
 @dataclass(frozen=True)
 class EstimateE:
-    """Side-1 counter asymmetry with its binomial error and analytic anchors."""
+    """Side-1 counter asymmetry with its binomial error and superposition-rule anchor."""
 
     value: float
     std_error: float
     analytic_qm: float
-    analytic_causal: float
 
 
 @dataclass(frozen=True)
 class ScanPoint:
-    """One grid point of a phase scan; ``config.prediction`` is its analytic law."""
+    """One grid point of a phase scan: its run's provenance and tally.
 
-    angle: float
+    The swept angle is ``config.phases``' value on the scan axis, and
+    ``config.prediction`` is the point's analytic law.
+    """
+
     config: RunConfig
     tally: CoincidenceTally
-    estimate: EstimateE
 
 
 _EVEN = SinglesPair(0.5, 0.5)
@@ -214,8 +215,8 @@ def estimate_E(tally: CoincidenceTally, phases: PhaseSettings) -> EstimateE:
     fraction ``p``.  When every accepted event lands on one side-1 detector
     that formula gives 0, so the error is instead ``1/(n+1)``, the z = 1
     Wilson score half-width (Wilson 1927) on the E scale.  The analytic
-    anchors are the superposition-rule value (2/3)*|cos(alpha+beta)| and the
-    causal value 0, so any tally can be compared against both.
+    anchor is the superposition-rule magnitude (2/3)*|cos(alpha+beta)|; the
+    causal rules' anchor is 0 at every phase.
     """
     n = tally.accepted
     if n == 0:
@@ -232,7 +233,6 @@ def estimate_E(tally: CoincidenceTally, phases: PhaseSettings) -> EstimateE:
         value=value,
         std_error=std_error,
         analytic_qm=(2.0 / 3.0) * abs(math.cos(phases.alpha + phases.beta)),
-        analytic_causal=0.0,
     )
 
 
@@ -276,13 +276,5 @@ def scan_phases(
             events=events_per_point,
             seed=derive_point_seed(seed, k),
         )
-        tally = run(config)
-        points.append(
-            ScanPoint(
-                angle=float(angle),
-                config=config,
-                tally=tally,
-                estimate=estimate_E(tally, config.phases),
-            )
-        )
+        points.append(ScanPoint(config=config, tally=run(config)))
     return points

@@ -75,16 +75,6 @@ class Outcome(Enum):
     MINUS_PLUS = "-+"
     MINUS_MINUS = "--"
 
-    @property
-    def sigma(self) -> Sign:
-        """Photon 1's detector sign."""
-        return Sign(self.value[0])
-
-    @property
-    def omega(self) -> Sign:
-        """Photon 2's detector sign."""
-        return Sign(self.value[1])
-
 
 #: Canonical outcome order used for tuples, counters and output columns.
 OUTCOMES: tuple[Outcome, ...] = tuple(Outcome)

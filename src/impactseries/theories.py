@@ -15,14 +15,14 @@ Three models are implemented.
 
 Every four-outcome quantity (a joint law, or counts of the four outcomes) is
 a 4-tuple in ``OUTCOMES`` order (++, +-, -+, --); :func:`marginals` folds one
-into the two sides' singles.  Every printed closed form has a second, independent route
-through the amplitude tables; the two routes are cross-checked in the test
-suite.
+into the two sides' singles.  Every law here is computed through the amplitude
+tables.  The cosine closed forms that the CLI's rule labels state are written
+out in the test suite (``tests/closed_forms.py``) as a second, independent
+route, and the tests cross-check the two.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum, unique
 from typing import Sequence
@@ -38,14 +38,6 @@ from .amplitudes import (
 from .pathspace import OUTCOMES, Subensemble, TimeOrdering
 
 _PROBABILITY_TOL = 1e-9
-
-
-@unique
-class Side(Enum):
-    """Which side's closed form :func:`qm_singles_closed_form` returns."""
-
-    SIDE1 = 1
-    SIDE2 = 2
 
 
 @dataclass(frozen=True)
@@ -136,29 +128,6 @@ def marginals(
     )
 
 
-def qm_singles_closed_form(
-    sub: Subensemble, side: Side, phases: PhaseSettings
-) -> SinglesPair:
-    """Cosine-fringe closed forms for the superposition-rule singles.
-
-    Covers (difference-L, side 2), (difference-L, side 1) and
-    (difference-l, side 1).  The fourth combination has no closed form here;
-    compute it through :func:`qm_joint` and :func:`marginals` instead.
-    """
-    if sub is Subensemble.LONG and side is Side.SIDE2:
-        shift = math.cos(phases.beta - phases.gamma) / 3.0
-        return SinglesPair(0.5 + shift, 0.5 - shift)
-    if sub is Subensemble.LONG and side is Side.SIDE1:
-        shift = math.cos(phases.alpha + phases.beta) / 3.0
-        return SinglesPair(0.5 - shift, 0.5 + shift)
-    if sub is Subensemble.SHORT and side is Side.SIDE1:
-        shift = math.cos(phases.alpha + phases.beta) / 3.0
-        return SinglesPair(0.5 + shift, 0.5 - shift)
-    raise ValueError(
-        f"no closed form for ({sub.value}, side {side.value}); use qm_joint + marginals"
-    )
-
-
 def causal_singles_side2(phases: PhaseSettings) -> SinglesPair:
     """Photon 2's singles under the causal rule, from the single-path table.
 
@@ -168,12 +137,6 @@ def causal_singles_side2(phases: PhaseSettings) -> SinglesPair:
     """
     p_plus, p_minus = interference_law(single_amplitudes(phases), SEQUENTIAL_GROUPS).tolist()
     return SinglesPair(p_plus, p_minus)
-
-
-def causal_singles_side2_closed_form(phases: PhaseSettings) -> SinglesPair:
-    """Cosine closed form equivalent to :func:`causal_singles_side2`."""
-    shift = math.cos(phases.beta - phases.gamma) / 3.0
-    return SinglesPair(0.5 + shift, 0.5 - shift)
 
 
 def causal_singles_side1() -> SinglesPair:

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, output schema, reproducibility."""
 
 import csv
+import hashlib
 import itertools
 import json
 import math
@@ -217,12 +218,11 @@ class TestCompare:
         assert min(qm_values) == pytest.approx(1 / 6, abs=1e-4)
         assert (max(qm_values) - min(qm_values)) / 2 == pytest.approx(1 / 3, abs=1e-4)
         assert rnl_values == [pytest.approx(0.5)] * 13
+        # the causal rules' E anchor is 0 on every row, whichever model ran
+        assert {r["e_analytic_causal"] for r in rows} == {"0"}
 
     def test_rows_replay_from_embedded_provenance(self, tmp_path, capsys):
-        from impactseries.amplitudes import PhaseSettings
         from impactseries.montecarlo import RunConfig, run
-        from impactseries.pathspace import TimeOrdering
-        from impactseries.theories import TheoryKind, TheoryModel
 
         out_file = tmp_path / "scan.csv"
         assert main([
@@ -257,6 +257,90 @@ class TestCompare:
         captured = capsys.readouterr()
         assert code == 2
         assert "grid" in captured.err
+
+    @pytest.mark.parametrize("flag, value", [("--events", "0"), ("--seed", "-1")])
+    def test_contract_error_prints_nothing_to_stdout(self, flag, value, capsys):
+        code = main(["compare", "--grid", "0:1:2", flag, value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["predict", "--model", "qm"],
+        ["simulate", "--model", "qm", "--events", "1000"],
+        ["compare", "--grid", "0:1:2", "--events", "1000"],
+    ],
+)
+def test_unwritable_out_file_is_an_argument_error(argv, tmp_path, capsys):
+    # main returns instead of raising, so no traceback reaches the user
+    code = main(argv + ["--out", str(tmp_path / "no-such-dir" / "rows.csv")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: cannot write --out file: ")
+    assert "no-such-dir" in captured.err
+    assert captured.out == ""
+
+
+class TestFrozenOutput:
+    """Exact ``--out`` bytes of fixed runs; a refactor of the row code must keep them."""
+
+    PHASES = ["--alpha", "0.3", "--beta", "1.1", "--gamma", "-0.4"]
+    # the default 13-point grid: rows at alpha ~ pi/2 and 3*pi/2 carry
+    # e_analytic_qm = 4.08216e-17 and 1.22465e-16, not 0
+    COMPARE = ["compare", "--grid", "0:6.283185307179586:13", "--events", "2000", "--seed", "3"]
+    CASES = [
+        pytest.param(
+            COMPARE, "89729fbedabff4cc3c5fd6655c681f1c2692b763649938ffd1c1dfa92fa065ec",
+            id="compare-csv",
+        ),
+        pytest.param(
+            COMPARE + ["--format", "json"],
+            "5aa3ec245fae92696651e4f675c897422a3a036254db430f06bbe21a18cf618d",
+            id="compare-json",
+        ),
+        pytest.param(
+            ["simulate", "--model", "rnl", "--events", "5000", "--seed", "7", "--format", "json"],
+            "2af74946432bffef601915f3ef1ac99a7d428f5db39fe95ac39ffa17d53120b9",
+            id="simulate-rnl-json",
+        ),
+        pytest.param(
+            ["simulate", "--model", "qm", "--subensemble", "l", "--events", "5000", "--seed", "7",
+             "--alpha", "0.4"],
+            "b6cb086ca5ff3480fa9344e798a73020912a389ed702be362ce90405aac153f7",
+            id="simulate-qm-short-csv",
+        ),
+        pytest.param(
+            ["predict", "--model", "qm", *PHASES, "--format", "json"],
+            "2347e80ebf98f727a9fb36131b8ddb6d1ddf0233e1898a49e3fcbe3019c6f5af",
+            id="predict-qm-json",
+        ),
+        pytest.param(
+            ["predict", "--model", "causal", "--ordering", "1", *PHASES, "--format", "json"],
+            "bbf86af03e819e1b9ab53dd4b2d5057f17ba680cb08ca3c068875e2e73fb6ff4",
+            id="predict-causal1-json",
+        ),
+        pytest.param(
+            ["predict", "--model", "causal", "--ordering", "2", *PHASES, "--format", "json"],
+            "2376ddd2ba74f093895095763e7fc9602237ba37db3157d403143b904d4332ad",
+            id="predict-causal2-json",
+        ),
+        pytest.param(
+            ["predict", "--model", "rnl", *PHASES, "--format", "json"],
+            "0980d20a7b9db892c8d44fcf4f5972a1a6fc3b77bf4d3685db182a2bfe6cc678",
+            id="predict-rnl-json",
+        ),
+    ]
+
+    @pytest.mark.parametrize("argv, digest", CASES)
+    def test_out_file_bytes(self, argv, digest, tmp_path, capsys):
+        out_file = tmp_path / "rows"
+        assert main(argv + ["--out", str(out_file)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
 
 
 class TestValidateOracle:

@@ -29,11 +29,12 @@ from impactseries.pathspace import OUTCOMES, Outcome, Subensemble, TimeOrdering
 from impactseries.theories import (
     TheoryKind,
     TheoryModel,
-    causal_singles_side2_closed_form,
     marginals,
     predict,
     qm_joint,
 )
+
+from closed_forms import causal_singles_side2_closed_form
 
 QM = TheoryModel(TheoryKind.QM)
 RNL = TheoryModel(TheoryKind.RNL)
@@ -256,7 +257,6 @@ class TestEstimator:
     def test_analytic_anchors(self):
         estimate = estimate_E(tally(1, 1, 1, 1), ZERO)
         assert estimate.analytic_qm == pytest.approx(2 / 3, abs=1e-12)
-        assert estimate.analytic_causal == 0.0
         quarter = estimate_E(tally(1, 1, 1, 1), PhaseSettings(alpha=math.pi / 2))
         assert quarter.analytic_qm == pytest.approx(0.0, abs=1e-12)
 

@@ -7,7 +7,6 @@ from impactseries.pathspace import (
     Arm2Path,
     Outcome,
     PathPair,
-    Sign,
     Subensemble,
     classify,
     enumerate_path_pairs,
@@ -80,6 +79,4 @@ def test_classify_and_members_are_mutually_inverse():
 def test_outcome_and_path_component_accessors():
     assert Arm2Path.LONG_SHORT.first is Arm.LONG
     assert Arm2Path.LONG_SHORT.second is Arm.SHORT
-    assert Outcome.PLUS_MINUS.sigma is Sign.PLUS
-    assert Outcome.PLUS_MINUS.omega is Sign.MINUS
     assert [o.value for o in Outcome] == ["++", "+-", "-+", "--"]

@@ -12,18 +12,17 @@ from impactseries.amplitudes import PhaseSettings
 from impactseries.pathspace import Subensemble, TimeOrdering
 from impactseries.theories import (
     JointDistribution,
-    Side,
     SinglesPair,
     TheoryKind,
     TheoryModel,
     causal_singles_side1,
     causal_singles_side2,
-    causal_singles_side2_closed_form,
     marginals,
     predict,
     qm_joint,
-    qm_singles_closed_form,
 )
+
+from closed_forms import Side, causal_singles_side2_closed_form, qm_singles_closed_form
 
 angle_strategy = st.floats(min_value=-8 * math.pi, max_value=8 * math.pi)
 
