@@ -18,13 +18,22 @@ draw: the first ``size`` doubles are the events' class draws and the next
 outcome draw.  Categories are picked by thresholds on the cumulative weights,
 which equals an inverse CDF (``searchsorted(..., side="right")``).  Per-block
 tallies merge by addition, so the merged result is independent of how blocks
-are partitioned and merged (no parallel runner exists) and reproducible
-across platforms for a given seed.
+are partitioned and merged, and reproducible across platforms for a given
+seed.
+
+Parallel runs: a run splits its block range into contiguous chunks and
+samples them in forked worker processes, one per CPU in the process's
+affinity set (``os.sched_getaffinity``) but no more than one per
+``_BLOCKS_PER_WORKER`` blocks; a run with one worker stays in process.  The
+chunks' tallies are joined in block order.  Every block still draws from its
+own stream, so the tallies are the same bits for any worker count:
+``taskset -c 0`` gives a serial run that writes identical bytes.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
@@ -56,6 +65,23 @@ SUBENSEMBLE_WEIGHTS: tuple[float, ...] = (0.125, 0.375, 0.375, 0.125)
 #: Class ``k`` takes the class draws in ``[edges[k], edges[k+1])``; exact dyadics.
 _CLASS_EDGES: tuple[float, ...] = (0.0, *np.cumsum(SUBENSEMBLE_WEIGHTS).tolist())
 
+#: Fewest blocks a worker is given.  In a fresh interpreter on 2 CPUs the
+#: pool's imports, forks and first blocks cost ~40-70 ms, so two workers break
+#: even with one process near 90 blocks (~1.3 ms per block); only 2 CPUs were
+#: measured.
+_BLOCKS_PER_WORKER = 64
+
+
+def _require_int(name: str, value: object) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, not {type(value).__name__}")
+
+
+def _require_seed(seed: object) -> None:
+    _require_int("seed", seed)
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -69,14 +95,10 @@ class RunConfig:
     prediction: Prediction = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        for name in ("events", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an int, not {type(value).__name__}")
+        _require_int("events", self.events)
+        _require_seed(self.seed)
         if self.events < 1:
             raise ValueError("events must be at least 1")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
         prediction = predict(self.model, self.phases, self.target_sub)
         object.__setattr__(self, "prediction", prediction)
 
@@ -150,14 +172,6 @@ def outcome_distribution(prediction: Prediction) -> JointDistribution:
     )
 
 
-def _block_sizes(events: int) -> Iterable[tuple[int, int]]:
-    full, remainder = divmod(events, BLOCK_SIZE)
-    for j in range(full):
-        yield j, BLOCK_SIZE
-    if remainder:
-        yield full, remainder
-
-
 def _threshold_counts(u: np.ndarray, cumulative: np.ndarray) -> tuple[int, ...]:
     """How many of the uniforms ``u`` fall in each category of ``cumulative``.
 
@@ -170,8 +184,8 @@ def _threshold_counts(u: np.ndarray, cumulative: np.ndarray) -> tuple[int, ...]:
     return tuple(n - m for n, m in zip(at_or_above, at_or_above[1:]))
 
 
-def block_tallies(config: RunConfig) -> list[CoincidenceTally]:
-    """Per-block tallies in block order; ``run`` is their merge."""
+def _sample_blocks(config: RunConfig, blocks: range) -> list[CoincidenceTally]:
+    """Tallies of ``blocks`` in block order: the one sampler, in process or in a worker."""
     distribution = outcome_distribution(config.prediction)
     outcome_cum = np.cumsum(distribution.p)
     outcome_cum[-1] = 1.0  # guard against rounding below the top uniform
@@ -181,7 +195,8 @@ def block_tallies(config: RunConfig) -> list[CoincidenceTally]:
     draws = np.empty(2 * min(config.events, BLOCK_SIZE))
 
     tallies = []
-    for j, size in _block_sizes(config.events):
+    for j in blocks:
+        size = min(BLOCK_SIZE, config.events - j * BLOCK_SIZE)
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(config.seed, spawn_key=(j,)))
         )
@@ -191,6 +206,38 @@ def block_tallies(config: RunConfig) -> list[CoincidenceTally]:
         counts = _threshold_counts(accepted, outcome_cum)
         tallies.append(CoincidenceTally(r=counts, rejected=size - len(accepted)))
     return tallies
+
+
+def _worker_count(n_blocks: int) -> int:
+    """One worker per CPU the process may run on, each with ``_BLOCKS_PER_WORKER`` blocks or more."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n_blocks // _BLOCKS_PER_WORKER))
+
+
+def block_tallies(config: RunConfig) -> list[CoincidenceTally]:
+    """Per-block tallies in block order; ``run`` is their merge.
+
+    With one worker (see :func:`_worker_count`) the blocks are sampled in
+    process, otherwise in one contiguous chunk per forked worker.
+    """
+    n_blocks = -(-config.events // BLOCK_SIZE)
+    workers = _worker_count(n_blocks)
+    if workers == 1:
+        return _sample_blocks(config, range(n_blocks))
+
+    # imported here: a run that never fans out does not pay their memory
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    bounds = [n_blocks * i // workers for i in range(workers + 1)]
+    chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    # fork, not spawn: a spawned worker would pay an interpreter start and
+    # the numpy import; Python 3.14 makes forkserver the Linux default
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+        parts = pool.map(_sample_blocks, [config] * workers, chunks)
+        return [tally for part in parts for tally in part]
 
 
 def merge_tallies(tallies: Iterable[CoincidenceTally]) -> CoincidenceTally:
@@ -268,6 +315,7 @@ def scan_phases(
         raise ValueError(f"axis must be one of {PHASE_NAMES}")
     if len(grid) == 0:
         raise ValueError("grid must not be empty")
+    _require_seed(seed)
     points = []
     for k, angle in enumerate(grid):
         config = RunConfig(

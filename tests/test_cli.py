@@ -266,6 +266,14 @@ class TestCompare:
         assert captured.err.startswith("error: ")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**70)])
+    def test_seed_outside_64_bits_is_an_argument_error(self, seed, capsys):
+        code = main(["compare", "--grid", "0:1:2", "--events", "100", "--seed", seed])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: seed must fit in an unsigned 64-bit integer\n"
+        assert captured.out == ""
+
 
 @pytest.mark.parametrize(
     "argv",

@@ -1,13 +1,19 @@
 """Monte Carlo engine: determinism, partition independence, statistics."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import impactseries
+from impactseries import montecarlo
 from impactseries.amplitudes import PhaseSettings
 from impactseries.montecarlo import (
     BLOCK_SIZE,
@@ -23,7 +29,9 @@ from impactseries.montecarlo import (
     run,
     scan_phases,
     tally_marginals,
+    _BLOCKS_PER_WORKER,
     _threshold_counts,
+    _worker_count,
 )
 from impactseries.pathspace import OUTCOMES, Outcome, Subensemble, TimeOrdering
 from impactseries.theories import (
@@ -142,6 +150,85 @@ class TestDeterminism:
         grouped = [merge_tallies(shuffled[:2]), merge_tallies(shuffled[2:])]
         assert merge_tallies(shuffled) == run(config)
         assert merge_tallies(grouped) == run(config)
+
+
+class TestWorkers:
+    """The fan-out over worker processes returns the serial run's bits."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """Let every block fan out, over as many workers as the CPUs it is given."""
+        monkeypatch.setattr(montecarlo, "_BLOCKS_PER_WORKER", 1)
+
+        def set_cpus(n):
+            monkeypatch.setattr(
+                os, "sched_getaffinity", lambda pid: set(range(n)), raising=False
+            )
+
+        return set_cpus
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("events", [BLOCK_SIZE, 3 * BLOCK_SIZE + 17])
+    def test_block_tallies_do_not_depend_on_the_worker_count(self, cpus, workers, events):
+        cpus(workers)
+        config = RunConfig(model=QM, phases=ZERO, events=events, seed=5)
+        n_blocks = -(-events // BLOCK_SIZE)
+        assert _worker_count(n_blocks) == min(workers, n_blocks)
+        assert block_tallies(config) == searchsorted_block_tallies(config)
+
+    def test_pooled_run_gives_the_frozen_tally(self, cpus):
+        cpus(2)
+        config = RunConfig(model=QM, phases=ZERO, events=3 * BLOCK_SIZE + 17, seed=5)
+        assert run(config) == tally(6316, 6225, 55249, 6147, rejected=122688)
+
+    def test_worker_error_reaches_the_parent(self, cpus, monkeypatch):
+        cpus(2)
+        parent = os.getpid()
+
+        def counts_outside_the_parent(u, cumulative):
+            if os.getpid() != parent:
+                raise ZeroDivisionError("raised in a worker")
+            return _threshold_counts(u, cumulative)
+
+        # forked workers inherit the patched module
+        monkeypatch.setattr(montecarlo, "_threshold_counts", counts_outside_the_parent)
+        config = RunConfig(model=QM, phases=ZERO, events=2 * BLOCK_SIZE, seed=5)
+        with pytest.raises(ZeroDivisionError, match="raised in a worker"):
+            block_tallies(config)
+
+    def test_worker_count(self, monkeypatch):
+        per = _BLOCKS_PER_WORKER
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert _worker_count(1) == 1
+        assert _worker_count(2 * per - 1) == 1
+        assert _worker_count(2 * per) == 2
+        assert _worker_count(3 * per) == 3
+        assert _worker_count(100 * per) == 3
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert _worker_count(100 * per) == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert _worker_count(100 * per) == 1
+
+    def test_in_process_run_imports_no_pool(self):
+        # the pool modules cost memory at import; runs below the pool
+        # threshold (a one-block scan point, a predict) must not load them
+        script = (
+            "import sys, impactseries.cli\n"
+            "from impactseries.amplitudes import PhaseSettings\n"
+            "from impactseries.montecarlo import RunConfig, run\n"
+            "from impactseries.theories import TheoryKind, TheoryModel\n"
+            "run(RunConfig(model=TheoryModel(TheoryKind.QM), phases=PhaseSettings(),"
+            " events=1000, seed=1))\n"
+            "print(sorted(m for m in sys.modules"
+            " if m.startswith(('multiprocessing', 'concurrent.futures'))))\n"
+        )
+        src = str(Path(impactseries.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            timeout=60, check=True,
+        )
+        assert result.stdout == "[]\n"
 
 
 class TestThresholdCounts:
@@ -412,6 +499,17 @@ class TestScan:
             scan_phases(QM, "delta", self.GRID, ZERO, 100, seed=0)
         with pytest.raises(ValueError):
             scan_phases(QM, "alpha", [], ZERO, 100, seed=0)
+
+    @pytest.mark.parametrize(
+        "seed, message",
+        [(-1, "unsigned 64-bit"), (2**64, "unsigned 64-bit"), (2**70, "unsigned 64-bit"),
+         (1.0, "must be an int"), (True, "must be an int")],
+    )
+    def test_scan_seed_is_range_checked_before_any_point_runs(self, seed, message, monkeypatch):
+        # point seeds are derived, so without the check 2**70 would run
+        monkeypatch.setattr(montecarlo, "run", lambda config: pytest.fail("a point ran"))
+        with pytest.raises(ValueError, match=message):
+            scan_phases(QM, "alpha", self.GRID, ZERO, 100, seed=seed)
 
 
 class TestValueValidation:
