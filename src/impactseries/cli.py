@@ -4,8 +4,9 @@ and validation of the amplitude tables against the splitter-network oracle.
 All data emissions share one frozen column set (see ``COLUMNS``); CSV and
 JSON files carry the same values, floats rounded to 6 significant digits.
 Every row embeds the provenance needed to replay it (model, phases, seed,
-events).  Exit codes: 0 success, 2 argument or contract error, 3 validation
-failure.
+events).  A ``compare`` scan evaluates each model's analytic law for its whole
+grid in one call.  Exit codes: 0 success, 2 argument or contract error, 3
+validation failure.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -88,8 +89,19 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _jsonable(value):
-    return float(f"{value:.6g}") if isinstance(value, float) else value
+#: Each column's key line inside a ``json.dumps(..., indent=2)`` row object.
+_JSON_KEYS = tuple(f"      {encode_basestring_ascii(column)}: " for column in COLUMNS)
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_cell(value) -> str:
+    """``value`` as ``json.dumps`` writes it, floats rounded to 6 significant digits."""
+    if isinstance(value, float):
+        text = f"{value:.6g}"
+        return _JSON_NON_FINITE.get(text) or float.__repr__(float(text))
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    return "null" if value is None else int.__repr__(value)
 
 
 def _analytic_row(
@@ -167,8 +179,13 @@ def _emit(rows: list[dict], fmt: str, out_path: str) -> None:
             writer.writerow([_format_cell(row[column]) for column in COLUMNS])
         text = buffer.getvalue()
     else:
-        payload = {"rows": [{c: _jsonable(row[c]) for c in COLUMNS} for row in rows]}
-        text = json.dumps(payload, indent=2) + "\n"
+        # json.dumps({"rows": rows}, indent=2) + "\n", byte for byte, written
+        # straight into its fixed layout
+        objects = (
+            ",\n".join([key + _json_cell(row[c]) for key, c in zip(_JSON_KEYS, COLUMNS)])
+            for row in rows
+        )
+        text = '{\n  "rows": [\n    {\n' + "\n    },\n    {\n".join(objects) + "\n    }\n  ]\n}\n"
     try:
         Path(out_path).write_text(text, encoding="utf-8")
     except OSError as exc:
@@ -196,6 +213,10 @@ def _parse_grid(text: str, degrees: bool) -> np.ndarray:
         raise ValueError(f"cannot parse grid {text!r}: {exc}") from None
     if count < 1:
         raise ValueError("grid count must be at least 1")
+    # checked before any array is built, so numpy has no overflow to warn of
+    radians = (start * math.pi / 180.0, stop * math.pi / 180.0) if degrees else ()
+    if not all(map(math.isfinite, (start, stop, stop - start, *radians))):
+        raise ValueError(f"grid {text!r}: start, stop and stop - start must be finite radians")
     grid = np.linspace(start, stop, count)
     if degrees:
         grid = grid * math.pi / 180.0

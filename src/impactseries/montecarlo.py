@@ -99,8 +99,17 @@ class RunConfig:
         _require_seed(self.seed)
         if self.events < 1:
             raise ValueError("events must be at least 1")
-        prediction = predict(self.model, self.phases, self.target_sub)
-        object.__setattr__(self, "prediction", prediction)
+        if "prediction" not in vars(self):  # _at_point sets it before __init__ runs
+            prediction = predict(self.model, self.phases, self.target_sub)
+            object.__setattr__(self, "prediction", prediction)
+
+    @classmethod
+    def _at_point(cls, prediction: Prediction, **fields) -> RunConfig:
+        """A config given its ``prediction``, from a grid ``predict`` call; same checks."""
+        config = cls.__new__(cls)
+        object.__setattr__(config, "prediction", prediction)
+        config.__init__(**fields)
+        return config
 
 
 @dataclass(frozen=True)
@@ -307,7 +316,8 @@ def scan_phases(
     """One simulated run per grid angle; each carries its analytic prediction.
 
     ``axis`` names the phase being swept; the other two stay at their ``base``
-    values.  Point ``k`` runs with the derived seed
+    values.  The analytic law of the whole grid is evaluated in one
+    :func:`predict` call.  Point ``k`` runs with the derived seed
     :func:`derive_point_seed`\\ ``(seed, k)``; its :class:`RunConfig` is kept
     in the result, so any single point can be replayed with :func:`run`.
     """
@@ -316,13 +326,10 @@ def scan_phases(
     if len(grid) == 0:
         raise ValueError("grid must not be empty")
     _require_seed(seed)
-    points = []
-    for k, angle in enumerate(grid):
-        config = RunConfig(
-            model=model,
-            phases=replace(base, **{axis: float(angle)}),
-            events=events_per_point,
-            seed=derive_point_seed(seed, k),
-        )
-        points.append(ScanPoint(config=config, tally=run(config)))
-    return points
+    settings = [replace(base, **{axis: float(angle)}) for angle in grid]
+    seeds = [derive_point_seed(seed, k) for k in range(len(grid))]
+    configs = [
+        RunConfig._at_point(prediction, model=model, phases=phases, events=events_per_point, seed=s)
+        for phases, prediction, s in zip(settings, predict(model, settings), seeds)
+    ]
+    return [ScanPoint(config=config, tally=run(config)) for config in configs]

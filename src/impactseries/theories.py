@@ -30,6 +30,7 @@ from typing import Sequence
 from .amplitudes import (
     CLASS_ROWS,
     SEQUENTIAL_GROUPS,
+    Phases,
     PhaseSettings,
     interference_law,
     joint_amplitudes,
@@ -101,16 +102,19 @@ class Prediction:
     joint: JointDistribution | None
 
 
-def qm_joint(sub: Subensemble, phases: PhaseSettings) -> JointDistribution:
+def qm_joint(sub: Subensemble, phases: Phases) -> JointDistribution | list[JointDistribution]:
     """Joint outcome distribution from superposed path-pair amplitudes.
 
     Available for the difference-L and difference-l classes only; the
-    satellite classes have a single member and no amplitude table.
+    satellite classes have a single member and no amplitude table.  A grid of
+    settings gives one distribution per point from one table evaluation.
     """
     if sub not in CLASS_ROWS:
         raise ValueError(f"no amplitude table for satellite class {sub.value}")
-    p = interference_law(joint_amplitudes(phases), (CLASS_ROWS[sub],))
-    return JointDistribution(tuple(p.tolist()))
+    law = interference_law(joint_amplitudes(phases), (CLASS_ROWS[sub],)).tolist()
+    if isinstance(phases, PhaseSettings):
+        return JointDistribution(tuple(law))
+    return [JointDistribution(tuple(p)) for p in law]
 
 
 def marginals(
@@ -128,15 +132,18 @@ def marginals(
     )
 
 
-def causal_singles_side2(phases: PhaseSettings) -> SinglesPair:
+def causal_singles_side2(phases: Phases) -> SinglesPair | list[SinglesPair]:
     """Photon 2's singles under the causal rule, from the single-path table.
 
     Applies when photon 2 impacts first: the paths Ll and lL stay mutually
     indistinguishable and interfere, while LL is distinguishable at impact
-    time and contributes as a plain probability.
+    time and contributes as a plain probability.  A grid of settings gives
+    one pair per point from one table evaluation.
     """
-    p_plus, p_minus = interference_law(single_amplitudes(phases), SEQUENTIAL_GROUPS).tolist()
-    return SinglesPair(p_plus, p_minus)
+    law = interference_law(single_amplitudes(phases), SEQUENTIAL_GROUPS).tolist()
+    if isinstance(phases, PhaseSettings):
+        return SinglesPair(*law)
+    return [SinglesPair(*p) for p in law]
 
 
 def causal_singles_side1() -> SinglesPair:
@@ -150,8 +157,8 @@ def causal_singles_side1() -> SinglesPair:
 
 
 def predict(
-    model: TheoryModel, phases: PhaseSettings, target: Subensemble = Subensemble.LONG
-) -> Prediction:
+    model: TheoryModel, phases: Phases, target: Subensemble = Subensemble.LONG
+) -> Prediction | list[Prediction]:
     """Analytic prediction of ``model`` for the ``target`` arrival-time class.
 
     QM yields the joint distribution and both marginals for either central
@@ -159,24 +166,25 @@ def predict(
     and leaves the rest undefined.  RNL yields both singles (causal rules
     under every ordering) but no joint distribution.  The causal rules are
     built from the difference-L class's paths, so any other target is a
-    ``ValueError``.
+    ``ValueError``, raised before any table is evaluated.  A grid (a sequence
+    of settings) gives a list with one prediction per point, from one table
+    evaluation for the whole grid; a setting is a grid of one.
     """
+    grid = [phases] if isinstance(phases, PhaseSettings) else list(phases)
     if model.kind is TheoryKind.QM:
-        joint = qm_joint(target, phases)
-        side1, side2 = marginals(joint.p)
-        return Prediction(side1=side1, side2=side2, joint=joint)
-    if target is not Subensemble.LONG:
+        predictions = [Prediction(*marginals(j.p), joint=j) for j in qm_joint(target, grid)]
+    elif target is not Subensemble.LONG:
         raise ValueError(
             f"the {model.kind.value} rule is defined for the difference-L class only, "
             f"not {target.value}"
         )
-    if model.kind is TheoryKind.CAUSAL:
-        if model.ordering is TimeOrdering.PHOTON2_FIRST:
-            return Prediction(side1=None, side2=causal_singles_side2(phases), joint=None)
-        return Prediction(side1=causal_singles_side1(), side2=None, joint=None)
-    # RNL applies the causal singles rules under any time ordering.
-    return Prediction(
-        side1=causal_singles_side1(),
-        side2=causal_singles_side2(phases),
-        joint=None,
-    )
+    else:
+        # the causal rule defines only the first-impacting photon's singles; RNL
+        # applies the causal rules to both photons under any time ordering
+        first = model.ordering if model.kind is TheoryKind.CAUSAL else None
+        side1 = None if first is TimeOrdering.PHOTON2_FIRST else causal_singles_side1()
+        side2 = (
+            [None] * len(grid) if first is TimeOrdering.PHOTON1_FIRST else causal_singles_side2(grid)
+        )
+        predictions = [Prediction(side1=side1, side2=s2, joint=None) for s2 in side2]
+    return predictions[0] if isinstance(phases, PhaseSettings) else predictions

@@ -6,10 +6,14 @@ import itertools
 import json
 import math
 
+import warnings
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from impactseries.amplitudes import PhaseSettings
-from impactseries.cli import COLUMNS, _rule_labels, main
+from impactseries.cli import COLUMNS, _emit, _rule_labels, main
 from impactseries.pathspace import Subensemble, TimeOrdering
 from impactseries.theories import TheoryKind, TheoryModel, marginals, predict
 
@@ -258,6 +262,27 @@ class TestCompare:
         assert code == 2
         assert "grid" in captured.err
 
+    @pytest.mark.parametrize(
+        "grid, flags",
+        [
+            ("inf:1:3", []),
+            ("-inf:1:3", []),
+            ("nan:1:3", []),
+            ("0:1e309:2", []),
+            ("-1e308:1e308:3", []),  # finite ends, but stop - start overflows
+            ("0:1e308:3", ["--degrees"]),  # overflows on conversion to radians
+        ],
+    )
+    def test_non_finite_grid_is_one_error_line(self, grid, flags, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy overflow warning fails the test
+            code = main(["compare", f"--grid={grid}", *flags, "--events", "100"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: grid {grid!r}: ")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
     @pytest.mark.parametrize("flag, value", [("--events", "0"), ("--seed", "-1")])
     def test_contract_error_prints_nothing_to_stdout(self, flag, value, capsys):
         code = main(["compare", "--grid", "0:1:2", flag, value])
@@ -291,6 +316,57 @@ def test_unwritable_out_file_is_an_argument_error(argv, tmp_path, capsys):
     assert captured.err.startswith("error: cannot write --out file: ")
     assert "no-such-dir" in captured.err
     assert captured.out == ""
+
+
+def json_dumps_rows(rows):
+    """Reference for the JSON ``--out`` text: ``json.dumps`` of the rows, floats at 6
+    significant digits."""
+    payload = [
+        {c: float(f"{row[c]:.6g}") if isinstance(row[c], float) else row[c] for c in COLUMNS}
+        for row in rows
+    ]
+    return json.dumps({"rows": payload}, indent=2) + "\n"
+
+
+class TestJsonWriter:
+    """The fixed-layout JSON writer against ``json.dumps(..., indent=2)``, token for token."""
+
+    VALUES = [
+        None, "qm", "L", 'quote " back \\ tab \t \u00e9 \u2603', "", 0, 7, -3, 2**70,
+        0.0, -0.0, 4.08216e-17, 1.2246467991473532e-16, 1e-05, 1e16, 123456.7, 0.1666666666,
+        -2.5e-300, 1.7976931348623157e308, math.nan, math.inf, -math.inf,
+    ]
+
+    @staticmethod
+    def written(rows, tmp_path):
+        out_file = tmp_path / "rows.json"
+        _emit(rows, "json", str(out_file))
+        return out_file.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("count", [1, 2, len(VALUES)])
+    def test_equals_json_dumps(self, count, tmp_path):
+        # every column meets every value across the rows
+        rows = [
+            {c: self.VALUES[(i + k) % len(self.VALUES)] for i, c in enumerate(COLUMNS)}
+            for k in range(count)
+        ]
+        assert self.written(rows, tmp_path) == json_dumps_rows(rows)
+
+    @settings(max_examples=60)
+    @given(
+        values=st.lists(
+            st.lists(
+                st.one_of(st.none(), st.text(), st.integers(), st.floats()),
+                min_size=len(COLUMNS),
+                max_size=len(COLUMNS),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    def test_equals_json_dumps_on_drawn_rows(self, values, tmp_path_factory):
+        rows = [dict(zip(COLUMNS, row)) for row in values]
+        assert self.written(rows, tmp_path_factory.mktemp("rows")) == json_dumps_rows(rows)
 
 
 class TestFrozenOutput:
@@ -341,6 +417,12 @@ class TestFrozenOutput:
             "0980d20a7b9db892c8d44fcf4f5972a1a6fc3b77bf4d3685db182a2bfe6cc678",
             id="predict-rnl-json",
         ),
+        pytest.param(
+            ["compare", "--grid", "0:6.283185307179586:1001", "--events", "1000",
+             "--seed", "123", "--format", "json"],
+            "9358e654c29e6d19aa725bb0c98637ab88fcc0b94b04ca9fcafcbb0db96373cf",
+            id="compare-1001-json",
+        ),
     ]
 
     @pytest.mark.parametrize("argv, digest", CASES)
@@ -349,6 +431,12 @@ class TestFrozenOutput:
         assert main(argv + ["--out", str(out_file)]) == 0
         capsys.readouterr()
         assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+
+    def test_compare_stdout_bytes(self, capsys):
+        assert main(self.COMPARE) == 0
+        stdout = capsys.readouterr().out.encode()
+        digest = "f30c8f723cd56da245a9a205237343a2bda4046063134e664eaad5b9352cb3b8"
+        assert hashlib.sha256(stdout).hexdigest() == digest
 
 
 class TestValidateOracle:

@@ -500,6 +500,33 @@ class TestScan:
         with pytest.raises(ValueError):
             scan_phases(QM, "alpha", [], ZERO, 100, seed=0)
 
+    @pytest.mark.parametrize("model", [QM, RNL, CAUSAL_1, CAUSAL_2])
+    def test_point_configs_equal_run_configs_built_point_by_point(self, model):
+        # the analytic law comes from one grid call; each config must equal
+        # the RunConfig that computes its own prediction, prediction included
+        base = PhaseSettings(0.0, math.pi / 3, 2 * math.pi / 3)  # TIED at alpha = 0
+        grid = [0.0, 0.4, math.pi / 2, -2.9, 2 * math.pi]
+        points = scan_phases(model, "alpha", grid, base, 500, seed=21)
+        for k, (angle, point) in enumerate(zip(grid, points)):
+            config = RunConfig(
+                model=model,
+                phases=PhaseSettings(angle, base.beta, base.gamma),
+                events=500,
+                seed=derive_point_seed(21, k),
+            )
+            assert point.config == config
+            assert point.config.prediction == config.prediction
+            assert point.tally == run(config)
+
+    @pytest.mark.parametrize(
+        "events, message",
+        [(0, "at least 1"), (-5, "at least 1"), (True, "must be an int"), (2.5, "must be an int")],
+    )
+    def test_point_configs_check_their_event_count(self, events, message, monkeypatch):
+        monkeypatch.setattr(montecarlo, "run", lambda config: pytest.fail("a point ran"))
+        with pytest.raises(ValueError, match=message):
+            scan_phases(QM, "alpha", self.GRID, ZERO, events, seed=0)
+
     @pytest.mark.parametrize(
         "seed, message",
         [(-1, "unsigned 64-bit"), (2**64, "unsigned 64-bit"), (2**70, "unsigned 64-bit"),

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from impactseries import theories
 from impactseries.amplitudes import PhaseSettings
 from impactseries.pathspace import Subensemble, TimeOrdering
 from impactseries.theories import (
     JointDistribution,
+    Prediction,
     SinglesPair,
     TheoryKind,
     TheoryModel,
@@ -259,6 +261,88 @@ class TestPredict:
             TheoryModel(TheoryKind.CAUSAL, TimeOrdering.SPACELIKE)
         with pytest.raises(ValueError):
             TheoryModel(TheoryKind.CAUSAL)  # the default ordering is spacelike
+
+
+class TestPredictGrid:
+    """A grid of settings is one ``predict`` call that equals the point-by-point calls."""
+
+    IN_DOMAIN = [
+        pytest.param(TheoryModel(TheoryKind.QM), Subensemble.LONG, id="qm-L"),
+        pytest.param(TheoryModel(TheoryKind.QM), Subensemble.SHORT, id="qm-l"),
+        pytest.param(TheoryModel(TheoryKind.RNL), Subensemble.LONG, id="rnl"),
+        pytest.param(
+            TheoryModel(TheoryKind.CAUSAL, TimeOrdering.PHOTON2_FIRST), Subensemble.LONG,
+            id="causal-1",
+        ),
+        pytest.param(
+            TheoryModel(TheoryKind.CAUSAL, TimeOrdering.PHOTON1_FIRST), Subensemble.LONG,
+            id="causal-2",
+        ),
+    ]
+    # the scan-fine benchmark's alpha grid, as compare builds it
+    SCAN_FINE = [
+        PhaseSettings(alpha=float(a)) for a in np.linspace(0.0, 2 * math.pi, 1001)
+    ]
+    # (+,-) has probability ~3e-33 in the difference-L class here
+    TIED = PhaseSettings(0.0, math.pi / 3, 2 * math.pi / 3)
+
+    @pytest.mark.parametrize("model, target", IN_DOMAIN)
+    def test_scan_fine_grid_equals_point_by_point(self, model, target):
+        grid = self.SCAN_FINE + [self.TIED]
+        assert predict(model, grid, target) == [predict(model, ph, target) for ph in grid]
+
+    @pytest.mark.parametrize("model, target", IN_DOMAIN)
+    def test_tied_setting_as_a_grid_of_one(self, model, target):
+        assert predict(model, [self.TIED], target) == [predict(model, self.TIED, target)]
+        assert isinstance(predict(model, self.TIED, target), Prediction)
+
+    @settings(max_examples=60)
+    @given(
+        case=st.sampled_from([param.values for param in IN_DOMAIN]),
+        angles=st.lists(st.tuples(angle_strategy, angle_strategy, angle_strategy), max_size=12),
+    )
+    def test_drawn_grid_equals_point_by_point(self, case, angles):
+        model, target = case
+        grid = [PhaseSettings(*triple) for triple in angles]
+        assert predict(model, grid, target) == [predict(model, ph, target) for ph in grid]
+
+    @pytest.mark.parametrize(
+        "model, table",
+        [
+            (TheoryModel(TheoryKind.QM), "joint_amplitudes"),
+            (TheoryModel(TheoryKind.RNL), "single_amplitudes"),
+            (TheoryModel(TheoryKind.CAUSAL, TimeOrdering.PHOTON2_FIRST), "single_amplitudes"),
+        ],
+    )
+    def test_a_grid_is_one_table_evaluation(self, model, table, monkeypatch):
+        calls = []
+        original = getattr(theories, table)
+        monkeypatch.setattr(theories, table, lambda phases: calls.append(1) or original(phases))
+        assert len(predict(model, self.SCAN_FINE)) == len(self.SCAN_FINE)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "model, target",
+        [
+            (TheoryModel(TheoryKind.QM), Subensemble.SATELLITE_LONG),
+            (TheoryModel(TheoryKind.QM), Subensemble.SATELLITE_SHORT),
+            (TheoryModel(TheoryKind.RNL), Subensemble.SHORT),
+            (TheoryModel(TheoryKind.CAUSAL, TimeOrdering.PHOTON2_FIRST), Subensemble.SHORT),
+            (
+                TheoryModel(TheoryKind.CAUSAL, TimeOrdering.PHOTON1_FIRST),
+                Subensemble.SATELLITE_LONG,
+            ),
+        ],
+    )
+    def test_grid_outside_the_domain_fails_as_a_point_does(self, model, target, monkeypatch):
+        with pytest.raises(ValueError) as point_error:
+            predict(model, PhaseSettings(), target)
+        # the domain is checked before any table is evaluated
+        for table in ("joint_amplitudes", "single_amplitudes"):
+            monkeypatch.setattr(theories, table, lambda phases: pytest.fail("table evaluated"))
+        with pytest.raises(ValueError) as grid_error:
+            predict(model, self.SCAN_FINE[:3], target)
+        assert str(grid_error.value) == str(point_error.value)
 
 
 class TestValueValidation:
