@@ -16,7 +16,9 @@ spawn_key=(j,))``.  A block of ``size`` events makes one ``random(2*size)``
 draw: the first ``size`` doubles are the events' class draws and the next
 ``size`` their outcome draws, so every event, rejected or not, consumes its
 outcome draw.  Categories are picked by thresholds on the cumulative weights,
-which equals an inverse CDF (``searchsorted(..., side="right")``).  Per-block
+which equals an inverse CDF (``searchsorted(..., side="right")``): each
+block's accepted outcomes are counted by masked threshold compares into two
+reused ``bool`` buffers, and never gathered into a new array.  Per-block
 tallies merge by addition, so the merged result is independent of how blocks
 are partitioned and merged, and reproducible across platforms for a given
 seed.
@@ -67,9 +69,9 @@ _CLASS_EDGES: tuple[float, ...] = (0.0, *np.cumsum(SUBENSEMBLE_WEIGHTS).tolist()
 
 #: Fewest blocks a worker is given.  In a fresh interpreter on 2 CPUs the
 #: pool's imports, forks and first blocks cost ~40-70 ms, so two workers break
-#: even with one process near 90 blocks (~1.3 ms per block); only 2 CPUs were
-#: measured.
-_BLOCKS_PER_WORKER = 64
+#: even with one process near 160-200 blocks (~0.75 ms per block); only 2 CPUs
+#: were measured.
+_BLOCKS_PER_WORKER = 96
 
 
 def _require_int(name: str, value: object) -> None:
@@ -181,16 +183,34 @@ def outcome_distribution(prediction: Prediction) -> JointDistribution:
     )
 
 
-def _threshold_counts(u: np.ndarray, cumulative: np.ndarray) -> tuple[int, ...]:
-    """How many of the uniforms ``u`` fall in each category of ``cumulative``.
+def _accepted_counts(
+    u_class: np.ndarray,
+    u_outcome: np.ndarray,
+    lo: float,
+    hi: float,
+    cumulative: np.ndarray,
+    mask: np.ndarray,
+    scratch: np.ndarray,
+) -> tuple[int, ...]:
+    """Outcome counts of the events whose class draw lies in ``[lo, hi)``.
 
-    Category ``k`` takes ``cumulative[k-1] <= u < cumulative[k]``, which equals
-    ``bincount(searchsorted(cumulative, u, side="right"))`` provided
-    ``cumulative[-1]`` is 1.0, above every uniform; tied edges (a category of
-    probability zero) give a zero count.
+    Event ``i`` is accepted when ``lo <= u_class[i] < hi``, and its outcome is
+    category ``k`` when ``cumulative[k-1] <= u_outcome[i] < cumulative[k]``;
+    this equals ``bincount(searchsorted(cumulative, accepted, side="right"))``
+    provided ``cumulative[-1]`` is 1.0, above every uniform.  Tied edges (a
+    category of probability zero) give a zero count.  ``mask`` and
+    ``scratch`` are ``bool`` buffers as long as ``u_class``; both are
+    overwritten, and no array is allocated.
     """
-    at_or_above = [len(u), *(int(np.count_nonzero(u >= c)) for c in cumulative[:-1]), 0]
-    return tuple(n - m for n, m in zip(at_or_above, at_or_above[1:]))
+    np.greater_equal(u_class, lo, out=mask)
+    np.less(u_class, hi, out=scratch)
+    np.logical_and(mask, scratch, out=mask)
+    at_or_above = [np.count_nonzero(mask)]
+    for c in cumulative[:-1].tolist():
+        np.greater_equal(u_outcome, c, out=scratch)
+        at_or_above.append(np.count_nonzero(np.logical_and(scratch, mask, out=scratch)))
+    at_or_above.append(0)
+    return tuple(int(n - m) for n, m in zip(at_or_above, at_or_above[1:]))
 
 
 def _sample_blocks(config: RunConfig, blocks: range) -> list[CoincidenceTally]:
@@ -201,7 +221,10 @@ def _sample_blocks(config: RunConfig, blocks: range) -> list[CoincidenceTally]:
     target_index = SUBENSEMBLE_ORDER.index(config.target_sub)
     lo, hi = _CLASS_EDGES[target_index : target_index + 2]
     # sized by the run, so a one-block run allocates no more than it draws
-    draws = np.empty(2 * min(config.events, BLOCK_SIZE))
+    half = min(config.events, BLOCK_SIZE)
+    draws = np.empty(2 * half)
+    mask = np.empty(half, dtype=bool)
+    scratch = np.empty(half, dtype=bool)
 
     tallies = []
     for j in blocks:
@@ -210,10 +233,10 @@ def _sample_blocks(config: RunConfig, blocks: range) -> list[CoincidenceTally]:
             np.random.PCG64(np.random.SeedSequence(config.seed, spawn_key=(j,)))
         )
         u = rng.random(out=draws[: 2 * size])
-        u_class, u_outcome = u[:size], u[size:]
-        accepted = u_outcome[(u_class >= lo) & (u_class < hi)]
-        counts = _threshold_counts(accepted, outcome_cum)
-        tallies.append(CoincidenceTally(r=counts, rejected=size - len(accepted)))
+        counts = _accepted_counts(
+            u[:size], u[size:], lo, hi, outcome_cum, mask[:size], scratch[:size]
+        )
+        tallies.append(CoincidenceTally(r=counts, rejected=size - sum(counts)))
     return tallies
 
 

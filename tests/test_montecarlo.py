@@ -30,7 +30,9 @@ from impactseries.montecarlo import (
     scan_phases,
     tally_marginals,
     _BLOCKS_PER_WORKER,
-    _threshold_counts,
+    _CLASS_EDGES,
+    _accepted_counts,
+    _sample_blocks,
     _worker_count,
 )
 from impactseries.pathspace import OUTCOMES, Outcome, Subensemble, TimeOrdering
@@ -124,6 +126,14 @@ class TestDeterminism:
         )
         assert block_tallies(config) == searchsorted_block_tallies(config)
 
+    @pytest.mark.parametrize("events", [3 * BLOCK_SIZE + 17, BLOCK_SIZE + 1])
+    def test_short_block_after_full_ones_reads_no_stale_bits(self, events):
+        # one call reuses its mask and scratch buffers from the full blocks
+        # for the short last one
+        config = RunConfig(model=QM, phases=ZERO, events=events, seed=2024)
+        n_blocks = -(-events // BLOCK_SIZE)
+        assert _sample_blocks(config, range(n_blocks)) == searchsorted_block_tallies(config)
+
     def test_tied_outcome_edge_is_never_drawn(self):
         cum = np.cumsum(outcome_distribution(predict(QM, TIED)).p)
         assert cum[0] == cum[1]
@@ -185,13 +195,13 @@ class TestWorkers:
         cpus(2)
         parent = os.getpid()
 
-        def counts_outside_the_parent(u, cumulative):
+        def counts_outside_the_parent(*args):
             if os.getpid() != parent:
                 raise ZeroDivisionError("raised in a worker")
-            return _threshold_counts(u, cumulative)
+            return _accepted_counts(*args)
 
         # forked workers inherit the patched module
-        monkeypatch.setattr(montecarlo, "_threshold_counts", counts_outside_the_parent)
+        monkeypatch.setattr(montecarlo, "_accepted_counts", counts_outside_the_parent)
         config = RunConfig(model=QM, phases=ZERO, events=2 * BLOCK_SIZE, seed=5)
         with pytest.raises(ZeroDivisionError, match="raised in a worker"):
             block_tallies(config)
@@ -231,6 +241,12 @@ class TestWorkers:
         assert result.stdout == "[]\n"
 
 
+def accepted_counts(u_class, u_outcome, lo, hi, cumulative):
+    """``_accepted_counts`` with fresh mask and scratch buffers."""
+    buffers = [np.empty(len(u_class), dtype=bool) for _ in range(2)]
+    return _accepted_counts(u_class, u_outcome, lo, hi, cumulative, *buffers)
+
+
 class TestThresholdCounts:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -249,7 +265,41 @@ class TestThresholdCounts:
         # uniforms landing exactly on an edge must go to the category above it
         u = np.array(uniforms + [c for c in cum.tolist() if c < 1.0], dtype=float)
         expected = np.bincount(np.searchsorted(cum, u, side="right"), minlength=4)
-        assert _threshold_counts(u, cum) == tuple(expected.tolist())
+        assert accepted_counts(np.zeros(len(u)), u, 0.0, 1.0, cum) == tuple(expected.tolist())
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        weights=st.lists(
+            st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)),
+            min_size=4,
+            max_size=4,
+        ).filter(lambda w: sum(w) > 0),
+        target=st.integers(min_value=0, max_value=len(SUBENSEMBLE_ORDER) - 1),
+        draws=st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+                st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+            ),
+            max_size=200,
+        ),
+    )
+    def test_masked_counts_equal_the_gather_reference(self, weights, target, draws):
+        # a leading zero weight gives cum[0] == 0.0, an inner one a tied edge
+        cum = np.cumsum(np.array(weights) / sum(weights))
+        cum[-1] = 1.0
+        lo, hi = _CLASS_EDGES[target : target + 2]
+        class_values = [v for v in (lo, hi, np.nextafter(lo, 0.0), np.nextafter(hi, 0.0))
+                        if 0.0 <= v < 1.0]
+        outcome_values = [c for c in cum.tolist() if c < 1.0] + [0.0]
+        # every class value meets every outcome value, edges included
+        pairs = draws + [(c, o) for c in class_values for o in outcome_values]
+        u_class = np.array([c for c, _ in pairs], dtype=float)
+        u_out = np.array([o for _, o in pairs], dtype=float)
+        expected = np.bincount(
+            np.searchsorted(cum, u_out[(u_class >= lo) & (u_class < hi)], side="right"),
+            minlength=4,
+        )
+        assert accepted_counts(u_class, u_out, lo, hi, cum) == tuple(expected.tolist())
 
 
 class TestOutcomeDistribution:
