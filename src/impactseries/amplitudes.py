@@ -47,9 +47,12 @@ class PhaseSettings:
     gamma: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in PHASE_NAMES:
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"phase {name} must be finite")
+        # rounding is monotonic, so this bounds every phase sum the tables form
+        if not math.isfinite(abs(self.alpha) + abs(self.beta) + abs(self.gamma)):
+            raise ValueError(
+                f"phases alpha={self.alpha:g} beta={self.beta:g} gamma={self.gamma:g}: "
+                "|alpha| + |beta| + |gamma| must be finite"
+            )
 
 
 #: Rows of the joint table: the difference-L class, then the difference-l class.

@@ -318,6 +318,9 @@ class OracleReport:
         return all(check.passed for check in self.checks)
 
 
+#: Largest deviation a check passes with, in every check.
+_TOLERANCE = 1e-9
+
 # Grid intentionally mixes symmetric and incommensurate angles.
 _DEFAULT_GRID_VALUES = (0.0, 0.7, 1.9, math.pi, 4.4)
 
@@ -375,7 +378,6 @@ _GROUPS = tuple(
 def _check(
     name: str,
     deviations: np.ndarray,
-    tolerance: float,
     grid: Sequence[PhaseSettings],
     describe: Callable[[int, int, int], str],
 ) -> CheckResult:
@@ -384,21 +386,20 @@ def _check(
     The first mismatch is the first entry past tolerance in point-major,
     then row, then column order.
     """
-    failed = deviations > tolerance
+    failed = deviations > _TOLERANCE
     first_mismatch = None
     if failed.any():
         point, row, column = np.unravel_index(np.argmax(failed), failed.shape)
         at = " ".join(f"{phase}={getattr(grid[point], phase):.6g}" for phase in PHASE_NAMES)
         first_mismatch = f"{describe(point, row, column)} at {at}"
     max_deviation = float(deviations.max(initial=0.0))
-    return CheckResult(name, max_deviation, tolerance, first_mismatch is None, first_mismatch)
+    return CheckResult(name, max_deviation, _TOLERANCE, first_mismatch is None, first_mismatch)
 
 
 def validate_against_reference(
     geometry: Geometry,
     convention: SplitterConvention,
     phase_grid: Sequence[PhaseSettings] | None = None,
-    tolerance: float = 1e-9,
 ) -> OracleReport:
     """Compare the cascade-derived tables against the hand-coded ones.
 
@@ -427,18 +428,18 @@ def validate_against_reference(
         magnitude_name, ratio_name, law_name = group.names
         checks += (
             _check(
-                magnitude_name, np.abs(magnitudes - group.magnitude), tolerance, grid,
+                magnitude_name, np.abs(magnitudes - group.magnitude), grid,
                 lambda p, i, j: f"|A{columns[j]}{rows[i]}| = {magnitudes[p, i, j]:.12g}, "
                 f"expected {group.magnitude:.12g}",
             ),
             _check(
-                ratio_name, np.abs(derived_ratio - reference_ratio), tolerance, grid,
+                ratio_name, np.abs(derived_ratio - reference_ratio), grid,
                 lambda p, i, j: f"A{columns[j]}{rows[i + 1]}/A{columns[j]}{rows[0]}: "
                 f"derived {derived_ratio[p, i, j]:.9g}, "
                 f"reference {reference_ratio[p, i, j]:.9g}",
             ),
             _check(
-                law_name, np.abs(derived_p - reference_p)[:, None, :], tolerance, grid,
+                law_name, np.abs(derived_p - reference_p)[:, None, :], grid,
                 lambda p, _, j: f"P({columns[j]}): derived {derived_p[p, j]:.12g}, "
                 f"reference {reference_p[p, j]:.12g}",
             ),

@@ -77,9 +77,6 @@ COLUMNS = (
     "e_analytic_causal",
 )
 
-_SUBENSEMBLE_BY_FLAG = {"L": Subensemble.LONG, "l": Subensemble.SHORT}
-_FLAG_BY_SUBENSEMBLE = {v: k for k, v in _SUBENSEMBLE_BY_FLAG.items()}
-
 
 def _format_cell(value) -> str:
     if value is None:
@@ -117,7 +114,7 @@ def _analytic_row(
         command=command,
         model=model.kind.value,
         ordering=model.ordering.value,
-        subensemble=_FLAG_BY_SUBENSEMBLE[target],
+        subensemble=target.value,
         alpha=phases.alpha,
         beta=phases.beta,
         gamma=phases.gamma,
@@ -139,15 +136,16 @@ def _run_row(
     """The analytic row of ``config`` plus its run's counters, singles and E.
 
     ``axis`` names the phase a scan sweeps; the row's ``angle`` is its value.
+    Beside the Monte Carlo E go the two rules' anchors: the superposition
+    rule's magnitude (2/3)|cos(alpha+beta)| and the causal rules' 0.
     """
-    row = _analytic_row(
-        command, config.model, config.target_sub, config.phases, config.prediction
-    )
-    estimate = estimate_E(tally, config.phases)
+    phases = config.phases
+    row = _analytic_row(command, config.model, config.target_sub, phases, config.prediction)
+    e_value, e_std_error = estimate_E(tally)
     side1, side2 = tally_marginals(tally)
     row.update(
         axis=axis,
-        angle=None if axis is None else getattr(config.phases, axis),
+        angle=None if axis is None else getattr(phases, axis),
         events=config.events,
         seed=config.seed,
         accepted=tally.accepted,
@@ -157,9 +155,9 @@ def _run_row(
         p1_minus_mc=side1.p_minus,
         p2_plus_mc=side2.p_plus,
         p2_minus_mc=side2.p_minus,
-        e_value=estimate.value,
-        e_std_error=estimate.std_error,
-        e_analytic_qm=estimate.analytic_qm,
+        e_value=e_value,
+        e_std_error=e_std_error,
+        e_analytic_qm=(2.0 / 3.0) * abs(math.cos(phases.alpha + phases.beta)),
         e_analytic_causal=0.0,  # the causal rules split side 1 evenly at any phase
     )
     row["r_pp"], row["r_pm"], row["r_mp"], row["r_mm"] = tally.r
@@ -249,7 +247,7 @@ def _rule_labels(model: TheoryModel, target: Subensemble) -> tuple[str | None, s
 def cmd_predict(args: argparse.Namespace) -> int:
     model = _parse_model(args)
     phases = _phases_from(args)
-    target = _SUBENSEMBLE_BY_FLAG[args.subensemble]
+    target = Subensemble(args.subensemble)
     prediction = predict(model, phases, target)
     row = _analytic_row("predict", model, target, phases, prediction)
     if args.out:
@@ -276,7 +274,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         phases=_phases_from(args),
         events=args.events,
         seed=args.seed,
-        target_sub=_SUBENSEMBLE_BY_FLAG[args.subensemble],
+        target_sub=Subensemble(args.subensemble),
     )
     row = _run_row("simulate", config, run(config))
     if args.out:
@@ -300,9 +298,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     phases = _phases_from(args)
     grid = _parse_grid(args.grid, args.degrees)
     rows = [
-        _run_row("compare", point.config, point.tally, axis=args.axis)
+        _run_row("compare", config, tally, axis=args.axis)
         for kind in (TheoryKind.QM, TheoryKind.RNL)
-        for point in scan_phases(
+        for config, tally in scan_phases(
             TheoryModel(kind=kind, ordering=TimeOrdering(args.ordering)),
             args.axis,
             grid,
@@ -331,7 +329,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_validate_oracle(args: argparse.Namespace) -> int:
     convention = SplitterConvention(t=args.splitter_t, r=args.splitter_r)
-    convention.require_unitary()
     if args.geometry:
         try:
             geometry = load_geometry(args.geometry)

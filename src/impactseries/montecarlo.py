@@ -8,7 +8,9 @@ events draw a joint outcome from the active model's distribution and feed the
 four counters.  A :class:`RunConfig` computes its model's analytic
 ``prediction`` once, when it is built, so a request outside the model's
 domain fails there; the counters are a 4-tuple in ``OUTCOMES`` order, like
-the law they sample.
+the law they sample.  The module hands back counts and plain values: a run's
+tally, :func:`estimate_E`'s ``(value, std_error)`` and a scan's ``(config,
+tally)`` pairs; the output row puts the analytic E anchors beside them.
 
 Determinism contract: events are processed in fixed blocks of ``BLOCK_SIZE``;
 block ``j`` uses the PCG64 stream seeded by ``SeedSequence(seed,
@@ -136,27 +138,6 @@ class CoincidenceTally:
     @property
     def events(self) -> int:
         return self.accepted + self.rejected
-
-
-@dataclass(frozen=True)
-class EstimateE:
-    """Side-1 counter asymmetry with its binomial error and superposition-rule anchor."""
-
-    value: float
-    std_error: float
-    analytic_qm: float
-
-
-@dataclass(frozen=True)
-class ScanPoint:
-    """One grid point of a phase scan: its run's provenance and tally.
-
-    The swept angle is ``config.phases``' value on the scan axis, and
-    ``config.prediction`` is the point's analytic law.
-    """
-
-    config: RunConfig
-    tally: CoincidenceTally
 
 
 _EVEN = SinglesPair(0.5, 0.5)
@@ -287,15 +268,14 @@ def run(config: RunConfig) -> CoincidenceTally:
     return merge_tallies(block_tallies(config))
 
 
-def estimate_E(tally: CoincidenceTally, phases: PhaseSettings) -> EstimateE:
-    """Normalized side-1 counter asymmetry (R++ + R+- - R-+ - R--)/accepted.
+def estimate_E(tally: CoincidenceTally) -> tuple[float, float]:
+    """Normalized side-1 counter asymmetry (R++ + R+- - R-+ - R--)/accepted,
+    and its standard error.
 
     The error is the binomial ``2*sqrt(p*(1-p)/n)`` of the side-1 "+"
     fraction ``p``.  When every accepted event lands on one side-1 detector
     that formula gives 0, so the error is instead ``1/(n+1)``, the z = 1
-    Wilson score half-width (Wilson 1927) on the E scale.  The analytic
-    anchor is the superposition-rule magnitude (2/3)*|cos(alpha+beta)|; the
-    causal rules' anchor is 0 at every phase.
+    Wilson score half-width (Wilson 1927) on the E scale.
     """
     n = tally.accepted
     if n == 0:
@@ -308,11 +288,7 @@ def estimate_E(tally: CoincidenceTally, phases: PhaseSettings) -> EstimateE:
     else:
         p = plus_side1 / n
         std_error = 2.0 * math.sqrt(p * (1.0 - p) / n)
-    return EstimateE(
-        value=value,
-        std_error=std_error,
-        analytic_qm=(2.0 / 3.0) * abs(math.cos(phases.alpha + phases.beta)),
-    )
+    return value, std_error
 
 
 def tally_marginals(tally: CoincidenceTally) -> tuple[SinglesPair, SinglesPair]:
@@ -335,14 +311,15 @@ def scan_phases(
     base: PhaseSettings,
     events_per_point: int,
     seed: int,
-) -> list[ScanPoint]:
-    """One simulated run per grid angle; each carries its analytic prediction.
+) -> list[tuple[RunConfig, CoincidenceTally]]:
+    """One simulated run per grid angle, as ``(config, tally)`` pairs in grid order.
 
     ``axis`` names the phase being swept; the other two stay at their ``base``
     values.  The analytic law of the whole grid is evaluated in one
-    :func:`predict` call.  Point ``k`` runs with the derived seed
-    :func:`derive_point_seed`\\ ``(seed, k)``; its :class:`RunConfig` is kept
-    in the result, so any single point can be replayed with :func:`run`.
+    :func:`predict` call, and each config carries its point's law as
+    ``prediction``.  Point ``k`` runs with the derived seed
+    :func:`derive_point_seed`\\ ``(seed, k)``; its config is the full
+    provenance, so any single point can be replayed with :func:`run`.
     """
     if axis not in PHASE_NAMES:
         raise ValueError(f"axis must be one of {PHASE_NAMES}")
@@ -355,4 +332,4 @@ def scan_phases(
         RunConfig._at_point(prediction, model=model, phases=phases, events=events_per_point, seed=s)
         for phases, prediction, s in zip(settings, predict(model, settings), seeds)
     ]
-    return [ScanPoint(config=config, tally=run(config)) for config in configs]
+    return [(config, run(config)) for config in configs]

@@ -218,3 +218,12 @@ class TestContracts:
     def test_phases_must_be_finite(self, bad):
         with pytest.raises(ValueError):
             PhaseSettings(alpha=bad)
+
+    @pytest.mark.parametrize(
+        "phases", [(1e308, 1e308, 0.0), (0.0, -1e308, 1e308), (6e307, 6e307, -6e307)]
+    )
+    def test_phase_magnitudes_must_have_a_finite_sum(self, phases):
+        # every phase is finite, but a sum the tables form may overflow
+        with pytest.raises(ValueError, match="alpha.*beta.*gamma"):
+            PhaseSettings(*phases)
+        PhaseSettings(*(phase / 2 for phase in phases))

@@ -5,17 +5,21 @@ import hashlib
 import itertools
 import json
 import math
-
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from impactseries.amplitudes import PhaseSettings
-from impactseries.cli import COLUMNS, _emit, _rule_labels, main
+from impactseries.cli import COLUMNS, _emit, _rule_labels, _run_row, main
+from impactseries.montecarlo import CoincidenceTally, RunConfig
 from impactseries.pathspace import Subensemble, TimeOrdering
 from impactseries.theories import TheoryKind, TheoryModel, marginals, predict
+
+
+GEOMETRIES = Path(__file__).resolve().parent.parent / "geometries"
 
 
 def read_csv(path):
@@ -133,6 +137,19 @@ class TestRuleLabels:
                     # a label without a formula only where the side is the joint's marginal
                     assert prediction.joint is not None
                     assert pair == marginals(prediction.joint.p)[side]
+
+
+class TestRunRow:
+    def test_analytic_anchors(self):
+        counts = CoincidenceTally(r=(1, 1, 1, 1), rejected=0)
+        for alpha, anchor in ((0.0, 2 / 3), (math.pi / 2, 0.0)):
+            config = RunConfig(
+                model=TheoryModel(TheoryKind.QM), phases=PhaseSettings(alpha=alpha),
+                events=4, seed=0,
+            )
+            row = _run_row("simulate", config, counts)
+            assert row["e_analytic_qm"] == pytest.approx(anchor, abs=1e-12)
+            assert row["e_analytic_causal"] == 0.0
 
 
 class TestSimulate:
@@ -303,6 +320,26 @@ class TestCompare:
 @pytest.mark.parametrize(
     "argv",
     [
+        ["predict", "--model", "qm", "--alpha", "1e308", "--beta", "1e308"],
+        ["simulate", "--model", "qm", "--alpha", "1e308", "--beta", "1e308", "--events", "100"],
+        # the base phases pass; the last grid point's alpha + beta does not
+        ["compare", "--grid", "0:1e308:3", "--beta", "1e308", "--events", "100"],
+    ],
+)
+def test_phase_sum_overflow_is_one_error_line(argv, capsys):
+    # each phase is finite, but alpha + beta overflows to inf
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: phases ")
+    assert "alpha" in captured.err and "beta" in captured.err
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["predict", "--model", "qm"],
         ["simulate", "--model", "qm", "--events", "1000"],
         ["compare", "--grid", "0:1:2", "--events", "1000"],
@@ -370,7 +407,7 @@ class TestJsonWriter:
 
 
 class TestFrozenOutput:
-    """Exact ``--out`` bytes of fixed runs; a refactor of the row code must keep them."""
+    """Exact ``--out`` and stdout bytes of fixed runs; a refactor of the row code must keep them."""
 
     PHASES = ["--alpha", "0.3", "--beta", "1.1", "--gamma", "-0.4"]
     # the default 13-point grid: rows at alpha ~ pi/2 and 3*pi/2 carry
@@ -432,10 +469,79 @@ class TestFrozenOutput:
         capsys.readouterr()
         assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
 
-    def test_compare_stdout_bytes(self, capsys):
-        assert main(self.COMPARE) == 0
+    RUN = ["--events", "5000", "--seed", "7"]
+    STDOUT_CASES = [
+        pytest.param(
+            COMPARE, 0, "f30c8f723cd56da245a9a205237343a2bda4046063134e664eaad5b9352cb3b8",
+            id="compare",
+        ),
+        pytest.param(
+            ["simulate", "--model", "qm", *RUN], 0,
+            "378e7f1a32babdb80f28a0f50125170e4f90a564da3c4efd6956bd5782f71610",
+            id="simulate-qm",
+        ),
+        pytest.param(
+            # prints "analytic: qm 4.08216e-17", the closed form's rounding
+            ["simulate", "--model", "qm", "--alpha", "1.5707963267948966", *RUN], 0,
+            "6e48d776fbc5051be4c7789a2c99a3f07b36eb0f05e9a48fde500bd222c8cb8f",
+            id="simulate-qm-quarter",
+        ),
+        pytest.param(
+            ["simulate", "--model", "rnl", *RUN], 0,
+            "485a46471cbeb3f11d6cfea583cb9329bf45abd76f69d9ab3953a77321bc8924",
+            id="simulate-rnl",
+        ),
+        pytest.param(
+            ["simulate", "--model", "causal", "--ordering", "2", *RUN], 0,
+            "9d9cb31e2c879844029ee55aa5f2236e9ad7a1051367aab1071f0609636d7f84",
+            id="simulate-causal2",
+        ),
+        pytest.param(
+            ["simulate", "--model", "qm", "--subensemble", "l", *RUN], 0,
+            "e6618527251bbef61e6977a453073d13d0f84b34a5ddbdf28f864f3debddeabd",
+            id="simulate-qm-short",
+        ),
+        pytest.param(
+            ["predict", "--model", "qm", *PHASES], 0,
+            "4705fff9bdf9488e860c36833106bf3d3c3f3490f6eac3ac5d62582a9f5ff174",
+            id="predict-qm",
+        ),
+        pytest.param(
+            ["predict", "--model", "qm", "--subensemble", "l", *PHASES], 0,
+            "f222d3d676e7560e9ff258f668d4b6898bb8f4dbd4780229a539f8850bcbd9cd",
+            id="predict-qm-short",
+        ),
+        pytest.param(
+            ["predict", "--model", "causal", "--ordering", "1", *PHASES], 0,
+            "3bec6c93e9e29faf02c6e82b098eae77db497221b874c46d48da80cba1104eb1",
+            id="predict-causal1",
+        ),
+        pytest.param(
+            ["predict", "--model", "causal", "--ordering", "2", *PHASES], 0,
+            "5875cc242a5f026ff5c772790587783c9f54c2a149d14234fe383a58c84e0ae9",
+            id="predict-causal2",
+        ),
+        pytest.param(
+            ["predict", "--model", "rnl", *PHASES], 0,
+            "3f3380dba46ddf275eb4ab505489f0755da85898a5c688b4dc124de4fc49b536",
+            id="predict-rnl",
+        ),
+        pytest.param(
+            ["validate-oracle"], 0,
+            "894116d0784339cf36a8b152a2b1695c7e94af13aecefa686bc2b84cef2dbfb0",
+            id="validate-oracle-default",
+        ),
+        pytest.param(
+            ["validate-oracle", "--geometry", str(GEOMETRIES / "crossed-stage2.geom")], 3,
+            "910396cbde9b688774a311db1818035e41df2323f3b6a182b2e5f0f3da9ad096",
+            id="validate-oracle-crossed",
+        ),
+    ]
+
+    @pytest.mark.parametrize("argv, code, digest", STDOUT_CASES)
+    def test_stdout_bytes(self, argv, code, digest, capsys):
+        assert main(argv) == code
         stdout = capsys.readouterr().out.encode()
-        digest = "f30c8f723cd56da245a9a205237343a2bda4046063134e664eaad5b9352cb3b8"
         assert hashlib.sha256(stdout).hexdigest() == digest
 
 

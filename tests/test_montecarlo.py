@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import impactseries
 from impactseries import montecarlo
 from impactseries.amplitudes import PhaseSettings
+from impactseries.cli import _run_row
 from impactseries.montecarlo import (
     BLOCK_SIZE,
     SUBENSEMBLE_ORDER,
@@ -372,37 +373,30 @@ class TestAcceptanceRate:
 class TestEstimator:
     def test_counter_asymmetry_and_binomial_error(self):
         t = tally(10, 20, 30, 40)
-        estimate = estimate_E(t, ZERO)
-        assert estimate.value == pytest.approx((10 + 20 - 30 - 40) / 100)
+        value, std_error = estimate_E(t)
+        assert value == pytest.approx((10 + 20 - 30 - 40) / 100)
         p = 30 / 100
-        assert estimate.std_error == pytest.approx(2 * math.sqrt(p * (1 - p) / 100))
+        assert std_error == pytest.approx(2 * math.sqrt(p * (1 - p) / 100))
 
     def test_single_count_edge_case(self):
         # all events on one side-1 detector: the z = 1 Wilson score
         # half-width on the E scale, 1/(n+1), not a zero error
-        estimate = estimate_E(tally(1, 0, 0, 0), ZERO)
-        assert estimate.value == 1.0
-        assert estimate.std_error == 0.5
-        all_minus = estimate_E(tally(0, 0, 3, 1), ZERO)
-        assert all_minus.value == -1.0
-        assert all_minus.std_error == 1 / 5
+        assert estimate_E(tally(1, 0, 0, 0)) == (1.0, 0.5)
+        assert estimate_E(tally(0, 0, 3, 1)) == (-1.0, 1 / 5)
 
     def test_empty_tally_is_rejected(self):
         with pytest.raises(ValueError):
-            estimate_E(tally(0, 0, 0, 0, rejected=5), ZERO)
-
-    def test_analytic_anchors(self):
-        estimate = estimate_E(tally(1, 1, 1, 1), ZERO)
-        assert estimate.analytic_qm == pytest.approx(2 / 3, abs=1e-12)
-        quarter = estimate_E(tally(1, 1, 1, 1), PhaseSettings(alpha=math.pi / 2))
-        assert quarter.analytic_qm == pytest.approx(0.0, abs=1e-12)
+            estimate_E(tally(0, 0, 0, 0, rejected=5))
 
     def test_qm_run_at_aligned_phases_reaches_minus_two_thirds(self):
-        result = run(RunConfig(model=QM, phases=ZERO, events=1_000_000, seed=42))
-        estimate = estimate_E(result, ZERO)
+        config = RunConfig(model=QM, phases=ZERO, events=1_000_000, seed=42)
+        result = run(config)
+        value, _ = estimate_E(result)
         # side-1 plus is the rarer outcome here, so the signed value is negative
-        assert estimate.value == pytest.approx(-2 / 3, abs=0.01)
-        assert abs(estimate.value) == pytest.approx(estimate.analytic_qm, abs=0.01)
+        assert value == pytest.approx(-2 / 3, abs=0.01)
+        assert abs(value) == pytest.approx(
+            _run_row("simulate", config, result)["e_analytic_qm"], abs=0.01
+        )
         # the dominant counter holds 3/4 of the accepted events
         assert result.r[OUTCOMES.index(Outcome.MINUS_PLUS)] / result.accepted == pytest.approx(
             0.75, abs=0.003
@@ -411,17 +405,17 @@ class TestEstimator:
 
     def test_rnl_run_is_consistent_with_zero(self):
         result = run(RunConfig(model=RNL, phases=ZERO, events=1_000_000, seed=42))
-        estimate = estimate_E(result, ZERO)
-        assert abs(estimate.value) <= 4.0 * estimate.std_error
+        value, std_error = estimate_E(result)
+        assert abs(value) <= 4.0 * std_error
 
     @settings(max_examples=50)
     @given(counts=st.tuples(*[st.integers(min_value=0, max_value=1000)] * 4))
     def test_value_stays_in_the_unit_interval(self, counts):
         if sum(counts) == 0:
             return
-        estimate = estimate_E(tally(*counts), ZERO)
-        assert -1.0 <= estimate.value <= 1.0
-        assert estimate.std_error > 0.0
+        value, std_error = estimate_E(tally(*counts))
+        assert -1.0 <= value <= 1.0
+        assert std_error > 0.0
 
 
 class TestStatisticalConsistency:
@@ -471,10 +465,10 @@ class TestStatisticalConsistency:
     def test_contrast_between_the_two_theories(self):
         qm_result = run(RunConfig(model=QM, phases=ZERO, events=1_000_000, seed=77))
         rnl_result = run(RunConfig(model=RNL, phases=ZERO, events=1_000_000, seed=78))
-        qm_e = estimate_E(qm_result, ZERO)
-        rnl_e = estimate_E(rnl_result, ZERO)
-        contrast = abs(qm_e.value) - abs(rnl_e.value)
-        combined = 4.0 * math.hypot(qm_e.std_error, rnl_e.std_error)
+        qm_value, qm_error = estimate_E(qm_result)
+        rnl_value, rnl_error = estimate_E(rnl_result)
+        contrast = abs(qm_value) - abs(rnl_value)
+        combined = 4.0 * math.hypot(qm_error, rnl_error)
         assert contrast == pytest.approx(2 / 3, abs=combined)
 
 
@@ -516,29 +510,29 @@ class TestScan:
 
     def test_analytic_side1_follows_the_fringe(self):
         points = scan_phases(QM, "alpha", self.GRID, ZERO, 20_000, seed=9)
-        values = [p.config.prediction.side1.p_plus for p in points]
+        values = [config.prediction.side1.p_plus for config, _ in points]
         assert values == pytest.approx([1 / 6, 0.5, 5 / 6], abs=1e-12)
 
     def test_causal_side1_is_flat(self):
         points = scan_phases(CAUSAL_2, "alpha", self.GRID, ZERO, 20_000, seed=9)
-        assert [p.config.prediction.side1.p_plus for p in points] == [0.5, 0.5, 0.5]
-        assert all(p.config.prediction.side2 is None for p in points)
+        assert [config.prediction.side1.p_plus for config, _ in points] == [0.5, 0.5, 0.5]
+        assert all(config.prediction.side2 is None for config, _ in points)
 
     def test_single_point_grid(self):
         points = scan_phases(RNL, "beta", [0.25], ZERO, 5_000, seed=4)
         assert len(points) == 1
-        assert points[0].config.phases == PhaseSettings(beta=0.25)
+        assert points[0][0].phases == PhaseSettings(beta=0.25)
 
     def test_each_point_is_replayable_from_its_provenance(self):
         points = scan_phases(QM, "gamma", self.GRID, ZERO, 30_000, seed=123)
-        for point in points:
+        for point_config, point_tally in points:
             config = RunConfig(
                 model=QM,
-                phases=point.config.phases,
-                events=point.config.events,
-                seed=point.config.seed,
+                phases=point_config.phases,
+                events=point_config.events,
+                seed=point_config.seed,
             )
-            assert run(config) == point.tally
+            assert run(config) == point_tally
 
     def test_point_seeds_are_stable(self):
         assert derive_point_seed(9, 0) == 5941392204501240012
@@ -557,16 +551,16 @@ class TestScan:
         base = PhaseSettings(0.0, math.pi / 3, 2 * math.pi / 3)  # TIED at alpha = 0
         grid = [0.0, 0.4, math.pi / 2, -2.9, 2 * math.pi]
         points = scan_phases(model, "alpha", grid, base, 500, seed=21)
-        for k, (angle, point) in enumerate(zip(grid, points)):
+        for k, (angle, (point_config, point_tally)) in enumerate(zip(grid, points)):
             config = RunConfig(
                 model=model,
                 phases=PhaseSettings(angle, base.beta, base.gamma),
                 events=500,
                 seed=derive_point_seed(21, k),
             )
-            assert point.config == config
-            assert point.config.prediction == config.prediction
-            assert point.tally == run(config)
+            assert point_config == config
+            assert point_config.prediction == config.prediction
+            assert point_tally == run(config)
 
     @pytest.mark.parametrize(
         "events, message",
