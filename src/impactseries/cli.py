@@ -28,16 +28,9 @@ from .bsnetwork import (
     load_geometry,
     validate_against_reference,
 )
-from .montecarlo import (
-    CoincidenceTally,
-    RunConfig,
-    estimate_E,
-    run,
-    scan_phases,
-    tally_marginals,
-)
+from .montecarlo import CoincidenceTally, RunConfig, estimate_E, run, scan_phases
 from .pathspace import OUTCOMES, Subensemble, TimeOrdering
-from .theories import Prediction, SinglesPair, TheoryKind, TheoryModel, predict
+from .theories import Law, TheoryKind, TheoryModel, marginals, predict
 
 #: Frozen column order shared by every CSV/JSON emission.
 COLUMNS = (
@@ -86,6 +79,11 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _shown(value) -> str:
+    """A cell as printed to standard output; an empty cell reads ``n/a``."""
+    return "n/a" if value is None else _format_cell(value)
+
+
 #: Each column's key line inside a ``json.dumps(..., indent=2)`` row object.
 _JSON_KEYS = tuple(f"      {encode_basestring_ascii(column)}: " for column in COLUMNS)
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -106,9 +104,12 @@ def _analytic_row(
     model: TheoryModel,
     target: Subensemble,
     phases: PhaseSettings,
-    prediction: Prediction,
+    law: Law,
 ) -> dict:
-    """A row with its provenance, phases and analytic columns; the rest are None."""
+    """A row with its provenance, phases and analytic columns; the rest are None.
+
+    ``law`` is a grid of one point: ``predict(model, [phases], target)``.
+    """
     row = dict.fromkeys(COLUMNS)
     row.update(
         command=command,
@@ -119,14 +120,12 @@ def _analytic_row(
         beta=phases.beta,
         gamma=phases.gamma,
     )
-    if prediction.side1 is not None:
-        row["p1_plus_analytic"] = prediction.side1.p_plus
-        row["p1_minus_analytic"] = prediction.side1.p_minus
-    if prediction.side2 is not None:
-        row["p2_plus_analytic"] = prediction.side2.p_plus
-        row["p2_minus_analytic"] = prediction.side2.p_minus
-    if prediction.joint is not None:
-        row["joint_pp"], row["joint_pm"], row["joint_mp"], row["joint_mm"] = prediction.joint.p
+    if law.side1 is not None:
+        row["p1_plus_analytic"], row["p1_minus_analytic"] = law.side1[0].tolist()
+    if law.side2 is not None:
+        row["p2_plus_analytic"], row["p2_minus_analytic"] = law.side2[0].tolist()
+    if law.joint is not None:
+        row["joint_pp"], row["joint_pm"], row["joint_mp"], row["joint_mm"] = law.joint[0].tolist()
     return row
 
 
@@ -136,13 +135,14 @@ def _run_row(
     """The analytic row of ``config`` plus its run's counters, singles and E.
 
     ``axis`` names the phase a scan sweeps; the row's ``angle`` is its value.
+    A run with no accepted event leaves its Monte Carlo singles and E empty.
     Beside the Monte Carlo E go the two rules' anchors: the superposition
-    rule's magnitude (2/3)|cos(alpha+beta)| and the causal rules' 0.
+    rule's magnitude (2/3)|cos(alpha+beta)| and the causal rules' 0.  The
+    Monte Carlo E is signed; the superposition rule's signed E is
+    ``law.side1[:, 0] - law.side1[:, 1]``, which the frozen columns leave out.
     """
     phases = config.phases
-    row = _analytic_row(command, config.model, config.target_sub, phases, config.prediction)
-    e_value, e_std_error = estimate_E(tally)
-    side1, side2 = tally_marginals(tally)
+    row = _analytic_row(command, config.model, config.target_sub, phases, config.law)
     row.update(
         axis=axis,
         angle=None if axis is None else getattr(phases, axis),
@@ -151,16 +151,15 @@ def _run_row(
         accepted=tally.accepted,
         rejected=tally.rejected,
         acceptance_rate=tally.accepted / tally.events,
-        p1_plus_mc=side1.p_plus,
-        p1_minus_mc=side1.p_minus,
-        p2_plus_mc=side2.p_plus,
-        p2_minus_mc=side2.p_minus,
-        e_value=e_value,
-        e_std_error=e_std_error,
         e_analytic_qm=(2.0 / 3.0) * abs(math.cos(phases.alpha + phases.beta)),
         e_analytic_causal=0.0,  # the causal rules split side 1 evenly at any phase
     )
     row["r_pp"], row["r_pm"], row["r_mp"], row["r_mm"] = tally.r
+    if tally.accepted:
+        side1, side2 = marginals(tally.r, tally.accepted)
+        row["p1_plus_mc"], row["p1_minus_mc"] = side1.tolist()
+        row["p2_plus_mc"], row["p2_minus_mc"] = side2.tolist()
+        row["e_value"], row["e_std_error"] = estimate_E(tally)
     return row
 
 
@@ -221,10 +220,11 @@ def _parse_grid(text: str, degrees: bool) -> np.ndarray:
     return grid
 
 
-def _singles_line(name: str, pair: SinglesPair | None, rule: str | None) -> str:
-    if pair is None:
-        return f"{name}: undefined for this model (depends on the causal completion)"
-    line = f"{name}: p(+)={_format_cell(pair.p_plus)} p(-)={_format_cell(pair.p_minus)}"
+def _singles_line(row: dict, side: int, rule: str | None) -> str:
+    plus, minus = row[f"p{side}_plus_analytic"], row[f"p{side}_minus_analytic"]
+    if plus is None:
+        return f"side{side}: undefined for this model (depends on the causal completion)"
+    line = f"side{side}: p(+)={_format_cell(plus)} p(-)={_format_cell(minus)}"
     if rule:
         line += f"  [p(+) = {rule}]"
     return line
@@ -248,23 +248,23 @@ def cmd_predict(args: argparse.Namespace) -> int:
     model = _parse_model(args)
     phases = _phases_from(args)
     target = Subensemble(args.subensemble)
-    prediction = predict(model, phases, target)
-    row = _analytic_row("predict", model, target, phases, prediction)
+    law = predict(model, [phases], target)
+    row = _analytic_row("predict", model, target, phases, law)
     if args.out:
         _emit([row], args.format, args.out)
 
     rule1, rule2 = _rule_labels(model, target)
     print(_fields(row, "model", "ordering", "subensemble", *PHASE_NAMES))
-    if prediction.joint is not None:
+    if law.joint is not None:
         cells = " ".join(
             f"p({outcome.value})={_format_cell(p)}"
-            for outcome, p in zip(OUTCOMES, prediction.joint.p)
+            for outcome, p in zip(OUTCOMES, law.joint[0].tolist())
         )
         print(f"joint: {cells}")
     else:
         print("joint: undefined for this model (singles only)")
-    print(_singles_line("side1", prediction.side1, rule1))
-    print(_singles_line("side2", prediction.side2, rule2))
+    print(_singles_line(row, 1, rule1))
+    print(_singles_line(row, 2, rule2))
     return 0
 
 
@@ -287,7 +287,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
     print(_fields(row, "acceptance_rate"))
     print(
-        f"E={_format_cell(row['e_value'])} std_error={_format_cell(row['e_std_error'])} "
+        f"E={_shown(row['e_value'])} std_error={_shown(row['e_std_error'])} "
         f"[analytic: qm {_format_cell(row['e_analytic_qm'])}, "
         f"causal {_format_cell(row['e_analytic_causal'])}]"
     )
@@ -317,12 +317,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
         f"seed={args.seed} base {_fields(vars(phases), *PHASE_NAMES)}"
     )
     for row in rows:
-        analytic1 = row["p1_plus_analytic"]
         print(
             f"{_fields(row, 'model', 'angle')} "
-            f"p1_plus analytic={'n/a' if analytic1 is None else _format_cell(analytic1)} "
-            f"mc={_format_cell(row['p1_plus_mc'])} "
-            f"E={_format_cell(row['e_value'])}±{_format_cell(row['e_std_error'])}"
+            f"p1_plus analytic={_shown(row['p1_plus_analytic'])} "
+            f"mc={_shown(row['p1_plus_mc'])} "
+            f"E={_shown(row['e_value'])}±{_shown(row['e_std_error'])}"
         )
     return 0
 

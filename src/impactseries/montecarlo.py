@@ -5,12 +5,13 @@ Each emitted pair is assigned an arrival-time class with the a-priori weights
 interference redistributes probability only within a class).  Events outside
 the target class are rejected, emulating the coincidence electronics; accepted
 events draw a joint outcome from the active model's distribution and feed the
-four counters.  A :class:`RunConfig` computes its model's analytic
-``prediction`` once, when it is built, so a request outside the model's
-domain fails there; the counters are a 4-tuple in ``OUTCOMES`` order, like
-the law they sample.  The module hands back counts and plain values: a run's
-tally, :func:`estimate_E`'s ``(value, std_error)`` and a scan's ``(config,
-tally)`` pairs; the output row puts the analytic E anchors beside them.
+four counters.  A :class:`RunConfig` computes its model's analytic ``law``
+once, when it is built, as a grid of one point, so a request outside the
+model's domain fails there; the counters are a 4-tuple in ``OUTCOMES``
+order, like the columns of the law they sample.  The module hands back
+counts and plain values: a run's tally, :func:`estimate_E`'s ``(value,
+std_error)`` and a scan's ``(config, tally)`` pairs; the output row puts the
+analytic E anchors beside them.
 
 Determinism contract: events are processed in fixed blocks of ``BLOCK_SIZE``;
 block ``j`` uses the PCG64 stream seeded by ``SeedSequence(seed,
@@ -45,14 +46,7 @@ import numpy as np
 
 from .amplitudes import PHASE_NAMES, PhaseSettings
 from .pathspace import OUTCOMES, Subensemble
-from .theories import (
-    JointDistribution,
-    Prediction,
-    SinglesPair,
-    TheoryModel,
-    marginals,
-    predict,
-)
+from .theories import Law, TheoryModel, predict
 
 #: Events per RNG block; fixed so tallies are independent of how blocks are grouped.
 BLOCK_SIZE = 1 << 16
@@ -89,31 +83,26 @@ def _require_seed(seed: object) -> None:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Full provenance of one simulated run, and the analytic law it samples."""
+    """Full provenance of one simulated run, and the analytic law it samples.
+
+    ``law`` is the model's law at ``phases`` as a grid of one point.
+    """
 
     model: TheoryModel
     phases: PhaseSettings
     events: int
     seed: int
     target_sub: Subensemble = Subensemble.LONG
-    prediction: Prediction = field(init=False, compare=False, repr=False)
+    law: Law = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         _require_int("events", self.events)
         _require_seed(self.seed)
         if self.events < 1:
             raise ValueError("events must be at least 1")
-        if "prediction" not in vars(self):  # _at_point sets it before __init__ runs
-            prediction = predict(self.model, self.phases, self.target_sub)
-            object.__setattr__(self, "prediction", prediction)
-
-    @classmethod
-    def _at_point(cls, prediction: Prediction, **fields) -> RunConfig:
-        """A config given its ``prediction``, from a grid ``predict`` call; same checks."""
-        config = cls.__new__(cls)
-        object.__setattr__(config, "prediction", prediction)
-        config.__init__(**fields)
-        return config
+        if "law" not in vars(self):  # scan_phases sets it before __init__ runs
+            law = predict(self.model, [self.phases], self.target_sub)
+            object.__setattr__(self, "law", law)
 
 
 @dataclass(frozen=True)
@@ -140,28 +129,18 @@ class CoincidenceTally:
         return self.accepted + self.rejected
 
 
-_EVEN = SinglesPair(0.5, 0.5)
+def _sampled_law(law: Law) -> np.ndarray:
+    """The ``(points, 4)`` law an accepted event's outcome is drawn from.
 
-
-def outcome_distribution(prediction: Prediction) -> JointDistribution:
-    """Distribution an accepted event's outcome is drawn from.
-
-    QM samples its joint distribution for the target class.  Causal and RNL
-    define no joint law, so outcomes are drawn from the product of the
-    defined singles, with any undefined side filled in uniformly; this cannot
-    bias the side-1 asymmetry, but it is not a physical correlation model.
+    QM samples its joint law for the target class.  Causal and RNL define no
+    joint law, so outcomes are drawn from the product of the defined singles,
+    with an undefined side filled in at 1/2; this cannot bias the side-1
+    asymmetry, but it is not a physical correlation model.
     """
-    if prediction.joint is not None:
-        return prediction.joint
-    side1 = prediction.side1 or _EVEN
-    side2 = prediction.side2 or _EVEN
-    return JointDistribution(
-        tuple(
-            p1 * p2
-            for p1 in (side1.p_plus, side1.p_minus)
-            for p2 in (side2.p_plus, side2.p_minus)
-        )
-    )
+    if law.joint is not None:
+        return law.joint
+    side1, side2 = (np.full((1, 2), 0.5) if s is None else s for s in (law.side1, law.side2))
+    return (side1[:, :, None] * side2[:, None, :]).reshape(-1, len(OUTCOMES))
 
 
 def _accepted_counts(
@@ -196,8 +175,7 @@ def _accepted_counts(
 
 def _sample_blocks(config: RunConfig, blocks: range) -> list[CoincidenceTally]:
     """Tallies of ``blocks`` in block order: the one sampler, in process or in a worker."""
-    distribution = outcome_distribution(config.prediction)
-    outcome_cum = np.cumsum(distribution.p)
+    outcome_cum = np.cumsum(_sampled_law(config.law)[0])
     outcome_cum[-1] = 1.0  # guard against rounding below the top uniform
     target_index = SUBENSEMBLE_ORDER.index(config.target_sub)
     lo, hi = _CLASS_EDGES[target_index : target_index + 2]
@@ -291,13 +269,6 @@ def estimate_E(tally: CoincidenceTally) -> tuple[float, float]:
     return value, std_error
 
 
-def tally_marginals(tally: CoincidenceTally) -> tuple[SinglesPair, SinglesPair]:
-    """Estimated singles (side 1, side 2) from the coincidence counters."""
-    if tally.accepted == 0:
-        raise ValueError("cannot estimate marginals from an empty tally")
-    return marginals(tally.r, tally.accepted)
-
-
 def derive_point_seed(seed: int, index: int) -> int:
     """Stable 64-bit seed for grid point ``index`` of a scan."""
     stream = np.random.SeedSequence(seed, spawn_key=(index,))
@@ -316,8 +287,8 @@ def scan_phases(
 
     ``axis`` names the phase being swept; the other two stay at their ``base``
     values.  The analytic law of the whole grid is evaluated in one
-    :func:`predict` call, and each config carries its point's law as
-    ``prediction``.  Point ``k`` runs with the derived seed
+    :func:`predict` call, and each config's ``law`` is its point's rows of
+    that grid law.  Point ``k`` runs with the derived seed
     :func:`derive_point_seed`\\ ``(seed, k)``; its config is the full
     provenance, so any single point can be replayed with :func:`run`.
     """
@@ -327,9 +298,15 @@ def scan_phases(
         raise ValueError("grid must not be empty")
     _require_seed(seed)
     settings = [replace(base, **{axis: float(angle)}) for angle in grid]
-    seeds = [derive_point_seed(seed, k) for k in range(len(grid))]
-    configs = [
-        RunConfig._at_point(prediction, model=model, phases=phases, events=events_per_point, seed=s)
-        for phases, prediction, s in zip(settings, predict(model, settings), seeds)
-    ]
+    law = predict(model, settings)
+    configs = []
+    for k, phases in enumerate(settings):
+        # set before __init__, so __post_init__ keeps these views of the
+        # validated grid law instead of calling predict again
+        config = RunConfig.__new__(RunConfig)
+        object.__setattr__(config, "law", Law(*(f if f is None else f[k : k + 1] for f in law)))
+        config.__init__(
+            model=model, phases=phases, events=events_per_point, seed=derive_point_seed(seed, k)
+        )
+        configs.append(config)
     return [(config, run(config)) for config in configs]

@@ -13,24 +13,28 @@ Three models are implemented.
 * ``RNL``: singles depend on local information under every time ordering, so
   the causal sum-of-probabilities rules apply even for spacelike impacts.
 
-Every four-outcome quantity (a joint law, or counts of the four outcomes) is
-a 4-tuple in ``OUTCOMES`` order (++, +-, -+, --); :func:`marginals` folds one
-into the two sides' singles.  Every law here is computed through the amplitude
-tables.  The cosine closed forms that the CLI's rule labels state are written
-out in the test suite (``tests/closed_forms.py``) as a second, independent
-route, and the tests cross-check the two.
+A model's law on a phase grid is one :class:`Law` record of arrays, row ``k``
+for grid point ``k``: the joint law over ``OUTCOMES`` (++, +-, -+, --) and
+each side's singles over its (+, -) detectors, with ``None`` for what the
+model leaves undefined.  :func:`marginals` folds four ``OUTCOMES``-ordered
+weights (a joint law, or counts of the four outcomes) into the two sides'
+singles.  Every law here is computed through the amplitude tables.  The
+cosine closed forms that the CLI's rule labels state are written out in the
+test suite (``tests/closed_forms.py``) as a second, independent route, and the
+tests cross-check the two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, unique
-from typing import Sequence
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .amplitudes import (
     CLASS_ROWS,
     SEQUENTIAL_GROUPS,
-    Phases,
     PhaseSettings,
     interference_law,
     joint_amplitudes,
@@ -41,35 +45,42 @@ from .pathspace import OUTCOMES, Subensemble, TimeOrdering
 _PROBABILITY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class SinglesPair:
-    """Marginal detection probabilities for one side's two detectors."""
-
-    p_plus: float
-    p_minus: float
-
-    def __post_init__(self) -> None:
-        for value in (self.p_plus, self.p_minus):
-            if not -_PROBABILITY_TOL <= value <= 1.0 + _PROBABILITY_TOL:
-                raise ValueError(f"probability {value} outside [0, 1]")
-        if abs(self.p_plus + self.p_minus - 1.0) > _PROBABILITY_TOL:
-            raise ValueError("singles probabilities must sum to 1")
+def _check_rows(p: np.ndarray, name: str) -> None:
+    """Every entry of ``p`` lies in [0, 1] and every row sums to 1, within the tolerance."""
+    inside = (p >= -_PROBABILITY_TOL) & (p <= 1.0 + _PROBABILITY_TOL)
+    if not inside.all():
+        raise ValueError(f"probability {p[~inside][0]} outside [0, 1]")
+    if (np.abs(p.sum(axis=1) - 1.0) > _PROBABILITY_TOL).any():
+        raise ValueError(f"{name} probabilities must sum to 1")
 
 
-@dataclass(frozen=True)
-class JointDistribution:
-    """Probabilities of the four joint outcomes in ``OUTCOMES`` order; they sum to 1."""
+class Law(NamedTuple):
+    """A model's analytic law on a phase grid; row ``k`` belongs to grid point ``k``.
 
-    p: tuple[float, float, float, float]
+    ``joint`` has shape ``(points, 4)``, its columns in ``OUTCOMES`` order;
+    ``side1`` and ``side2`` have shape ``(points, 2)``, their columns the
+    side's ``+`` and ``-`` detectors.  A field the model leaves undefined is
+    None.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.p) != len(OUTCOMES):
-            raise ValueError("joint distribution must cover the four outcomes")
-        for value in self.p:
-            if not -_PROBABILITY_TOL <= value <= 1.0 + _PROBABILITY_TOL:
-                raise ValueError(f"probability {value} outside [0, 1]")
-        if abs(sum(self.p) - 1.0) > _PROBABILITY_TOL:
-            raise ValueError("joint probabilities must sum to 1")
+    joint: np.ndarray | None
+    side1: np.ndarray | None
+    side2: np.ndarray | None
+
+    def validated(self) -> Law:
+        """This law, once every row of every defined field is checked.
+
+        Raises ``ValueError`` for a joint law that is not four outcomes wide,
+        an entry outside [0, 1] or a row that does not sum to 1.
+        """
+        if self.joint is not None:
+            if self.joint.shape[1] != len(OUTCOMES):
+                raise ValueError("joint distribution must cover the four outcomes")
+            _check_rows(self.joint, "joint")
+        for side in (self.side1, self.side2):
+            if side is not None:
+                _check_rows(side, "singles")
+        return self
 
 
 @unique
@@ -93,86 +104,45 @@ class TheoryModel:
             )
 
 
-@dataclass(frozen=True)
-class Prediction:
-    """Analytic output of a model; fields the model leaves open are None."""
+def marginals(weights, total: float = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Side-1 and side-2 singles of ``OUTCOMES``-ordered weights.
 
-    side1: SinglesPair | None
-    side2: SinglesPair | None
-    joint: JointDistribution | None
-
-
-def qm_joint(sub: Subensemble, phases: Phases) -> JointDistribution | list[JointDistribution]:
-    """Joint outcome distribution from superposed path-pair amplitudes.
-
-    Available for the difference-L and difference-l classes only; the
-    satellite classes have a single member and no amplitude table.  A grid of
-    settings gives one distribution per point from one table evaluation.
+    ``weights`` holds the four outcomes on its last axis: a law grid of shape
+    ``(points, 4)``, or one tally's four counters.  Each side comes back with
+    the outcomes axis replaced by its ``(+, -)`` pair, and its sums divided
+    by ``total``: 1 for a joint law, the accepted count for a tally's
+    counters.
     """
-    if sub not in CLASS_ROWS:
-        raise ValueError(f"no amplitude table for satellite class {sub.value}")
-    law = interference_law(joint_amplitudes(phases), (CLASS_ROWS[sub],)).tolist()
-    if isinstance(phases, PhaseSettings):
-        return JointDistribution(tuple(law))
-    return [JointDistribution(tuple(p)) for p in law]
-
-
-def marginals(
-    weights: Sequence[float], total: float = 1
-) -> tuple[SinglesPair, SinglesPair]:
-    """Side-1 and side-2 singles of four ``OUTCOMES``-ordered weights.
-
-    Each side's sums are divided by ``total``: 1 for a joint law, the
-    accepted count for a tally's counters.
-    """
-    pp, pm, mp, mm = weights
+    weights = np.asarray(weights)
+    # axis -2 is side 1's sign and axis -1 side 2's, as OUTCOMES orders them
+    signs = weights.reshape(weights.shape[:-1] + (2, 2))
     return (
-        SinglesPair((pp + pm) / total, (mp + mm) / total),
-        SinglesPair((pp + mp) / total, (pm + mm) / total),
+        (signs[..., 0] + signs[..., 1]) / total,
+        (signs[..., 0, :] + signs[..., 1, :]) / total,
     )
 
 
-def causal_singles_side2(phases: Phases) -> SinglesPair | list[SinglesPair]:
-    """Photon 2's singles under the causal rule, from the single-path table.
-
-    Applies when photon 2 impacts first: the paths Ll and lL stay mutually
-    indistinguishable and interfere, while LL is distinguishable at impact
-    time and contributes as a plain probability.  A grid of settings gives
-    one pair per point from one table evaluation.
-    """
-    law = interference_law(single_amplitudes(phases), SEQUENTIAL_GROUPS).tolist()
-    if isinstance(phases, PhaseSettings):
-        return SinglesPair(*law)
-    return [SinglesPair(*p) for p in law]
-
-
-def causal_singles_side1() -> SinglesPair:
-    """Photon 1's singles under the causal rule when it impacts first.
-
-    The arm photon 1 took remains knowable afterwards, so the alternatives
-    add as probabilities and the counts split evenly, independent of every
-    phase setting.
-    """
-    return SinglesPair(0.5, 0.5)
-
-
 def predict(
-    model: TheoryModel, phases: Phases, target: Subensemble = Subensemble.LONG
-) -> Prediction | list[Prediction]:
-    """Analytic prediction of ``model`` for the ``target`` arrival-time class.
+    model: TheoryModel, phases: Sequence[PhaseSettings], target: Subensemble = Subensemble.LONG
+) -> Law:
+    """Analytic law of ``model`` on the grid ``phases`` for the ``target`` arrival-time class.
 
-    QM yields the joint distribution and both marginals for either central
-    class.  The causal rule yields only the first-impacting photon's singles
-    and leaves the rest undefined.  RNL yields both singles (causal rules
-    under every ordering) but no joint distribution.  The causal rules are
-    built from the difference-L class's paths, so any other target is a
-    ``ValueError``, raised before any table is evaluated.  A grid (a sequence
-    of settings) gives a list with one prediction per point, from one table
-    evaluation for the whole grid; a setting is a grid of one.
+    QM yields the joint law, from the superposed path-pair amplitudes of the
+    target class, and both sides' marginals, for either central class; the
+    satellite classes have a single member and no amplitude table.  The
+    causal rule yields only the first-impacting photon's singles and leaves
+    the rest None.  RNL yields both singles (causal rules under every
+    ordering) but no joint law.  The causal rules are built from the
+    difference-L class's paths, so any other target is a ``ValueError``,
+    raised before any table is evaluated.  The whole grid is one table
+    evaluation, and the returned :class:`Law` is validated once, row by row;
+    one setting is the grid ``[phases]``.
     """
-    grid = [phases] if isinstance(phases, PhaseSettings) else list(phases)
     if model.kind is TheoryKind.QM:
-        predictions = [Prediction(*marginals(j.p), joint=j) for j in qm_joint(target, grid)]
+        if target not in CLASS_ROWS:
+            raise ValueError(f"no amplitude table for satellite class {target.value}")
+        joint = interference_law(joint_amplitudes(phases), (CLASS_ROWS[target],))
+        law = Law(joint, *marginals(joint))
     elif target is not Subensemble.LONG:
         raise ValueError(
             f"the {model.kind.value} rule is defined for the difference-L class only, "
@@ -182,9 +152,15 @@ def predict(
         # the causal rule defines only the first-impacting photon's singles; RNL
         # applies the causal rules to both photons under any time ordering
         first = model.ordering if model.kind is TheoryKind.CAUSAL else None
-        side1 = None if first is TimeOrdering.PHOTON2_FIRST else causal_singles_side1()
+        # photon 1 impacting first: the arm it took remains knowable, so its
+        # alternatives add as probabilities and split evenly at every phase
+        side1 = None if first is TimeOrdering.PHOTON2_FIRST else np.full((len(phases), 2), 0.5)
+        # photon 2 impacting first: Ll and lL stay indistinguishable and
+        # interfere, while LL is distinguishable at impact time
         side2 = (
-            [None] * len(grid) if first is TimeOrdering.PHOTON1_FIRST else causal_singles_side2(grid)
+            None
+            if first is TimeOrdering.PHOTON1_FIRST
+            else interference_law(single_amplitudes(phases), SEQUENTIAL_GROUPS)
         )
-        predictions = [Prediction(side1=side1, side2=s2, joint=None) for s2 in side2]
-    return predictions[0] if isinstance(phases, PhaseSettings) else predictions
+        law = Law(None, side1, side2)
+    return law.validated()

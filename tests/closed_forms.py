@@ -10,7 +10,6 @@ from enum import Enum, unique
 
 from impactseries.amplitudes import PhaseSettings
 from impactseries.pathspace import Subensemble
-from impactseries.theories import SinglesPair
 
 
 @unique
@@ -23,28 +22,28 @@ class Side(Enum):
 
 def qm_singles_closed_form(
     sub: Subensemble, side: Side, phases: PhaseSettings
-) -> SinglesPair:
-    """Cosine-fringe closed forms for the superposition-rule singles.
+) -> tuple[float, float]:
+    """Cosine-fringe closed forms for the superposition-rule singles, as ``(p_plus, p_minus)``.
 
     Covers (difference-L, side 2), (difference-L, side 1) and
     (difference-l, side 1).  The fourth combination has no closed form here;
-    compute it through :func:`qm_joint` and :func:`marginals` instead.
+    compute it through :func:`predict` instead.
     """
     if sub is Subensemble.LONG and side is Side.SIDE2:
         shift = math.cos(phases.beta - phases.gamma) / 3.0
-        return SinglesPair(0.5 + shift, 0.5 - shift)
+        return (0.5 + shift, 0.5 - shift)
     if sub is Subensemble.LONG and side is Side.SIDE1:
         shift = math.cos(phases.alpha + phases.beta) / 3.0
-        return SinglesPair(0.5 - shift, 0.5 + shift)
+        return (0.5 - shift, 0.5 + shift)
     if sub is Subensemble.SHORT and side is Side.SIDE1:
         shift = math.cos(phases.alpha + phases.beta) / 3.0
-        return SinglesPair(0.5 + shift, 0.5 - shift)
+        return (0.5 + shift, 0.5 - shift)
     raise ValueError(
-        f"no closed form for ({sub.value}, side {side.value}); use qm_joint + marginals"
+        f"no closed form for ({sub.value}, side {side.value}); use predict"
     )
 
 
-def causal_singles_side2_closed_form(phases: PhaseSettings) -> SinglesPair:
-    """Cosine closed form equivalent to :func:`causal_singles_side2`."""
+def causal_singles_side2_closed_form(phases: PhaseSettings) -> tuple[float, float]:
+    """Cosine closed form of the causal rule's side-2 singles, as ``(p_plus, p_minus)``."""
     shift = math.cos(phases.beta - phases.gamma) / 3.0
-    return SinglesPair(0.5 + shift, 0.5 - shift)
+    return (0.5 + shift, 0.5 - shift)

@@ -17,17 +17,12 @@ from impactseries.bsnetwork import (
 from impactseries.cli import main
 from impactseries.montecarlo import RunConfig, estimate_E, run
 from impactseries.pathspace import Subensemble, TimeOrdering
-from impactseries.theories import (
-    TheoryKind,
-    TheoryModel,
-    causal_singles_side1,
-    causal_singles_side2,
-    marginals,
-    qm_joint,
-)
+from impactseries.theories import TheoryKind, TheoryModel, marginals, predict
 
 from closed_forms import Side, causal_singles_side2_closed_form, qm_singles_closed_form
 
+CAUSAL_1 = TheoryModel(TheoryKind.CAUSAL, TimeOrdering.PHOTON2_FIRST)
+CAUSAL_2 = TheoryModel(TheoryKind.CAUSAL, TimeOrdering.PHOTON1_FIRST)
 BETA = 0.37  # fixed offset so all three phases vary across the grid
 
 
@@ -42,6 +37,10 @@ def grid_13x13():
     ]
 
 
+def joint_at(sub: Subensemble, ph: PhaseSettings):
+    return predict(TheoryModel(TheoryKind.QM), [ph], sub).joint[0]
+
+
 def report(number: int, description: str, passed: bool) -> None:
     print(f"{'PASS' if passed else 'FAIL'} criterion {number}: {description}")
     assert passed, f"criterion {number} failed: {description}"
@@ -53,24 +52,24 @@ def test_criterion_1_closed_form_reproduction():
     for s, d, ph in grid_13x13():
         worst = max(
             worst,
-            abs(qm_singles_closed_form(Subensemble.LONG, Side.SIDE2, ph).p_plus
+            abs(qm_singles_closed_form(Subensemble.LONG, Side.SIDE2, ph)[0]
                 - (0.5 + math.cos(d) / 3.0)),
-            abs(qm_singles_closed_form(Subensemble.LONG, Side.SIDE1, ph).p_plus
+            abs(qm_singles_closed_form(Subensemble.LONG, Side.SIDE1, ph)[0]
                 - (0.5 - math.cos(s) / 3.0)),
-            abs(qm_singles_closed_form(Subensemble.SHORT, Side.SIDE1, ph).p_plus
+            abs(qm_singles_closed_form(Subensemble.SHORT, Side.SIDE1, ph)[0]
                 - (0.5 + math.cos(s) / 3.0)),
-            abs(causal_singles_side2_closed_form(ph).p_plus - (0.5 + math.cos(d) / 3.0)),
-            abs(causal_singles_side1().p_plus - 0.5),
+            abs(causal_singles_side2_closed_form(ph)[0] - (0.5 + math.cos(d) / 3.0)),
+            abs(predict(CAUSAL_2, [ph]).side1[0, 0] - 0.5),
         )
     aligned = PhaseSettings()
     spots_ok = (
-        abs(qm_singles_closed_form(Subensemble.LONG, Side.SIDE2, aligned).p_plus - 5 / 6) < 1e-12
-        and abs(qm_singles_closed_form(Subensemble.LONG, Side.SIDE1, aligned).p_plus - 1 / 6) < 1e-12
+        abs(qm_singles_closed_form(Subensemble.LONG, Side.SIDE2, aligned)[0] - 5 / 6) < 1e-12
+        and abs(qm_singles_closed_form(Subensemble.LONG, Side.SIDE1, aligned)[0] - 1 / 6) < 1e-12
         and abs(qm_singles_closed_form(Subensemble.LONG, Side.SIDE1,
-                                       PhaseSettings(alpha=math.pi / 2)).p_plus - 0.5) < 1e-12
+                                       PhaseSettings(alpha=math.pi / 2))[0] - 0.5) < 1e-12
         and abs(qm_singles_closed_form(Subensemble.SHORT, Side.SIDE1,
-                                       PhaseSettings(alpha=math.pi)).p_plus - 1 / 6) < 1e-12
-        and abs(causal_singles_side2_closed_form(PhaseSettings(beta=math.pi)).p_plus - 1 / 6) < 1e-12
+                                       PhaseSettings(alpha=math.pi))[0] - 1 / 6) < 1e-12
+        and abs(causal_singles_side2_closed_form(PhaseSettings(beta=math.pi))[0] - 1 / 6) < 1e-12
     )
     elapsed = time.perf_counter() - start
     report(
@@ -85,18 +84,18 @@ def test_criterion_2_route_equivalence():
     start = time.perf_counter()
     worst = 0.0
     for _, _, ph in grid_13x13():
-        long_joint = qm_joint(Subensemble.LONG, ph)
-        short_joint = qm_joint(Subensemble.SHORT, ph)
+        long_joint = joint_at(Subensemble.LONG, ph)
+        short_joint = joint_at(Subensemble.SHORT, ph)
         worst = max(
             worst,
-            abs(marginals(long_joint.p)[1].p_plus
-                - qm_singles_closed_form(Subensemble.LONG, Side.SIDE2, ph).p_plus),
-            abs(marginals(long_joint.p)[0].p_plus
-                - qm_singles_closed_form(Subensemble.LONG, Side.SIDE1, ph).p_plus),
-            abs(marginals(short_joint.p)[0].p_plus
-                - qm_singles_closed_form(Subensemble.SHORT, Side.SIDE1, ph).p_plus),
-            abs(causal_singles_side2(ph).p_plus
-                - causal_singles_side2_closed_form(ph).p_plus),
+            abs(marginals(long_joint)[1][0]
+                - qm_singles_closed_form(Subensemble.LONG, Side.SIDE2, ph)[0]),
+            abs(marginals(long_joint)[0][0]
+                - qm_singles_closed_form(Subensemble.LONG, Side.SIDE1, ph)[0]),
+            abs(marginals(short_joint)[0][0]
+                - qm_singles_closed_form(Subensemble.SHORT, Side.SIDE1, ph)[0]),
+            abs(predict(CAUSAL_1, [ph]).side2[0, 0]
+                - causal_singles_side2_closed_form(ph)[0]),
         )
     elapsed = time.perf_counter() - start
     report(
@@ -111,7 +110,7 @@ def test_criterion_3_joint_normalization():
     worst = 0.0
     for _, _, ph in grid_13x13():
         for sub in (Subensemble.LONG, Subensemble.SHORT):
-            worst = max(worst, abs(sum(qm_joint(sub, ph).p) - 1.0))
+            worst = max(worst, abs(sum(joint_at(sub, ph).tolist()) - 1.0))
     report(
         3,
         f"joint distributions sum to 1 for both central classes "
@@ -124,8 +123,8 @@ def test_criterion_4_no_retro_signalling_average():
     worst = 0.0
     for _, _, ph in grid_13x13():
         average = (
-            qm_singles_closed_form(Subensemble.LONG, Side.SIDE1, ph).p_plus
-            + qm_singles_closed_form(Subensemble.SHORT, Side.SIDE1, ph).p_plus
+            qm_singles_closed_form(Subensemble.LONG, Side.SIDE1, ph)[0]
+            + qm_singles_closed_form(Subensemble.SHORT, Side.SIDE1, ph)[0]
         ) / 2.0
         worst = max(worst, abs(average - 0.5))
     report(

@@ -8,6 +8,7 @@ import math
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -121,22 +122,22 @@ class TestRuleLabels:
         model = TheoryModel(kind, ordering)
         labels = _rule_labels(model, target)
         for ph in self.GRID:
-            prediction = predict(model, ph, target)
-            pairs = (prediction.side1, prediction.side2)
+            law = predict(model, [ph], target)
+            pairs = (law.side1, law.side2)
             for side, (label, pair) in enumerate(zip(labels, pairs)):
                 assert (label is None) == (pair is None)
                 if label is None:
                     continue
                 if label == "1/2 exactly":
-                    assert pair.p_plus == 0.5
+                    assert pair[0, 0] == 0.5
                 elif "cos" in label:
                     phases = {"alpha": ph.alpha, "beta": ph.beta, "gamma": ph.gamma}
                     value = eval(label, {"__builtins__": {}, "cos": math.cos}, phases)
-                    assert value == pytest.approx(pair.p_plus, abs=1e-12)
+                    assert value == pytest.approx(pair[0, 0], abs=1e-12)
                 else:
                     # a label without a formula only where the side is the joint's marginal
-                    assert prediction.joint is not None
-                    assert pair == marginals(prediction.joint.p)[side]
+                    assert law.joint is not None
+                    assert np.array_equal(pair, marginals(law.joint)[side])
 
 
 class TestRunRow:
@@ -216,6 +217,25 @@ class TestSimulate:
         assert code == 2
         assert "error" in captured.err.lower()
 
+    MC_COLUMNS = ("p1_plus_mc", "p1_minus_mc", "p2_plus_mc", "p2_minus_mc", "e_value",
+                  "e_std_error")
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_run_with_no_accepted_event_leaves_its_estimates_empty(self, seed, tmp_path, capsys):
+        # one pair, rejected by the coincidence window at each of these seeds
+        argv = ["simulate", "--model", "qm", "--events", "1", "--seed", str(seed)]
+        assert main(argv + ["--out", str(tmp_path / "run.csv")]) == 0
+        assert main(argv + ["--format", "json", "--out", str(tmp_path / "run.json")]) == 0
+        out = capsys.readouterr().out
+        assert "accepted=0 rejected=1" in out
+        assert "E=n/a std_error=n/a " in out
+        csv_row, json_row = read_csv(tmp_path / "run.csv")[0], read_json(tmp_path / "run.json")[0]
+        assert csv_row["accepted"] == "0" and json_row["accepted"] == 0
+        for column in self.MC_COLUMNS:
+            assert csv_row[column] == ""
+            assert json_row[column] is None
+        assert json_row["p1_plus_analytic"] == pytest.approx(1 / 6, abs=1e-6)
+
     def test_unknown_model_is_an_argument_error(self, capsys):
         code = main(["simulate", "--model", "pilotwave"])
         capsys.readouterr()
@@ -264,6 +284,18 @@ class TestCompare:
             assert replayed.r == (
                 int(row["r_pp"]), int(row["r_pm"]), int(row["r_mp"]), int(row["r_mm"])
             )
+
+    def test_points_with_no_accepted_event_do_not_abort_the_scan(self, tmp_path, capsys):
+        out_file = tmp_path / "scan.csv"
+        code = main(["compare", "--events", "2", "--grid", "0:1:5", "--seed", "0",
+                     "--out", str(out_file)])
+        out = capsys.readouterr().out
+        assert code == 0
+        rows = read_csv(out_file)
+        assert len(rows) == 10
+        empty = [row for row in rows if row["accepted"] == "0"]
+        assert empty and all(row["e_value"] == row["p1_plus_mc"] == "" for row in empty)
+        assert out.count("mc=n/a E=n/a±n/a") == len(empty)
 
     def test_single_point_grid(self, tmp_path, capsys):
         out_file = tmp_path / "one.csv"

@@ -26,24 +26,17 @@ from impactseries.montecarlo import (
     derive_point_seed,
     estimate_E,
     merge_tallies,
-    outcome_distribution,
     run,
     scan_phases,
-    tally_marginals,
     _BLOCKS_PER_WORKER,
     _CLASS_EDGES,
     _accepted_counts,
     _sample_blocks,
+    _sampled_law,
     _worker_count,
 )
 from impactseries.pathspace import OUTCOMES, Outcome, Subensemble, TimeOrdering
-from impactseries.theories import (
-    TheoryKind,
-    TheoryModel,
-    marginals,
-    predict,
-    qm_joint,
-)
+from impactseries.theories import Law, TheoryKind, TheoryModel, marginals, predict
 
 from closed_forms import causal_singles_side2_closed_form
 
@@ -59,9 +52,16 @@ def tally(pp, pm, mp, mm, rejected=0) -> CoincidenceTally:
     return CoincidenceTally(r=(pp, pm, mp, mm), rejected=rejected)
 
 
+def assert_same_law(got: Law, want: Law) -> None:
+    """Every field is None in both laws or equal bit for bit, shape included."""
+    for name, a, b in zip(Law._fields, got, want):
+        assert (a is None) == (b is None), name
+        assert a is None or np.array_equal(a, b), name
+
+
 def searchsorted_block_tallies(config: RunConfig) -> list[CoincidenceTally]:
     """Reference sampler: two draws per block, inverse CDF by searchsorted, bincount."""
-    outcome_cum = np.cumsum(outcome_distribution(config.prediction).p)
+    outcome_cum = np.cumsum(_sampled_law(config.law)[0])
     outcome_cum[-1] = 1.0
     class_cum = np.cumsum(SUBENSEMBLE_WEIGHTS)
     target_index = SUBENSEMBLE_ORDER.index(config.target_sub)
@@ -136,7 +136,7 @@ class TestDeterminism:
         assert _sample_blocks(config, range(n_blocks)) == searchsorted_block_tallies(config)
 
     def test_tied_outcome_edge_is_never_drawn(self):
-        cum = np.cumsum(outcome_distribution(predict(QM, TIED)).p)
+        cum = np.cumsum(_sampled_law(predict(QM, [TIED]))[0])
         assert cum[0] == cum[1]
         config = RunConfig(model=QM, phases=TIED, events=3 * BLOCK_SIZE + 17, seed=5)
         result = run(config)
@@ -303,26 +303,40 @@ class TestThresholdCounts:
         assert accepted_counts(u_class, u_out, lo, hi, cum) == tuple(expected.tolist())
 
 
+def product_reference(law: Law) -> list[list[float]]:
+    """The sampled law of a model with no joint law, point by point in Python floats:
+    the products of the two sides' singles in outcome order, an undefined side at 1/2."""
+    points = len(law.side1 if law.side1 is not None else law.side2)
+    side1, side2 = ([[0.5, 0.5]] * points if s is None else s.tolist() for s in (law.side1, law.side2))
+    return [[p1 * p2 for p1 in s1 for p2 in s2] for s1, s2 in zip(side1, side2)]
+
+
 class TestOutcomeDistribution:
     def test_qm_uses_the_superposed_joint_law(self):
         ph = PhaseSettings(0.9, -0.2, 1.4)
-        assert outcome_distribution(predict(QM, ph, Subensemble.LONG)) == qm_joint(
-            Subensemble.LONG, ph
-        )
+        law = predict(QM, [ph], Subensemble.LONG)
+        assert np.array_equal(_sampled_law(law), law.joint)
 
     def test_rnl_is_a_product_of_its_singles(self):
-        distribution = outcome_distribution(predict(RNL, ZERO, Subensemble.LONG))
-        assert distribution.p == pytest.approx(
+        distribution = _sampled_law(predict(RNL, [ZERO], Subensemble.LONG))[0]
+        assert distribution == pytest.approx(
             (5 / 12, 1 / 12, 5 / 12, 1 / 12), abs=1e-12
         )
 
     def test_causal_uniform_completion_of_the_undefined_side(self):
-        ordering_one = outcome_distribution(predict(CAUSAL_1, ZERO, Subensemble.LONG))
-        assert ordering_one.p == pytest.approx(
+        ordering_one = _sampled_law(predict(CAUSAL_1, [ZERO], Subensemble.LONG))[0]
+        assert ordering_one == pytest.approx(
             (5 / 12, 1 / 12, 5 / 12, 1 / 12), abs=1e-12
         )
-        ordering_two = outcome_distribution(predict(CAUSAL_2, ZERO, Subensemble.LONG))
-        assert ordering_two.p == pytest.approx((0.25,) * 4, abs=1e-12)
+        ordering_two = _sampled_law(predict(CAUSAL_2, [ZERO], Subensemble.LONG))[0]
+        assert ordering_two == pytest.approx((0.25,) * 4, abs=1e-12)
+
+    @pytest.mark.parametrize("model", [RNL, CAUSAL_1, CAUSAL_2])
+    def test_product_law_equals_the_python_products(self, model):
+        # the scan-fine alpha grid, as compare builds it, and the tied setting
+        grid = [PhaseSettings(alpha=float(a)) for a in np.linspace(0.0, 2 * math.pi, 1001)]
+        law = predict(model, grid + [TIED])
+        assert _sampled_law(law).tolist() == product_reference(law)
 
     @pytest.mark.parametrize("model", [RNL, CAUSAL_1, CAUSAL_2])
     @pytest.mark.parametrize("target", [Subensemble.SHORT, Subensemble.SATELLITE_LONG])
@@ -366,8 +380,8 @@ class TestAcceptanceRate:
         assert result.accepted / result.events == pytest.approx(
             0.375, abs=self.four_sigma
         )
-        side1, _ = tally_marginals(result)
-        assert side1.p_plus == pytest.approx(5 / 6, abs=0.01)
+        side1, _ = marginals(result.r, result.accepted)
+        assert side1[0] == pytest.approx(5 / 6, abs=0.01)
 
 
 class TestEstimator:
@@ -441,26 +455,26 @@ class TestStatisticalConsistency:
             result = run(
                 RunConfig(model=model, phases=ph, events=self.EVENTS, seed=seed + k)
             )
-            side1, side2 = tally_marginals(result)
+            side1, side2 = marginals(result.r, result.accepted)
             n = result.accepted
 
             if model.kind is TheoryKind.QM:
-                joint = qm_joint(Subensemble.LONG, ph)
-                side1_law, side2_law = marginals(joint.p)
-                expected1 = side1_law.p_plus
-                expected2 = side2_law.p_plus
+                joint = predict(QM, [ph], Subensemble.LONG).joint[0]
+                side1_law, side2_law = marginals(joint)
+                expected1 = side1_law[0]
+                expected2 = side2_law[0]
             else:
                 expected1 = 0.5 if model is not CAUSAL_1 else None
                 expected2 = (
-                    causal_singles_side2_closed_form(ph).p_plus
+                    causal_singles_side2_closed_form(ph)[0]
                     if model is not CAUSAL_2
                     else None
                 )
 
             if expected1 is not None:
-                assert abs(side1.p_plus - expected1) <= 4 * self._sigma(expected1, n)
+                assert abs(side1[0] - expected1) <= 4 * self._sigma(expected1, n)
             if expected2 is not None:
-                assert abs(side2.p_plus - expected2) <= 4 * self._sigma(expected2, n)
+                assert abs(side2[0] - expected2) <= 4 * self._sigma(expected2, n)
 
     def test_contrast_between_the_two_theories(self):
         qm_result = run(RunConfig(model=QM, phases=ZERO, events=1_000_000, seed=77))
@@ -499,7 +513,7 @@ class TestJointLaw:
     def test_counters_follow_the_outcome_distribution(self, model, seed):
         for k, ph in enumerate(self.GRID):
             result = run(RunConfig(model=model, phases=ph, events=200_000, seed=seed + k))
-            law = outcome_distribution(predict(model, ph, Subensemble.LONG)).p
+            law = _sampled_law(predict(model, [ph], Subensemble.LONG))[0].tolist()
             expected = [result.accepted * p for p in law]
             chi2 = sum((n - e) ** 2 / e for n, e in zip(result.r, expected))
             assert chi2_survival_3dof(chi2) >= 1e-4, f"point {k}: chi2 = {chi2:.2f}"
@@ -510,13 +524,13 @@ class TestScan:
 
     def test_analytic_side1_follows_the_fringe(self):
         points = scan_phases(QM, "alpha", self.GRID, ZERO, 20_000, seed=9)
-        values = [config.prediction.side1.p_plus for config, _ in points]
+        values = [config.law.side1[0, 0] for config, _ in points]
         assert values == pytest.approx([1 / 6, 0.5, 5 / 6], abs=1e-12)
 
     def test_causal_side1_is_flat(self):
         points = scan_phases(CAUSAL_2, "alpha", self.GRID, ZERO, 20_000, seed=9)
-        assert [config.prediction.side1.p_plus for config, _ in points] == [0.5, 0.5, 0.5]
-        assert all(config.prediction.side2 is None for config, _ in points)
+        assert [config.law.side1[0, 0] for config, _ in points] == [0.5, 0.5, 0.5]
+        assert all(config.law.side2 is None for config, _ in points)
 
     def test_single_point_grid(self):
         points = scan_phases(RNL, "beta", [0.25], ZERO, 5_000, seed=4)
@@ -547,7 +561,7 @@ class TestScan:
     @pytest.mark.parametrize("model", [QM, RNL, CAUSAL_1, CAUSAL_2])
     def test_point_configs_equal_run_configs_built_point_by_point(self, model):
         # the analytic law comes from one grid call; each config must equal
-        # the RunConfig that computes its own prediction, prediction included
+        # the RunConfig that computes its own law, law included
         base = PhaseSettings(0.0, math.pi / 3, 2 * math.pi / 3)  # TIED at alpha = 0
         grid = [0.0, 0.4, math.pi / 2, -2.9, 2 * math.pi]
         points = scan_phases(model, "alpha", grid, base, 500, seed=21)
@@ -559,7 +573,7 @@ class TestScan:
                 seed=derive_point_seed(21, k),
             )
             assert point_config == config
-            assert point_config.prediction == config.prediction
+            assert_same_law(point_config.law, config.law)
             assert point_tally == run(config)
 
     @pytest.mark.parametrize(
@@ -597,7 +611,7 @@ class TestValueValidation:
 
     def test_run_config_carries_its_prediction(self):
         config = RunConfig(model=RNL, phases=PhaseSettings(0.3, 1.0, -0.5), events=10, seed=0)
-        assert config.prediction == predict(RNL, PhaseSettings(0.3, 1.0, -0.5))
+        assert_same_law(config.law, predict(RNL, [PhaseSettings(0.3, 1.0, -0.5)]))
         with pytest.raises(ValueError, match="difference-L class only"):
             RunConfig(model=RNL, phases=ZERO, events=10, seed=0, target_sub=Subensemble.SHORT)
 

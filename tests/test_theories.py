@@ -1,4 +1,4 @@
-"""Prediction rules: frozen values, route equivalence, model contracts."""
+"""The three rules' laws: frozen values, route equivalence, model contracts."""
 
 import itertools
 import math
@@ -9,28 +9,43 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from impactseries import theories
-from impactseries.amplitudes import PhaseSettings
+from impactseries.amplitudes import CLASS_ROWS, PhaseSettings, interference_law, joint_amplitudes
 from impactseries.pathspace import Subensemble, TimeOrdering
-from impactseries.theories import (
-    JointDistribution,
-    Prediction,
-    SinglesPair,
-    TheoryKind,
-    TheoryModel,
-    causal_singles_side1,
-    causal_singles_side2,
-    marginals,
-    predict,
-    qm_joint,
-)
+from impactseries.theories import Law, TheoryKind, TheoryModel, marginals, predict
 
 from closed_forms import Side, causal_singles_side2_closed_form, qm_singles_closed_form
 
 angle_strategy = st.floats(min_value=-8 * math.pi, max_value=8 * math.pi)
 
+QM = TheoryModel(TheoryKind.QM)
+RNL = TheoryModel(TheoryKind.RNL)
+CAUSAL_1 = TheoryModel(TheoryKind.CAUSAL, TimeOrdering.PHOTON2_FIRST)
+CAUSAL_2 = TheoryModel(TheoryKind.CAUSAL, TimeOrdering.PHOTON1_FIRST)
 
-def joint(pp, pm, mp, mm) -> JointDistribution:
-    return JointDistribution((pp, pm, mp, mm))
+
+def joint(pp, pm, mp, mm) -> np.ndarray:
+    """One validated joint row, as ``predict`` returns it for a grid of one."""
+    return Law(np.array([(pp, pm, mp, mm)]), None, None).validated().joint[0]
+
+
+def joint_at(sub: Subensemble, ph: PhaseSettings) -> np.ndarray:
+    """The superposition rule's joint law of class ``sub`` at one setting."""
+    return predict(QM, [ph], sub).joint[0]
+
+
+def assert_same_law(got: Law, want: Law) -> None:
+    """Every field is None in both laws or equal bit for bit, shape included."""
+    for name, a, b in zip(Law._fields, got, want):
+        assert (a is None) == (b is None), name
+        assert a is None or np.array_equal(a, b), name
+
+
+def assert_grid_equals_point_by_point(model, grid, target):
+    law = predict(model, grid, target)
+    assert all(field is None or len(field) == len(grid) for field in law)
+    for k, ph in enumerate(grid):
+        row = Law(*(None if field is None else field[k : k + 1] for field in law))
+        assert_same_law(row, predict(model, [ph], target))
 
 
 def phase_grid(n: int = 5):
@@ -41,63 +56,70 @@ def phase_grid(n: int = 5):
 class TestQmJoint:
     def test_long_class_distribution_at_zero_phases(self):
         # brute-force sum of the three tabulated amplitudes per outcome
-        distribution = qm_joint(Subensemble.LONG, PhaseSettings())
+        distribution = joint_at(Subensemble.LONG, PhaseSettings())
         expected = (1 / 12, 1 / 12, 3 / 4, 1 / 12)
-        assert distribution.p == pytest.approx(expected, abs=1e-12)
+        assert distribution == pytest.approx(expected, abs=1e-12)
 
     def test_entries_sum_to_one_for_both_classes(self):
         for sub in (Subensemble.LONG, Subensemble.SHORT):
             for ph in phase_grid():
-                assert sum(qm_joint(sub, ph).p) == pytest.approx(1.0, abs=1e-9)
+                assert sum(joint_at(sub, ph).tolist()) == pytest.approx(1.0, abs=1e-9)
 
     def test_short_class_side1_marginal_at_aligned_phases(self):
-        distribution = qm_joint(Subensemble.SHORT, PhaseSettings(0.0, 0.0, 1.7))
-        assert marginals(distribution.p)[0].p_plus == pytest.approx(5 / 6, abs=1e-12)
+        distribution = joint_at(Subensemble.SHORT, PhaseSettings(0.0, 0.0, 1.7))
+        assert marginals(distribution)[0][0] == pytest.approx(5 / 6, abs=1e-12)
 
     @pytest.mark.parametrize(
         "sub", [Subensemble.SATELLITE_LONG, Subensemble.SATELLITE_SHORT]
     )
     def test_satellite_classes_are_rejected(self, sub):
         with pytest.raises(ValueError):
-            qm_joint(sub, PhaseSettings())
+            joint_at(sub, PhaseSettings())
 
 
 class TestMarginals:
     def test_side2_of_the_zero_phase_distribution(self):
-        _, pair = marginals(joint(1 / 12, 1 / 12, 3 / 4, 1 / 12).p)
-        assert (pair.p_plus, pair.p_minus) == pytest.approx((5 / 6, 1 / 6), abs=1e-12)
+        _, pair = marginals(joint(1 / 12, 1 / 12, 3 / 4, 1 / 12))
+        assert pair == pytest.approx((5 / 6, 1 / 6), abs=1e-12)
 
     def test_side1_of_the_zero_phase_distribution(self):
-        pair, _ = marginals(joint(1 / 12, 1 / 12, 3 / 4, 1 / 12).p)
-        assert (pair.p_plus, pair.p_minus) == pytest.approx((1 / 6, 5 / 6), abs=1e-12)
+        pair, _ = marginals(joint(1 / 12, 1 / 12, 3 / 4, 1 / 12))
+        assert pair == pytest.approx((1 / 6, 5 / 6), abs=1e-12)
 
     def test_counts_are_divided_by_the_total(self):
         side1, side2 = marginals((1, 2, 3, 4), 10)
-        assert (side1.p_plus, side1.p_minus) == (3 / 10, 7 / 10)
-        assert (side2.p_plus, side2.p_minus) == (4 / 10, 6 / 10)
+        assert side1.tolist() == [3 / 10, 7 / 10]
+        assert side2.tolist() == [4 / 10, 6 / 10]
+
+    def test_a_grid_folds_row_by_row(self):
+        # the same additions as in Python floats, bit for bit
+        rows = [(1 / 12, 1 / 12, 3 / 4, 1 / 12), (0.1, 0.2, 0.3, 0.4)]
+        side1, side2 = marginals(np.array(rows))
+        assert side1.tolist() == [[pp + pm, mp + mm] for pp, pm, mp, mm in rows]
+        assert side2.tolist() == [[pp + mp, pm + mm] for pp, pm, mp, mm in rows]
 
     def test_uniform_and_degenerate_distributions(self):
         uniform = joint(0.25, 0.25, 0.25, 0.25)
-        assert marginals(uniform.p)[0].p_plus == pytest.approx(0.5)
-        assert marginals(uniform.p)[1].p_plus == pytest.approx(0.5)
-        assert marginals(joint(1.0, 0.0, 0.0, 0.0).p)[1].p_plus == pytest.approx(1.0)
-        assert marginals(joint(0.0, 0.0, 0.5, 0.5).p)[0].p_plus == pytest.approx(0.0)
+        assert marginals(uniform)[0][0] == pytest.approx(0.5)
+        assert marginals(uniform)[1][0] == pytest.approx(0.5)
+        assert marginals(joint(1.0, 0.0, 0.0, 0.0))[1][0] == pytest.approx(1.0)
+        assert marginals(joint(0.0, 0.0, 0.5, 0.5))[0][0] == pytest.approx(0.0)
 
 
 class TestClosedForms:
     def test_spot_values(self):
         aligned = qm_singles_closed_form(Subensemble.LONG, Side.SIDE2, PhaseSettings())
-        assert (aligned.p_plus, aligned.p_minus) == pytest.approx((5 / 6, 1 / 6), abs=1e-12)
+        assert aligned == pytest.approx((5 / 6, 1 / 6), abs=1e-12)
 
         quarter = qm_singles_closed_form(
             Subensemble.LONG, Side.SIDE1, PhaseSettings(alpha=math.pi / 2)
         )
-        assert quarter.p_plus == pytest.approx(0.5, abs=1e-12)
+        assert quarter[0] == pytest.approx(0.5, abs=1e-12)
 
         opposed = qm_singles_closed_form(
             Subensemble.SHORT, Side.SIDE1, PhaseSettings(alpha=math.pi)
         )
-        assert (opposed.p_plus, opposed.p_minus) == pytest.approx((1 / 6, 5 / 6), abs=1e-12)
+        assert opposed == pytest.approx((1 / 6, 5 / 6), abs=1e-12)
 
     def test_short_class_side2_has_no_closed_form(self):
         with pytest.raises(ValueError):
@@ -113,57 +135,56 @@ class TestRouteEquivalence:
 
     def test_long_class_side2(self):
         for ph in phase_grid():
-            _, by_amplitudes = marginals(qm_joint(Subensemble.LONG, ph).p)
+            _, by_amplitudes = marginals(joint_at(Subensemble.LONG, ph))
             closed = qm_singles_closed_form(Subensemble.LONG, Side.SIDE2, ph)
-            assert by_amplitudes.p_plus == pytest.approx(closed.p_plus, abs=1e-9)
+            assert by_amplitudes[0] == pytest.approx(closed[0], abs=1e-9)
 
     def test_long_class_side1(self):
         for ph in phase_grid():
-            by_amplitudes, _ = marginals(qm_joint(Subensemble.LONG, ph).p)
+            by_amplitudes, _ = marginals(joint_at(Subensemble.LONG, ph))
             closed = qm_singles_closed_form(Subensemble.LONG, Side.SIDE1, ph)
-            assert by_amplitudes.p_plus == pytest.approx(closed.p_plus, abs=1e-9)
+            assert by_amplitudes[0] == pytest.approx(closed[0], abs=1e-9)
 
     def test_short_class_side1(self):
         for ph in phase_grid():
-            by_amplitudes, _ = marginals(qm_joint(Subensemble.SHORT, ph).p)
+            by_amplitudes, _ = marginals(joint_at(Subensemble.SHORT, ph))
             closed = qm_singles_closed_form(Subensemble.SHORT, Side.SIDE1, ph)
-            assert by_amplitudes.p_plus == pytest.approx(closed.p_plus, abs=1e-9)
+            assert by_amplitudes[0] == pytest.approx(closed[0], abs=1e-9)
 
     def test_sequential_impact_singles(self):
         for ph in phase_grid():
-            by_amplitudes = causal_singles_side2(ph)
+            by_amplitudes = predict(CAUSAL_1, [ph]).side2[0]
             closed = causal_singles_side2_closed_form(ph)
-            assert by_amplitudes.p_plus == pytest.approx(closed.p_plus, abs=1e-9)
-            assert by_amplitudes.p_minus == pytest.approx(closed.p_minus, abs=1e-9)
+            assert by_amplitudes[0] == pytest.approx(closed[0], abs=1e-9)
+            assert by_amplitudes[1] == pytest.approx(closed[1], abs=1e-9)
 
 
 class TestCausalRules:
     def test_side2_spot_values(self):
         # 1/6 from the lone path plus |two interfering paths|^2 = 4/6
-        aligned = causal_singles_side2(PhaseSettings())
-        assert (aligned.p_plus, aligned.p_minus) == pytest.approx((5 / 6, 1 / 6), abs=1e-12)
-        vanishing = causal_singles_side2(PhaseSettings(beta=math.pi / 2))
-        assert vanishing.p_plus == pytest.approx(0.5, abs=1e-12)
-        opposed = causal_singles_side2(PhaseSettings(beta=math.pi))
-        assert (opposed.p_plus, opposed.p_minus) == pytest.approx((1 / 6, 5 / 6), abs=1e-12)
+        grid = [PhaseSettings(), PhaseSettings(beta=math.pi / 2), PhaseSettings(beta=math.pi)]
+        aligned, vanishing, opposed = predict(CAUSAL_1, grid).side2
+        assert aligned == pytest.approx((5 / 6, 1 / 6), abs=1e-12)
+        assert vanishing[0] == pytest.approx(0.5, abs=1e-12)
+        assert opposed == pytest.approx((1 / 6, 5 / 6), abs=1e-12)
 
     def test_side1_is_exactly_even_and_phase_free(self):
-        pair = causal_singles_side1()
-        assert pair.p_plus == 0.5
-        assert pair.p_minus == 0.5
+        side1 = predict(CAUSAL_2, phase_grid()).side1
+        assert side1.shape == (len(phase_grid()), 2)
+        assert (side1 == 0.5).all()
 
     def test_side2_agrees_with_the_superposition_rule(self):
         for ph in phase_grid():
-            causal = causal_singles_side2(ph)
+            causal = predict(CAUSAL_1, [ph]).side2[0]
             qm = qm_singles_closed_form(Subensemble.LONG, Side.SIDE2, ph)
-            assert causal.p_plus == pytest.approx(qm.p_plus, abs=1e-9)
+            assert causal[0] == pytest.approx(qm[0], abs=1e-9)
 
     def test_side1_conflict_with_the_superposition_rule(self):
         # at alpha + beta = 0 the two rules differ by exactly 1/3
         for alpha in (0.0, 1.1, -2.5):
             ph = PhaseSettings(alpha=alpha, beta=-alpha)
             qm = qm_singles_closed_form(Subensemble.LONG, Side.SIDE1, ph)
-            gap = abs(qm.p_plus - causal_singles_side1().p_plus)
+            gap = abs(qm[0] - predict(CAUSAL_2, [ph]).side1[0, 0])
             assert gap == pytest.approx(1 / 3, abs=1e-12)
 
 
@@ -174,7 +195,7 @@ def test_no_signalling_average_of_side1_across_classes(alpha, beta, gamma):
     ph = PhaseSettings(alpha, beta, gamma)
     long_side1 = qm_singles_closed_form(Subensemble.LONG, Side.SIDE1, ph)
     short_side1 = qm_singles_closed_form(Subensemble.SHORT, Side.SIDE1, ph)
-    assert (long_side1.p_plus + short_side1.p_plus) / 2 == pytest.approx(0.5, abs=1e-12)
+    assert (long_side1[0] + short_side1[0]) / 2 == pytest.approx(0.5, abs=1e-12)
 
 
 @settings(max_examples=80)
@@ -182,63 +203,54 @@ def test_no_signalling_average_of_side1_across_classes(alpha, beta, gamma):
 def test_probability_outputs_are_well_formed(alpha, beta, gamma):
     ph = PhaseSettings(alpha, beta, gamma)
     for sub in (Subensemble.LONG, Subensemble.SHORT):
-        distribution = qm_joint(sub, ph)
-        assert all(0.0 <= p <= 1.0 + 1e-12 for p in distribution.p)
-        for pair in marginals(distribution.p):
-            assert pair.p_plus + pair.p_minus == pytest.approx(1.0, abs=1e-9)
+        distribution = joint_at(sub, ph)
+        assert all(0.0 <= p <= 1.0 + 1e-12 for p in distribution.tolist())
+        for pair in marginals(distribution):
+            assert pair[0] + pair[1] == pytest.approx(1.0, abs=1e-9)
 
 
 class TestPredict:
     def test_qm_gives_joint_and_both_marginals(self):
-        prediction = predict(TheoryModel(TheoryKind.QM), PhaseSettings())
-        assert prediction.joint is not None
-        assert (prediction.side1.p_plus, prediction.side1.p_minus) == pytest.approx(
-            (1 / 6, 5 / 6), abs=1e-12
-        )
-        assert (prediction.side2.p_plus, prediction.side2.p_minus) == pytest.approx(
-            (5 / 6, 1 / 6), abs=1e-12
-        )
+        law = predict(QM, [PhaseSettings()])
+        assert law.joint is not None
+        assert law.side1[0] == pytest.approx((1 / 6, 5 / 6), abs=1e-12)
+        assert law.side2[0] == pytest.approx((5 / 6, 1 / 6), abs=1e-12)
 
     def test_qm_is_time_ordering_insensitive(self):
         ph = PhaseSettings(0.4, 1.9, -0.8)
-        predictions = [
-            predict(TheoryModel(TheoryKind.QM, ordering), ph) for ordering in TimeOrdering
-        ]
-        assert all(p == predictions[0] for p in predictions)
+        laws = [predict(TheoryModel(TheoryKind.QM, ordering), [ph]) for ordering in TimeOrdering]
+        for law in laws:
+            assert_same_law(law, laws[0])
 
     def test_causal_ordering_one_defines_only_side2(self):
-        prediction = predict(
-            TheoryModel(TheoryKind.CAUSAL, TimeOrdering.PHOTON2_FIRST), PhaseSettings()
-        )
-        assert prediction.side1 is None
-        assert prediction.joint is None
-        assert prediction.side2.p_plus == pytest.approx(5 / 6, abs=1e-12)
+        law = predict(CAUSAL_1, [PhaseSettings()])
+        assert law.side1 is None
+        assert law.joint is None
+        assert law.side2[0, 0] == pytest.approx(5 / 6, abs=1e-12)
 
     def test_causal_ordering_two_defines_only_side1(self):
         for ph in (PhaseSettings(), PhaseSettings(2.2, -0.9, 0.3)):
-            prediction = predict(
-                TheoryModel(TheoryKind.CAUSAL, TimeOrdering.PHOTON1_FIRST), ph
-            )
-            assert prediction.side2 is None
-            assert prediction.joint is None
-            assert (prediction.side1.p_plus, prediction.side1.p_minus) == (0.5, 0.5)
+            law = predict(CAUSAL_2, [ph])
+            assert law.side2 is None
+            assert law.joint is None
+            assert law.side1[0].tolist() == [0.5, 0.5]
 
     def test_rnl_defines_both_singles_for_any_ordering(self):
         ph = PhaseSettings(beta=0.6, gamma=0.6)
         for ordering in TimeOrdering:
-            prediction = predict(TheoryModel(TheoryKind.RNL, ordering), ph)
-            assert prediction.joint is None
-            assert (prediction.side1.p_plus, prediction.side1.p_minus) == (0.5, 0.5)
-            assert prediction.side2.p_plus == pytest.approx(5 / 6, abs=1e-12)
+            law = predict(TheoryModel(TheoryKind.RNL, ordering), [ph])
+            assert law.joint is None
+            assert law.side1[0].tolist() == [0.5, 0.5]
+            assert law.side2[0, 0] == pytest.approx(5 / 6, abs=1e-12)
 
     def test_qm_predicts_either_central_class(self):
         ph = PhaseSettings(0.0, 0.0, 1.7)
-        short = predict(TheoryModel(TheoryKind.QM), ph, Subensemble.SHORT)
-        assert short.joint == qm_joint(Subensemble.SHORT, ph)
-        assert short.side1.p_plus == pytest.approx(5 / 6, abs=1e-12)
-        assert predict(TheoryModel(TheoryKind.QM), ph) == predict(
-            TheoryModel(TheoryKind.QM), ph, Subensemble.LONG
-        )
+        short = predict(QM, [ph], Subensemble.SHORT)
+        # the superposed law of the difference-l class's three path pairs
+        rows = (CLASS_ROWS[Subensemble.SHORT],)
+        assert np.array_equal(short.joint, interference_law(joint_amplitudes([ph]), rows))
+        assert short.side1[0, 0] == pytest.approx(5 / 6, abs=1e-12)
+        assert_same_law(predict(QM, [ph]), predict(QM, [ph], Subensemble.LONG))
 
     @pytest.mark.parametrize(
         "model",
@@ -254,7 +266,7 @@ class TestPredict:
             Subensemble.SHORT, Subensemble.SATELLITE_LONG, Subensemble.SATELLITE_SHORT
         ):
             with pytest.raises(ValueError, match="difference-L class only"):
-                predict(model, PhaseSettings(), target)
+                predict(model, [PhaseSettings()], target)
 
     def test_causal_model_rejects_spacelike_ordering(self):
         with pytest.raises(ValueError):
@@ -288,13 +300,15 @@ class TestPredictGrid:
 
     @pytest.mark.parametrize("model, target", IN_DOMAIN)
     def test_scan_fine_grid_equals_point_by_point(self, model, target):
-        grid = self.SCAN_FINE + [self.TIED]
-        assert predict(model, grid, target) == [predict(model, ph, target) for ph in grid]
+        assert_grid_equals_point_by_point(model, self.SCAN_FINE + [self.TIED], target)
 
     @pytest.mark.parametrize("model, target", IN_DOMAIN)
     def test_tied_setting_as_a_grid_of_one(self, model, target):
-        assert predict(model, [self.TIED], target) == [predict(model, self.TIED, target)]
-        assert isinstance(predict(model, self.TIED, target), Prediction)
+        law = predict(model, [self.TIED], target)
+        assert isinstance(law, Law)
+        for field, width in zip(law, (4, 2, 2)):
+            assert field is None or field.shape == (1, width)
+        assert_grid_equals_point_by_point(model, [self.TIED, self.TIED], target)
 
     @settings(max_examples=60)
     @given(
@@ -304,7 +318,7 @@ class TestPredictGrid:
     def test_drawn_grid_equals_point_by_point(self, case, angles):
         model, target = case
         grid = [PhaseSettings(*triple) for triple in angles]
-        assert predict(model, grid, target) == [predict(model, ph, target) for ph in grid]
+        assert_grid_equals_point_by_point(model, grid, target)
 
     @pytest.mark.parametrize(
         "model, table",
@@ -318,7 +332,8 @@ class TestPredictGrid:
         calls = []
         original = getattr(theories, table)
         monkeypatch.setattr(theories, table, lambda phases: calls.append(1) or original(phases))
-        assert len(predict(model, self.SCAN_FINE)) == len(self.SCAN_FINE)
+        law = predict(model, self.SCAN_FINE)
+        assert all(field is None or len(field) == len(self.SCAN_FINE) for field in law)
         assert len(calls) == 1
 
     @pytest.mark.parametrize(
@@ -336,7 +351,7 @@ class TestPredictGrid:
     )
     def test_grid_outside_the_domain_fails_as_a_point_does(self, model, target, monkeypatch):
         with pytest.raises(ValueError) as point_error:
-            predict(model, PhaseSettings(), target)
+            predict(model, [PhaseSettings()], target)
         # the domain is checked before any table is evaluated
         for table in ("joint_amplitudes", "single_amplitudes"):
             monkeypatch.setattr(theories, table, lambda phases: pytest.fail("table evaluated"))
@@ -347,15 +362,41 @@ class TestPredictGrid:
 
 class TestValueValidation:
     def test_singles_pair_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            SinglesPair(0.7, 0.7)
-        with pytest.raises(ValueError):
-            SinglesPair(-0.2, 1.2)
+        with pytest.raises(ValueError, match="singles probabilities must sum to 1"):
+            Law(None, np.array([(0.7, 0.7)]), None).validated()
+        with pytest.raises(ValueError, match=r"probability -0.2 outside \[0, 1\]"):
+            Law(None, None, np.array([(-0.2, 1.2)])).validated()
 
     def test_joint_distribution_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="joint probabilities must sum to 1"):
             joint(0.5, 0.5, 0.5, 0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"probability 1.5 outside \[0, 1\]"):
             joint(1.5, -0.5, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            JointDistribution((1.0,))
+        with pytest.raises(ValueError, match="must cover the four outcomes"):
+            Law(np.array([(1.0,)]), None, None).validated()
+
+    def test_nan_is_outside_the_unit_interval(self):
+        with pytest.raises(ValueError, match=r"probability nan outside \[0, 1\]"):
+            Law(None, np.array([(math.nan, 0.5)]), None).validated()
+
+    BAD_ROWS = [
+        pytest.param(QM, (1.5, 0.0, 0.0, 0.0), r"probability 1.5 outside \[0, 1\]", id="qm-entry"),
+        pytest.param(QM, (0.3, 0.3, 0.3, 0.3), "joint probabilities must sum to 1", id="qm-sum"),
+        pytest.param(RNL, (0.7, 0.7), "singles probabilities must sum to 1", id="rnl-sum"),
+        pytest.param(CAUSAL_1, (0.7, 0.7), "singles probabilities must sum to 1", id="causal-sum"),
+        pytest.param(RNL, (1.5, -0.5), r"probability 1.5 outside \[0, 1\]", id="rnl-entry"),
+    ]
+
+    @pytest.mark.parametrize("model, bad_row, message", BAD_ROWS)
+    def test_every_grid_point_is_checked(self, model, bad_row, message, monkeypatch):
+        # only the last point of the grid is bad, so a check of row 0 alone passes
+        original = theories.interference_law
+
+        def bad_at_point_2(amplitudes, groups):
+            law = original(amplitudes, groups)
+            law[2] = bad_row
+            return law
+
+        monkeypatch.setattr(theories, "interference_law", bad_at_point_2)
+        with pytest.raises(ValueError, match=message):
+            predict(model, [PhaseSettings(), PhaseSettings(0.3), PhaseSettings(0.6)])
