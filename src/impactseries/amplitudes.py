@@ -13,16 +13,16 @@ arm of photon 2's first interferometer, ``gamma`` on the second one.  Each
 table is a pair of arrays: unit coefficients ``C[row, column]`` and integer
 phase exponents ``K[row, (alpha, beta, gamma)]``, so entry ``(row, column)``
 is ``magnitude * C[row, column] * exp(i * K[row] . phases)``.  The tables
-take one :class:`PhaseSettings` or a grid of them; a grid adds a leading
-point axis.  The network derivation in :mod:`impactseries.bsnetwork`
-reproduces both tables independently, in the same coefficient/exponent form.
+take a grid of :class:`PhaseSettings` and add a leading point axis.  The
+network derivation in :mod:`impactseries.bsnetwork` reproduces both tables
+independently, in the same coefficient/exponent form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -90,33 +90,28 @@ SEQUENTIAL_GROUPS = ((0, 1), (2,))
 SINGLE_COEFFICIENTS = np.array([[-1, -1j], [-1, 1j], [-1, 1j]])
 SINGLE_EXPONENTS = np.array([[0, 1, 0], [0, 0, 1], [0, 1, 1]])
 
-#: One phase setting, or a grid of them.
-Phases = Union[PhaseSettings, Sequence[PhaseSettings]]
+def evaluate(
+    coefficients: np.ndarray, exponents: np.ndarray, phases: Sequence[PhaseSettings]
+) -> np.ndarray:
+    """Entry ``(point, row, column)`` is ``coefficients[row, column] * exp(i *
+    exponents[row] . phases[point])``.
 
-
-def evaluate(coefficients: np.ndarray, exponents: np.ndarray, phases: Phases) -> np.ndarray:
-    """Entry ``(row, column)`` is ``coefficients[row, column] * exp(i * exponents[row] . phases)``.
-
-    One setting gives a ``(rows, columns)`` table; a grid gives one per point
-    on a leading axis.  A setting is evaluated as a grid of one, and the
-    exponent sum runs over an outer axis, term by term in phase order, so grid
-    slices and one-setting tables agree bit for bit.
+    The exponent sum runs over an outer axis, term by term in phase order, so
+    a grid's tables and grids of one agree bit for bit.
     """
-    point = isinstance(phases, PhaseSettings)
-    grid = [(p.alpha, p.beta, p.gamma) for p in ((phases,) if point else phases)]
+    grid = [(p.alpha, p.beta, p.gamma) for p in phases]
     phi = np.array(grid, dtype=float).reshape(-1, len(PHASE_NAMES))
     angle = (phi.T[:, :, None] * exponents.T[:, None, :]).sum(axis=0)
-    table = coefficients * np.exp(1j * angle)[..., None]
-    return table[0] if point else table
+    return coefficients * np.exp(1j * angle)[..., None]
 
 
-def joint_amplitudes(phases: Phases) -> np.ndarray:
-    """The joint table at ``phases``: rows :data:`JOINT_PAIRS`, columns outcomes."""
+def joint_amplitudes(phases: Sequence[PhaseSettings]) -> np.ndarray:
+    """The joint table at each point of ``phases``: rows :data:`JOINT_PAIRS`, columns outcomes."""
     return evaluate(JOINT_COEFFICIENTS * JOINT_MAGNITUDE, JOINT_EXPONENTS, phases)
 
 
-def single_amplitudes(phases: Phases) -> np.ndarray:
-    """The single-path table: rows :data:`SINGLE_PATHS`, columns signs + and -."""
+def single_amplitudes(phases: Sequence[PhaseSettings]) -> np.ndarray:
+    """The single-path table at each point of ``phases``: rows :data:`SINGLE_PATHS`, signs +, -."""
     return evaluate(SINGLE_COEFFICIENTS * SINGLE_MAGNITUDE, SINGLE_EXPONENTS, phases)
 
 

@@ -5,10 +5,10 @@ the product of the complex transmission or reflection coefficient at each
 splitter it passes, times ``exp(i * k . (alpha, beta, gamma))`` where ``k``
 counts each named phase on its arms.  That is the coefficient/exponent form
 of the hand-coded tables in :mod:`impactseries.amplitudes`, so the cascade
-is walked once per derivation and evaluated at one phase setting or over a
-whole grid.  The wiring of the cascade is data, described by a small
-plain-text format, so alternative readings of the optical layout can be
-tried against the hand-coded tables.
+is walked once per derivation and evaluated over a whole phase grid.  The
+wiring of the cascade is data, described by a small plain-text format, so
+alternative readings of the optical layout can be tried against the
+hand-coded tables.
 
 Network model. Each photon crosses a chain of two-port splitters with ports
 ``a`` and ``b``; consecutive splitters are connected by a short and a long
@@ -58,7 +58,6 @@ from .amplitudes import (
     SEQUENTIAL_GROUPS,
     SINGLE_MAGNITUDE,
     SINGLE_PATHS,
-    Phases,
     PhaseSettings,
     evaluate,
     interference_law,
@@ -256,7 +255,7 @@ def _walks(
     wiring: PhotonWiring, arm_choices: Sequence[Sequence[Arm]], convention: SplitterConvention
 ) -> tuple[np.ndarray, np.ndarray]:
     """Factors ``[choice, sign]`` and exponents ``[choice, phase]`` of one photon's paths."""
-    # Phases sit on arms, not on detectors: both signs walk the same exponents.
+    # A phase sits on an arm, not on a detector: both signs walk the same exponents.
     walks = [[walk_path(wiring, arms, sign, convention) for sign in Sign] for arms in arm_choices]
     factors = np.array([[factor for factor, _ in row] for row in walks])
     return factors, np.array([row[0][1] for row in walks])
@@ -265,9 +264,9 @@ def _walks(
 def derive_tables(
     geometry: Geometry,
     convention: SplitterConvention,
-    phases: Phases,
+    phases: Sequence[PhaseSettings],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Path-by-path amplitudes of the cascade at one phase setting or over a grid.
+    """Path-by-path amplitudes of the cascade over the phase grid ``phases``.
 
     Returns the joint and single-path tables in the shapes of
     :func:`~impactseries.amplitudes.joint_amplitudes` and

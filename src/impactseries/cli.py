@@ -4,9 +4,9 @@ and validation of the amplitude tables against the splitter-network oracle.
 All data emissions share one frozen column set (see ``COLUMNS``); CSV and
 JSON files carry the same values, floats rounded to 6 significant digits.
 Every row embeds the provenance needed to replay it (model, phases, seed,
-events).  A ``compare`` scan evaluates each model's analytic law for its whole
-grid in one call.  Exit codes: 0 success, 2 argument or contract error, 3
-validation failure.
+events).  A command computes each model's analytic law once for its whole
+grid and hands that one law to the sampler and to the rows.  Exit codes: 0
+success, 2 argument or contract error, 3 validation failure.
 """
 
 from __future__ import annotations
@@ -28,7 +28,9 @@ from .bsnetwork import (
     load_geometry,
     validate_against_reference,
 )
-from .montecarlo import CoincidenceTally, RunConfig, estimate_E, run, scan_phases
+from .montecarlo import (
+    CoincidenceTally, RunConfig, block_tallies, estimate_E, merge_tallies, scan_phases
+)
 from .pathspace import OUTCOMES, Subensemble, TimeOrdering
 from .theories import Law, TheoryKind, TheoryModel, marginals, predict
 
@@ -105,10 +107,11 @@ def _analytic_row(
     target: Subensemble,
     phases: PhaseSettings,
     law: Law,
+    k: int = 0,
 ) -> dict:
     """A row with its provenance, phases and analytic columns; the rest are None.
 
-    ``law`` is a grid of one point: ``predict(model, [phases], target)``.
+    The analytic columns are row ``k`` of ``law``, the law at ``phases``.
     """
     row = dict.fromkeys(COLUMNS)
     row.update(
@@ -121,18 +124,20 @@ def _analytic_row(
         gamma=phases.gamma,
     )
     if law.side1 is not None:
-        row["p1_plus_analytic"], row["p1_minus_analytic"] = law.side1[0].tolist()
+        row["p1_plus_analytic"], row["p1_minus_analytic"] = law.side1[k].tolist()
     if law.side2 is not None:
-        row["p2_plus_analytic"], row["p2_minus_analytic"] = law.side2[0].tolist()
+        row["p2_plus_analytic"], row["p2_minus_analytic"] = law.side2[k].tolist()
     if law.joint is not None:
-        row["joint_pp"], row["joint_pm"], row["joint_mp"], row["joint_mm"] = law.joint[0].tolist()
+        row["joint_pp"], row["joint_pm"], row["joint_mp"], row["joint_mm"] = law.joint[k].tolist()
     return row
 
 
 def _run_row(
-    command: str, config: RunConfig, tally: CoincidenceTally, axis: str | None = None
+    command: str, config: RunConfig, law: Law, k: int, tally: CoincidenceTally,
+    axis: str | None = None,
 ) -> dict:
-    """The analytic row of ``config`` plus its run's counters, singles and E.
+    """The analytic row of ``config``, row ``k`` of ``law``, plus its run's
+    counters, singles and E.
 
     ``axis`` names the phase a scan sweeps; the row's ``angle`` is its value.
     A run with no accepted event leaves its Monte Carlo singles and E empty.
@@ -142,7 +147,7 @@ def _run_row(
     ``law.side1[:, 0] - law.side1[:, 1]``, which the frozen columns leave out.
     """
     phases = config.phases
-    row = _analytic_row(command, config.model, config.target_sub, phases, config.law)
+    row = _analytic_row(command, config.model, config.target_sub, phases, law, k)
     row.update(
         axis=axis,
         angle=None if axis is None else getattr(phases, axis),
@@ -276,7 +281,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         seed=args.seed,
         target_sub=Subensemble(args.subensemble),
     )
-    row = _run_row("simulate", config, run(config))
+    law = predict(config.model, [config.phases], config.target_sub)
+    row = _run_row("simulate", config, law, 0, merge_tallies(block_tallies([config], law)))
     if args.out:
         _emit([row], args.format, args.out)
 
@@ -297,18 +303,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     phases = _phases_from(args)
     grid = _parse_grid(args.grid, args.degrees)
-    rows = [
-        _run_row("compare", config, tally, axis=args.axis)
-        for kind in (TheoryKind.QM, TheoryKind.RNL)
-        for config, tally in scan_phases(
-            TheoryModel(kind=kind, ordering=TimeOrdering(args.ordering)),
-            args.axis,
-            grid,
-            phases,
-            args.events,
-            args.seed,
-        )
-    ]
+    rows = []
+    for kind in (TheoryKind.QM, TheoryKind.RNL):
+        model = TheoryModel(kind=kind, ordering=TimeOrdering(args.ordering))
+        law, points = scan_phases(model, args.axis, grid, phases, args.events, args.seed)
+        rows += [_run_row("compare", c, law, k, t, args.axis) for k, (c, t) in enumerate(points)]
     if args.out:
         _emit(rows, args.format, args.out)
 

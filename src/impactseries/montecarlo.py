@@ -5,13 +5,12 @@ Each emitted pair is assigned an arrival-time class with the a-priori weights
 interference redistributes probability only within a class).  Events outside
 the target class are rejected, emulating the coincidence electronics; accepted
 events draw a joint outcome from the active model's distribution and feed the
-four counters.  A :class:`RunConfig` computes its model's analytic ``law``
-once, when it is built, as a grid of one point, so a request outside the
-model's domain fails there; the counters are a 4-tuple in ``OUTCOMES``
-order, like the columns of the law they sample.  The module hands back
-counts and plain values: a run's tally, :func:`estimate_E`'s ``(value,
-std_error)`` and a scan's ``(config, tally)`` pairs; the output row puts the
-analytic E anchors beside them.
+four counters.  A :class:`RunConfig` is a run's provenance only: the law it
+samples is one :func:`predict` call per grid, passed to the sampler beside the
+configs.  The counters are a 4-tuple in ``OUTCOMES`` order, like the columns
+of the law they sample.  The module hands back counts and plain values: a
+run's tally, :func:`estimate_E`'s ``(value, std_error)`` and a scan's law with
+its ``(config, tally)`` pairs; the output row puts the E anchors beside them.
 
 Determinism contract: events are processed in fixed blocks of ``BLOCK_SIZE``;
 block ``j`` uses the PCG64 stream seeded by ``SeedSequence(seed,
@@ -26,12 +25,13 @@ tallies merge by addition, so the merged result is independent of how blocks
 are partitioned and merged, and reproducible across platforms for a given
 seed.
 
-Parallel runs: a run splits its block range into contiguous chunks and
-samples them in forked worker processes, one per CPU in the process's
-affinity set (``os.sched_getaffinity``) but no more than one per
-``_BLOCKS_PER_WORKER`` blocks; a run with one worker stays in process.  The
-chunks' tallies are joined in block order.  Every block still draws from its
-own stream, so the tallies are the same bits for any worker count:
+Parallel runs: each ``(config, block)`` pair of a :func:`block_tallies` call
+is one work item, and the call makes one fan-out decision: one forked worker
+per CPU in the affinity set (``os.sched_getaffinity``), but at most one per
+``_BLOCKS_PER_WORKER`` full blocks of the call's events.  One worker stays in
+process; more split the item list into contiguous chunks over one pool, and
+the chunks' tallies are joined in item order.  Every block still draws from
+its own stream, so the tallies are the same bits for any worker count:
 ``taskset -c 0`` gives a serial run that writes identical bytes.
 """
 
@@ -39,7 +39,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from itertools import groupby
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -63,10 +64,10 @@ SUBENSEMBLE_WEIGHTS: tuple[float, ...] = (0.125, 0.375, 0.375, 0.125)
 #: Class ``k`` takes the class draws in ``[edges[k], edges[k+1])``; exact dyadics.
 _CLASS_EDGES: tuple[float, ...] = (0.0, *np.cumsum(SUBENSEMBLE_WEIGHTS).tolist())
 
-#: Fewest blocks a worker is given.  In a fresh interpreter on 2 CPUs the
-#: pool's imports, forks and first blocks cost ~40-70 ms, so two workers break
-#: even with one process near 160-200 blocks (~0.75 ms per block); only 2 CPUs
-#: were measured.
+#: Fewest full blocks of events a worker is given.  In a fresh interpreter on
+#: 2 CPUs the pool's imports, forks and first blocks cost ~40-70 ms, so two
+#: workers break even with one process near 160-200 blocks (~0.75 ms per
+#: block); only 2 CPUs were measured.
 _BLOCKS_PER_WORKER = 96
 
 
@@ -83,26 +84,19 @@ def _require_seed(seed: object) -> None:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Full provenance of one simulated run, and the analytic law it samples.
-
-    ``law`` is the model's law at ``phases`` as a grid of one point.
-    """
+    """Full provenance of one simulated run."""
 
     model: TheoryModel
     phases: PhaseSettings
     events: int
     seed: int
     target_sub: Subensemble = Subensemble.LONG
-    law: Law = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         _require_int("events", self.events)
         _require_seed(self.seed)
         if self.events < 1:
             raise ValueError("events must be at least 1")
-        if "law" not in vars(self):  # scan_phases sets it before __init__ runs
-            law = predict(self.model, [self.phases], self.target_sub)
-            object.__setattr__(self, "law", law)
 
 
 @dataclass(frozen=True)
@@ -173,61 +167,71 @@ def _accepted_counts(
     return tuple(int(n - m) for n, m in zip(at_or_above, at_or_above[1:]))
 
 
-def _sample_blocks(config: RunConfig, blocks: range) -> list[CoincidenceTally]:
-    """Tallies of ``blocks`` in block order: the one sampler, in process or in a worker."""
-    outcome_cum = np.cumsum(_sampled_law(config.law)[0])
-    outcome_cum[-1] = 1.0  # guard against rounding below the top uniform
-    target_index = SUBENSEMBLE_ORDER.index(config.target_sub)
-    lo, hi = _CLASS_EDGES[target_index : target_index + 2]
-    # sized by the run, so a one-block run allocates no more than it draws
-    half = min(config.events, BLOCK_SIZE)
+def _sample_blocks(
+    configs: Sequence[RunConfig], cumulative: np.ndarray, items: Sequence[tuple[int, int]]
+) -> list[CoincidenceTally]:
+    """Tallies of the ``(k, block)`` ``items`` in order: the one sampler, in process or
+    in a worker.  Config ``k``'s items are contiguous and draw from ``cumulative[k]``."""
+    # sized by the largest config, so one-block runs allocate no more than they draw
+    half = min(max(config.events for config in configs), BLOCK_SIZE)
     draws = np.empty(2 * half)
     mask = np.empty(half, dtype=bool)
     scratch = np.empty(half, dtype=bool)
 
     tallies = []
-    for j in blocks:
-        size = min(BLOCK_SIZE, config.events - j * BLOCK_SIZE)
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(config.seed, spawn_key=(j,)))
-        )
-        u = rng.random(out=draws[: 2 * size])
-        counts = _accepted_counts(
-            u[:size], u[size:], lo, hi, outcome_cum, mask[:size], scratch[:size]
-        )
-        tallies.append(CoincidenceTally(r=counts, rejected=size - sum(counts)))
+    for k, config_items in groupby(items, key=lambda item: item[0]):
+        config, outcome_cum = configs[k], cumulative[k]
+        target_index = SUBENSEMBLE_ORDER.index(config.target_sub)
+        lo, hi = _CLASS_EDGES[target_index : target_index + 2]
+        for _, j in config_items:
+            size = min(BLOCK_SIZE, config.events - j * BLOCK_SIZE)
+            rng = np.random.Generator(
+                np.random.PCG64(np.random.SeedSequence(config.seed, spawn_key=(j,)))
+            )
+            u = rng.random(out=draws[: 2 * size])
+            counts = _accepted_counts(
+                u[:size], u[size:], lo, hi, outcome_cum, mask[:size], scratch[:size]
+            )
+            tallies.append(CoincidenceTally(r=counts, rejected=size - sum(counts)))
     return tallies
 
 
-def _worker_count(n_blocks: int) -> int:
-    """One worker per CPU the process may run on, each with ``_BLOCKS_PER_WORKER`` blocks or more."""
+def _worker_count(events: int, items: int) -> int:
+    """One worker per CPU the process may run on, as long as each gets
+    ``_BLOCKS_PER_WORKER`` full blocks of the ``events`` and one of the ``items``."""
     if not hasattr(os, "sched_getaffinity"):
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), n_blocks // _BLOCKS_PER_WORKER))
+    per_worker = _BLOCKS_PER_WORKER * BLOCK_SIZE
+    return max(1, min(len(os.sched_getaffinity(0)), events // per_worker, items))
 
 
-def block_tallies(config: RunConfig) -> list[CoincidenceTally]:
-    """Per-block tallies in block order; ``run`` is their merge.
+def block_tallies(configs: Sequence[RunConfig], law: Law) -> list[CoincidenceTally]:
+    """Per-block tallies of every config, config by config and each in block order.
 
-    With one worker (see :func:`_worker_count`) the blocks are sampled in
-    process, otherwise in one contiguous chunk per forked worker.
+    Config ``k`` samples row ``k`` of ``law``; another row count is a
+    ``ValueError``.  The call starts at most one pool (see :func:`_worker_count`).
     """
-    n_blocks = -(-config.events // BLOCK_SIZE)
-    workers = _worker_count(n_blocks)
+    sampled = _sampled_law(law)
+    if len(sampled) != len(configs):
+        raise ValueError(f"law rows ({len(sampled)}) must match configs ({len(configs)})")
+    cumulative = np.cumsum(sampled, axis=1)
+    cumulative[:, -1] = 1.0  # guard against rounding below the top uniform
+    items = [(k, j) for k, c in enumerate(configs) for j in range(-(-c.events // BLOCK_SIZE))]
+    workers = _worker_count(sum(config.events for config in configs), len(items))
     if workers == 1:
-        return _sample_blocks(config, range(n_blocks))
+        return _sample_blocks(configs, cumulative, items)
 
     # imported here: a run that never fans out does not pay their memory
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    bounds = [n_blocks * i // workers for i in range(workers + 1)]
-    chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    bounds = [len(items) * i // workers for i in range(workers + 1)]
+    chunks = [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     # fork, not spawn: a spawned worker would pay an interpreter start and
     # the numpy import; Python 3.14 makes forkserver the Linux default
     context = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-        parts = pool.map(_sample_blocks, [config] * workers, chunks)
+        parts = pool.map(_sample_blocks, [configs] * workers, [cumulative] * workers, chunks)
         return [tally for part in parts for tally in part]
 
 
@@ -242,8 +246,12 @@ def merge_tallies(tallies: Iterable[CoincidenceTally]) -> CoincidenceTally:
 
 
 def run(config: RunConfig) -> CoincidenceTally:
-    """Simulate ``config.events`` pairs and tally the accepted coincidences."""
-    return merge_tallies(block_tallies(config))
+    """Simulate ``config.events`` pairs and tally the accepted coincidences.
+
+    A target outside the model's domain fails in :func:`predict`, before any draw.
+    """
+    law = predict(config.model, [config.phases], config.target_sub)
+    return merge_tallies(block_tallies([config], law))
 
 
 def estimate_E(tally: CoincidenceTally) -> tuple[float, float]:
@@ -282,15 +290,15 @@ def scan_phases(
     base: PhaseSettings,
     events_per_point: int,
     seed: int,
-) -> list[tuple[RunConfig, CoincidenceTally]]:
-    """One simulated run per grid angle, as ``(config, tally)`` pairs in grid order.
+) -> tuple[Law, list[tuple[RunConfig, CoincidenceTally]]]:
+    """The grid's law and one simulated run per grid angle, as ``(config,
+    tally)`` pairs in grid order; row ``k`` of the law belongs to point ``k``.
 
     ``axis`` names the phase being swept; the other two stay at their ``base``
-    values.  The analytic law of the whole grid is evaluated in one
-    :func:`predict` call, and each config's ``law`` is its point's rows of
-    that grid law.  Point ``k`` runs with the derived seed
-    :func:`derive_point_seed`\\ ``(seed, k)``; its config is the full
-    provenance, so any single point can be replayed with :func:`run`.
+    values.  The law is one :func:`predict` call and the sampling one
+    :func:`block_tallies` call over every point.  Point ``k`` runs with the
+    derived seed :func:`derive_point_seed`\\ ``(seed, k)``; its config is the
+    full provenance, so any single point can be replayed with :func:`run`.
     """
     if axis not in PHASE_NAMES:
         raise ValueError(f"axis must be one of {PHASE_NAMES}")
@@ -298,15 +306,11 @@ def scan_phases(
         raise ValueError("grid must not be empty")
     _require_seed(seed)
     settings = [replace(base, **{axis: float(angle)}) for angle in grid]
+    configs = [
+        RunConfig(model, phases, events=events_per_point, seed=derive_point_seed(seed, k))
+        for k, phases in enumerate(settings)
+    ]
     law = predict(model, settings)
-    configs = []
-    for k, phases in enumerate(settings):
-        # set before __init__, so __post_init__ keeps these views of the
-        # validated grid law instead of calling predict again
-        config = RunConfig.__new__(RunConfig)
-        object.__setattr__(config, "law", Law(*(f if f is None else f[k : k + 1] for f in law)))
-        config.__init__(
-            model=model, phases=phases, events=events_per_point, seed=derive_point_seed(seed, k)
-        )
-        configs.append(config)
-    return [(config, run(config)) for config in configs]
+    tallies = block_tallies(configs, law)
+    n = len(tallies) // len(configs)  # every point has the same block count
+    return law, [(c, merge_tallies(tallies[k * n : (k + 1) * n])) for k, c in enumerate(configs)]

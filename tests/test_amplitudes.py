@@ -42,11 +42,11 @@ def pair(label1: str, label2: str) -> PathPair:
 
 
 def joint_entry(p: PathPair, outcome: Outcome, ph: PhaseSettings) -> complex:
-    return complex(joint_amplitudes(ph)[JOINT_PAIRS.index(p), OUTCOMES.index(outcome)])
+    return complex(joint_amplitudes([ph])[0][JOINT_PAIRS.index(p), OUTCOMES.index(outcome)])
 
 
 def single_entry(path: Arm2Path, sign: Sign, ph: PhaseSettings) -> complex:
-    return complex(single_amplitudes(ph)[SINGLE_PATHS.index(path), list(Sign).index(sign)])
+    return complex(single_amplitudes([ph])[0][SINGLE_PATHS.index(path), list(Sign).index(sign)])
 
 
 def phase_grid(n: int = 5):

@@ -116,36 +116,36 @@ class TestDefaultGeometry:
     def test_reproduces_the_joint_tables_exactly(self):
         # the default layout happens to match including the global phase
         for ph in (PhaseSettings(), PhaseSettings(0.7, -1.1, 2.3)):
-            joint, _ = derive_tables(default_geometry(), DEFAULT, ph)
-            assert np.abs(joint - joint_amplitudes(ph)).max() <= 1e-12
-        # a grid call is the stack of the one-setting calls, bit for bit
+            joint, _ = derive_tables(default_geometry(), DEFAULT, [ph])
+            assert np.abs(joint - joint_amplitudes([ph])).max() <= 1e-12
+        # a grid call is the stack of the grid-of-one calls, bit for bit
         joints, singles = derive_tables(default_geometry(), DEFAULT, SPARSE_GRID)
         reference_joints = joint_amplitudes(SPARSE_GRID)
         reference_singles = single_amplitudes(SPARSE_GRID)
         assert joints.shape == (len(SPARSE_GRID), 6, 4)
         assert singles.shape == (len(SPARSE_GRID), 3, 2)
         for k, ph in enumerate(SPARSE_GRID):
-            joint, single = derive_tables(default_geometry(), DEFAULT, ph)
-            assert np.array_equal(joints[k], joint)
-            assert np.array_equal(singles[k], single)
-            assert np.array_equal(reference_joints[k], joint_amplitudes(ph))
-            assert np.array_equal(reference_singles[k], single_amplitudes(ph))
+            joint, single = derive_tables(default_geometry(), DEFAULT, [ph])
+            assert np.array_equal(joints[k], joint[0])
+            assert np.array_equal(singles[k], single[0])
+            assert np.array_equal(reference_joints[k], joint_amplitudes([ph])[0])
+            assert np.array_equal(reference_singles[k], single_amplitudes([ph])[0])
         assert np.abs(joints - reference_joints).max() <= 1e-12
 
     def test_reproduces_the_single_path_table_exactly(self):
         ph = PhaseSettings(0.2, 1.9, -0.4)
-        _, single = derive_tables(default_geometry(), DEFAULT, ph)
-        assert np.abs(single - single_amplitudes(ph)).max() <= 1e-12
+        _, single = derive_tables(default_geometry(), DEFAULT, [ph])
+        assert np.abs(single - single_amplitudes([ph])).max() <= 1e-12
 
     def test_renormalized_magnitudes(self):
-        joint, single = derive_tables(default_geometry(), DEFAULT, PhaseSettings(1.0, 2.0, 3.0))
-        assert joint.shape == (6, 4) and single.shape == (3, 2)
+        joint, single = derive_tables(default_geometry(), DEFAULT, [PhaseSettings(1.0, 2.0, 3.0)])
+        assert joint.shape == (1, 6, 4) and single.shape == (1, 3, 2)
         assert np.abs(np.abs(joint) - JOINT_MAGNITUDE).max() <= 1e-12
         assert np.abs(np.abs(single) - SINGLE_MAGNITUDE).max() <= 1e-12
 
     def test_sign_relation_between_outcomes_survives_derivation(self):
         ph = PhaseSettings(0.3, 0.8, -1.6)
-        joint, _ = derive_tables(default_geometry(), DEFAULT, ph)
+        joint = derive_tables(default_geometry(), DEFAULT, [ph])[0][0]
         pair = next(p for p in members(Subensemble.LONG) if p.photon2 is Arm2Path.SHORT_LONG)
         row = JOINT_PAIRS.index(pair)
         assert joint[row, 0] == pytest.approx(joint[row, 3], abs=1e-12)
@@ -200,11 +200,11 @@ class TestMiswiredGeometry:
             assert by_name[name].first_mismatch.endswith("at alpha=0 beta=0.7 gamma=0")
 
         def joint_law_deviation(ph: PhaseSettings) -> float:
-            joint, _ = derive_tables(geometry, DEFAULT, ph)
+            joint, _ = derive_tables(geometry, DEFAULT, [ph])
             return max(
                 np.abs(
                     interference_law(joint, (rows,))
-                    - interference_law(joint_amplitudes(ph), (rows,))
+                    - interference_law(joint_amplitudes([ph]), (rows,))
                 ).max()
                 for rows in ((0, 1, 2), (3, 4, 5))
             )
@@ -288,7 +288,7 @@ class TestWiringValidation:
         )
         geometry = Geometry(photon1=one_stage, photon2=one_stage)
         with pytest.raises(ValueError, match="two for photon 2"):
-            derive_tables(geometry, DEFAULT, PhaseSettings())
+            derive_tables(geometry, DEFAULT, [PhaseSettings()])
 
     def test_path_walk_needs_one_arm_per_stage(self):
         with pytest.raises(ValueError):

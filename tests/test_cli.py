@@ -148,7 +148,8 @@ class TestRunRow:
                 model=TheoryModel(TheoryKind.QM), phases=PhaseSettings(alpha=alpha),
                 events=4, seed=0,
             )
-            row = _run_row("simulate", config, counts)
+            law = predict(config.model, [config.phases])
+            row = _run_row("simulate", config, law, 0, counts)
             assert row["e_analytic_qm"] == pytest.approx(anchor, abs=1e-12)
             assert row["e_analytic_causal"] == 0.0
 

@@ -1,5 +1,7 @@
 """Monte Carlo engine: determinism, partition independence, statistics."""
 
+import concurrent.futures
+import dataclasses
 import math
 import os
 import random
@@ -59,9 +61,14 @@ def assert_same_law(got: Law, want: Law) -> None:
         assert a is None or np.array_equal(a, b), name
 
 
+def law_of(config: RunConfig) -> Law:
+    """The law ``config`` samples, as the grid of one that ``run`` computes."""
+    return predict(config.model, [config.phases], config.target_sub)
+
+
 def searchsorted_block_tallies(config: RunConfig) -> list[CoincidenceTally]:
     """Reference sampler: two draws per block, inverse CDF by searchsorted, bincount."""
-    outcome_cum = np.cumsum(_sampled_law(config.law)[0])
+    outcome_cum = np.cumsum(_sampled_law(law_of(config))[0])
     outcome_cum[-1] = 1.0
     class_cum = np.cumsum(SUBENSEMBLE_WEIGHTS)
     target_index = SUBENSEMBLE_ORDER.index(config.target_sub)
@@ -125,15 +132,17 @@ class TestDeterminism:
         config = RunConfig(
             model=model, phases=phases, events=events, seed=2024, target_sub=target
         )
-        assert block_tallies(config) == searchsorted_block_tallies(config)
+        assert block_tallies([config], law_of(config)) == searchsorted_block_tallies(config)
 
     @pytest.mark.parametrize("events", [3 * BLOCK_SIZE + 17, BLOCK_SIZE + 1])
     def test_short_block_after_full_ones_reads_no_stale_bits(self, events):
         # one call reuses its mask and scratch buffers from the full blocks
         # for the short last one
         config = RunConfig(model=QM, phases=ZERO, events=events, seed=2024)
-        n_blocks = -(-events // BLOCK_SIZE)
-        assert _sample_blocks(config, range(n_blocks)) == searchsorted_block_tallies(config)
+        cumulative = np.cumsum(_sampled_law(law_of(config)), axis=1)
+        cumulative[:, -1] = 1.0
+        items = [(0, j) for j in range(-(-events // BLOCK_SIZE))]
+        assert _sample_blocks([config], cumulative, items) == searchsorted_block_tallies(config)
 
     def test_tied_outcome_edge_is_never_drawn(self):
         cum = np.cumsum(_sampled_law(predict(QM, [TIED]))[0])
@@ -154,7 +163,7 @@ class TestDeterminism:
 
     def test_merged_blocks_are_partition_order_independent(self):
         config = RunConfig(model=QM, phases=ZERO, events=3 * BLOCK_SIZE + 17, seed=5)
-        blocks = block_tallies(config)
+        blocks = block_tallies([config], law_of(config))
         assert [t.events for t in blocks] == [BLOCK_SIZE, BLOCK_SIZE, BLOCK_SIZE, 17]
         shuffled = list(blocks)
         random.Random(0).shuffle(shuffled)
@@ -184,8 +193,8 @@ class TestWorkers:
         cpus(workers)
         config = RunConfig(model=QM, phases=ZERO, events=events, seed=5)
         n_blocks = -(-events // BLOCK_SIZE)
-        assert _worker_count(n_blocks) == min(workers, n_blocks)
-        assert block_tallies(config) == searchsorted_block_tallies(config)
+        assert _worker_count(events, n_blocks) == min(workers, n_blocks)
+        assert block_tallies([config], law_of(config)) == searchsorted_block_tallies(config)
 
     def test_pooled_run_gives_the_frozen_tally(self, cpus):
         cpus(2)
@@ -205,31 +214,64 @@ class TestWorkers:
         monkeypatch.setattr(montecarlo, "_accepted_counts", counts_outside_the_parent)
         config = RunConfig(model=QM, phases=ZERO, events=2 * BLOCK_SIZE, seed=5)
         with pytest.raises(ZeroDivisionError, match="raised in a worker"):
-            block_tallies(config)
+            block_tallies([config], law_of(config))
 
     def test_worker_count(self, monkeypatch):
-        per = _BLOCKS_PER_WORKER
+        # the rule counts full blocks of events, so a partial block adds no worker
+        per = _BLOCKS_PER_WORKER * BLOCK_SIZE
+        many = 10**6
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        assert _worker_count(1) == 1
-        assert _worker_count(2 * per - 1) == 1
-        assert _worker_count(2 * per) == 2
-        assert _worker_count(3 * per) == 3
-        assert _worker_count(100 * per) == 3
+        assert _worker_count(1, 1) == 1
+        assert _worker_count(2 * per - 1, many) == 1
+        assert _worker_count(2 * per, many) == 2
+        assert _worker_count(3 * per, many) == 3
+        assert _worker_count(100 * per, many) == 3
+        # never more workers than work items
+        assert _worker_count(100 * per, 2) == 2
+        assert _worker_count(100 * per, 1) == 1
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert _worker_count(100 * per) == 1
+        assert _worker_count(100 * per, many) == 1
         monkeypatch.delattr(os, "sched_getaffinity")
-        assert _worker_count(100 * per) == 1
+        assert _worker_count(100 * per, many) == 1
+
+    def test_a_scan_starts_one_pool(self, cpus, monkeypatch):
+        # two blocks per point and a worker per block of events: each point
+        # would fan out alone, and the chunk boundary falls inside point 1
+        cpus(2)
+        pools = []
+
+        class CountedPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+        _, points = scan_phases(QM, "alpha", [0.0, 0.4, 2.0], ZERO, BLOCK_SIZE + 17, seed=3)
+        assert pools == [2]
+        for config, point_tally in points:
+            assert point_tally == run(config)
+            assert point_tally == merge_tallies(searchsorted_block_tallies(config))
+
+    def test_law_rows_must_match_the_configs(self):
+        config = RunConfig(model=QM, phases=ZERO, events=10, seed=0)
+        with pytest.raises(ValueError, match=r"law rows \(1\) must match configs \(2\)"):
+            block_tallies([config, config], law_of(config))
+        with pytest.raises(ValueError, match=r"law rows \(2\) must match configs \(1\)"):
+            block_tallies([config], predict(RNL, [ZERO, ZERO]))
 
     def test_in_process_run_imports_no_pool(self):
-        # the pool modules cost memory at import; runs below the pool
-        # threshold (a one-block scan point, a predict) must not load them
+        # the pool modules cost memory at import; work below the pool
+        # threshold (a one-block run, a 1,001-point scan of one-block
+        # points, a predict) must not load them
         script = (
             "import sys, impactseries.cli\n"
             "from impactseries.amplitudes import PhaseSettings\n"
-            "from impactseries.montecarlo import RunConfig, run\n"
+            "from impactseries.montecarlo import RunConfig, run, scan_phases\n"
             "from impactseries.theories import TheoryKind, TheoryModel\n"
             "run(RunConfig(model=TheoryModel(TheoryKind.QM), phases=PhaseSettings(),"
             " events=1000, seed=1))\n"
+            "scan_phases(TheoryModel(TheoryKind.QM), 'alpha', [k / 100 for k in range(1001)],"
+            " PhaseSettings(), 1000, seed=1)\n"
             "print(sorted(m for m in sys.modules"
             " if m.startswith(('multiprocessing', 'concurrent.futures'))))\n"
         )
@@ -409,7 +451,7 @@ class TestEstimator:
         # side-1 plus is the rarer outcome here, so the signed value is negative
         assert value == pytest.approx(-2 / 3, abs=0.01)
         assert abs(value) == pytest.approx(
-            _run_row("simulate", config, result)["e_analytic_qm"], abs=0.01
+            _run_row("simulate", config, law_of(config), 0, result)["e_analytic_qm"], abs=0.01
         )
         # the dominant counter holds 3/4 of the accepted events
         assert result.r[OUTCOMES.index(Outcome.MINUS_PLUS)] / result.accepted == pytest.approx(
@@ -421,6 +463,25 @@ class TestEstimator:
         result = run(RunConfig(model=RNL, phases=ZERO, events=1_000_000, seed=42))
         value, std_error = estimate_E(result)
         assert abs(value) <= 4.0 * std_error
+
+    @pytest.mark.parametrize(
+        "model, phases",
+        [(QM, ZERO), (QM, PhaseSettings(0.9, -0.2, 1.4)), (RNL, PhaseSettings(0.3, 1.0, -0.5))],
+    )
+    def test_std_error_is_calibrated(self, model, phases):
+        # the error bar is a one-sigma bar: over 400 seeds, |z| < 1 against
+        # the signed law for 68.27% of the runs, within 5 binomial sigma
+        runs, coverage = 400, 0.6827
+        side1 = predict(model, [phases]).side1
+        signed = side1[0, 0] - side1[0, 1]
+        inside = 0
+        for seed in range(runs):
+            value, std_error = estimate_E(
+                run(RunConfig(model=model, phases=phases, events=10_000, seed=seed))
+            )
+            inside += abs(value - signed) < std_error
+        bound = 5 * math.sqrt(coverage * (1 - coverage) / runs)
+        assert abs(inside / runs - coverage) <= bound, f"share {inside / runs}"
 
     @settings(max_examples=50)
     @given(counts=st.tuples(*[st.integers(min_value=0, max_value=1000)] * 4))
@@ -523,22 +584,21 @@ class TestScan:
     GRID = [0.0, math.pi / 2, math.pi]
 
     def test_analytic_side1_follows_the_fringe(self):
-        points = scan_phases(QM, "alpha", self.GRID, ZERO, 20_000, seed=9)
-        values = [config.law.side1[0, 0] for config, _ in points]
-        assert values == pytest.approx([1 / 6, 0.5, 5 / 6], abs=1e-12)
+        law, _ = scan_phases(QM, "alpha", self.GRID, ZERO, 20_000, seed=9)
+        assert law.side1[:, 0].tolist() == pytest.approx([1 / 6, 0.5, 5 / 6], abs=1e-12)
 
     def test_causal_side1_is_flat(self):
-        points = scan_phases(CAUSAL_2, "alpha", self.GRID, ZERO, 20_000, seed=9)
-        assert [config.law.side1[0, 0] for config, _ in points] == [0.5, 0.5, 0.5]
-        assert all(config.law.side2 is None for config, _ in points)
+        law, _ = scan_phases(CAUSAL_2, "alpha", self.GRID, ZERO, 20_000, seed=9)
+        assert law.side1[:, 0].tolist() == [0.5, 0.5, 0.5]
+        assert law.side2 is None
 
     def test_single_point_grid(self):
-        points = scan_phases(RNL, "beta", [0.25], ZERO, 5_000, seed=4)
-        assert len(points) == 1
+        law, points = scan_phases(RNL, "beta", [0.25], ZERO, 5_000, seed=4)
+        assert len(points) == 1 and len(law.side1) == 1
         assert points[0][0].phases == PhaseSettings(beta=0.25)
 
     def test_each_point_is_replayable_from_its_provenance(self):
-        points = scan_phases(QM, "gamma", self.GRID, ZERO, 30_000, seed=123)
+        _, points = scan_phases(QM, "gamma", self.GRID, ZERO, 30_000, seed=123)
         for point_config, point_tally in points:
             config = RunConfig(
                 model=QM,
@@ -560,11 +620,12 @@ class TestScan:
 
     @pytest.mark.parametrize("model", [QM, RNL, CAUSAL_1, CAUSAL_2])
     def test_point_configs_equal_run_configs_built_point_by_point(self, model):
-        # the analytic law comes from one grid call; each config must equal
-        # the RunConfig that computes its own law, law included
+        # the analytic law comes from one grid call; each point must equal
+        # the RunConfig built alone, with row k of the grid law equal to the
+        # law run computes for it
         base = PhaseSettings(0.0, math.pi / 3, 2 * math.pi / 3)  # TIED at alpha = 0
         grid = [0.0, 0.4, math.pi / 2, -2.9, 2 * math.pi]
-        points = scan_phases(model, "alpha", grid, base, 500, seed=21)
+        law, points = scan_phases(model, "alpha", grid, base, 500, seed=21)
         for k, (angle, (point_config, point_tally)) in enumerate(zip(grid, points)):
             config = RunConfig(
                 model=model,
@@ -573,7 +634,7 @@ class TestScan:
                 seed=derive_point_seed(21, k),
             )
             assert point_config == config
-            assert_same_law(point_config.law, config.law)
+            assert_same_law(Law(*(f if f is None else f[k : k + 1] for f in law)), law_of(config))
             assert point_tally == run(config)
 
     @pytest.mark.parametrize(
@@ -581,7 +642,7 @@ class TestScan:
         [(0, "at least 1"), (-5, "at least 1"), (True, "must be an int"), (2.5, "must be an int")],
     )
     def test_point_configs_check_their_event_count(self, events, message, monkeypatch):
-        monkeypatch.setattr(montecarlo, "run", lambda config: pytest.fail("a point ran"))
+        monkeypatch.setattr(montecarlo, "block_tallies", lambda *args: pytest.fail("a point ran"))
         with pytest.raises(ValueError, match=message):
             scan_phases(QM, "alpha", self.GRID, ZERO, events, seed=0)
 
@@ -592,7 +653,7 @@ class TestScan:
     )
     def test_scan_seed_is_range_checked_before_any_point_runs(self, seed, message, monkeypatch):
         # point seeds are derived, so without the check 2**70 would run
-        monkeypatch.setattr(montecarlo, "run", lambda config: pytest.fail("a point ran"))
+        monkeypatch.setattr(montecarlo, "block_tallies", lambda *args: pytest.fail("a point ran"))
         with pytest.raises(ValueError, match=message):
             scan_phases(QM, "alpha", self.GRID, ZERO, 100, seed=seed)
 
@@ -609,11 +670,18 @@ class TestValueValidation:
             with pytest.raises(ValueError, match="must be an int"):
                 RunConfig(model=QM, phases=ZERO, events=events, seed=seed)
 
-    def test_run_config_carries_its_prediction(self):
-        config = RunConfig(model=RNL, phases=PhaseSettings(0.3, 1.0, -0.5), events=10, seed=0)
-        assert_same_law(config.law, predict(RNL, [PhaseSettings(0.3, 1.0, -0.5)]))
+    def test_run_config_is_provenance_only(self):
+        assert [f.name for f in dataclasses.fields(RunConfig)] == [
+            "model", "phases", "events", "seed", "target_sub"
+        ]
+
+    def test_a_target_outside_the_domain_fails_before_sampling(self, monkeypatch):
+        # the config holds provenance only; run's predict call rejects the
+        # target before any block is drawn
+        monkeypatch.setattr(montecarlo, "block_tallies", lambda *args: pytest.fail("sampled"))
+        config = RunConfig(model=RNL, phases=ZERO, events=10, seed=0, target_sub=Subensemble.SHORT)
         with pytest.raises(ValueError, match="difference-L class only"):
-            RunConfig(model=RNL, phases=ZERO, events=10, seed=0, target_sub=Subensemble.SHORT)
+            run(config)
 
     def test_tally_consistency_checks(self):
         with pytest.raises(ValueError):

@@ -359,6 +359,12 @@ class TestPredictGrid:
             predict(model, self.SCAN_FINE[:3], target)
         assert str(grid_error.value) == str(point_error.value)
 
+    @pytest.mark.parametrize("model, target", IN_DOMAIN)
+    def test_a_bare_setting_is_not_a_grid(self, model, target):
+        # the tables take grids only, so every rule fails the same way
+        with pytest.raises(TypeError):
+            predict(model, PhaseSettings(0.3, 1.0, -0.5), target)
+
 
 class TestValueValidation:
     def test_singles_pair_must_sum_to_one(self):
