@@ -5,29 +5,23 @@ All data emissions share one frozen column set (see ``COLUMNS``); CSV and
 JSON files carry the same values, floats rounded to 6 significant digits.
 Every row embeds the provenance needed to replay it (model, phases, seed,
 events).  A command computes each model's analytic law once for its whole
-grid and hands that one law to the sampler and to the rows.  Exit codes: 0
-success, 2 argument or contract error, 3 validation failure.
+grid and hands that one law to the sampler and to the rows.  The rows are
+built column by column, one list per column, and ``--out`` is written as it
+is formatted.  Exit codes: 0 success, 2 argument or contract error, 3
+validation failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import math
 import sys
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 
 import numpy as np
 
 from .amplitudes import PHASE_NAMES, PhaseSettings
-from .bsnetwork import (
-    SplitterConvention,
-    default_geometry,
-    load_geometry,
-    validate_against_reference,
-)
 from .montecarlo import (
     CoincidenceTally, RunConfig, block_tallies, estimate_E, merge_tallies, scan_phases
 )
@@ -101,95 +95,162 @@ def _json_cell(value) -> str:
     return "null" if value is None else int.__repr__(value)
 
 
-def _analytic_row(
+def _analytic_columns(
     command: str,
     model: TheoryModel,
     target: Subensemble,
-    phases: PhaseSettings,
+    settings: list[PhaseSettings],
     law: Law,
-    k: int = 0,
-) -> dict:
-    """A row with its provenance, phases and analytic columns; the rest are None.
+) -> dict[str, list]:
+    """Rows with their provenance, phases and analytic columns, one list per
+    column and one entry per setting; the other columns are None.
 
-    The analytic columns are row ``k`` of ``law``, the law at ``phases``.
+    The analytic columns are ``law``, the law on the grid ``settings``.
     """
-    row = dict.fromkeys(COLUMNS)
-    row.update(
-        command=command,
-        model=model.kind.value,
-        ordering=model.ordering.value,
-        subensemble=target.value,
-        alpha=phases.alpha,
-        beta=phases.beta,
-        gamma=phases.gamma,
+    n = len(settings)
+    columns = {column: [None] * n for column in COLUMNS}
+    columns.update(
+        command=[command] * n,
+        model=[model.kind.value] * n,
+        ordering=[model.ordering.value] * n,
+        subensemble=[target.value] * n,
+        alpha=[phases.alpha for phases in settings],
+        beta=[phases.beta for phases in settings],
+        gamma=[phases.gamma for phases in settings],
     )
-    if law.side1 is not None:
-        row["p1_plus_analytic"], row["p1_minus_analytic"] = law.side1[k].tolist()
-    if law.side2 is not None:
-        row["p2_plus_analytic"], row["p2_minus_analytic"] = law.side2[k].tolist()
-    if law.joint is not None:
-        row["joint_pp"], row["joint_pm"], row["joint_mp"], row["joint_mm"] = law.joint[k].tolist()
-    return row
+    for names, field in (
+        (("p1_plus_analytic", "p1_minus_analytic"), law.side1),
+        (("p2_plus_analytic", "p2_minus_analytic"), law.side2),
+        (("joint_pp", "joint_pm", "joint_mp", "joint_mm"), law.joint),
+    ):
+        if field is not None:
+            columns.update(zip(names, field.T.tolist()))
+    return columns
 
 
-def _run_row(
-    command: str, config: RunConfig, law: Law, k: int, tally: CoincidenceTally,
+def _run_columns(
+    command: str, law: Law, points: list[tuple[RunConfig, CoincidenceTally]],
     axis: str | None = None,
-) -> dict:
-    """The analytic row of ``config``, row ``k`` of ``law``, plus its run's
+) -> dict[str, list]:
+    """The analytic columns of the ``(config, tally)`` points, whose configs share
+    one model and target and sample the rows of ``law``, plus their runs'
     counters, singles and E.
 
-    ``axis`` names the phase a scan sweeps; the row's ``angle`` is its value.
-    A run with no accepted event leaves its Monte Carlo singles and E empty.
-    Beside the Monte Carlo E go the two rules' anchors: the superposition
-    rule's magnitude (2/3)|cos(alpha+beta)| and the causal rules' 0.  The
-    Monte Carlo E is signed; the superposition rule's signed E is
-    ``law.side1[:, 0] - law.side1[:, 1]``, which the frozen columns leave out.
+    ``axis`` names the phase a scan sweeps; a row's ``angle`` is its value.
+    The Monte Carlo columns are computed as arrays over the rows; a run with no
+    accepted event leaves its Monte Carlo singles and E empty.  Beside the
+    Monte Carlo E go the two rules' anchors: the superposition rule's magnitude
+    (2/3)|cos(alpha+beta)| and the causal rules' 0.  The Monte Carlo E is
+    signed; the superposition rule's signed E is ``law.side1[:, 0] -
+    law.side1[:, 1]``, which the frozen columns leave out.
     """
-    phases = config.phases
-    row = _analytic_row(command, config.model, config.target_sub, phases, law, k)
-    row.update(
-        axis=axis,
-        angle=None if axis is None else getattr(phases, axis),
-        events=config.events,
-        seed=config.seed,
-        accepted=tally.accepted,
-        rejected=tally.rejected,
-        acceptance_rate=tally.accepted / tally.events,
-        e_analytic_qm=(2.0 / 3.0) * abs(math.cos(phases.alpha + phases.beta)),
-        e_analytic_causal=0.0,  # the causal rules split side 1 evenly at any phase
+    configs = [config for config, _ in points]
+    settings = [config.phases for config in configs]
+    columns = _analytic_columns(command, configs[0].model, configs[0].target_sub, settings, law)
+    counts = np.array([tally.r for _, tally in points], dtype=np.int64)
+    accepted = counts.sum(axis=1)
+    rejected = np.array([tally.rejected for _, tally in points])
+    n = len(points)
+    columns.update(
+        axis=[axis] * n,
+        angle=[None] * n if axis is None else [getattr(phases, axis) for phases in settings],
+        events=[config.events for config in configs],
+        seed=[config.seed for config in configs],
+        accepted=accepted.tolist(),
+        rejected=rejected.tolist(),
+        acceptance_rate=(accepted / (accepted + rejected)).tolist(),
+        e_analytic_qm=[
+            (2.0 / 3.0) * abs(math.cos(phases.alpha + phases.beta)) for phases in settings
+        ],
+        e_analytic_causal=[0.0] * n,  # the causal rules split side 1 evenly at any phase
     )
-    row["r_pp"], row["r_pm"], row["r_mp"], row["r_mm"] = tally.r
-    if tally.accepted:
-        side1, side2 = marginals(tally.r, tally.accepted)
-        row["p1_plus_mc"], row["p1_minus_mc"] = side1.tolist()
-        row["p2_plus_mc"], row["p2_minus_mc"] = side2.tolist()
-        row["e_value"], row["e_std_error"] = estimate_E(tally)
-    return row
+    columns.update(zip(("r_pp", "r_pm", "r_mp", "r_mm"), counts.T.tolist()))
+    seen = accepted > 0
+    side1, side2 = marginals(counts[seen], accepted[seen, None])
+    mc = (*side1.T, *side2.T, *estimate_E(counts[seen]))
+    names = ("p1_plus_mc", "p1_minus_mc", "p2_plus_mc", "p2_minus_mc", "e_value", "e_std_error")
+    for name, values in zip(names, mc):
+        found = iter(values.tolist())
+        columns[name] = [next(found) if row_seen else None for row_seen in seen.tolist()]
+    return columns
+
+
+def _first_row(columns: dict[str, list]) -> dict:
+    return {column: values[0] for column, values in columns.items()}
+
+
+def _concat(parts: list[dict[str, list]]) -> dict[str, list]:
+    """The rows of ``parts`` one after the other, as one set of columns."""
+    return {column: sum((part[column] for part in parts), []) for column in COLUMNS}
 
 
 def _fields(row: dict, *names: str) -> str:
     return " ".join(f"{name}={_format_cell(row[name])}" for name in names)
 
 
-def _emit(rows: list[dict], fmt: str, out_path: str) -> None:
+#: Rows formatted at a time, a column at a time, on their way to ``--out``.
+_BATCH_ROWS = 256
+
+
+def _column_texts(values: list, cell, prefix: str, floats: dict, others: dict) -> list[str]:
+    """``prefix + cell(value)`` for each of ``values``, one column's cells.
+
+    The texts are memoised in ``floats`` and ``others``, keyed by value.  A
+    zero or NaN float is formatted afresh, never keyed: ``0.0 == -0.0`` and
+    NaN equals nothing.  Floats have a memo of their own, apart from the str
+    and int cells, as ``1 == 1.0`` prints differently.
+    """
+    texts = []
+    for value in values:
+        kind = type(value)
+        if kind is float and value and value == value:
+            memo = floats
+        elif kind is str or kind is int:
+            memo = others
+        else:
+            texts.append(prefix + cell(value))
+            continue
+        text = memo.get(value)
+        if text is None:
+            text = memo[value] = prefix + cell(value)
+        texts.append(text)
+    return texts
+
+
+def _emit(columns: dict[str, list], fmt: str, out_path: str) -> None:
+    """Write the rows of ``columns`` to ``out_path`` as CSV or JSON, row by row.
+
+    The JSON text is ``json.dumps({"rows": rows}, indent=2) + "\\n"``, byte
+    for byte, written straight into its fixed layout.  The cells are
+    formatted a column at a time, ``_BATCH_ROWS`` rows at a time, so the
+    formatted text never holds more than one batch.
+    """
     if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(COLUMNS)
-        for row in rows:
-            writer.writerow([_format_cell(row[column]) for column in COLUMNS])
-        text = buffer.getvalue()
+        cell, prefixes = _format_cell, [""] * len(COLUMNS)
     else:
-        # json.dumps({"rows": rows}, indent=2) + "\n", byte for byte, written
-        # straight into its fixed layout
-        objects = (
-            ",\n".join([key + _json_cell(row[c]) for key, c in zip(_JSON_KEYS, COLUMNS)])
-            for row in rows
-        )
-        text = '{\n  "rows": [\n    {\n' + "\n    },\n    {\n".join(objects) + "\n    }\n  ]\n}\n"
+        cell, prefixes = _json_cell, _JSON_KEYS
+    memos = [({}, {}) for _ in COLUMNS]
+    n = len(columns[COLUMNS[0]])
+    rows = (
+        row
+        for start in range(0, n, _BATCH_ROWS)
+        for row in zip(*(
+            _column_texts(columns[column][start : start + _BATCH_ROWS], cell, prefix, *memo)
+            for column, prefix, memo in zip(COLUMNS, prefixes, memos)
+        ))
+    )
     try:
-        Path(out_path).write_text(text, encoding="utf-8")
+        with open(out_path, "w", encoding="utf-8") as handle:
+            if fmt == "csv":
+                writer = csv.writer(handle, lineterminator="\n")
+                writer.writerow(COLUMNS)
+                writer.writerows(rows)
+            else:
+                separator = '{\n  "rows": [\n    {\n'
+                for row in rows:
+                    handle.write(separator + ",\n".join(row))
+                    separator = "\n    },\n    {\n"
+                handle.write("\n    }\n  ]\n}\n")
     except OSError as exc:
         raise ValueError(f"cannot write --out file: {exc}") from None
 
@@ -254,9 +315,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
     phases = _phases_from(args)
     target = Subensemble(args.subensemble)
     law = predict(model, [phases], target)
-    row = _analytic_row("predict", model, target, phases, law)
+    columns = _analytic_columns("predict", model, target, [phases], law)
     if args.out:
-        _emit([row], args.format, args.out)
+        _emit(columns, args.format, args.out)
+    row = _first_row(columns)
 
     rule1, rule2 = _rule_labels(model, target)
     print(_fields(row, "model", "ordering", "subensemble", *PHASE_NAMES))
@@ -282,9 +344,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         target_sub=Subensemble(args.subensemble),
     )
     law = predict(config.model, [config.phases], config.target_sub)
-    row = _run_row("simulate", config, law, 0, merge_tallies(block_tallies([config], law)))
+    tally = merge_tallies(block_tallies([config], [law]))
+    columns = _run_columns("simulate", law, [(config, tally)])
     if args.out:
-        _emit([row], args.format, args.out)
+        _emit(columns, args.format, args.out)
+    row = _first_row(columns)
 
     print(_fields(row, "model", "ordering", "subensemble", *PHASE_NAMES, "events", "seed"))
     print(
@@ -303,30 +367,40 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     phases = _phases_from(args)
     grid = _parse_grid(args.grid, args.degrees)
-    rows = []
-    for kind in (TheoryKind.QM, TheoryKind.RNL):
-        model = TheoryModel(kind=kind, ordering=TimeOrdering(args.ordering))
-        law, points = scan_phases(model, args.axis, grid, phases, args.events, args.seed)
-        rows += [_run_row("compare", c, law, k, t, args.axis) for k, (c, t) in enumerate(points)]
+    ordering = TimeOrdering(args.ordering)
+    models = [TheoryModel(kind, ordering) for kind in (TheoryKind.QM, TheoryKind.RNL)]
+    scans = scan_phases(models, args.axis, grid, phases, args.events, args.seed)
+    columns = _concat([_run_columns("compare", law, points, args.axis) for law, points in scans])
     if args.out:
-        _emit(rows, args.format, args.out)
+        _emit(columns, args.format, args.out)
 
     print(
         f"compare axis={args.axis} points={len(grid)} events_per_point={args.events} "
         f"seed={args.seed} base {_fields(vars(phases), *PHASE_NAMES)}"
     )
-    for row in rows:
-        print(
-            f"{_fields(row, 'model', 'angle')} "
-            f"p1_plus analytic={_shown(row['p1_plus_analytic'])} "
-            f"mc={_shown(row['p1_plus_mc'])} "
-            f"E={_shown(row['e_value'])}±{_shown(row['e_std_error'])}"
-        )
+    shown = ("model", "angle", "p1_plus_analytic", "p1_plus_mc", "e_value", "e_std_error")
+    print("\n".join(
+        f"model={model} angle={_format_cell(angle)} p1_plus analytic={_shown(analytic)} "
+        f"mc={_shown(mc)} E={_shown(value)}±{_shown(error)}"
+        for model, angle, analytic, mc, value, error in zip(*map(columns.get, shown))
+    ))
     return 0
 
 
 def cmd_validate_oracle(args: argparse.Namespace) -> int:
-    convention = SplitterConvention(t=args.splitter_t, r=args.splitter_r)
+    # imported here: the other commands never load the oracle
+    from .bsnetwork import (
+        SplitterConvention,
+        default_geometry,
+        load_geometry,
+        validate_against_reference,
+    )
+
+    default = SplitterConvention()
+    convention = SplitterConvention(
+        t=default.t if args.splitter_t is None else args.splitter_t,
+        r=default.r if args.splitter_r is None else args.splitter_r,
+    )
     if args.geometry:
         try:
             geometry = load_geometry(args.geometry)
@@ -416,17 +490,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate-oracle", help="check amplitude tables against the splitter-network derivation")
     p.add_argument("--geometry", help="wiring description file (defaults to the built-in layout)")
-    default_convention = SplitterConvention()
     p.add_argument(
         "--splitter-t",
         type=complex,
-        default=default_convention.t,
         help="complex transmission amplitude, e.g. 0.7071067811865476",
     )
     p.add_argument(
         "--splitter-r",
         type=complex,
-        default=default_convention.r,
         help="complex reflection amplitude, e.g. 0.7071067811865476j",
     )
     p.set_defaults(handler=cmd_validate_oracle)

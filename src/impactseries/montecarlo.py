@@ -17,31 +17,37 @@ block ``j`` uses the PCG64 stream seeded by ``SeedSequence(seed,
 spawn_key=(j,))``.  A block of ``size`` events makes one ``random(2*size)``
 draw: the first ``size`` doubles are the events' class draws and the next
 ``size`` their outcome draws, so every event, rejected or not, consumes its
-outcome draw.  Categories are picked by thresholds on the cumulative weights,
-which equals an inverse CDF (``searchsorted(..., side="right")``): each
-block's accepted outcomes are counted by masked threshold compares into two
-reused ``bool`` buffers, and never gathered into a new array.  Per-block
-tallies merge by addition, so the merged result is independent of how blocks
-are partitioned and merged, and reproducible across platforms for a given
-seed.
+outcome draw.  A block's draws thus depend only on its seed, index and size,
+and all the blocks of one :func:`block_tallies` call with the same key share
+one draw: a scan gives point ``k`` the same seed under every model, so a
+compare draws each point's blocks once.  Categories are picked by thresholds
+on the cumulative weights, which equals an inverse CDF (``searchsorted(...,
+side="right")``): the accepted outcomes are counted by masked threshold
+compares into two reused ``bool`` buffers, and never gathered into a new
+array.  Per-block tallies merge by addition, so the merged result is
+independent of how blocks are partitioned and merged, and reproducible across
+platforms for a given seed.
 
-Parallel runs: each ``(config, block)`` pair of a :func:`block_tallies` call
-is one work item, and the call makes one fan-out decision: one forked worker
-per CPU in the affinity set (``os.sched_getaffinity``), but at most one per
-``_BLOCKS_PER_WORKER`` full blocks of the call's events.  One worker stays in
-process; more split the item list into contiguous chunks over one pool, and
-the chunks' tallies are joined in item order.  Every block still draws from
-its own stream, so the tallies are the same bits for any worker count:
-``taskset -c 0`` gives a serial run that writes identical bytes.
+Chunks and parallel runs: the streams of a call are grouped by size, and up to
+``BLOCK_SIZE // size`` streams of one size are drawn into the rows of one
+reused buffer (one row per chunk for full blocks), so a chunk never holds more
+than one full block of draws.  The compares run over the whole chunk, each
+reader of a stream against its own row of thresholds.  The call makes one
+fan-out decision: one forked worker per CPU in the affinity set
+(``os.sched_getaffinity``), but at most one per ``_BLOCKS_PER_WORKER`` full
+blocks of the events drawn.  One worker stays in process; more split the
+size-ordered streams into contiguous pieces of whole streams over one pool,
+so every reader of a stream is counted in the same worker.  Each stream is
+still drawn from its own seed, so the tallies are the same bits for any worker
+count: ``taskset -c 0`` gives a serial run that writes identical bytes.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, replace
-from itertools import groupby
-from typing import Iterable, Sequence
+from itertools import groupby, islice
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -109,7 +115,7 @@ class CoincidenceTally:
     def __post_init__(self) -> None:
         if len(self.r) != len(OUTCOMES):
             raise ValueError("tally must carry all four counters")
-        if any(count < 0 for count in self.r):
+        if min(self.r) < 0:
             raise ValueError("negative counter")
         if self.rejected < 0:
             raise ValueError("negative rejected total")
@@ -140,99 +146,207 @@ def _sampled_law(law: Law) -> np.ndarray:
 def _accepted_counts(
     u_class: np.ndarray,
     u_outcome: np.ndarray,
-    lo: float,
-    hi: float,
-    cumulative: np.ndarray,
+    edges: np.ndarray,
     mask: np.ndarray,
     scratch: np.ndarray,
-) -> tuple[int, ...]:
-    """Outcome counts of the events whose class draw lies in ``[lo, hi)``.
+) -> list[tuple[int, int, int, int]]:
+    """Outcome counts, four per row of draws, of the events whose class draw
+    lies in the row's ``[edges[i, 0], edges[i, 1])``.
 
-    Event ``i`` is accepted when ``lo <= u_class[i] < hi``, and its outcome is
-    category ``k`` when ``cumulative[k-1] <= u_outcome[i] < cumulative[k]``;
-    this equals ``bincount(searchsorted(cumulative, accepted, side="right"))``
-    provided ``cumulative[-1]`` is 1.0, above every uniform.  Tied edges (a
-    category of probability zero) give a zero count.  ``mask`` and
-    ``scratch`` are ``bool`` buffers as long as ``u_class``; both are
-    overwritten, and no array is allocated.
+    Event ``e`` of row ``i`` is accepted when ``edges[i, 0] <= u_class[i, e] <
+    edges[i, 1]``, and its outcome is category ``k`` when ``c[k-1] <=
+    u_outcome[i, e] < c[k]``, where ``c`` is ``edges[i, 2:]`` followed by 1.0,
+    above every uniform; this equals ``bincount(searchsorted(c, accepted,
+    side="right"))``.  Tied edges (a category of probability zero) give a zero
+    count.  ``mask`` and ``scratch`` are ``bool`` buffers shaped like
+    ``u_class``; both are overwritten, and no draw is gathered.  Each row is
+    counted with a flat ``count_nonzero``: on a full block that is several
+    times faster than ``count_nonzero(..., axis=1)``.
     """
+    # a single row compares with Python floats, which spares numpy's
+    # broadcast set-up on each call (~2% of a full block's time)
+    lo, hi, *cumulative = edges[0].tolist() if len(edges) == 1 else edges.T[:, :, None]
     np.greater_equal(u_class, lo, out=mask)
     np.less(u_class, hi, out=scratch)
     np.logical_and(mask, scratch, out=mask)
-    at_or_above = [np.count_nonzero(mask)]
-    for c in cumulative[:-1].tolist():
+    rows = range(len(edges))
+    at_or_above = [[np.count_nonzero(mask[i]) for i in rows]]
+    for c in cumulative:
         np.greater_equal(u_outcome, c, out=scratch)
-        at_or_above.append(np.count_nonzero(np.logical_and(scratch, mask, out=scratch)))
-    at_or_above.append(0)
-    return tuple(int(n - m) for n, m in zip(at_or_above, at_or_above[1:]))
+        np.logical_and(scratch, mask, out=scratch)
+        at_or_above.append([np.count_nonzero(scratch[i]) for i in rows])
+    return [(n0 - n1, n1 - n2, n2 - n3, n3) for n0, n1, n2, n3 in zip(*at_or_above)]
 
 
-def _sample_blocks(
-    configs: Sequence[RunConfig], cumulative: np.ndarray, items: Sequence[tuple[int, int]]
-) -> list[CoincidenceTally]:
-    """Tallies of the ``(k, block)`` ``items`` in order: the one sampler, in process or
-    in a worker.  Config ``k``'s items are contiguous and draw from ``cumulative[k]``."""
-    # sized by the largest config, so one-block runs allocate no more than they draw
-    half = min(max(config.events for config in configs), BLOCK_SIZE)
-    draws = np.empty(2 * half)
-    mask = np.empty(half, dtype=bool)
-    scratch = np.empty(half, dtype=bool)
+#: A run of streams: blocks ``start`` to ``stop - 1`` of ``seed``, each of
+#: ``size`` events, read by the configs ``readers`` in config order.
+_Run = tuple[int, int, int, int, tuple[int, ...]]
 
-    tallies = []
-    for k, config_items in groupby(items, key=lambda item: item[0]):
-        config, outcome_cum = configs[k], cumulative[k]
-        target_index = SUBENSEMBLE_ORDER.index(config.target_sub)
-        lo, hi = _CLASS_EDGES[target_index : target_index + 2]
-        for _, j in config_items:
-            size = min(BLOCK_SIZE, config.events - j * BLOCK_SIZE)
+
+def _runs(configs: Sequence[RunConfig]) -> list[_Run]:
+    """The RNG streams that the configs' blocks read, as ``(size, seed, start,
+    stop, readers)`` runs, each stream in one run only.
+
+    A block's draws depend only on its seed, index and size, so every config
+    with that key reads the same stream.  The runs are sorted by size and,
+    within a size, by falling reader count.
+    """
+    by_seed: dict[int, list[int]] = {}
+    for k, config in enumerate(configs):
+        by_seed.setdefault(config.seed, []).append(k)
+    runs = []
+    for seed, group in by_seed.items():
+        full = {k: configs[k].events // BLOCK_SIZE for k in group}
+        # full block j is read by every config with more than j full blocks
+        start = 0
+        for stop in sorted(set(full.values())):
+            if stop > start:
+                readers = tuple(k for k in group if full[k] >= stop)
+                runs.append((BLOCK_SIZE, seed, start, stop, readers))
+            start = stop
+        # a short last block is read by every config with the same one
+        short: dict[tuple[int, int], list[int]] = {}
+        for k in group:
+            size = configs[k].events % BLOCK_SIZE
+            if size:
+                short.setdefault((full[k], size), []).append(k)
+        runs += [(size, seed, j, j + 1, tuple(readers)) for (j, size), readers in short.items()]
+    return sorted(runs, key=lambda run: (run[0], -len(run[4])))
+
+
+def _chunks(runs: Sequence[_Run]) -> Iterator[tuple[int, list[tuple[int, int, tuple[int, ...]]]]]:
+    """The streams of ``runs`` in order, as ``(size, [(seed, block, readers),
+    ...])`` chunks of at most ``BLOCK_SIZE // size`` streams of one size."""
+    for size, group in groupby(runs, key=lambda run: run[0]):
+        streams = (
+            (seed, block, readers) for _, seed, start, stop, readers in group
+            for block in range(start, stop)
+        )
+        while chunk := list(islice(streams, max(1, BLOCK_SIZE // size))):
+            yield size, chunk
+
+
+def _sample_streams(
+    runs: Sequence[_Run], edges: np.ndarray, first: Sequence[int]
+) -> dict[int, tuple[int, int, int, int]]:
+    """The one sampler, in process or in a worker: the outcome counts of each
+    item that reads a stream of ``runs``, by item.
+
+    Block ``j`` of config ``k`` is item ``first[k] + j``, and it is counted
+    against row ``k`` of ``edges`` (see :func:`_accepted_counts`).  Each chunk
+    of :func:`_chunks` is drawn into the rows of one reused buffer and
+    counted at once.
+    """
+    # a chunk holds at most one full block, and never more than the runs draw
+    capacity = min(BLOCK_SIZE, sum(size * (stop - start) for size, _, start, stop, _ in runs))
+    draws = np.empty(2 * capacity)
+    mask = np.empty(capacity, dtype=bool)
+    scratch = np.empty(capacity, dtype=bool)
+
+    counts = {}
+    for size, chunk in _chunks(runs):
+        u = draws[: 2 * size * len(chunk)].reshape(len(chunk), 2 * size)
+        for row, (seed, block, _) in enumerate(chunk):
             rng = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence(config.seed, spawn_key=(j,)))
+                np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(block,)))
             )
-            u = rng.random(out=draws[: 2 * size])
-            counts = _accepted_counts(
-                u[:size], u[size:], lo, hi, outcome_cum, mask[:size], scratch[:size]
+            rng.random(out=u[row])
+        # layer m is each stream's m-th reader; reader counts fall along a
+        # size, so the streams with an m-th reader are a prefix of the rows
+        for m in range(len(chunk[0][2])):
+            layer = [(block, readers[m]) for _, block, readers in chunk if len(readers) > m]
+            n = len(layer)
+            layer_counts = _accepted_counts(
+                u[:n, :size],
+                u[:n, size:],
+                edges.take([k for _, k in layer], axis=0),
+                mask[: n * size].reshape(n, size),
+                scratch[: n * size].reshape(n, size),
             )
-            tallies.append(CoincidenceTally(r=counts, rejected=size - sum(counts)))
-    return tallies
+            counts.update(zip((first[k] + block for block, k in layer), layer_counts))
+    return counts
 
 
-def _worker_count(events: int, items: int) -> int:
+def _split(runs: Sequence[_Run], parts: int) -> list[list[_Run]]:
+    """``runs`` as ``parts`` consecutive pieces with stream counts as even as
+    possible; a run is cut between blocks where a piece ends."""
+    total = sum(stop - start for _, _, start, stop, _ in runs)
+    pieces: list[list[_Run]] = [[] for _ in range(parts)]
+    done = 0
+    for size, seed, start, stop, readers in runs:
+        while start < stop:
+            piece = done * parts // total  # piece p holds streams ceil(p*total/parts) onward
+            end = min(stop, start + -(-(piece + 1) * total // parts) - done)
+            pieces[piece].append((size, seed, start, end, readers))
+            done += end - start
+            start = end
+    return pieces
+
+
+def _worker_count(events: int, streams: int) -> int:
     """One worker per CPU the process may run on, as long as each gets
-    ``_BLOCKS_PER_WORKER`` full blocks of the ``events`` and one of the ``items``."""
+    ``_BLOCKS_PER_WORKER`` full blocks of the drawn ``events`` and one of the ``streams``."""
     if not hasattr(os, "sched_getaffinity"):
         return 1
     per_worker = _BLOCKS_PER_WORKER * BLOCK_SIZE
-    return max(1, min(len(os.sched_getaffinity(0)), events // per_worker, items))
+    return max(1, min(len(os.sched_getaffinity(0)), events // per_worker, streams))
 
 
-def block_tallies(configs: Sequence[RunConfig], law: Law) -> list[CoincidenceTally]:
+def block_tallies(configs: Sequence[RunConfig], laws: Sequence[Law]) -> list[CoincidenceTally]:
     """Per-block tallies of every config, config by config and each in block order.
 
-    Config ``k`` samples row ``k`` of ``law``; another row count is a
-    ``ValueError``.  The call starts at most one pool (see :func:`_worker_count`).
+    The sampled rows of ``laws``, stacked, belong to the configs one to one:
+    config ``k`` samples stacked row ``k``, and another row count is a
+    ``ValueError``.  The blocks of every config with the same seed, block
+    index and size share one draw.  The call starts at most one pool (see
+    :func:`_worker_count`, which counts the events drawn), whose chunks hold
+    whole streams.
     """
-    sampled = _sampled_law(law)
-    if len(sampled) != len(configs):
-        raise ValueError(f"law rows ({len(sampled)}) must match configs ({len(configs)})")
-    cumulative = np.cumsum(sampled, axis=1)
-    cumulative[:, -1] = 1.0  # guard against rounding below the top uniform
-    items = [(k, j) for k, c in enumerate(configs) for j in range(-(-c.events // BLOCK_SIZE))]
-    workers = _worker_count(sum(config.events for config in configs), len(items))
+    sampled = [_sampled_law(law) for law in laws]
+    rows = sum(len(law) for law in sampled)
+    if rows != len(configs):
+        raise ValueError(f"law rows ({rows}) must match configs ({len(configs)})")
+    if not configs:
+        return []
+
+    # per config: its class interval, then the first three cumulative outcome
+    # edges; the top edge is 1.0, above every uniform, and never compared
+    targets = [SUBENSEMBLE_ORDER.index(config.target_sub) for config in configs]
+    edges = np.column_stack((
+        [_CLASS_EDGES[t : t + 2] for t in targets],
+        np.cumsum(np.concatenate(sampled), axis=1)[:, :-1],
+    ))
+    first = [0]
+    for config in configs:
+        first.append(first[-1] - (-config.events // BLOCK_SIZE))
+    runs = _runs(configs)
+
+    drawn = sum(size * (stop - start) for size, _, start, stop, _ in runs)
+    workers = _worker_count(drawn, sum(stop - start for _, _, start, stop, _ in runs))
     if workers == 1:
-        return _sample_blocks(configs, cumulative, items)
+        counts = _sample_streams(runs, edges, first)
+    else:
+        # imported here: a run that never fans out does not pay their memory
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    # imported here: a run that never fans out does not pay their memory
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+        # fork, not spawn: a spawned worker would pay an interpreter start and
+        # the numpy import; Python 3.14 makes forkserver the Linux default
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+            counts = {}
+            for part in pool.map(
+                _sample_streams, _split(runs, workers), [edges] * workers, [first] * workers
+            ):
+                counts.update(part)
 
-    bounds = [len(items) * i // workers for i in range(workers + 1)]
-    chunks = [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    # fork, not spawn: a spawned worker would pay an interpreter start and
-    # the numpy import; Python 3.14 makes forkserver the Linux default
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-        parts = pool.map(_sample_blocks, [configs] * workers, [cumulative] * workers, chunks)
-        return [tally for part in parts for tally in part]
+    tallies = []
+    for config, start, stop in zip(configs, first, first[1:]):
+        for j in range(stop - start):
+            r = counts[start + j]
+            size = min(BLOCK_SIZE, config.events - j * BLOCK_SIZE)
+            tallies.append(CoincidenceTally(r=r, rejected=size - sum(r)))
+    return tallies
 
 
 def merge_tallies(tallies: Iterable[CoincidenceTally]) -> CoincidenceTally:
@@ -251,29 +365,31 @@ def run(config: RunConfig) -> CoincidenceTally:
     A target outside the model's domain fails in :func:`predict`, before any draw.
     """
     law = predict(config.model, [config.phases], config.target_sub)
-    return merge_tallies(block_tallies([config], law))
+    return merge_tallies(block_tallies([config], [law]))
 
 
-def estimate_E(tally: CoincidenceTally) -> tuple[float, float]:
+def estimate_E(counts) -> tuple[np.ndarray, np.ndarray]:
     """Normalized side-1 counter asymmetry (R++ + R+- - R-+ - R--)/accepted,
-    and its standard error.
+    and its standard error, of ``OUTCOMES``-ordered counters.
 
+    ``counts`` holds the four counters on its last axis: one tally's ``r``, or
+    one row of them per run.  Both results have the shape of the other axes.
     The error is the binomial ``2*sqrt(p*(1-p)/n)`` of the side-1 "+"
     fraction ``p``.  When every accepted event lands on one side-1 detector
     that formula gives 0, so the error is instead ``1/(n+1)``, the z = 1
-    Wilson score half-width (Wilson 1927) on the E scale.
+    Wilson score half-width (Wilson 1927) on the E scale.  A row with no
+    accepted event is a ``ValueError``.
     """
-    n = tally.accepted
-    if n == 0:
+    counts = np.asarray(counts)
+    n = counts.sum(axis=-1)
+    if (n == 0).any():
         raise ValueError("cannot estimate E from an empty tally")
-    pp, pm, _, _ = tally.r
-    plus_side1 = pp + pm
+    plus_side1 = counts[..., 0] + counts[..., 1]
     value = (2 * plus_side1 - n) / n
-    if plus_side1 in (0, n):
-        std_error = 1.0 / (n + 1)
-    else:
-        p = plus_side1 / n
-        std_error = 2.0 * math.sqrt(p * (1.0 - p) / n)
+    p = plus_side1 / n
+    std_error = np.where(
+        (plus_side1 == 0) | (plus_side1 == n), 1.0 / (n + 1), 2.0 * np.sqrt(p * (1.0 - p) / n)
+    )
     return value, std_error
 
 
@@ -284,21 +400,24 @@ def derive_point_seed(seed: int, index: int) -> int:
 
 
 def scan_phases(
-    model: TheoryModel,
+    models: Sequence[TheoryModel],
     axis: str,
     grid: Sequence[float],
     base: PhaseSettings,
     events_per_point: int,
     seed: int,
-) -> tuple[Law, list[tuple[RunConfig, CoincidenceTally]]]:
-    """The grid's law and one simulated run per grid angle, as ``(config,
-    tally)`` pairs in grid order; row ``k`` of the law belongs to point ``k``.
+) -> list[tuple[Law, list[tuple[RunConfig, CoincidenceTally]]]]:
+    """One phase scan per model, as ``(law, [(config, tally), ...])`` in model
+    order: the grid's law and one simulated run per grid angle, in grid order;
+    row ``k`` of the law belongs to point ``k``.
 
     ``axis`` names the phase being swept; the other two stay at their ``base``
-    values.  The law is one :func:`predict` call and the sampling one
-    :func:`block_tallies` call over every point.  Point ``k`` runs with the
-    derived seed :func:`derive_point_seed`\\ ``(seed, k)``; its config is the
-    full provenance, so any single point can be replayed with :func:`run`.
+    values.  Point ``k`` runs with the derived seed
+    :func:`derive_point_seed`\\ ``(seed, k)`` under every model, so the
+    models' point ``k`` share their draws.  Each law is one :func:`predict`
+    call, and the sampling of every model is one :func:`block_tallies` call.
+    A point's config is its full provenance, so it can be replayed with
+    :func:`run`.
     """
     if axis not in PHASE_NAMES:
         raise ValueError(f"axis must be one of {PHASE_NAMES}")
@@ -306,11 +425,16 @@ def scan_phases(
         raise ValueError("grid must not be empty")
     _require_seed(seed)
     settings = [replace(base, **{axis: float(angle)}) for angle in grid]
+    seeds = [derive_point_seed(seed, k) for k in range(len(settings))]
     configs = [
-        RunConfig(model, phases, events=events_per_point, seed=derive_point_seed(seed, k))
-        for k, phases in enumerate(settings)
+        RunConfig(model, phases, events=events_per_point, seed=point_seed)
+        for model in models
+        for phases, point_seed in zip(settings, seeds)
     ]
-    law = predict(model, settings)
-    tallies = block_tallies(configs, law)
-    n = len(tallies) // len(configs)  # every point has the same block count
-    return law, [(c, merge_tallies(tallies[k * n : (k + 1) * n])) for k, c in enumerate(configs)]
+    laws = [predict(model, settings) for model in models]
+    tallies = block_tallies(configs, laws)
+    n = -(-events_per_point // BLOCK_SIZE)  # blocks per point
+    points = [
+        (config, merge_tallies(tallies[k * n : (k + 1) * n])) for k, config in enumerate(configs)
+    ]
+    return [(law, points[m * len(grid) : (m + 1) * len(grid)]) for m, law in enumerate(laws)]

@@ -141,10 +141,10 @@ def test_criterion_5_headline_discriminator():
     rnl_model = TheoryModel(TheoryKind.RNL)
 
     qm_value, _ = estimate_E(
-        run(RunConfig(model=qm_model, phases=aligned, events=1_000_000, seed=42))
+        run(RunConfig(model=qm_model, phases=aligned, events=1_000_000, seed=42)).r
     )
     rnl_value, rnl_error = estimate_E(
-        run(RunConfig(model=rnl_model, phases=aligned, events=1_000_000, seed=42))
+        run(RunConfig(model=rnl_model, phases=aligned, events=1_000_000, seed=42)).r
     )
     elapsed = time.perf_counter() - start
     qm_ok = abs(abs(qm_value) - 2 / 3) <= 0.01

@@ -2,9 +2,13 @@
 
 import csv
 import hashlib
+import io
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -13,8 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import impactseries
 from impactseries.amplitudes import PhaseSettings
-from impactseries.cli import COLUMNS, _emit, _rule_labels, _run_row, main
+from impactseries.cli import (
+    _BATCH_ROWS, COLUMNS, _emit, _format_cell, _rule_labels, _run_columns, main
+)
 from impactseries.montecarlo import CoincidenceTally, RunConfig
 from impactseries.pathspace import Subensemble, TimeOrdering
 from impactseries.theories import TheoryKind, TheoryModel, marginals, predict
@@ -149,9 +156,9 @@ class TestRunRow:
                 events=4, seed=0,
             )
             law = predict(config.model, [config.phases])
-            row = _run_row("simulate", config, law, 0, counts)
-            assert row["e_analytic_qm"] == pytest.approx(anchor, abs=1e-12)
-            assert row["e_analytic_causal"] == 0.0
+            row = _run_columns("simulate", law, [(config, counts)])
+            assert row["e_analytic_qm"] == [pytest.approx(anchor, abs=1e-12)]
+            assert row["e_analytic_causal"] == [0.0]
 
 
 class TestSimulate:
@@ -408,9 +415,9 @@ class TestJsonWriter:
     ]
 
     @staticmethod
-    def written(rows, tmp_path):
-        out_file = tmp_path / "rows.json"
-        _emit(rows, "json", str(out_file))
+    def written(rows, tmp_path, fmt="json"):
+        out_file = tmp_path / f"rows.{fmt}"
+        _emit({c: [row[c] for row in rows] for c in COLUMNS}, fmt, str(out_file))
         return out_file.read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("count", [1, 2, len(VALUES)])
@@ -438,6 +445,31 @@ class TestJsonWriter:
         rows = [dict(zip(COLUMNS, row)) for row in values]
         assert self.written(rows, tmp_path_factory.mktemp("rows")) == json_dumps_rows(rows)
 
+    # a column meets each of these again and again, across the batches the
+    # writer formats at a time: equal keys that print apart (0.0 and -0.0,
+    # 1 and 1.0) and NaN, which equals nothing, must never share a cell text
+    REPEATED = [0.0, -0.0, -0.0, 0.0, math.nan, math.nan, 1, 1.0, 1.0, 1, "1", None,
+                math.inf, -math.inf, 2.5, 2.5, 1e-05, 0.1666666666, 2**70]
+
+    def repeated_rows(self):
+        count = 2 * _BATCH_ROWS + 7
+        return [
+            {c: self.REPEATED[(3 * i + k) % len(self.REPEATED)] for i, c in enumerate(COLUMNS)}
+            for k in range(count)
+        ]
+
+    def test_repeated_cells_equal_json_dumps(self, tmp_path):
+        rows = self.repeated_rows()
+        assert self.written(rows, tmp_path) == json_dumps_rows(rows)
+
+    def test_repeated_cells_equal_the_csv_writer(self, tmp_path):
+        rows = self.repeated_rows()
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(COLUMNS)
+        writer.writerows([_format_cell(row[c]) for c in COLUMNS] for row in rows)
+        assert self.written(rows, tmp_path, "csv") == expected.getvalue()
+
 
 class TestFrozenOutput:
     """Exact ``--out`` and stdout bytes of fixed runs; a refactor of the row code must keep them."""
@@ -446,6 +478,9 @@ class TestFrozenOutput:
     # the default 13-point grid: rows at alpha ~ pi/2 and 3*pi/2 carry
     # e_analytic_qm = 4.08216e-17 and 1.22465e-16, not 0
     COMPARE = ["compare", "--grid", "0:6.283185307179586:13", "--events", "2000", "--seed", "3"]
+    # 3 blocks per point, the last of 8,928 events
+    MULTI_BLOCK = ["compare", "--grid", "0:3:4", "--events", "140000", "--seed", "11",
+                   "--format", "json"]
     CASES = [
         pytest.param(
             COMPARE, "89729fbedabff4cc3c5fd6655c681f1c2692b763649938ffd1c1dfa92fa065ec",
@@ -493,6 +528,10 @@ class TestFrozenOutput:
             "9358e654c29e6d19aa725bb0c98637ab88fcc0b94b04ca9fcafcbb0db96373cf",
             id="compare-1001-json",
         ),
+        pytest.param(
+            MULTI_BLOCK, "83c9c5f48a3077a3e77ef7c4a581f26e6698f4b4e6faae29f8e595e65cde8070",
+            id="compare-multi-block-json",
+        ),
     ]
 
     @pytest.mark.parametrize("argv, digest", CASES)
@@ -507,6 +546,10 @@ class TestFrozenOutput:
         pytest.param(
             COMPARE, 0, "f30c8f723cd56da245a9a205237343a2bda4046063134e664eaad5b9352cb3b8",
             id="compare",
+        ),
+        pytest.param(
+            MULTI_BLOCK, 0, "e094e0347f2a639c620afe6504f7f39e85f8098957a1d7b8ac8132dbdd5a733d",
+            id="compare-multi-block",
         ),
         pytest.param(
             ["simulate", "--model", "qm", *RUN], 0,
@@ -614,8 +657,34 @@ class TestValidateOracle:
         assert code == 2
         assert "unitary" in captured.err
 
+    def test_an_amplitude_left_out_keeps_its_default(self, capsys):
+        # t = 1 beside the default r = i/sqrt(2) is not unitary
+        code = main(["validate-oracle", "--splitter-t", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "unitary" in captured.err
+
     def test_unreadable_geometry_file(self, capsys):
         code = main(["validate-oracle", "--geometry", "/no/such/file.geom"])
         captured = capsys.readouterr()
         assert code == 2
         assert "geometry" in captured.err
+
+
+def test_sampling_commands_do_not_load_the_oracle():
+    # only validate-oracle needs the splitter-network oracle
+    script = (
+        "import sys, contextlib, io\n"
+        "from impactseries.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['predict', '--model', 'qm']),\n"
+        "             main(['simulate', '--model', 'qm', '--events', '1000']),\n"
+        "             main(['compare', '--grid', '0:1:3', '--events', '1000'])]\n"
+        "print(codes, 'impactseries.bsnetwork' in sys.modules)\n"
+    )
+    src = str(Path(impactseries.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert result.stdout == "[0, 0, 0] False\n"

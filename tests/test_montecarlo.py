@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import impactseries
 from impactseries import montecarlo
 from impactseries.amplitudes import PhaseSettings
-from impactseries.cli import _run_row
+from impactseries.cli import _run_columns
 from impactseries.montecarlo import (
     BLOCK_SIZE,
     SUBENSEMBLE_ORDER,
@@ -33,7 +33,6 @@ from impactseries.montecarlo import (
     _BLOCKS_PER_WORKER,
     _CLASS_EDGES,
     _accepted_counts,
-    _sample_blocks,
     _sampled_law,
     _worker_count,
 )
@@ -132,17 +131,15 @@ class TestDeterminism:
         config = RunConfig(
             model=model, phases=phases, events=events, seed=2024, target_sub=target
         )
-        assert block_tallies([config], law_of(config)) == searchsorted_block_tallies(config)
+        assert block_tallies([config], [law_of(config)]) == searchsorted_block_tallies(config)
 
     @pytest.mark.parametrize("events", [3 * BLOCK_SIZE + 17, BLOCK_SIZE + 1])
     def test_short_block_after_full_ones_reads_no_stale_bits(self, events):
-        # one call reuses its mask and scratch buffers from the full blocks
-        # for the short last one
+        # one in-process call reuses its draw, mask and scratch buffers
+        # between the full blocks and the short last one
         config = RunConfig(model=QM, phases=ZERO, events=events, seed=2024)
-        cumulative = np.cumsum(_sampled_law(law_of(config)), axis=1)
-        cumulative[:, -1] = 1.0
-        items = [(0, j) for j in range(-(-events // BLOCK_SIZE))]
-        assert _sample_blocks([config], cumulative, items) == searchsorted_block_tallies(config)
+        assert _worker_count(events, -(-events // BLOCK_SIZE)) == 1
+        assert block_tallies([config], [law_of(config)]) == searchsorted_block_tallies(config)
 
     def test_tied_outcome_edge_is_never_drawn(self):
         cum = np.cumsum(_sampled_law(predict(QM, [TIED]))[0])
@@ -163,7 +160,7 @@ class TestDeterminism:
 
     def test_merged_blocks_are_partition_order_independent(self):
         config = RunConfig(model=QM, phases=ZERO, events=3 * BLOCK_SIZE + 17, seed=5)
-        blocks = block_tallies([config], law_of(config))
+        blocks = block_tallies([config], [law_of(config)])
         assert [t.events for t in blocks] == [BLOCK_SIZE, BLOCK_SIZE, BLOCK_SIZE, 17]
         shuffled = list(blocks)
         random.Random(0).shuffle(shuffled)
@@ -194,7 +191,7 @@ class TestWorkers:
         config = RunConfig(model=QM, phases=ZERO, events=events, seed=5)
         n_blocks = -(-events // BLOCK_SIZE)
         assert _worker_count(events, n_blocks) == min(workers, n_blocks)
-        assert block_tallies([config], law_of(config)) == searchsorted_block_tallies(config)
+        assert block_tallies([config], [law_of(config)]) == searchsorted_block_tallies(config)
 
     def test_pooled_run_gives_the_frozen_tally(self, cpus):
         cpus(2)
@@ -214,7 +211,7 @@ class TestWorkers:
         monkeypatch.setattr(montecarlo, "_accepted_counts", counts_outside_the_parent)
         config = RunConfig(model=QM, phases=ZERO, events=2 * BLOCK_SIZE, seed=5)
         with pytest.raises(ZeroDivisionError, match="raised in a worker"):
-            block_tallies([config], law_of(config))
+            block_tallies([config], [law_of(config)])
 
     def test_worker_count(self, monkeypatch):
         # the rule counts full blocks of events, so a partial block adds no worker
@@ -236,7 +233,8 @@ class TestWorkers:
 
     def test_a_scan_starts_one_pool(self, cpus, monkeypatch):
         # two blocks per point and a worker per block of events: each point
-        # would fan out alone, and the chunk boundary falls inside point 1
+        # would fan out alone; the two models' scans are one sampler call,
+        # split over one pool into pieces of whole streams
         cpus(2)
         pools = []
 
@@ -246,23 +244,49 @@ class TestWorkers:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
-        _, points = scan_phases(QM, "alpha", [0.0, 0.4, 2.0], ZERO, BLOCK_SIZE + 17, seed=3)
+        scans = scan_phases([QM, RNL], "alpha", [0.0, 0.4, 2.0], ZERO, BLOCK_SIZE + 17, seed=3)
         assert pools == [2]
-        for config, point_tally in points:
-            assert point_tally == run(config)
-            assert point_tally == merge_tallies(searchsorted_block_tallies(config))
+        for _, points in scans:
+            for config, point_tally in points:
+                assert point_tally == run(config)
+                assert point_tally == merge_tallies(searchsorted_block_tallies(config))
+
+    def test_a_pool_piece_can_end_inside_a_run(self, cpus):
+        # one config's 3 full blocks are one run of streams; 2 workers cut it
+        cpus(2)
+        config = RunConfig(model=RNL, phases=ZERO, events=3 * BLOCK_SIZE, seed=8)
+        pieces = montecarlo._split(montecarlo._runs([config]), 2)
+        assert [[(start, stop) for _, _, start, stop, _ in piece] for piece in pieces] == [
+            [(0, 2)], [(2, 3)]
+        ]
+        assert block_tallies([config], [law_of(config)]) == searchsorted_block_tallies(config)
 
     def test_law_rows_must_match_the_configs(self):
         config = RunConfig(model=QM, phases=ZERO, events=10, seed=0)
         with pytest.raises(ValueError, match=r"law rows \(1\) must match configs \(2\)"):
-            block_tallies([config, config], law_of(config))
+            block_tallies([config, config], [law_of(config)])
         with pytest.raises(ValueError, match=r"law rows \(2\) must match configs \(1\)"):
-            block_tallies([config], predict(RNL, [ZERO, ZERO]))
+            block_tallies([config], [predict(RNL, [ZERO, ZERO])])
+        with pytest.raises(ValueError, match=r"law rows \(3\) must match configs \(2\)"):
+            block_tallies([config, config], [law_of(config), predict(RNL, [ZERO, ZERO])])
+        # the laws' rows are stacked: two laws of one row serve two configs
+        other = dataclasses.replace(config, model=RNL, seed=1)
+        assert block_tallies([config, other], [law_of(config), law_of(other)]) == (
+            searchsorted_block_tallies(config) + searchsorted_block_tallies(other)
+        )
+
+    @pytest.mark.parametrize("model", [QM, RNL, CAUSAL_1, CAUSAL_2])
+    def test_an_empty_config_list_samples_nothing(self, model, monkeypatch):
+        # returned before any buffer is allocated or a worker count decided
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda *args: pytest.fail("fan-out"))
+        monkeypatch.setattr(montecarlo, "_sample_streams", lambda *args: pytest.fail("sampled"))
+        assert block_tallies([], [predict(model, [])]) == []
+        assert block_tallies([], []) == []
 
     def test_in_process_run_imports_no_pool(self):
         # the pool modules cost memory at import; work below the pool
-        # threshold (a one-block run, a 1,001-point scan of one-block
-        # points, a predict) must not load them
+        # threshold (a one-block run, a two-model scan of 1,001 one-block
+        # points, as scan-fine samples, a predict) must not load them
         script = (
             "import sys, impactseries.cli\n"
             "from impactseries.amplitudes import PhaseSettings\n"
@@ -270,8 +294,8 @@ class TestWorkers:
             "from impactseries.theories import TheoryKind, TheoryModel\n"
             "run(RunConfig(model=TheoryModel(TheoryKind.QM), phases=PhaseSettings(),"
             " events=1000, seed=1))\n"
-            "scan_phases(TheoryModel(TheoryKind.QM), 'alpha', [k / 100 for k in range(1001)],"
-            " PhaseSettings(), 1000, seed=1)\n"
+            "scan_phases([TheoryModel(TheoryKind.QM), TheoryModel(TheoryKind.RNL)], 'alpha',"
+            " [k / 100 for k in range(1001)], PhaseSettings(), 1000, seed=1)\n"
             "print(sorted(m for m in sys.modules"
             " if m.startswith(('multiprocessing', 'concurrent.futures'))))\n"
         )
@@ -284,10 +308,84 @@ class TestWorkers:
         assert result.stdout == "[]\n"
 
 
+class TestSharedStreams:
+    """Blocks with the same seed, index and size read one stream, drawn once."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        configs=st.lists(
+            st.builds(
+                lambda model, short, phases, events, seed: RunConfig(
+                    model=model,
+                    phases=phases,
+                    events=events,
+                    seed=seed,
+                    # the causal rules and RNL are defined on the difference-L class only
+                    target_sub=Subensemble.SHORT if short and model is QM else Subensemble.LONG,
+                ),
+                st.sampled_from([QM, RNL, CAUSAL_1, CAUSAL_2]),
+                st.booleans(),
+                st.sampled_from([ZERO, TIED, PhaseSettings(0.9, -0.2, 1.4)]),
+                st.sampled_from(
+                    [1, BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1, 2 * BLOCK_SIZE + 17]
+                ),
+                st.sampled_from([0, 1, 2**64 - 1]),  # few seeds, so streams repeat
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    def test_block_tallies_equal_the_concatenated_reference(self, configs):
+        expected = [t for config in configs for t in searchsorted_block_tallies(config)]
+        assert block_tallies(configs, [law_of(config) for config in configs]) == expected
+
+    @staticmethod
+    def count_streams(monkeypatch) -> list:
+        """Record the seed of every PCG64 stream built from here on."""
+        built = []
+        pcg64 = np.random.PCG64
+
+        def counted(seed_sequence):
+            built.append((seed_sequence.entropy, seed_sequence.spawn_key))
+            return pcg64(seed_sequence)
+
+        monkeypatch.setattr(np.random, "PCG64", counted)
+        return built
+
+    def test_a_two_model_scan_draws_each_stream_once(self, monkeypatch):
+        # 3 points of two blocks each: 6 streams, which the two models share
+        # (12 when each model drew its own)
+        built = self.count_streams(monkeypatch)
+        grid = [0.0, 0.4, 2.0]
+        scans = scan_phases([QM, RNL], "alpha", grid, ZERO, BLOCK_SIZE + 17, seed=3)
+        assert len(built) == 6 and len(set(built)) == 6
+        for law, points in scans:
+            assert len(points) == len(grid)
+            for config, point_tally in points:
+                assert point_tally == run(config)
+
+    def test_configs_share_only_blocks_with_the_same_key(self, monkeypatch):
+        # seed 0: both configs read full block 0, drawn once; block 1 is full
+        # for one config and 1 event long for the other, so two streams, and
+        # block 2 (17 events) a third; seed 1 reads one block: 5 streams, not 6
+        built = self.count_streams(monkeypatch)
+        configs = [
+            RunConfig(model=QM, phases=ZERO, events=BLOCK_SIZE + 1, seed=0),
+            RunConfig(model=RNL, phases=ZERO, events=2 * BLOCK_SIZE + 17, seed=0),
+            RunConfig(model=QM, phases=TIED, events=1, seed=1),
+        ]
+        tallies = block_tallies(configs, [law_of(config) for config in configs])
+        assert sorted(built) == [(0, (0,)), (0, (1,)), (0, (1,)), (0, (2,)), (1, (0,))]
+        monkeypatch.undo()
+        assert tallies == [t for config in configs for t in searchsorted_block_tallies(config)]
+
+
 def accepted_counts(u_class, u_outcome, lo, hi, cumulative):
-    """``_accepted_counts`` with fresh mask and scratch buffers."""
-    buffers = [np.empty(len(u_class), dtype=bool) for _ in range(2)]
-    return _accepted_counts(u_class, u_outcome, lo, hi, cumulative, *buffers)
+    """``_accepted_counts`` of one row of draws, with fresh mask and scratch buffers."""
+    edges = np.array([[lo, hi, *cumulative[:-1]]])
+    buffers = [np.empty((1, len(u_class)), dtype=bool) for _ in range(2)]
+    [counts] = _accepted_counts(u_class[None], u_outcome[None], edges, *buffers)
+    return counts
 
 
 class TestThresholdCounts:
@@ -343,6 +441,35 @@ class TestThresholdCounts:
             minlength=4,
         )
         assert accepted_counts(u_class, u_out, lo, hi, cum) == tuple(expected.tolist())
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=len(SUBENSEMBLE_ORDER) - 1),
+                st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=4, max_size=4)
+                .filter(lambda w: sum(w) > 0),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        size=st.integers(min_value=0, max_value=300),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    def test_rows_are_counted_against_their_own_edges(self, rows, size, seed):
+        # a chunk counts each row of draws with the row's class interval and
+        # outcome edges, as if the row were counted alone (one row compares
+        # with Python floats, more rows with a column of thresholds)
+        u = np.random.default_rng(seed).random((len(rows), 2 * size))
+        edges = []
+        for target, weights in rows:
+            cum = np.cumsum(np.array(weights) / sum(weights))
+            edges.append([*_CLASS_EDGES[target : target + 2], *cum[:-1]])
+        buffers = [np.empty((len(rows), size), dtype=bool) for _ in range(2)]
+        together = _accepted_counts(u[:, :size], u[:, size:], np.array(edges), *buffers)
+        for row, row_edges, counts in zip(u, edges, together):
+            lo, hi, *cum = row_edges
+            assert counts == accepted_counts(row[:size], row[size:], lo, hi, [*cum, 1.0])
 
 
 def product_reference(law: Law) -> list[list[float]]:
@@ -429,7 +556,7 @@ class TestAcceptanceRate:
 class TestEstimator:
     def test_counter_asymmetry_and_binomial_error(self):
         t = tally(10, 20, 30, 40)
-        value, std_error = estimate_E(t)
+        value, std_error = estimate_E(t.r)
         assert value == pytest.approx((10 + 20 - 30 - 40) / 100)
         p = 30 / 100
         assert std_error == pytest.approx(2 * math.sqrt(p * (1 - p) / 100))
@@ -437,22 +564,23 @@ class TestEstimator:
     def test_single_count_edge_case(self):
         # all events on one side-1 detector: the z = 1 Wilson score
         # half-width on the E scale, 1/(n+1), not a zero error
-        assert estimate_E(tally(1, 0, 0, 0)) == (1.0, 0.5)
-        assert estimate_E(tally(0, 0, 3, 1)) == (-1.0, 1 / 5)
+        assert estimate_E(tally(1, 0, 0, 0).r) == (1.0, 0.5)
+        assert estimate_E(tally(0, 0, 3, 1).r) == (-1.0, 1 / 5)
 
     def test_empty_tally_is_rejected(self):
         with pytest.raises(ValueError):
-            estimate_E(tally(0, 0, 0, 0, rejected=5))
+            estimate_E(tally(0, 0, 0, 0, rejected=5).r)
+        with pytest.raises(ValueError):
+            estimate_E([tally(1, 0, 0, 0).r, (0, 0, 0, 0)])
 
     def test_qm_run_at_aligned_phases_reaches_minus_two_thirds(self):
         config = RunConfig(model=QM, phases=ZERO, events=1_000_000, seed=42)
         result = run(config)
-        value, _ = estimate_E(result)
+        value, _ = estimate_E(result.r)
         # side-1 plus is the rarer outcome here, so the signed value is negative
         assert value == pytest.approx(-2 / 3, abs=0.01)
-        assert abs(value) == pytest.approx(
-            _run_row("simulate", config, law_of(config), 0, result)["e_analytic_qm"], abs=0.01
-        )
+        row = _run_columns("simulate", law_of(config), [(config, result)])
+        assert abs(value) == pytest.approx(row["e_analytic_qm"][0], abs=0.01)
         # the dominant counter holds 3/4 of the accepted events
         assert result.r[OUTCOMES.index(Outcome.MINUS_PLUS)] / result.accepted == pytest.approx(
             0.75, abs=0.003
@@ -461,7 +589,7 @@ class TestEstimator:
 
     def test_rnl_run_is_consistent_with_zero(self):
         result = run(RunConfig(model=RNL, phases=ZERO, events=1_000_000, seed=42))
-        value, std_error = estimate_E(result)
+        value, std_error = estimate_E(result.r)
         assert abs(value) <= 4.0 * std_error
 
     @pytest.mark.parametrize(
@@ -477,7 +605,7 @@ class TestEstimator:
         inside = 0
         for seed in range(runs):
             value, std_error = estimate_E(
-                run(RunConfig(model=model, phases=phases, events=10_000, seed=seed))
+                run(RunConfig(model=model, phases=phases, events=10_000, seed=seed)).r
             )
             inside += abs(value - signed) < std_error
         bound = 5 * math.sqrt(coverage * (1 - coverage) / runs)
@@ -488,7 +616,7 @@ class TestEstimator:
     def test_value_stays_in_the_unit_interval(self, counts):
         if sum(counts) == 0:
             return
-        value, std_error = estimate_E(tally(*counts))
+        value, std_error = estimate_E(tally(*counts).r)
         assert -1.0 <= value <= 1.0
         assert std_error > 0.0
 
@@ -540,8 +668,8 @@ class TestStatisticalConsistency:
     def test_contrast_between_the_two_theories(self):
         qm_result = run(RunConfig(model=QM, phases=ZERO, events=1_000_000, seed=77))
         rnl_result = run(RunConfig(model=RNL, phases=ZERO, events=1_000_000, seed=78))
-        qm_value, qm_error = estimate_E(qm_result)
-        rnl_value, rnl_error = estimate_E(rnl_result)
+        qm_value, qm_error = estimate_E(qm_result.r)
+        rnl_value, rnl_error = estimate_E(rnl_result.r)
         contrast = abs(qm_value) - abs(rnl_value)
         combined = 4.0 * math.hypot(qm_error, rnl_error)
         assert contrast == pytest.approx(2 / 3, abs=combined)
@@ -584,21 +712,21 @@ class TestScan:
     GRID = [0.0, math.pi / 2, math.pi]
 
     def test_analytic_side1_follows_the_fringe(self):
-        law, _ = scan_phases(QM, "alpha", self.GRID, ZERO, 20_000, seed=9)
+        [(law, _)] = scan_phases([QM], "alpha", self.GRID, ZERO, 20_000, seed=9)
         assert law.side1[:, 0].tolist() == pytest.approx([1 / 6, 0.5, 5 / 6], abs=1e-12)
 
     def test_causal_side1_is_flat(self):
-        law, _ = scan_phases(CAUSAL_2, "alpha", self.GRID, ZERO, 20_000, seed=9)
+        [(law, _)] = scan_phases([CAUSAL_2], "alpha", self.GRID, ZERO, 20_000, seed=9)
         assert law.side1[:, 0].tolist() == [0.5, 0.5, 0.5]
         assert law.side2 is None
 
     def test_single_point_grid(self):
-        law, points = scan_phases(RNL, "beta", [0.25], ZERO, 5_000, seed=4)
+        [(law, points)] = scan_phases([RNL], "beta", [0.25], ZERO, 5_000, seed=4)
         assert len(points) == 1 and len(law.side1) == 1
         assert points[0][0].phases == PhaseSettings(beta=0.25)
 
     def test_each_point_is_replayable_from_its_provenance(self):
-        _, points = scan_phases(QM, "gamma", self.GRID, ZERO, 30_000, seed=123)
+        [(_, points)] = scan_phases([QM], "gamma", self.GRID, ZERO, 30_000, seed=123)
         for point_config, point_tally in points:
             config = RunConfig(
                 model=QM,
@@ -614,9 +742,9 @@ class TestScan:
 
     def test_bad_axis_and_empty_grid_are_rejected(self):
         with pytest.raises(ValueError):
-            scan_phases(QM, "delta", self.GRID, ZERO, 100, seed=0)
+            scan_phases([QM], "delta", self.GRID, ZERO, 100, seed=0)
         with pytest.raises(ValueError):
-            scan_phases(QM, "alpha", [], ZERO, 100, seed=0)
+            scan_phases([QM], "alpha", [], ZERO, 100, seed=0)
 
     @pytest.mark.parametrize("model", [QM, RNL, CAUSAL_1, CAUSAL_2])
     def test_point_configs_equal_run_configs_built_point_by_point(self, model):
@@ -625,7 +753,7 @@ class TestScan:
         # law run computes for it
         base = PhaseSettings(0.0, math.pi / 3, 2 * math.pi / 3)  # TIED at alpha = 0
         grid = [0.0, 0.4, math.pi / 2, -2.9, 2 * math.pi]
-        law, points = scan_phases(model, "alpha", grid, base, 500, seed=21)
+        [(law, points)] = scan_phases([model], "alpha", grid, base, 500, seed=21)
         for k, (angle, (point_config, point_tally)) in enumerate(zip(grid, points)):
             config = RunConfig(
                 model=model,
@@ -644,7 +772,7 @@ class TestScan:
     def test_point_configs_check_their_event_count(self, events, message, monkeypatch):
         monkeypatch.setattr(montecarlo, "block_tallies", lambda *args: pytest.fail("a point ran"))
         with pytest.raises(ValueError, match=message):
-            scan_phases(QM, "alpha", self.GRID, ZERO, events, seed=0)
+            scan_phases([QM, RNL], "alpha", self.GRID, ZERO, events, seed=0)
 
     @pytest.mark.parametrize(
         "seed, message",
@@ -655,7 +783,7 @@ class TestScan:
         # point seeds are derived, so without the check 2**70 would run
         monkeypatch.setattr(montecarlo, "block_tallies", lambda *args: pytest.fail("a point ran"))
         with pytest.raises(ValueError, match=message):
-            scan_phases(QM, "alpha", self.GRID, ZERO, 100, seed=seed)
+            scan_phases([QM, RNL], "alpha", self.GRID, ZERO, 100, seed=seed)
 
 
 class TestValueValidation:
