@@ -297,11 +297,14 @@ def block_tallies(configs: Sequence[RunConfig], laws: Sequence[Law]) -> list[Coi
 
     The sampled rows of ``laws``, stacked, belong to the configs one to one:
     config ``k`` samples stacked row ``k``, and another row count is a
-    ``ValueError``.  The blocks of every config with the same seed, block
+    ``ValueError``, and one bare :class:`Law` (itself a tuple) a
+    ``TypeError``.  The blocks of every config with the same seed, block
     index and size share one draw.  The call starts at most one pool (see
     :func:`_worker_count`, which counts the events drawn), whose chunks hold
     whole streams.
     """
+    if isinstance(laws, Law):
+        raise TypeError("laws must be a sequence of Law records; pass one law as [law]")
     sampled = [_sampled_law(law) for law in laws]
     rows = sum(len(law) for law in sampled)
     if rows != len(configs):

@@ -269,6 +269,11 @@ class TestWorkers:
             block_tallies([config], [predict(RNL, [ZERO, ZERO])])
         with pytest.raises(ValueError, match=r"law rows \(3\) must match configs \(2\)"):
             block_tallies([config, config], [law_of(config), predict(RNL, [ZERO, ZERO])])
+        # a bare Law is a tuple of fields, not a sequence of laws
+        with pytest.raises(TypeError, match=r"pass one law as \[law\]"):
+            block_tallies([config], law_of(config))
+        with pytest.raises(TypeError, match=r"pass one law as \[law\]"):
+            block_tallies([], predict(QM, []))
         # the laws' rows are stacked: two laws of one row serve two configs
         other = dataclasses.replace(config, model=RNL, seed=1)
         assert block_tallies([config, other], [law_of(config), law_of(other)]) == (
