@@ -409,9 +409,11 @@ def validate_against_reference(
     interfering rows (the sequential-impact law for the single-path table).
     Ratios and probabilities are global-phase-free, so a cascade matching
     them reproduces the tables in every physical respect.  Each check is
-    one array comparison over the whole phase grid.
+    one array comparison over the whole phase grid, which must not be empty.
     """
     grid = default_phase_grid() if phase_grid is None else tuple(phase_grid)
+    if not grid:
+        raise ValueError("grid must not be empty")
     derived_tables = derive_tables(geometry, convention, grid)
     reference_tables = (joint_amplitudes(grid), single_amplitudes(grid))
     checks = []

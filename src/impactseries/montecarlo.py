@@ -17,28 +17,31 @@ block ``j`` uses the PCG64 stream seeded by ``SeedSequence(seed,
 spawn_key=(j,))``.  A block of ``size`` events makes one ``random(2*size)``
 draw: the first ``size`` doubles are the events' class draws and the next
 ``size`` their outcome draws, so every event, rejected or not, consumes its
-outcome draw.  A block's draws thus depend only on its seed, index and size,
-and all the blocks of one :func:`block_tallies` call with the same key share
-one draw: a scan gives point ``k`` the same seed under every model, so a
-compare draws each point's blocks once.  Categories are picked by thresholds
-on the cumulative weights, which equals an inverse CDF (``searchsorted(...,
-side="right")``): the accepted outcomes are counted by masked threshold
-compares into two reused ``bool`` buffers, and never gathered into a new
-array.  Per-block tallies merge by addition, so the merged result is
-independent of how blocks are partitioned and merged, and reproducible across
-platforms for a given seed.
+outcome draw.  A block's draws thus depend only on its seed, index and size.
+Every config of one :func:`block_tallies` call has the same event count, so
+the configs with one seed read the same blocks, and the call draws each
+``(block, seed)`` stream once: a scan gives point ``k`` the same seed under
+every model, so a compare draws each point's blocks once.  Categories are
+picked by thresholds on the cumulative weights, which equals an inverse CDF
+(``searchsorted(..., side="right")``): the accepted outcomes are counted by
+masked threshold compares into two reused ``bool`` buffers, and never
+gathered into a new array.  Per-block tallies merge by addition, so the
+merged result is independent of how blocks are partitioned and merged, and
+reproducible across platforms for a given seed.
 
-Chunks and parallel runs: the streams of a call are grouped by size, and up to
-``BLOCK_SIZE // size`` streams of one size are drawn into the rows of one
-reused buffer (one row per chunk for full blocks), so a chunk never holds more
-than one full block of draws.  The compares run over the whole chunk, each
-reader of a stream against its own row of thresholds.  The call makes one
+Chunks and parallel runs: the streams of a call form a ``(block, seed)``
+grid, block-major, with the distinct seeds ordered by falling reader count.
+Up to ``BLOCK_SIZE // size`` consecutive streams of one block are drawn into
+the rows of one reused buffer (one row per chunk for full blocks), so a chunk
+never holds more than one full block of draws.  The compares run over the
+whole chunk, each reader of a stream against its own row of thresholds, and
+the counts go into one ``(configs, blocks, 4)`` array.  The call makes one
 fan-out decision: one forked worker per CPU in the affinity set
 (``os.sched_getaffinity``), but at most one per ``_BLOCKS_PER_WORKER`` full
-blocks of the events drawn.  One worker stays in process; more split the
-size-ordered streams into contiguous pieces of whole streams over one pool,
-so every reader of a stream is counted in the same worker.  Each stream is
-still drawn from its own seed, so the tallies are the same bits for any worker
+blocks of the events drawn.  One worker stays in process; more count equal
+ranges of the streams over one pool, and the parent adds their arrays, so
+every reader of a stream is counted in the same worker.  Each stream is still
+drawn from its own seed, so the tallies are the same bits for any worker
 count: ``taskset -c 0`` gives a serial run that writes identical bytes.
 """
 
@@ -46,8 +49,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from itertools import groupby, islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -178,118 +180,64 @@ def _accepted_counts(
     return [(n0 - n1, n1 - n2, n2 - n3, n3) for n0, n1, n2, n3 in zip(*at_or_above)]
 
 
-#: A run of streams: blocks ``start`` to ``stop - 1`` of ``seed``, each of
-#: ``size`` events, read by the configs ``readers`` in config order.
-_Run = tuple[int, int, int, int, tuple[int, ...]]
-
-
-def _runs(configs: Sequence[RunConfig]) -> list[_Run]:
-    """The RNG streams that the configs' blocks read, as ``(size, seed, start,
-    stop, readers)`` runs, each stream in one run only.
-
-    A block's draws depend only on its seed, index and size, so every config
-    with that key reads the same stream.  The runs are sorted by size and,
-    within a size, by falling reader count.
-    """
-    by_seed: dict[int, list[int]] = {}
-    for k, config in enumerate(configs):
-        by_seed.setdefault(config.seed, []).append(k)
-    runs = []
-    for seed, group in by_seed.items():
-        full = {k: configs[k].events // BLOCK_SIZE for k in group}
-        # full block j is read by every config with more than j full blocks
-        start = 0
-        for stop in sorted(set(full.values())):
-            if stop > start:
-                readers = tuple(k for k in group if full[k] >= stop)
-                runs.append((BLOCK_SIZE, seed, start, stop, readers))
-            start = stop
-        # a short last block is read by every config with the same one
-        short: dict[tuple[int, int], list[int]] = {}
-        for k in group:
-            size = configs[k].events % BLOCK_SIZE
-            if size:
-                short.setdefault((full[k], size), []).append(k)
-        runs += [(size, seed, j, j + 1, tuple(readers)) for (j, size), readers in short.items()]
-    return sorted(runs, key=lambda run: (run[0], -len(run[4])))
-
-
-def _chunks(runs: Sequence[_Run]) -> Iterator[tuple[int, list[tuple[int, int, tuple[int, ...]]]]]:
-    """The streams of ``runs`` in order, as ``(size, [(seed, block, readers),
-    ...])`` chunks of at most ``BLOCK_SIZE // size`` streams of one size."""
-    for size, group in groupby(runs, key=lambda run: run[0]):
-        streams = (
-            (seed, block, readers) for _, seed, start, stop, readers in group
-            for block in range(start, stop)
-        )
-        while chunk := list(islice(streams, max(1, BLOCK_SIZE // size))):
-            yield size, chunk
-
-
 def _sample_streams(
-    runs: Sequence[_Run], edges: np.ndarray, first: Sequence[int]
-) -> dict[int, tuple[int, int, int, int]]:
-    """The one sampler, in process or in a worker: the outcome counts of each
-    item that reads a stream of ``runs``, by item.
+    streams: range, seeds: Sequence[tuple[int, Sequence[int]]], sizes: Sequence[int],
+    edges: np.ndarray,
+) -> np.ndarray:
+    """The one sampler, in process or in a worker: the outcome counts of the
+    ``streams`` of a call, as a ``(configs, blocks, 4)`` array that is zero
+    outside them.
 
-    Block ``j`` of config ``k`` is item ``first[k] + j``, and it is counted
-    against row ``k`` of ``edges`` (see :func:`_accepted_counts`).  Each chunk
-    of :func:`_chunks` is drawn into the rows of one reused buffer and
-    counted at once.
+    Stream ``i`` is block ``i // S``, of ``sizes[i // S]`` events, of
+    ``seeds[i % S]``, a ``(seed, readers)`` pair, where ``S = len(seeds)``;
+    every config ``k`` of its readers is counted into ``[k, block]`` against
+    row ``k`` of ``edges`` (see :func:`_accepted_counts`).  Up to
+    ``BLOCK_SIZE // size`` consecutive streams of one block are drawn into the
+    rows of one reused buffer and counted at once.
     """
-    # a chunk holds at most one full block, and never more than the runs draw
-    capacity = min(BLOCK_SIZE, sum(size * (stop - start) for size, _, start, stop, _ in runs))
+    counts = np.zeros((len(edges), len(sizes), len(OUTCOMES)), dtype=np.int64)
+    # a chunk holds at most one full block, and never more than the streams draw
+    capacity = min(BLOCK_SIZE, len(streams) * sizes[0])
     draws = np.empty(2 * capacity)
     mask = np.empty(capacity, dtype=bool)
     scratch = np.empty(capacity, dtype=bool)
 
-    counts = {}
-    for size, chunk in _chunks(runs):
+    i = streams.start
+    while i < streams.stop:
+        block, s = divmod(i, len(seeds))
+        size = sizes[block]
+        # the slice ends with the block's last seed at the latest
+        chunk = seeds[s : s + min(max(1, BLOCK_SIZE // size), streams.stop - i)]
+        i += len(chunk)
         u = draws[: 2 * size * len(chunk)].reshape(len(chunk), 2 * size)
-        for row, (seed, block, _) in enumerate(chunk):
+        for row, (seed, _) in enumerate(chunk):
             rng = np.random.Generator(
                 np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(block,)))
             )
             rng.random(out=u[row])
-        # layer m is each stream's m-th reader; reader counts fall along a
-        # size, so the streams with an m-th reader are a prefix of the rows
-        for m in range(len(chunk[0][2])):
-            layer = [(block, readers[m]) for _, block, readers in chunk if len(readers) > m]
+        # layer m is each stream's m-th reader; the seeds are ordered by
+        # falling reader count, so the streams with an m-th reader are a
+        # prefix of the rows
+        for m in range(len(chunk[0][1])):
+            layer = [readers[m] for _, readers in chunk if len(readers) > m]
             n = len(layer)
-            layer_counts = _accepted_counts(
+            counts[layer, block] = _accepted_counts(
                 u[:n, :size],
                 u[:n, size:],
-                edges.take([k for _, k in layer], axis=0),
+                edges.take(layer, axis=0),
                 mask[: n * size].reshape(n, size),
                 scratch[: n * size].reshape(n, size),
             )
-            counts.update(zip((first[k] + block for block, k in layer), layer_counts))
     return counts
 
 
-def _split(runs: Sequence[_Run], parts: int) -> list[list[_Run]]:
-    """``runs`` as ``parts`` consecutive pieces with stream counts as even as
-    possible; a run is cut between blocks where a piece ends."""
-    total = sum(stop - start for _, _, start, stop, _ in runs)
-    pieces: list[list[_Run]] = [[] for _ in range(parts)]
-    done = 0
-    for size, seed, start, stop, readers in runs:
-        while start < stop:
-            piece = done * parts // total  # piece p holds streams ceil(p*total/parts) onward
-            end = min(stop, start + -(-(piece + 1) * total // parts) - done)
-            pieces[piece].append((size, seed, start, end, readers))
-            done += end - start
-            start = end
-    return pieces
-
-
-def _worker_count(events: int, streams: int) -> int:
+def _worker_count(events: int) -> int:
     """One worker per CPU the process may run on, as long as each gets
-    ``_BLOCKS_PER_WORKER`` full blocks of the drawn ``events`` and one of the ``streams``."""
+    ``_BLOCKS_PER_WORKER`` full blocks of the drawn ``events``."""
     if not hasattr(os, "sched_getaffinity"):
         return 1
     per_worker = _BLOCKS_PER_WORKER * BLOCK_SIZE
-    return max(1, min(len(os.sched_getaffinity(0)), events // per_worker, streams))
+    return max(1, min(len(os.sched_getaffinity(0)), events // per_worker))
 
 
 def block_tallies(configs: Sequence[RunConfig], laws: Sequence[Law]) -> list[CoincidenceTally]:
@@ -298,10 +246,13 @@ def block_tallies(configs: Sequence[RunConfig], laws: Sequence[Law]) -> list[Coi
     The sampled rows of ``laws``, stacked, belong to the configs one to one:
     config ``k`` samples stacked row ``k``, and another row count is a
     ``ValueError``, and one bare :class:`Law` (itself a tuple) a
-    ``TypeError``.  The blocks of every config with the same seed, block
-    index and size share one draw.  The call starts at most one pool (see
-    :func:`_worker_count`, which counts the events drawn), whose chunks hold
-    whole streams.
+    ``TypeError``.  Every config of one call has the same event count, hence
+    the same blocks; configs of different counts are a ``ValueError``.  The
+    call draws each ``(block, seed)`` stream once, for every config with that
+    seed: stream ``i`` is block ``i // S`` of the ``i % S``-th of the ``S``
+    distinct seeds, ordered by falling reader count.  The call starts at most
+    one pool (see :func:`_worker_count`, which counts the events drawn), whose
+    pieces are equal ranges of streams.
     """
     if isinstance(laws, Law):
         raise TypeError("laws must be a sequence of Law records; pass one law as [law]")
@@ -311,6 +262,9 @@ def block_tallies(configs: Sequence[RunConfig], laws: Sequence[Law]) -> list[Coi
         raise ValueError(f"law rows ({rows}) must match configs ({len(configs)})")
     if not configs:
         return []
+    events = configs[0].events
+    if any(config.events != events for config in configs):
+        raise ValueError("the configs of one call must share one event count")
 
     # per config: its class interval, then the first three cumulative outcome
     # edges; the top edge is 1.0, above every uniform, and never compared
@@ -319,15 +273,16 @@ def block_tallies(configs: Sequence[RunConfig], laws: Sequence[Law]) -> list[Coi
         [_CLASS_EDGES[t : t + 2] for t in targets],
         np.cumsum(np.concatenate(sampled), axis=1)[:, :-1],
     ))
-    first = [0]
-    for config in configs:
-        first.append(first[-1] - (-config.events // BLOCK_SIZE))
-    runs = _runs(configs)
+    by_seed: dict[int, list[int]] = {}
+    for k, config in enumerate(configs):
+        by_seed.setdefault(config.seed, []).append(k)
+    seeds = sorted(by_seed.items(), key=lambda item: -len(item[1]))
+    sizes = [min(BLOCK_SIZE, events - j) for j in range(0, events, BLOCK_SIZE)]
+    streams = len(sizes) * len(seeds)
 
-    drawn = sum(size * (stop - start) for size, _, start, stop, _ in runs)
-    workers = _worker_count(drawn, sum(stop - start for _, _, start, stop, _ in runs))
+    workers = _worker_count(len(seeds) * events)
     if workers == 1:
-        counts = _sample_streams(runs, edges, first)
+        counts = _sample_streams(range(streams), seeds, sizes, edges)
     else:
         # imported here: a run that never fans out does not pay their memory
         import multiprocessing
@@ -336,20 +291,19 @@ def block_tallies(configs: Sequence[RunConfig], laws: Sequence[Law]) -> list[Coi
         # fork, not spawn: a spawned worker would pay an interpreter start and
         # the numpy import; Python 3.14 makes forkserver the Linux default
         context = multiprocessing.get_context("fork")
+        bounds = [p * streams // workers for p in range(workers + 1)]
+        pieces = [range(start, stop) for start, stop in zip(bounds, bounds[1:])]
         with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-            counts = {}
-            for part in pool.map(
-                _sample_streams, _split(runs, workers), [edges] * workers, [first] * workers
-            ):
-                counts.update(part)
+            # each stream is counted in one piece, zero in the others
+            counts = sum(pool.map(
+                _sample_streams, pieces, [seeds] * workers, [sizes] * workers, [edges] * workers
+            ))
 
-    tallies = []
-    for config, start, stop in zip(configs, first, first[1:]):
-        for j in range(stop - start):
-            r = counts[start + j]
-            size = min(BLOCK_SIZE, config.events - j * BLOCK_SIZE)
-            tallies.append(CoincidenceTally(r=r, rejected=size - sum(r)))
-    return tallies
+    return [
+        CoincidenceTally(r=tuple(r), rejected=size - sum(r))
+        for per_config in counts.tolist()
+        for r, size in zip(per_config, sizes)
+    ]
 
 
 def merge_tallies(tallies: Iterable[CoincidenceTally]) -> CoincidenceTally:

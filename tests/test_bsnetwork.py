@@ -166,6 +166,11 @@ class TestDefaultGeometry:
         convention = SplitterConvention(t=DEFAULT.t * spin, r=DEFAULT.r * spin)
         assert validate_against_reference(default_geometry(), convention).passed
 
+    def test_an_empty_phase_grid_is_rejected(self):
+        # a report over no point would pass every check with deviation 0
+        with pytest.raises(ValueError, match="grid must not be empty"):
+            validate_against_reference(default_geometry(), DEFAULT, [])
+
 
 class TestMiswiredGeometry:
     def test_crossed_second_stage_fails_with_a_named_mismatch(self):

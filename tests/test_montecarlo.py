@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import impactseries
@@ -138,7 +138,7 @@ class TestDeterminism:
         # one in-process call reuses its draw, mask and scratch buffers
         # between the full blocks and the short last one
         config = RunConfig(model=QM, phases=ZERO, events=events, seed=2024)
-        assert _worker_count(events, -(-events // BLOCK_SIZE)) == 1
+        assert _worker_count(events) == 1
         assert block_tallies([config], [law_of(config)]) == searchsorted_block_tallies(config)
 
     def test_tied_outcome_edge_is_never_drawn(self):
@@ -190,7 +190,7 @@ class TestWorkers:
         cpus(workers)
         config = RunConfig(model=QM, phases=ZERO, events=events, seed=5)
         n_blocks = -(-events // BLOCK_SIZE)
-        assert _worker_count(events, n_blocks) == min(workers, n_blocks)
+        assert _worker_count(events) == min(workers, n_blocks)
         assert block_tallies([config], [law_of(config)]) == searchsorted_block_tallies(config)
 
     def test_pooled_run_gives_the_frozen_tally(self, cpus):
@@ -216,20 +216,16 @@ class TestWorkers:
     def test_worker_count(self, monkeypatch):
         # the rule counts full blocks of events, so a partial block adds no worker
         per = _BLOCKS_PER_WORKER * BLOCK_SIZE
-        many = 10**6
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        assert _worker_count(1, 1) == 1
-        assert _worker_count(2 * per - 1, many) == 1
-        assert _worker_count(2 * per, many) == 2
-        assert _worker_count(3 * per, many) == 3
-        assert _worker_count(100 * per, many) == 3
-        # never more workers than work items
-        assert _worker_count(100 * per, 2) == 2
-        assert _worker_count(100 * per, 1) == 1
+        assert _worker_count(1) == 1
+        assert _worker_count(2 * per - 1) == 1
+        assert _worker_count(2 * per) == 2
+        assert _worker_count(3 * per) == 3
+        assert _worker_count(100 * per) == 3
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert _worker_count(100 * per, many) == 1
+        assert _worker_count(100 * per) == 1
         monkeypatch.delattr(os, "sched_getaffinity")
-        assert _worker_count(100 * per, many) == 1
+        assert _worker_count(100 * per) == 1
 
     def test_a_scan_starts_one_pool(self, cpus, monkeypatch):
         # two blocks per point and a worker per block of events: each point
@@ -251,15 +247,42 @@ class TestWorkers:
                 assert point_tally == run(config)
                 assert point_tally == merge_tallies(searchsorted_block_tallies(config))
 
-    def test_a_pool_piece_can_end_inside_a_run(self, cpus):
-        # one config's 3 full blocks are one run of streams; 2 workers cut it
+    @staticmethod
+    def record_pieces(monkeypatch) -> list:
+        """Record the stream ranges of every pool's pieces from here on."""
+        pieces = []
+
+        class RecordedPool(concurrent.futures.ProcessPoolExecutor):
+            def map(self, fn, *iterables, **kwargs):
+                pieces.append(list(iterables[0]))
+                return super().map(fn, *iterables, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordedPool)
+        return pieces
+
+    def test_a_pool_piece_can_end_inside_a_run(self, cpus, monkeypatch):
+        # one config's 3 full blocks are 3 streams of one seed; 2 workers cut them
         cpus(2)
+        pieces = self.record_pieces(monkeypatch)
         config = RunConfig(model=RNL, phases=ZERO, events=3 * BLOCK_SIZE, seed=8)
-        pieces = montecarlo._split(montecarlo._runs([config]), 2)
-        assert [[(start, stop) for _, _, start, stop, _ in piece] for piece in pieces] == [
-            [(0, 2)], [(2, 3)]
-        ]
         assert block_tallies([config], [law_of(config)]) == searchsorted_block_tallies(config)
+        assert pieces == [[range(0, 1), range(1, 3)]]
+
+    def test_a_pool_piece_can_cut_a_chunk_of_short_streams(self, cpus, monkeypatch):
+        # 8 one-block points of 20,000 events: a serial chunk holds 3 streams,
+        # and 2 workers take 4 each, so a piece ends inside the second chunk
+        assert BLOCK_SIZE // 20_000 == 3
+        grid = [0.3 * k for k in range(8)]
+        cpus(1)
+        serial = scan_phases([QM, RNL], "alpha", grid, ZERO, 20_000, seed=4)
+        cpus(2)
+        pieces = self.record_pieces(monkeypatch)
+        scans = scan_phases([QM, RNL], "alpha", grid, ZERO, 20_000, seed=4)
+        assert pieces == [[range(0, 4), range(4, 8)]]
+        assert [points for _, points in scans] == [points for _, points in serial]
+        for _, points in scans:
+            for config, point_tally in points:
+                assert point_tally == run(config)
 
     def test_law_rows_must_match_the_configs(self):
         config = RunConfig(model=QM, phases=ZERO, events=10, seed=0)
@@ -318,29 +341,39 @@ class TestSharedStreams:
 
     @settings(max_examples=25, deadline=None)
     @given(
-        configs=st.lists(
-            st.builds(
-                lambda model, short, phases, events, seed: RunConfig(
-                    model=model,
-                    phases=phases,
-                    events=events,
-                    seed=seed,
-                    # the causal rules and RNL are defined on the difference-L class only
-                    target_sub=Subensemble.SHORT if short and model is QM else Subensemble.LONG,
-                ),
+        events=st.sampled_from(
+            [1, BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1, 2 * BLOCK_SIZE + 17]
+        ),
+        draws=st.lists(
+            st.tuples(
                 st.sampled_from([QM, RNL, CAUSAL_1, CAUSAL_2]),
                 st.booleans(),
                 st.sampled_from([ZERO, TIED, PhaseSettings(0.9, -0.2, 1.4)]),
-                st.sampled_from(
-                    [1, BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1, 2 * BLOCK_SIZE + 17]
-                ),
                 st.sampled_from([0, 1, 2**64 - 1]),  # few seeds, so streams repeat
             ),
             min_size=1,
             max_size=5,
-        )
+        ),
     )
-    def test_block_tallies_equal_the_concatenated_reference(self, configs):
+    # seed 1 has more readers than seed 0, which comes first, and one chunk
+    # holds both seeds' streams of 1,000 events
+    @example(
+        events=1000,
+        draws=[(QM, False, ZERO, 0), (RNL, False, TIED, 1), (QM, True, ZERO, 1)],
+    )
+    def test_block_tallies_equal_the_concatenated_reference(self, events, draws):
+        # one event count per call, as block_tallies requires
+        configs = [
+            RunConfig(
+                model=model,
+                phases=phases,
+                events=events,
+                seed=seed,
+                # the causal rules and RNL are defined on the difference-L class only
+                target_sub=Subensemble.SHORT if short and model is QM else Subensemble.LONG,
+            )
+            for model, short, phases, seed in draws
+        ]
         expected = [t for config in configs for t in searchsorted_block_tallies(config)]
         assert block_tallies(configs, [law_of(config) for config in configs]) == expected
 
@@ -369,20 +402,19 @@ class TestSharedStreams:
             for config, point_tally in points:
                 assert point_tally == run(config)
 
-    def test_configs_share_only_blocks_with_the_same_key(self, monkeypatch):
-        # seed 0: both configs read full block 0, drawn once; block 1 is full
-        # for one config and 1 event long for the other, so two streams, and
-        # block 2 (17 events) a third; seed 1 reads one block: 5 streams, not 6
+    def test_mixed_event_counts_are_rejected_before_any_draw(self, monkeypatch):
+        # the configs of one call share their blocks' sizes, so a stream is a
+        # (block, seed) pair; configs of different lengths fail before a
+        # stream is built
         built = self.count_streams(monkeypatch)
         configs = [
             RunConfig(model=QM, phases=ZERO, events=BLOCK_SIZE + 1, seed=0),
             RunConfig(model=RNL, phases=ZERO, events=2 * BLOCK_SIZE + 17, seed=0),
             RunConfig(model=QM, phases=TIED, events=1, seed=1),
         ]
-        tallies = block_tallies(configs, [law_of(config) for config in configs])
-        assert sorted(built) == [(0, (0,)), (0, (1,)), (0, (1,)), (0, (2,)), (1, (0,))]
-        monkeypatch.undo()
-        assert tallies == [t for config in configs for t in searchsorted_block_tallies(config)]
+        with pytest.raises(ValueError, match="must share one event count"):
+            block_tallies(configs, [law_of(config) for config in configs])
+        assert built == []
 
 
 def accepted_counts(u_class, u_outcome, lo, hi, cumulative):
