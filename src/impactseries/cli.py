@@ -22,9 +22,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .amplitudes import PHASE_NAMES, PhaseSettings
-from .montecarlo import (
-    CoincidenceTally, RunConfig, block_tallies, estimate_E, merge_tallies, scan_phases
-)
+from .montecarlo import RunConfig, estimate_E, run, scan_phases
 from .pathspace import OUTCOMES, Subensemble, TimeOrdering
 from .theories import Law, TheoryKind, TheoryModel, marginals, predict
 
@@ -129,12 +127,12 @@ def _analytic_columns(
 
 
 def _run_columns(
-    command: str, law: Law, points: list[tuple[RunConfig, CoincidenceTally]],
+    command: str, law: Law, configs: list[RunConfig], counts: np.ndarray,
     axis: str | None = None,
 ) -> dict[str, list]:
-    """The analytic columns of the ``(config, tally)`` points, whose configs share
-    one model and target and sample the rows of ``law``, plus their runs'
-    counters, singles and E.
+    """The analytic columns of the runs of ``configs``, which share one model
+    and target and sample the rows of ``law``, plus the counters of run ``k``,
+    row ``k`` of the ``(runs, 4)`` ``counts``, and the runs' singles and E.
 
     ``axis`` names the phase a scan sweeps; a row's ``angle`` is its value.
     The Monte Carlo columns are computed as arrays over the rows; a run with no
@@ -144,21 +142,19 @@ def _run_columns(
     signed; the superposition rule's signed E is ``law.side1[:, 0] -
     law.side1[:, 1]``, which the frozen columns leave out.
     """
-    configs = [config for config, _ in points]
     settings = [config.phases for config in configs]
     columns = _analytic_columns(command, configs[0].model, configs[0].target_sub, settings, law)
-    counts = np.array([tally.r for _, tally in points], dtype=np.int64)
+    events = np.array([config.events for config in configs])
     accepted = counts.sum(axis=1)
-    rejected = np.array([tally.rejected for _, tally in points])
-    n = len(points)
+    n = len(configs)
     columns.update(
         axis=[axis] * n,
         angle=[None] * n if axis is None else [getattr(phases, axis) for phases in settings],
-        events=[config.events for config in configs],
+        events=events.tolist(),
         seed=[config.seed for config in configs],
         accepted=accepted.tolist(),
-        rejected=rejected.tolist(),
-        acceptance_rate=(accepted / (accepted + rejected)).tolist(),
+        rejected=(events - accepted).tolist(),
+        acceptance_rate=(accepted / events).tolist(),
         e_analytic_qm=[
             (2.0 / 3.0) * abs(math.cos(phases.alpha + phases.beta)) for phases in settings
         ],
@@ -344,8 +340,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         target_sub=Subensemble(args.subensemble),
     )
     law = predict(config.model, [config.phases], config.target_sub)
-    tally = merge_tallies(block_tallies([config], [law]))
-    columns = _run_columns("simulate", law, [(config, tally)])
+    columns = _run_columns("simulate", law, [config], np.array([run(config).r]))
     if args.out:
         _emit(columns, args.format, args.out)
     row = _first_row(columns)
@@ -370,7 +365,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     ordering = TimeOrdering(args.ordering)
     models = [TheoryModel(kind, ordering) for kind in (TheoryKind.QM, TheoryKind.RNL)]
     scans = scan_phases(models, args.axis, grid, phases, args.events, args.seed)
-    columns = _concat([_run_columns("compare", law, points, args.axis) for law, points in scans])
+    columns = _concat([_run_columns("compare", *scan, args.axis) for scan in scans])
     if args.out:
         _emit(columns, args.format, args.out)
 
@@ -484,7 +479,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="swept angle as start:stop:count (inclusive endpoints)",
     )
     p.add_argument("--events", type=int, default=100_000, help="pairs emitted per grid point")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--seed", type=int, default=0,
+        help="64-bit scan seed; point k runs with derive_point_seed(seed, k)",
+    )
     _add_output_arguments(p)
     p.set_defaults(handler=cmd_compare)
 

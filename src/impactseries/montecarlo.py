@@ -5,12 +5,12 @@ Each emitted pair is assigned an arrival-time class with the a-priori weights
 interference redistributes probability only within a class).  Events outside
 the target class are rejected, emulating the coincidence electronics; accepted
 events draw a joint outcome from the active model's distribution and feed the
-four counters.  A :class:`RunConfig` is a run's provenance only: the law it
-samples is one :func:`predict` call per grid, passed to the sampler beside the
-configs.  The counters are a 4-tuple in ``OUTCOMES`` order, like the columns
-of the law they sample.  The module hands back counts and plain values: a
-run's tally, :func:`estimate_E`'s ``(value, std_error)`` and a scan's law with
-its ``(config, tally)`` pairs; the output row puts the E anchors beside them.
+four counters.  A :class:`RunConfig` is a run's provenance only: the sampler
+takes the laws (one :func:`predict` call per grid), the seeds, one event count
+and one target.  The counters are a 4-tuple in ``OUTCOMES`` order, like the
+columns of the law they sample.  The module hands back counts and plain
+values: a run's tally, :func:`estimate_E`'s ``(value, std_error)`` and a
+scan's law, configs and counts; the output row puts the E anchors beside them.
 
 Determinism contract: events are processed in fixed blocks of ``BLOCK_SIZE``;
 block ``j`` uses the PCG64 stream seeded by ``SeedSequence(seed,
@@ -18,38 +18,37 @@ spawn_key=(j,))``.  A block of ``size`` events makes one ``random(2*size)``
 draw: the first ``size`` doubles are the events' class draws and the next
 ``size`` their outcome draws, so every event, rejected or not, consumes its
 outcome draw.  A block's draws thus depend only on its seed, index and size.
-Every config of one :func:`block_tallies` call has the same event count, so
-the configs with one seed read the same blocks, and the call draws each
-``(block, seed)`` stream once: a scan gives point ``k`` the same seed under
+One :func:`block_tallies` call runs ``events`` events from each of its seeds,
+and every law reads every seed's blocks, so each ``(block, seed)`` stream is
+drawn once for all the laws: a scan gives point ``k`` the same seed under
 every model, so a compare draws each point's blocks once.  Categories are
 picked by thresholds on the cumulative weights, which equals an inverse CDF
 (``searchsorted(..., side="right")``): the accepted outcomes are counted by
 masked threshold compares into two reused ``bool`` buffers, and never
-gathered into a new array.  Per-block tallies merge by addition, so the
-merged result is independent of how blocks are partitioned and merged, and
+gathered into a new array.  A run's counters are the sum of its blocks'
+counters, so they are independent of how blocks are grouped and added, and
 reproducible across platforms for a given seed.
 
 Chunks and parallel runs: the streams of a call form a ``(block, seed)``
-grid, block-major, with the distinct seeds ordered by falling reader count.
-Up to ``BLOCK_SIZE // size`` consecutive streams of one block are drawn into
-the rows of one reused buffer (one row per chunk for full blocks), so a chunk
-never holds more than one full block of draws.  The compares run over the
-whole chunk, each reader of a stream against its own row of thresholds, and
-the counts go into one ``(configs, blocks, 4)`` array.  The call makes one
-fan-out decision: one forked worker per CPU in the affinity set
-(``os.sched_getaffinity``), but at most one per ``_BLOCKS_PER_WORKER`` full
-blocks of the events drawn.  One worker stays in process; more count equal
-ranges of the streams over one pool, and the parent adds their arrays, so
-every reader of a stream is counted in the same worker.  Each stream is still
-drawn from its own seed, so the tallies are the same bits for any worker
-count: ``taskset -c 0`` gives a serial run that writes identical bytes.
+grid, block-major over the seeds in their given order.  Up to ``BLOCK_SIZE //
+size`` consecutive streams of one block are drawn into the rows of one reused
+buffer (one row per chunk for full blocks), so a chunk never holds more than
+one full block of draws.  The compares run over the whole chunk once per law,
+each row against the law's thresholds for its seed, and the counts go into
+one ``(laws, seeds, blocks, 4)`` array.  The call makes one fan-out decision:
+one forked worker per CPU in the affinity set (``os.sched_getaffinity``), but
+at most one per ``_BLOCKS_PER_WORKER`` full blocks of the events drawn.  One
+worker stays in process; more count equal ranges of the streams over one
+pool, and the parent adds their arrays.  Each stream is still drawn from its
+own seed, so the tallies are the same bits for any worker count:
+``taskset -c 0`` gives a serial run that writes identical bytes.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -90,6 +89,14 @@ def _require_seed(seed: object) -> None:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
 
 
+def _require_runs(events: object, seeds: Sequence[object]) -> None:
+    _require_int("events", events)
+    if events < 1:
+        raise ValueError("events must be at least 1")
+    for seed in seeds:
+        _require_seed(seed)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Full provenance of one simulated run."""
@@ -101,10 +108,7 @@ class RunConfig:
     target_sub: Subensemble = Subensemble.LONG
 
     def __post_init__(self) -> None:
-        _require_int("events", self.events)
-        _require_seed(self.seed)
-        if self.events < 1:
-            raise ValueError("events must be at least 1")
+        _require_runs(self.events, [self.seed])
 
 
 @dataclass(frozen=True)
@@ -181,21 +185,19 @@ def _accepted_counts(
 
 
 def _sample_streams(
-    streams: range, seeds: Sequence[tuple[int, Sequence[int]]], sizes: Sequence[int],
-    edges: np.ndarray,
+    streams: range, seeds: Sequence[int], sizes: Sequence[int], edges: np.ndarray
 ) -> np.ndarray:
     """The one sampler, in process or in a worker: the outcome counts of the
-    ``streams`` of a call, as a ``(configs, blocks, 4)`` array that is zero
+    ``streams`` of a call, as a ``(laws, seeds, blocks, 4)`` array that is zero
     outside them.
 
     Stream ``i`` is block ``i // S``, of ``sizes[i // S]`` events, of
-    ``seeds[i % S]``, a ``(seed, readers)`` pair, where ``S = len(seeds)``;
-    every config ``k`` of its readers is counted into ``[k, block]`` against
-    row ``k`` of ``edges`` (see :func:`_accepted_counts`).  Up to
-    ``BLOCK_SIZE // size`` consecutive streams of one block are drawn into the
-    rows of one reused buffer and counted at once.
+    ``seeds[i % S]``, where ``S = len(seeds)``; law ``m`` counts it into ``[m,
+    i % S, block]`` against ``edges[m, i % S]`` (see :func:`_accepted_counts`).
+    Up to ``BLOCK_SIZE // size`` consecutive streams of one block are drawn
+    into the rows of one reused buffer and counted at once, once per law.
     """
-    counts = np.zeros((len(edges), len(sizes), len(OUTCOMES)), dtype=np.int64)
+    counts = np.zeros((*edges.shape[:2], len(sizes), len(OUTCOMES)), dtype=np.int64)
     # a chunk holds at most one full block, and never more than the streams draw
     capacity = min(BLOCK_SIZE, len(streams) * sizes[0])
     draws = np.empty(2 * capacity)
@@ -206,25 +208,20 @@ def _sample_streams(
     while i < streams.stop:
         block, s = divmod(i, len(seeds))
         size = sizes[block]
-        # the slice ends with the block's last seed at the latest
-        chunk = seeds[s : s + min(max(1, BLOCK_SIZE // size), streams.stop - i)]
-        i += len(chunk)
-        u = draws[: 2 * size * len(chunk)].reshape(len(chunk), 2 * size)
-        for row, (seed, _) in enumerate(chunk):
+        # the chunk ends with the block's last seed at the latest
+        n = min(max(1, BLOCK_SIZE // size), streams.stop - i, len(seeds) - s)
+        i += n
+        u = draws[: 2 * size * n].reshape(n, 2 * size)
+        for row, seed in enumerate(seeds[s : s + n]):
             rng = np.random.Generator(
                 np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(block,)))
             )
             rng.random(out=u[row])
-        # layer m is each stream's m-th reader; the seeds are ordered by
-        # falling reader count, so the streams with an m-th reader are a
-        # prefix of the rows
-        for m in range(len(chunk[0][1])):
-            layer = [readers[m] for _, readers in chunk if len(readers) > m]
-            n = len(layer)
-            counts[layer, block] = _accepted_counts(
-                u[:n, :size],
-                u[:n, size:],
-                edges.take(layer, axis=0),
+        for m, law_edges in enumerate(edges):
+            counts[m, s : s + n, block] = _accepted_counts(
+                u[:, :size],
+                u[:, size:],
+                law_edges[s : s + n],
                 mask[: n * size].reshape(n, size),
                 scratch[: n * size].reshape(n, size),
             )
@@ -240,43 +237,37 @@ def _worker_count(events: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), events // per_worker))
 
 
-def block_tallies(configs: Sequence[RunConfig], laws: Sequence[Law]) -> list[CoincidenceTally]:
-    """Per-block tallies of every config, config by config and each in block order.
+def block_tallies(
+    laws: Sequence[Law], seeds: Sequence[int], events: int, target: Subensemble = Subensemble.LONG
+) -> list[CoincidenceTally]:
+    """Per-block tallies of a run of ``events`` events from each of ``seeds``
+    under each of ``laws``: law by law, then seed by seed, each in block order.
 
-    The sampled rows of ``laws``, stacked, belong to the configs one to one:
-    config ``k`` samples stacked row ``k``, and another row count is a
-    ``ValueError``, and one bare :class:`Law` (itself a tuple) a
-    ``TypeError``.  Every config of one call has the same event count, hence
-    the same blocks; configs of different counts are a ``ValueError``.  The
-    call draws each ``(block, seed)`` stream once, for every config with that
-    seed: stream ``i`` is block ``i // S`` of the ``i % S``-th of the ``S``
-    distinct seeds, ordered by falling reader count.  The call starts at most
-    one pool (see :func:`_worker_count`, which counts the events drawn), whose
-    pieces are equal ranges of streams.
+    Row ``k`` of every law is sampled from ``seeds[k]``; a law of another row
+    count is a ``ValueError``, and one bare :class:`Law` (itself a tuple) a
+    ``TypeError``.  A :class:`Law` does not record its target, so the laws
+    must be predicted for ``target``, the class whose events are accepted.
+    ``events`` and the seeds are checked as in :class:`RunConfig`, before any
+    draw; with no law or no seed the call returns ``[]``.  Stream ``i``, block
+    ``i // S`` of ``seeds[i % S]`` where ``S = len(seeds)``, is drawn once for
+    every law.  The call starts at most one pool (see :func:`_worker_count`,
+    which counts the events drawn), whose pieces are equal ranges of streams.
     """
     if isinstance(laws, Law):
         raise TypeError("laws must be a sequence of Law records; pass one law as [law]")
+    _require_runs(events, seeds)
     sampled = [_sampled_law(law) for law in laws]
-    rows = sum(len(law) for law in sampled)
-    if rows != len(configs):
-        raise ValueError(f"law rows ({rows}) must match configs ({len(configs)})")
-    if not configs:
+    for law in sampled:
+        if len(law) != len(seeds):
+            raise ValueError(f"law rows ({len(law)}) must match seeds ({len(seeds)})")
+    if not sampled or not seeds:
         return []
-    events = configs[0].events
-    if any(config.events != events for config in configs):
-        raise ValueError("the configs of one call must share one event count")
 
-    # per config: its class interval, then the first three cumulative outcome
-    # edges; the top edge is 1.0, above every uniform, and never compared
-    targets = [SUBENSEMBLE_ORDER.index(config.target_sub) for config in configs]
-    edges = np.column_stack((
-        [_CLASS_EDGES[t : t + 2] for t in targets],
-        np.cumsum(np.concatenate(sampled), axis=1)[:, :-1],
-    ))
-    by_seed: dict[int, list[int]] = {}
-    for k, config in enumerate(configs):
-        by_seed.setdefault(config.seed, []).append(k)
-    seeds = sorted(by_seed.items(), key=lambda item: -len(item[1]))
+    # per law and seed: the class interval, then the first three cumulative
+    # outcome edges; the top edge is 1.0, above every uniform, and never compared
+    t = SUBENSEMBLE_ORDER.index(target)
+    cumulative = np.cumsum(sampled, axis=2)[:, :, :-1]
+    edges = np.dstack((np.full((*cumulative.shape[:2], 2), _CLASS_EDGES[t : t + 2]), cumulative))
     sizes = [min(BLOCK_SIZE, events - j) for j in range(0, events, BLOCK_SIZE)]
     streams = len(sizes) * len(seeds)
 
@@ -301,19 +292,16 @@ def block_tallies(configs: Sequence[RunConfig], laws: Sequence[Law]) -> list[Coi
 
     return [
         CoincidenceTally(r=tuple(r), rejected=size - sum(r))
-        for per_config in counts.tolist()
-        for r, size in zip(per_config, sizes)
+        for per_run in counts.reshape(-1, len(sizes), len(OUTCOMES)).tolist()
+        for r, size in zip(per_run, sizes)
     ]
 
 
-def merge_tallies(tallies: Iterable[CoincidenceTally]) -> CoincidenceTally:
-    """Component-wise sum; the order of the tallies does not matter."""
-    r = (0,) * len(OUTCOMES)
-    rejected = 0
-    for tally in tallies:
-        r = tuple(total + count for total, count in zip(r, tally.r))
-        rejected += tally.rejected
-    return CoincidenceTally(r=r, rejected=rejected)
+def _run_counts(tallies: Sequence[CoincidenceTally], events: int) -> np.ndarray:
+    """``tallies`` summed run by run (``events`` events each): a ``(runs, 4)`` array."""
+    blocks = -(-events // BLOCK_SIZE)
+    r = np.array([tally.r for tally in tallies], dtype=np.int64)
+    return r.reshape(-1, blocks, len(OUTCOMES)).sum(axis=1)
 
 
 def run(config: RunConfig) -> CoincidenceTally:
@@ -322,7 +310,9 @@ def run(config: RunConfig) -> CoincidenceTally:
     A target outside the model's domain fails in :func:`predict`, before any draw.
     """
     law = predict(config.model, [config.phases], config.target_sub)
-    return merge_tallies(block_tallies([config], [law]))
+    tallies = block_tallies([law], [config.seed], config.events, config.target_sub)
+    [r] = _run_counts(tallies, config.events).tolist()
+    return CoincidenceTally(r=tuple(r), rejected=config.events - sum(r))
 
 
 def estimate_E(counts) -> tuple[np.ndarray, np.ndarray]:
@@ -352,6 +342,10 @@ def estimate_E(counts) -> tuple[np.ndarray, np.ndarray]:
 
 def derive_point_seed(seed: int, index: int) -> int:
     """Stable 64-bit seed for grid point ``index`` of a scan."""
+    _require_seed(seed)
+    _require_int("index", index)
+    if index < 0:
+        raise ValueError("index must not be negative")
     stream = np.random.SeedSequence(seed, spawn_key=(index,))
     return int(stream.generate_state(1, np.uint64)[0])
 
@@ -363,10 +357,10 @@ def scan_phases(
     base: PhaseSettings,
     events_per_point: int,
     seed: int,
-) -> list[tuple[Law, list[tuple[RunConfig, CoincidenceTally]]]]:
-    """One phase scan per model, as ``(law, [(config, tally), ...])`` in model
-    order: the grid's law and one simulated run per grid angle, in grid order;
-    row ``k`` of the law belongs to point ``k``.
+) -> list[tuple[Law, list[RunConfig], np.ndarray]]:
+    """One phase scan per model, as ``(law, configs, counts)`` in model order:
+    the grid's law, one config per grid angle and the ``(points, 4)`` int64
+    counters of their runs; row ``k`` of each belongs to grid point ``k``.
 
     ``axis`` names the phase being swept; the other two stay at their ``base``
     values.  Point ``k`` runs with the derived seed
@@ -380,7 +374,6 @@ def scan_phases(
         raise ValueError(f"axis must be one of {PHASE_NAMES}")
     if len(grid) == 0:
         raise ValueError("grid must not be empty")
-    _require_seed(seed)
     settings = [replace(base, **{axis: float(angle)}) for angle in grid]
     seeds = [derive_point_seed(seed, k) for k in range(len(settings))]
     configs = [
@@ -389,9 +382,6 @@ def scan_phases(
         for phases, point_seed in zip(settings, seeds)
     ]
     laws = [predict(model, settings) for model in models]
-    tallies = block_tallies(configs, laws)
-    n = -(-events_per_point // BLOCK_SIZE)  # blocks per point
-    points = [
-        (config, merge_tallies(tallies[k * n : (k + 1) * n])) for k, config in enumerate(configs)
-    ]
-    return [(law, points[m * len(grid) : (m + 1) * len(grid)]) for m, law in enumerate(laws)]
+    counts = _run_counts(block_tallies(laws, seeds, events_per_point), events_per_point)
+    per_model = [slice(m * len(grid), (m + 1) * len(grid)) for m in range(len(laws))]
+    return [(law, configs[rows], counts[rows]) for law, rows in zip(laws, per_model)]

@@ -22,7 +22,7 @@ from impactseries.amplitudes import PhaseSettings
 from impactseries.cli import (
     _BATCH_ROWS, COLUMNS, _emit, _format_cell, _rule_labels, _run_columns, main
 )
-from impactseries.montecarlo import CoincidenceTally, RunConfig
+from impactseries.montecarlo import RunConfig
 from impactseries.pathspace import Subensemble, TimeOrdering
 from impactseries.theories import TheoryKind, TheoryModel, marginals, predict
 
@@ -149,14 +149,14 @@ class TestRuleLabels:
 
 class TestRunRow:
     def test_analytic_anchors(self):
-        counts = CoincidenceTally(r=(1, 1, 1, 1), rejected=0)
+        counts = np.array([[1, 1, 1, 1]])
         for alpha, anchor in ((0.0, 2 / 3), (math.pi / 2, 0.0)):
             config = RunConfig(
                 model=TheoryModel(TheoryKind.QM), phases=PhaseSettings(alpha=alpha),
                 events=4, seed=0,
             )
             law = predict(config.model, [config.phases])
-            row = _run_columns("simulate", law, [(config, counts)])
+            row = _run_columns("simulate", law, [config], counts)
             assert row["e_analytic_qm"] == [pytest.approx(anchor, abs=1e-12)]
             assert row["e_analytic_causal"] == [0.0]
 
