@@ -4,11 +4,11 @@ and validation of the amplitude tables against the splitter-network oracle.
 All data emissions share one frozen column set (see ``COLUMNS``); CSV and
 JSON files carry the same values, floats rounded to 6 significant digits.
 Every row embeds the provenance needed to replay it (model, phases, seed,
-events).  A command computes each model's analytic law once for its whole
-grid and hands that one law to the sampler and to the rows.  The rows are
-built column by column, one list per column, and ``--out`` is written as it
-is formatted.  Exit codes: 0 success, 2 argument or contract error, 3
-validation failure.
+events).  Every command, ``simulate`` and ``compare`` included, computes each
+model's analytic law once for its whole grid and hands that one law to the
+sampler and to the rows.  The rows are built column by column, one list per
+column, and ``--out`` is written as it is formatted.  Exit codes: 0 success,
+2 argument or contract error, 3 validation failure.
 """
 
 from __future__ import annotations
@@ -17,12 +17,13 @@ import argparse
 import csv
 import math
 import sys
+from dataclasses import replace
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .amplitudes import PHASE_NAMES, PhaseSettings
-from .montecarlo import RunConfig, estimate_E, run, scan_phases
+from .montecarlo import derive_point_seed, estimate_E, sample
 from .pathspace import OUTCOMES, Subensemble, TimeOrdering
 from .theories import Law, TheoryKind, TheoryModel, marginals, predict
 
@@ -127,12 +128,20 @@ def _analytic_columns(
 
 
 def _run_columns(
-    command: str, law: Law, configs: list[RunConfig], counts: np.ndarray,
+    command: str,
+    model: TheoryModel,
+    law: Law,
+    counts: np.ndarray,
+    target: Subensemble,
+    settings: list[PhaseSettings],
+    events: int,
+    seeds: list[int],
     axis: str | None = None,
 ) -> dict[str, list]:
-    """The analytic columns of the runs of ``configs``, which share one model
-    and target and sample the rows of ``law``, plus the counters of run ``k``,
-    row ``k`` of the ``(runs, 4)`` ``counts``, and the runs' singles and E.
+    """The analytic columns of the runs of ``model`` at ``settings``, whose
+    rows of ``law`` were sampled for ``target``, plus each run's provenance
+    (``events`` events from ``seeds[k]``), its counters, row ``k`` of the
+    ``(runs, 4)`` ``counts``, and the runs' singles and E.
 
     ``axis`` names the phase a scan sweeps; a row's ``angle`` is its value.
     The Monte Carlo columns are computed as arrays over the rows; a run with no
@@ -142,16 +151,14 @@ def _run_columns(
     signed; the superposition rule's signed E is ``law.side1[:, 0] -
     law.side1[:, 1]``, which the frozen columns leave out.
     """
-    settings = [config.phases for config in configs]
-    columns = _analytic_columns(command, configs[0].model, configs[0].target_sub, settings, law)
-    events = np.array([config.events for config in configs])
+    columns = _analytic_columns(command, model, target, settings, law)
     accepted = counts.sum(axis=1)
-    n = len(configs)
+    n = len(settings)
     columns.update(
         axis=[axis] * n,
         angle=[None] * n if axis is None else [getattr(phases, axis) for phases in settings],
-        events=events.tolist(),
-        seed=[config.seed for config in configs],
+        events=[events] * n,
+        seed=list(seeds),
         accepted=accepted.tolist(),
         rejected=(events - accepted).tolist(),
         acceptance_rate=(accepted / events).tolist(),
@@ -332,15 +339,13 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = RunConfig(
-        model=_parse_model(args),
-        phases=_phases_from(args),
-        events=args.events,
-        seed=args.seed,
-        target_sub=Subensemble(args.subensemble),
+    model = _parse_model(args)
+    phases = _phases_from(args)
+    target = Subensemble(args.subensemble)
+    [law], [counts] = sample([model], [phases], [args.seed], args.events, target)
+    columns = _run_columns(
+        "simulate", model, law, counts, target, [phases], args.events, [args.seed]
     )
-    law = predict(config.model, [config.phases], config.target_sub)
-    columns = _run_columns("simulate", law, [config], np.array([run(config).r]))
     if args.out:
         _emit(columns, args.format, args.out)
     row = _first_row(columns)
@@ -364,8 +369,16 @@ def cmd_compare(args: argparse.Namespace) -> int:
     grid = _parse_grid(args.grid, args.degrees)
     ordering = TimeOrdering(args.ordering)
     models = [TheoryModel(kind, ordering) for kind in (TheoryKind.QM, TheoryKind.RNL)]
-    scans = scan_phases(models, args.axis, grid, phases, args.events, args.seed)
-    columns = _concat([_run_columns("compare", *scan, args.axis) for scan in scans])
+    settings = [replace(phases, **{args.axis: angle}) for angle in grid.tolist()]
+    seeds = [derive_point_seed(args.seed, k) for k in range(len(settings))]
+    laws, counts = sample(models, settings, seeds, args.events)
+    columns = _concat([
+        _run_columns(
+            "compare", model, law, model_counts, Subensemble.LONG, settings, args.events, seeds,
+            args.axis,
+        )
+        for model, law, model_counts in zip(models, laws, counts)
+    ])
     if args.out:
         _emit(columns, args.format, args.out)
 

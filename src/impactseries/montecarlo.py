@@ -5,12 +5,14 @@ Each emitted pair is assigned an arrival-time class with the a-priori weights
 interference redistributes probability only within a class).  Events outside
 the target class are rejected, emulating the coincidence electronics; accepted
 events draw a joint outcome from the active model's distribution and feed the
-four counters.  A :class:`RunConfig` is a run's provenance only: the sampler
-takes the laws (one :func:`predict` call per grid), the seeds, one event count
-and one target.  The counters are a 4-tuple in ``OUTCOMES`` order, like the
-columns of the law they sample.  The module hands back counts and plain
-values: a run's tally, :func:`estimate_E`'s ``(value, std_error)`` and a
-scan's law, configs and counts; the output row puts the E anchors beside them.
+four counters.  A run is named by its model, phases, seed, event count and
+target: :func:`sample` takes the models, a phase grid, one seed per point, one
+event count and one target, predicts each model's law once for the grid and
+samples every law in one :func:`block_tallies` call.  The counters are in
+``OUTCOMES`` order, like the columns of the law they sample.  The module hands
+back counts and plain values: the laws and counters of :func:`sample` and
+:func:`estimate_E`'s ``(value, std_error)``; the output row puts the E anchors
+beside them.
 
 Determinism contract: events are processed in fixed blocks of ``BLOCK_SIZE``;
 block ``j`` uses the PCG64 stream seeded by ``SeedSequence(seed,
@@ -47,12 +49,12 @@ own seed, so the tallies are the same bits for any worker count:
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .amplitudes import PHASE_NAMES, PhaseSettings
+from .amplitudes import PhaseSettings
 from .pathspace import OUTCOMES, Subensemble
 from .theories import Law, TheoryModel, predict
 
@@ -98,22 +100,13 @@ def _require_runs(events: object, seeds: Sequence[object]) -> None:
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Full provenance of one simulated run."""
-
-    model: TheoryModel
-    phases: PhaseSettings
-    events: int
-    seed: int
-    target_sub: Subensemble = Subensemble.LONG
-
-    def __post_init__(self) -> None:
-        _require_runs(self.events, [self.seed])
-
-
-@dataclass(frozen=True)
 class CoincidenceTally:
-    """The four coincidence counters in ``OUTCOMES`` order, and the rejected total."""
+    """The four coincidence counters in ``OUTCOMES`` order, and the rejected total.
+
+    The element type of :func:`block_tallies`' per-block list, which the
+    benchmark's tracer reads to count the blocks sampled (CI pins 1,526 and
+    2,002 of them on its two sampling workloads).
+    """
 
     r: tuple[int, int, int, int]
     rejected: int
@@ -247,11 +240,12 @@ def block_tallies(
     count is a ``ValueError``, and one bare :class:`Law` (itself a tuple) a
     ``TypeError``.  A :class:`Law` does not record its target, so the laws
     must be predicted for ``target``, the class whose events are accepted.
-    ``events`` and the seeds are checked as in :class:`RunConfig`, before any
-    draw; with no law or no seed the call returns ``[]``.  Stream ``i``, block
-    ``i // S`` of ``seeds[i % S]`` where ``S = len(seeds)``, is drawn once for
-    every law.  The call starts at most one pool (see :func:`_worker_count`,
-    which counts the events drawn), whose pieces are equal ranges of streams.
+    ``events`` (an int of at least 1) and the seeds (64-bit ints) are checked
+    before any draw; with no law or no seed the call returns ``[]``.  Stream
+    ``i``, block ``i // S`` of ``seeds[i % S]`` where ``S = len(seeds)``, is
+    drawn once for every law.  The call starts at most one pool (see
+    :func:`_worker_count`, which counts the events drawn), whose pieces are
+    equal ranges of streams.
     """
     if isinstance(laws, Law):
         raise TypeError("laws must be a sequence of Law records; pass one law as [law]")
@@ -297,22 +291,29 @@ def block_tallies(
     ]
 
 
-def _run_counts(tallies: Sequence[CoincidenceTally], events: int) -> np.ndarray:
-    """``tallies`` summed run by run (``events`` events each): a ``(runs, 4)`` array."""
-    blocks = -(-events // BLOCK_SIZE)
-    r = np.array([tally.r for tally in tallies], dtype=np.int64)
-    return r.reshape(-1, blocks, len(OUTCOMES)).sum(axis=1)
+def sample(
+    models: Sequence[TheoryModel],
+    settings: Sequence[PhaseSettings],
+    seeds: Sequence[int],
+    events: int,
+    target: Subensemble = Subensemble.LONG,
+) -> tuple[list[Law], np.ndarray]:
+    """Runs of ``events`` events at each of ``settings`` under each of
+    ``models``, as ``(laws, counts)``: one law per model, on the grid
+    ``settings``, and the ``(models, points, 4)`` int64 counters of the runs.
 
-
-def run(config: RunConfig) -> CoincidenceTally:
-    """Simulate ``config.events`` pairs and tally the accepted coincidences.
-
-    A target outside the model's domain fails in :func:`predict`, before any draw.
+    Point ``k`` runs from ``seeds[k]`` under every model, so the models' point
+    ``k`` share their draws.  Each law is one :func:`predict` call, and every
+    model is sampled in one :func:`block_tallies` call, so a target outside a
+    model's domain fails before any draw.  A run's rejected total is
+    ``events`` less its accepted count, and the call
+    ``sample([model], [phases], [seed], events, target)`` replays one run.
     """
-    law = predict(config.model, [config.phases], config.target_sub)
-    tallies = block_tallies([law], [config.seed], config.events, config.target_sub)
-    [r] = _run_counts(tallies, config.events).tolist()
-    return CoincidenceTally(r=tuple(r), rejected=config.events - sum(r))
+    laws = [predict(model, settings, target) for model in models]
+    tallies = block_tallies(laws, seeds, events, target)
+    r = np.array([tally.r for tally in tallies], dtype=np.int64)
+    blocks = -(-events // BLOCK_SIZE)
+    return laws, r.reshape(len(laws), len(seeds), blocks, len(OUTCOMES)).sum(axis=2)
 
 
 def estimate_E(counts) -> tuple[np.ndarray, np.ndarray]:
@@ -348,40 +349,3 @@ def derive_point_seed(seed: int, index: int) -> int:
         raise ValueError("index must not be negative")
     stream = np.random.SeedSequence(seed, spawn_key=(index,))
     return int(stream.generate_state(1, np.uint64)[0])
-
-
-def scan_phases(
-    models: Sequence[TheoryModel],
-    axis: str,
-    grid: Sequence[float],
-    base: PhaseSettings,
-    events_per_point: int,
-    seed: int,
-) -> list[tuple[Law, list[RunConfig], np.ndarray]]:
-    """One phase scan per model, as ``(law, configs, counts)`` in model order:
-    the grid's law, one config per grid angle and the ``(points, 4)`` int64
-    counters of their runs; row ``k`` of each belongs to grid point ``k``.
-
-    ``axis`` names the phase being swept; the other two stay at their ``base``
-    values.  Point ``k`` runs with the derived seed
-    :func:`derive_point_seed`\\ ``(seed, k)`` under every model, so the
-    models' point ``k`` share their draws.  Each law is one :func:`predict`
-    call, and the sampling of every model is one :func:`block_tallies` call.
-    A point's config is its full provenance, so it can be replayed with
-    :func:`run`.
-    """
-    if axis not in PHASE_NAMES:
-        raise ValueError(f"axis must be one of {PHASE_NAMES}")
-    if len(grid) == 0:
-        raise ValueError("grid must not be empty")
-    settings = [replace(base, **{axis: float(angle)}) for angle in grid]
-    seeds = [derive_point_seed(seed, k) for k in range(len(settings))]
-    configs = [
-        RunConfig(model, phases, events=events_per_point, seed=point_seed)
-        for model in models
-        for phases, point_seed in zip(settings, seeds)
-    ]
-    laws = [predict(model, settings) for model in models]
-    counts = _run_counts(block_tallies(laws, seeds, events_per_point), events_per_point)
-    per_model = [slice(m * len(grid), (m + 1) * len(grid)) for m in range(len(laws))]
-    return [(law, configs[rows], counts[rows]) for law, rows in zip(laws, per_model)]

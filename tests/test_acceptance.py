@@ -15,7 +15,7 @@ from impactseries.bsnetwork import (
     validate_against_reference,
 )
 from impactseries.cli import main
-from impactseries.montecarlo import RunConfig, estimate_E, run
+from impactseries.montecarlo import estimate_E, sample
 from impactseries.pathspace import Subensemble, TimeOrdering
 from impactseries.theories import TheoryKind, TheoryModel, marginals, predict
 
@@ -140,12 +140,8 @@ def test_criterion_5_headline_discriminator():
     qm_model = TheoryModel(TheoryKind.QM)
     rnl_model = TheoryModel(TheoryKind.RNL)
 
-    qm_value, _ = estimate_E(
-        run(RunConfig(model=qm_model, phases=aligned, events=1_000_000, seed=42)).r
-    )
-    rnl_value, rnl_error = estimate_E(
-        run(RunConfig(model=rnl_model, phases=aligned, events=1_000_000, seed=42)).r
-    )
+    _, counts = sample([qm_model, rnl_model], [aligned], [42], 1_000_000)
+    (qm_value, rnl_value), (_, rnl_error) = estimate_E(counts[:, 0])
     elapsed = time.perf_counter() - start
     qm_ok = abs(abs(qm_value) - 2 / 3) <= 0.01
     rnl_ok = abs(rnl_value) <= 4.0 * rnl_error
@@ -168,11 +164,8 @@ def test_criterion_6_acceptance_rate_for_every_model():
     four_sigma = 4.0 * math.sqrt(0.375 * 0.625 / 1_000_000)
     rates = []
     for index, model in enumerate(models):
-        result = run(
-            RunConfig(model=model, phases=PhaseSettings(), events=1_000_000,
-                      seed=1234 + index)
-        )
-        rates.append(result.accepted / result.events)
+        _, counts = sample([model], [PhaseSettings()], [1234 + index], 1_000_000)
+        rates.append(counts.sum() / 1_000_000)
     worst = max(abs(rate - 0.375) for rate in rates)
     report(
         6,

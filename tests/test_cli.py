@@ -18,11 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import impactseries
+from impactseries import montecarlo
 from impactseries.amplitudes import PhaseSettings
 from impactseries.cli import (
     _BATCH_ROWS, COLUMNS, _emit, _format_cell, _rule_labels, _run_columns, main
 )
-from impactseries.montecarlo import RunConfig
+from impactseries.montecarlo import sample
 from impactseries.pathspace import Subensemble, TimeOrdering
 from impactseries.theories import TheoryKind, TheoryModel, marginals, predict
 
@@ -150,15 +151,38 @@ class TestRuleLabels:
 class TestRunRow:
     def test_analytic_anchors(self):
         counts = np.array([[1, 1, 1, 1]])
+        model = TheoryModel(TheoryKind.QM)
         for alpha, anchor in ((0.0, 2 / 3), (math.pi / 2, 0.0)):
-            config = RunConfig(
-                model=TheoryModel(TheoryKind.QM), phases=PhaseSettings(alpha=alpha),
-                events=4, seed=0,
-            )
-            law = predict(config.model, [config.phases])
-            row = _run_columns("simulate", law, [config], counts)
+            settings = [PhaseSettings(alpha=alpha)]
+            law = predict(model, settings)
+            row = _run_columns("simulate", model, law, counts, Subensemble.LONG, settings, 4, [0])
             assert row["e_analytic_qm"] == [pytest.approx(anchor, abs=1e-12)]
             assert row["e_analytic_causal"] == [0.0]
+
+
+@pytest.mark.parametrize(
+    "argv, kinds",
+    [
+        (["simulate", "--model", "qm", "--events", "1000"], ["qm"]),
+        (["compare", "--grid", "0:1:3", "--events", "1000"], ["qm", "rnl"]),
+        (["predict", "--model", "rnl"], ["rnl"]),
+    ],
+)
+def test_each_command_predicts_each_model_once(argv, kinds, monkeypatch, capsys):
+    # a model's law covers the command's whole grid, so it is predicted once
+    made = []
+
+    def counted(model, *args, **kwargs):
+        made.append(model.kind.value)
+        return predict(model, *args, **kwargs)
+
+    # every module that holds the function calls the counted one
+    for name, module in list(sys.modules.items()):
+        if name.startswith("impactseries") and getattr(module, "predict", None) is predict:
+            monkeypatch.setattr(module, "predict", counted)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert made == kinds
 
 
 class TestSimulate:
@@ -271,8 +295,6 @@ class TestCompare:
         assert {r["e_analytic_causal"] for r in rows} == {"0"}
 
     def test_rows_replay_from_embedded_provenance(self, tmp_path, capsys):
-        from impactseries.montecarlo import RunConfig, run
-
         out_file = tmp_path / "scan.csv"
         assert main([
             "compare", "--axis", "beta", "--grid", "0:3:3",
@@ -280,18 +302,12 @@ class TestCompare:
         ]) == 0
         capsys.readouterr()
         for row in read_csv(out_file):
-            config = RunConfig(
-                model=TheoryModel(TheoryKind(row["model"]), TimeOrdering(row["ordering"])),
-                phases=PhaseSettings(
-                    float(row["alpha"]), float(row["beta"]), float(row["gamma"])
-                ),
-                events=int(row["events"]),
-                seed=int(row["seed"]),
-            )
-            replayed = run(config)
-            assert replayed.r == (
-                int(row["r_pp"]), int(row["r_pm"]), int(row["r_mp"]), int(row["r_mm"])
-            )
+            model = TheoryModel(TheoryKind(row["model"]), TimeOrdering(row["ordering"]))
+            phases = PhaseSettings(float(row["alpha"]), float(row["beta"]), float(row["gamma"]))
+            _, replayed = sample([model], [phases], [int(row["seed"])], int(row["events"]))
+            assert replayed.tolist() == [[
+                [int(row["r_pp"]), int(row["r_pm"]), int(row["r_mp"]), int(row["r_mm"])]
+            ]]
 
     def test_points_with_no_accepted_event_do_not_abort_the_scan(self, tmp_path, capsys):
         out_file = tmp_path / "scan.csv"
@@ -307,11 +323,21 @@ class TestCompare:
 
     def test_single_point_grid(self, tmp_path, capsys):
         out_file = tmp_path / "one.csv"
-        code = main(["compare", "--grid", "1.2:1.2:1", "--events", "5000",
-                     "--out", str(out_file)])
+        code = main(["compare", "--axis", "beta", "--grid", "1.2:1.2:1", "--events", "5000",
+                     "--alpha", "0.5", "--out", str(out_file)])
         capsys.readouterr()
         assert code == 0
-        assert len(read_csv(out_file)) == 2  # one qm row, one rnl row
+        rows = read_csv(out_file)
+        assert len(rows) == 2  # one qm row, one rnl row
+        # the swept phase takes the grid angle, the others keep their base values
+        assert {(r["axis"], r["angle"], r["alpha"], r["beta"], r["gamma"]) for r in rows} == {
+            ("beta", "1.2", "0.5", "1.2", "0")
+        }
+
+    @pytest.mark.parametrize("flag, value", [("--axis", "delta"), ("--grid", "0:1:0")])
+    def test_bad_axis_and_empty_grid_are_argument_errors(self, flag, value, capsys):
+        assert main(["compare", flag, value, "--events", "100"]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_malformed_grid(self, capsys):
         code = main(["compare", "--grid", "0:1"])
@@ -349,7 +375,8 @@ class TestCompare:
         assert captured.out == ""
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**70)])
-    def test_seed_outside_64_bits_is_an_argument_error(self, seed, capsys):
+    def test_seed_outside_64_bits_is_an_argument_error(self, seed, monkeypatch, capsys):
+        monkeypatch.setattr(montecarlo, "_sample_streams", lambda *args: pytest.fail("drawn"))
         code = main(["compare", "--grid", "0:1:2", "--events", "100", "--seed", seed])
         captured = capsys.readouterr()
         assert code == 2

@@ -1,11 +1,13 @@
-"""No module imports a name it never uses.
+"""No module imports a name it never uses, and README names no missing one.
 
-CI enforces this with ``python -m pyflakes src tests``; this test applies the
-same unused-import rule with the standard library alone, so it runs wherever
-the tier-1 tests run.
+CI enforces the first with ``python -m pyflakes src tests``; this test applies
+the same unused-import rule with the standard library alone, so it runs
+wherever the tier-1 tests run.
 """
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -57,3 +59,19 @@ def test_modules_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: str(path.relative_to(ROOT)))
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+#: ``from impactseries.<module> import <names>`` as README writes it.
+README_IMPORT = re.compile(r"from (impactseries\.\w+) import (\w+(?:, \w+)*)")
+
+
+def test_readme_imports_resolve():
+    lines = README_IMPORT.findall((ROOT / "README.md").read_text(encoding="utf-8"))
+    assert lines, "README names no import line"
+    missing = [
+        f"{module}.{name}"
+        for module, names in lines
+        for name in names.split(", ")
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert missing == []

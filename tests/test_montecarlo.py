@@ -23,12 +23,10 @@ from impactseries.montecarlo import (
     SUBENSEMBLE_ORDER,
     SUBENSEMBLE_WEIGHTS,
     CoincidenceTally,
-    RunConfig,
     block_tallies,
     derive_point_seed,
     estimate_E,
-    run,
-    scan_phases,
+    sample,
     _BLOCKS_PER_WORKER,
     _CLASS_EDGES,
     _accepted_counts,
@@ -46,6 +44,7 @@ CAUSAL_1 = TheoryModel(TheoryKind.CAUSAL, TimeOrdering.PHOTON2_FIRST)
 CAUSAL_2 = TheoryModel(TheoryKind.CAUSAL, TimeOrdering.PHOTON1_FIRST)
 
 ZERO = PhaseSettings()
+LONG = Subensemble.LONG
 
 
 def tally(pp, pm, mp, mm, rejected=0) -> CoincidenceTally:
@@ -59,14 +58,26 @@ def assert_same_law(got: Law, want: Law) -> None:
         assert a is None or np.array_equal(a, b), name
 
 
-def law_of(config: RunConfig) -> Law:
-    """The law ``config`` samples, as the grid of one that ``run`` computes."""
-    return predict(config.model, [config.phases], config.target_sub)
+def law_of(model, phases, target=LONG) -> Law:
+    """The law a run of ``model`` at ``phases`` samples, as a grid of one point."""
+    return predict(model, [phases], target)
 
 
-def tallies_of(config: RunConfig) -> list[CoincidenceTally]:
-    """``block_tallies`` of the one run ``config``."""
-    return block_tallies([law_of(config)], [config.seed], config.events, config.target_sub)
+def tallies_of(model, phases, events, seed, target=LONG) -> list[CoincidenceTally]:
+    """``block_tallies`` of one run."""
+    return block_tallies([law_of(model, phases, target)], [seed], events, target)
+
+
+def run(model, phases, events, seed, target=LONG) -> CoincidenceTally:
+    """One run through ``sample``: its counters and its rejected total."""
+    _, [[r]] = sample([model], [phases], [seed], events, target)
+    return CoincidenceTally(r=tuple(r.tolist()), rejected=events - int(r.sum()))
+
+
+def scan_points(axis, grid, base, seed) -> tuple[list[PhaseSettings], list[int]]:
+    """A scan's settings and point seeds, built as ``compare`` builds them."""
+    settings = [dataclasses.replace(base, **{axis: float(angle)}) for angle in grid]
+    return settings, [derive_point_seed(seed, k) for k in range(len(grid))]
 
 
 def summed(tallies: list[CoincidenceTally]) -> tuple[int, ...]:
@@ -74,18 +85,20 @@ def summed(tallies: list[CoincidenceTally]) -> tuple[int, ...]:
     return tuple(map(sum, zip(*(tally.r for tally in tallies))))
 
 
-def searchsorted_block_tallies(config: RunConfig) -> list[CoincidenceTally]:
+def searchsorted_block_tallies(
+    model, phases, events, seed, target=LONG
+) -> list[CoincidenceTally]:
     """Reference sampler: two draws per block, inverse CDF by searchsorted, bincount."""
-    outcome_cum = np.cumsum(_sampled_law(law_of(config))[0])
+    outcome_cum = np.cumsum(_sampled_law(law_of(model, phases, target))[0])
     outcome_cum[-1] = 1.0
     class_cum = np.cumsum(SUBENSEMBLE_WEIGHTS)
-    target_index = SUBENSEMBLE_ORDER.index(config.target_sub)
-    full, remainder = divmod(config.events, BLOCK_SIZE)
+    target_index = SUBENSEMBLE_ORDER.index(target)
+    full, remainder = divmod(events, BLOCK_SIZE)
     sizes = [BLOCK_SIZE] * full + ([remainder] if remainder else [])
     tallies = []
     for j, size in enumerate(sizes):
         rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(config.seed, spawn_key=(j,)))
+            np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(j,)))
         )
         u_class = rng.random(size)
         u_outcome = rng.random(size)
@@ -105,23 +118,23 @@ TIED = PhaseSettings(0.0, math.pi / 3, 2 * math.pi / 3)
 
 class TestDeterminism:
     def test_identical_configs_yield_identical_tallies(self):
-        config = RunConfig(model=QM, phases=ZERO, events=300_000, seed=42)
-        assert run(config) == run(config)
+        assert run(QM, ZERO, 300_000, 42) == run(QM, ZERO, 300_000, 42)
 
     def test_frozen_reference_tally(self):
         # pinned output of the documented sampling contract (PCG64 blocks,
         # two uniforms per event, inverse CDF in canonical category order)
-        config = RunConfig(model=QM, phases=ZERO, events=1000, seed=1)
-        result = run(config)
-        assert result.r == (32, 31, 295, 28)
-        assert result.accepted == 386
-        assert result.rejected == 614
+        _, counts = sample([QM], [ZERO], [1], 1000)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [[[32, 31, 295, 28]]]
+        assert counts.sum() == 386
+        assert 1000 - counts.sum() == 614
 
     def test_frozen_multi_block_tally(self):
         # pinned from the two-draw searchsorted sampler: three full blocks
         # and a partial one
-        config = RunConfig(model=QM, phases=ZERO, events=3 * BLOCK_SIZE + 17, seed=5)
-        assert run(config) == tally(6316, 6225, 55249, 6147, rejected=122688)
+        _, counts = sample([QM], [ZERO], [5], 3 * BLOCK_SIZE + 17)
+        assert counts.tolist() == [[[6316, 6225, 55249, 6147]]]
+        assert 3 * BLOCK_SIZE + 17 - counts.sum() == 122688
 
     @pytest.mark.parametrize(
         "model, phases, target",
@@ -137,24 +150,21 @@ class TestDeterminism:
     def test_block_tallies_match_the_searchsorted_reference(
         self, model, phases, target, events
     ):
-        config = RunConfig(
-            model=model, phases=phases, events=events, seed=2024, target_sub=target
-        )
-        assert tallies_of(config) == searchsorted_block_tallies(config)
+        run_args = (model, phases, events, 2024, target)
+        assert tallies_of(*run_args) == searchsorted_block_tallies(*run_args)
 
     @pytest.mark.parametrize("events", [3 * BLOCK_SIZE + 17, BLOCK_SIZE + 1])
     def test_short_block_after_full_ones_reads_no_stale_bits(self, events):
         # one in-process call reuses its draw, mask and scratch buffers
         # between the full blocks and the short last one
-        config = RunConfig(model=QM, phases=ZERO, events=events, seed=2024)
         assert _worker_count(events) == 1
-        assert tallies_of(config) == searchsorted_block_tallies(config)
+        run_args = (QM, ZERO, events, 2024)
+        assert tallies_of(*run_args) == searchsorted_block_tallies(*run_args)
 
     def test_tied_outcome_edge_is_never_drawn(self):
         cum = np.cumsum(_sampled_law(predict(QM, [TIED]))[0])
         assert cum[0] == cum[1]
-        config = RunConfig(model=QM, phases=TIED, events=3 * BLOCK_SIZE + 17, seed=5)
-        result = run(config)
+        result = run(QM, TIED, 3 * BLOCK_SIZE + 17, 5)
         assert result.r[1] == 0 and min(result.r[0], result.r[2], result.r[3]) > 0
 
     @settings(max_examples=15, deadline=None)
@@ -163,13 +173,12 @@ class TestDeterminism:
         events=st.integers(min_value=1, max_value=3000),
     )
     def test_determinism_for_arbitrary_seeds(self, seed, events):
-        config = RunConfig(model=RNL, phases=PhaseSettings(0.3, 1.0, -0.5),
-                           events=events, seed=seed)
-        assert run(config) == run(config)
+        phases = PhaseSettings(0.3, 1.0, -0.5)
+        assert run(RNL, phases, events, seed) == run(RNL, phases, events, seed)
 
     def test_merged_blocks_are_partition_order_independent(self):
-        config = RunConfig(model=QM, phases=ZERO, events=3 * BLOCK_SIZE + 17, seed=5)
-        blocks = tallies_of(config)
+        blocks = tallies_of(QM, ZERO, 3 * BLOCK_SIZE + 17, 5)
+        whole = run(QM, ZERO, 3 * BLOCK_SIZE + 17, 5)
         assert [t.events for t in blocks] == [BLOCK_SIZE, BLOCK_SIZE, BLOCK_SIZE, 17]
         shuffled = list(blocks)
         random.Random(0).shuffle(shuffled)
@@ -178,8 +187,8 @@ class TestDeterminism:
             for j in range(i, len(shuffled) + 1):
                 groups = [shuffled[:i], shuffled[i:j], shuffled[j:]]
                 partial = [summed(group) for group in groups if group]
-                assert tuple(map(sum, zip(*partial))) == run(config).r
-        assert sum(t.rejected for t in shuffled) == run(config).rejected
+                assert tuple(map(sum, zip(*partial))) == whole.r
+        assert sum(t.rejected for t in shuffled) == whole.rejected
 
 
 class TestWorkers:
@@ -201,15 +210,15 @@ class TestWorkers:
     @pytest.mark.parametrize("events", [BLOCK_SIZE, 3 * BLOCK_SIZE + 17])
     def test_block_tallies_do_not_depend_on_the_worker_count(self, cpus, workers, events):
         cpus(workers)
-        config = RunConfig(model=QM, phases=ZERO, events=events, seed=5)
         n_blocks = -(-events // BLOCK_SIZE)
         assert _worker_count(events) == min(workers, n_blocks)
-        assert tallies_of(config) == searchsorted_block_tallies(config)
+        assert tallies_of(QM, ZERO, events, 5) == searchsorted_block_tallies(QM, ZERO, events, 5)
 
     def test_pooled_run_gives_the_frozen_tally(self, cpus):
         cpus(2)
-        config = RunConfig(model=QM, phases=ZERO, events=3 * BLOCK_SIZE + 17, seed=5)
-        assert run(config) == tally(6316, 6225, 55249, 6147, rejected=122688)
+        _, counts = sample([QM], [ZERO], [5], 3 * BLOCK_SIZE + 17)
+        assert counts.tolist() == [[[6316, 6225, 55249, 6147]]]
+        assert 3 * BLOCK_SIZE + 17 - counts.sum() == 122688
 
     def test_worker_error_reaches_the_parent(self, cpus, monkeypatch):
         cpus(2)
@@ -222,9 +231,8 @@ class TestWorkers:
 
         # forked workers inherit the patched module
         monkeypatch.setattr(montecarlo, "_accepted_counts", counts_outside_the_parent)
-        config = RunConfig(model=QM, phases=ZERO, events=2 * BLOCK_SIZE, seed=5)
         with pytest.raises(ZeroDivisionError, match="raised in a worker"):
-            tallies_of(config)
+            tallies_of(QM, ZERO, 2 * BLOCK_SIZE, 5)
 
     def test_worker_count(self, monkeypatch):
         # the rule counts full blocks of events, so a partial block adds no worker
@@ -253,12 +261,15 @@ class TestWorkers:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
-        scans = scan_phases([QM, RNL], "alpha", [0.0, 0.4, 2.0], ZERO, BLOCK_SIZE + 17, seed=3)
+        settings, seeds = scan_points("alpha", [0.0, 0.4, 2.0], ZERO, 3)
+        _, counts = sample([QM, RNL], settings, seeds, BLOCK_SIZE + 17)
         assert pools == [2]
-        for _, configs, counts in scans:
-            for config, r in zip(configs, counts.tolist()):
-                assert tuple(r) == run(config).r
-                assert tuple(r) == summed(searchsorted_block_tallies(config))
+        for model, model_counts in zip([QM, RNL], counts.tolist()):
+            for phases, seed, r in zip(settings, seeds, model_counts):
+                assert tuple(r) == run(model, phases, BLOCK_SIZE + 17, seed).r
+                assert tuple(r) == summed(
+                    searchsorted_block_tallies(model, phases, BLOCK_SIZE + 17, seed)
+                )
 
     @staticmethod
     def record_pieces(monkeypatch) -> list:
@@ -274,49 +285,51 @@ class TestWorkers:
         return pieces
 
     def test_a_pool_piece_can_end_inside_a_run(self, cpus, monkeypatch):
-        # one config's 3 full blocks are 3 streams of one seed; 2 workers cut them
+        # one run's 3 full blocks are 3 streams of one seed; 2 workers cut them
         cpus(2)
         pieces = self.record_pieces(monkeypatch)
-        config = RunConfig(model=RNL, phases=ZERO, events=3 * BLOCK_SIZE, seed=8)
-        assert tallies_of(config) == searchsorted_block_tallies(config)
+        run_args = (RNL, ZERO, 3 * BLOCK_SIZE, 8)
+        assert tallies_of(*run_args) == searchsorted_block_tallies(*run_args)
         assert pieces == [[range(0, 1), range(1, 3)]]
 
     def test_a_pool_piece_can_cut_a_chunk_of_short_streams(self, cpus, monkeypatch):
         # 8 one-block points of 20,000 events: a serial chunk holds 3 streams,
         # and 2 workers take 4 each, so a piece ends inside the second chunk
         assert BLOCK_SIZE // 20_000 == 3
-        grid = [0.3 * k for k in range(8)]
+        settings, seeds = scan_points("alpha", [0.3 * k for k in range(8)], ZERO, 4)
         cpus(1)
-        serial = scan_phases([QM, RNL], "alpha", grid, ZERO, 20_000, seed=4)
+        serial_laws, serial = sample([QM, RNL], settings, seeds, 20_000)
         cpus(2)
         pieces = self.record_pieces(monkeypatch)
-        scans = scan_phases([QM, RNL], "alpha", grid, ZERO, 20_000, seed=4)
+        laws, counts = sample([QM, RNL], settings, seeds, 20_000)
         assert pieces == [[range(0, 4), range(4, 8)]]
-        assert len(scans) == len(serial) == 2
-        for (_, configs, counts), (_, serial_configs, serial_counts) in zip(scans, serial):
-            assert configs == serial_configs
-            assert np.array_equal(counts, serial_counts)
-            for config, r in zip(configs, counts.tolist()):
-                assert tuple(r) == run(config).r
+        assert len(laws) == len(serial_laws) == 2
+        for law, serial_law in zip(laws, serial_laws):
+            assert_same_law(law, serial_law)
+        assert np.array_equal(counts, serial)
+        for model, model_counts in zip([QM, RNL], counts.tolist()):
+            for phases, seed, r in zip(settings, seeds, model_counts):
+                assert tuple(r) == run(model, phases, 20_000, seed).r
 
     def test_law_rows_must_match_the_seeds(self):
-        config = RunConfig(model=QM, phases=ZERO, events=10, seed=0)
         with pytest.raises(ValueError, match=r"law rows \(1\) must match seeds \(2\)"):
-            block_tallies([law_of(config)], [0, 1], 10)
+            block_tallies([law_of(QM, ZERO)], [0, 1], 10)
+        with pytest.raises(ValueError, match=r"law rows \(1\) must match seeds \(2\)"):
+            sample([QM], [ZERO], [0, 1], 10)
         with pytest.raises(ValueError, match=r"law rows \(2\) must match seeds \(1\)"):
             block_tallies([predict(RNL, [ZERO, ZERO])], [0], 10)
         # every law is checked, not only the first
         with pytest.raises(ValueError, match=r"law rows \(1\) must match seeds \(2\)"):
-            block_tallies([predict(RNL, [ZERO, ZERO]), law_of(config)], [0, 1], 10)
+            block_tallies([predict(RNL, [ZERO, ZERO]), law_of(QM, ZERO)], [0, 1], 10)
         # a bare Law is a tuple of fields, not a sequence of laws
         with pytest.raises(TypeError, match=r"pass one law as \[law\]"):
-            block_tallies(law_of(config), [0], 10)
+            block_tallies(law_of(QM, ZERO), [0], 10)
         with pytest.raises(TypeError, match=r"pass one law as \[law\]"):
             block_tallies(predict(QM, []), [], 10)
         # every law reads every seed: two laws of one row share one seed's run
-        other = dataclasses.replace(config, model=RNL)
-        assert block_tallies([law_of(config), law_of(other)], [0], 10) == (
-            searchsorted_block_tallies(config) + searchsorted_block_tallies(other)
+        assert block_tallies([law_of(QM, ZERO), law_of(RNL, ZERO)], [0], 10) == (
+            searchsorted_block_tallies(QM, ZERO, 10, 0)
+            + searchsorted_block_tallies(RNL, ZERO, 10, 0)
         )
 
     @pytest.mark.parametrize("model", [QM, RNL, CAUSAL_1, CAUSAL_2])
@@ -327,6 +340,9 @@ class TestWorkers:
         assert block_tallies([predict(model, [])], [], 10) == []
         assert block_tallies([], [0, 1], 10) == []
         assert block_tallies([], [], 10) == []
+        # sample keeps the models and points axes of an empty grid or model list
+        assert sample([model], [], [], 10)[1].shape == (1, 0, len(OUTCOMES))
+        assert sample([], [ZERO], [0], 10)[1].shape == (0, 1, len(OUTCOMES))
 
     def test_in_process_run_imports_no_pool(self):
         # the pool modules cost memory at import; work below the pool
@@ -335,12 +351,12 @@ class TestWorkers:
         script = (
             "import sys, impactseries.cli\n"
             "from impactseries.amplitudes import PhaseSettings\n"
-            "from impactseries.montecarlo import RunConfig, run, scan_phases\n"
+            "from impactseries.montecarlo import derive_point_seed, sample\n"
             "from impactseries.theories import TheoryKind, TheoryModel\n"
-            "run(RunConfig(model=TheoryModel(TheoryKind.QM), phases=PhaseSettings(),"
-            " events=1000, seed=1))\n"
-            "scan_phases([TheoryModel(TheoryKind.QM), TheoryModel(TheoryKind.RNL)], 'alpha',"
-            " [k / 100 for k in range(1001)], PhaseSettings(), 1000, seed=1)\n"
+            "sample([TheoryModel(TheoryKind.QM)], [PhaseSettings()], [1], 1000)\n"
+            "sample([TheoryModel(TheoryKind.QM), TheoryModel(TheoryKind.RNL)],"
+            " [PhaseSettings(alpha=k / 100) for k in range(1001)],"
+            " [derive_point_seed(1, k) for k in range(1001)], 1000)\n"
             "print(sorted(m for m in sys.modules"
             " if m.startswith(('multiprocessing', 'concurrent.futures'))))\n"
         )
@@ -382,7 +398,7 @@ class TestSharedStreams:
             t
             for model in models
             for phases, seed in points
-            for t in searchsorted_block_tallies(RunConfig(model, phases, events, seed, target))
+            for t in searchsorted_block_tallies(model, phases, events, seed, target)
         ]
         laws = [predict(model, [phases for phases, _ in points], target) for model in models]
         assert block_tallies(laws, [seed for _, seed in points], events, target) == expected
@@ -404,14 +420,14 @@ class TestSharedStreams:
         # 3 points of two blocks each: 6 streams, which the two models share
         # (12 when each model drew its own)
         built = self.count_streams(monkeypatch)
-        grid = [0.0, 0.4, 2.0]
-        scans = scan_phases([QM, RNL], "alpha", grid, ZERO, BLOCK_SIZE + 17, seed=3)
+        settings, seeds = scan_points("alpha", [0.0, 0.4, 2.0], ZERO, 3)
+        laws, counts = sample([QM, RNL], settings, seeds, BLOCK_SIZE + 17)
         assert len(built) == 6 and len(set(built)) == 6
-        for law, configs, counts in scans:
-            assert len(configs) == len(grid)
-            assert counts.dtype == np.int64 and counts.shape == (len(grid), len(OUTCOMES))
-            for config, r in zip(configs, counts.tolist()):
-                assert tuple(r) == run(config).r
+        assert [len(law.side1) for law in laws] == [len(settings)] * 2
+        assert counts.dtype == np.int64 and counts.shape == (2, len(settings), len(OUTCOMES))
+        for model, model_counts in zip([QM, RNL], counts.tolist()):
+            for phases, seed, r in zip(settings, seeds, model_counts):
+                assert tuple(r) == run(model, phases, BLOCK_SIZE + 17, seed).r
 
     @pytest.mark.parametrize(
         "events, seeds, message",
@@ -427,7 +443,7 @@ class TestSharedStreams:
     def test_bad_events_and_seeds_are_rejected_before_any_draw(
         self, events, seeds, message, monkeypatch
     ):
-        # checked as a RunConfig checks them, before a stream is built
+        # checked before a stream is built
         built = self.count_streams(monkeypatch)
         with pytest.raises(ValueError, match=message):
             block_tallies([predict(QM, [ZERO] * len(seeds))], seeds, events)
@@ -566,19 +582,11 @@ class TestOutcomeDistribution:
     def test_causal_rules_reject_targets_other_than_difference_L(self, model, target):
         # the causal singles law is built from the difference-L class's paths
         with pytest.raises(ValueError, match="difference-L class only"):
-            run(RunConfig(model=model, phases=ZERO, events=10, seed=0, target_sub=target))
+            sample([model], [ZERO], [0], 10, target)
 
     def test_qm_rejects_satellite_targets(self):
         with pytest.raises(ValueError):
-            run(
-                RunConfig(
-                    model=QM,
-                    phases=ZERO,
-                    events=10,
-                    seed=0,
-                    target_sub=Subensemble.SATELLITE_LONG,
-                )
-            )
+            sample([QM], [ZERO], [0], 10, Subensemble.SATELLITE_LONG)
 
 
 class TestAcceptanceRate:
@@ -586,7 +594,7 @@ class TestAcceptanceRate:
 
     @pytest.mark.parametrize("model", [QM, RNL, CAUSAL_1, CAUSAL_2])
     def test_three_eighths_of_events_survive_selection(self, model):
-        result = run(RunConfig(model=model, phases=ZERO, events=200_000, seed=11))
+        result = run(model, ZERO, 200_000, 11)
         assert result.accepted / result.events == pytest.approx(
             0.375, abs=self.four_sigma
         )
@@ -596,10 +604,7 @@ class TestAcceptanceRate:
         assert SUBENSEMBLE_ORDER.index(Subensemble.LONG) == 1
 
     def test_short_class_can_be_targeted(self):
-        config = RunConfig(
-            model=QM, phases=ZERO, events=200_000, seed=3, target_sub=Subensemble.SHORT
-        )
-        result = run(config)
+        result = run(QM, ZERO, 200_000, 3, Subensemble.SHORT)
         assert result.accepted / result.events == pytest.approx(
             0.375, abs=self.four_sigma
         )
@@ -628,12 +633,13 @@ class TestEstimator:
             estimate_E([tally(1, 0, 0, 0).r, (0, 0, 0, 0)])
 
     def test_qm_run_at_aligned_phases_reaches_minus_two_thirds(self):
-        config = RunConfig(model=QM, phases=ZERO, events=1_000_000, seed=42)
-        result = run(config)
+        result = run(QM, ZERO, 1_000_000, 42)
         value, _ = estimate_E(result.r)
         # side-1 plus is the rarer outcome here, so the signed value is negative
         assert value == pytest.approx(-2 / 3, abs=0.01)
-        row = _run_columns("simulate", law_of(config), [config], np.array([result.r]))
+        row = _run_columns(
+            "simulate", QM, law_of(QM, ZERO), np.array([result.r]), LONG, [ZERO], 1_000_000, [42]
+        )
         assert abs(value) == pytest.approx(row["e_analytic_qm"][0], abs=0.01)
         # the dominant counter holds 3/4 of the accepted events
         assert result.r[OUTCOMES.index(Outcome.MINUS_PLUS)] / result.accepted == pytest.approx(
@@ -642,7 +648,7 @@ class TestEstimator:
         assert result.accepted / result.events == pytest.approx(0.375, abs=0.002)
 
     def test_rnl_run_is_consistent_with_zero(self):
-        result = run(RunConfig(model=RNL, phases=ZERO, events=1_000_000, seed=42))
+        result = run(RNL, ZERO, 1_000_000, 42)
         value, std_error = estimate_E(result.r)
         assert abs(value) <= 4.0 * std_error
 
@@ -658,9 +664,7 @@ class TestEstimator:
         signed = side1[0, 0] - side1[0, 1]
         inside = 0
         for seed in range(runs):
-            value, std_error = estimate_E(
-                run(RunConfig(model=model, phases=phases, events=10_000, seed=seed)).r
-            )
+            value, std_error = estimate_E(run(model, phases, 10_000, seed).r)
             inside += abs(value - signed) < std_error
         bound = 5 * math.sqrt(coverage * (1 - coverage) / runs)
         assert abs(inside / runs - coverage) <= bound, f"share {inside / runs}"
@@ -695,9 +699,7 @@ class TestStatisticalConsistency:
     def test_marginals_within_four_sigma_on_a_twelve_point_grid(self, model, seed):
         for k in range(12):
             ph = self._phases(k)
-            result = run(
-                RunConfig(model=model, phases=ph, events=self.EVENTS, seed=seed + k)
-            )
+            result = run(model, ph, self.EVENTS, seed + k)
             side1, side2 = marginals(result.r, result.accepted)
             n = result.accepted
 
@@ -720,8 +722,8 @@ class TestStatisticalConsistency:
                 assert abs(side2[0] - expected2) <= 4 * self._sigma(expected2, n)
 
     def test_contrast_between_the_two_theories(self):
-        qm_result = run(RunConfig(model=QM, phases=ZERO, events=1_000_000, seed=77))
-        rnl_result = run(RunConfig(model=RNL, phases=ZERO, events=1_000_000, seed=78))
+        qm_result = run(QM, ZERO, 1_000_000, 77)
+        rnl_result = run(RNL, ZERO, 1_000_000, 78)
         qm_value, qm_error = estimate_E(qm_result.r)
         rnl_value, rnl_error = estimate_E(rnl_result.r)
         contrast = abs(qm_value) - abs(rnl_value)
@@ -755,7 +757,7 @@ class TestJointLaw:
     @pytest.mark.parametrize("model, seed", [(QM, 505), (RNL, 606)])
     def test_counters_follow_the_outcome_distribution(self, model, seed):
         for k, ph in enumerate(self.GRID):
-            result = run(RunConfig(model=model, phases=ph, events=200_000, seed=seed + k))
+            result = run(model, ph, 200_000, seed + k)
             law = _sampled_law(predict(model, [ph], Subensemble.LONG))[0].tolist()
             expected = [result.accepted * p for p in law]
             chi2 = sum((n - e) ** 2 / e for n, e in zip(result.r, expected))
@@ -766,29 +768,24 @@ class TestScan:
     GRID = [0.0, math.pi / 2, math.pi]
 
     def test_analytic_side1_follows_the_fringe(self):
-        [(law, _, _)] = scan_phases([QM], "alpha", self.GRID, ZERO, 20_000, seed=9)
+        [law], _ = sample([QM], *scan_points("alpha", self.GRID, ZERO, 9), 20_000)
         assert law.side1[:, 0].tolist() == pytest.approx([1 / 6, 0.5, 5 / 6], abs=1e-12)
 
     def test_causal_side1_is_flat(self):
-        [(law, _, _)] = scan_phases([CAUSAL_2], "alpha", self.GRID, ZERO, 20_000, seed=9)
+        [law], _ = sample([CAUSAL_2], *scan_points("alpha", self.GRID, ZERO, 9), 20_000)
         assert law.side1[:, 0].tolist() == [0.5, 0.5, 0.5]
         assert law.side2 is None
 
     def test_single_point_grid(self):
-        [(law, configs, counts)] = scan_phases([RNL], "beta", [0.25], ZERO, 5_000, seed=4)
-        assert len(configs) == 1 and len(law.side1) == 1 and counts.shape == (1, len(OUTCOMES))
-        assert configs[0].phases == PhaseSettings(beta=0.25)
+        [law], counts = sample([RNL], *scan_points("beta", [0.25], ZERO, 4), 5_000)
+        assert len(law.side1) == 1 and counts.shape == (1, 1, len(OUTCOMES))
 
     def test_each_point_is_replayable_from_its_provenance(self):
-        [(_, configs, counts)] = scan_phases([QM], "gamma", self.GRID, ZERO, 30_000, seed=123)
-        for point_config, r in zip(configs, counts.tolist()):
-            config = RunConfig(
-                model=QM,
-                phases=point_config.phases,
-                events=point_config.events,
-                seed=point_config.seed,
-            )
-            assert run(config).r == tuple(r)
+        settings, seeds = scan_points("gamma", self.GRID, ZERO, 123)
+        _, [counts] = sample([QM], settings, seeds, 30_000)
+        for phases, seed, r in zip(settings, seeds, counts.tolist()):
+            _, replayed = sample([QM], [phases], [seed], 30_000)
+            assert replayed.tolist() == [[r]]
 
     def test_point_seeds_are_stable(self):
         assert derive_point_seed(9, 0) == 5941392204501240012
@@ -797,6 +794,7 @@ class TestScan:
     @pytest.mark.parametrize(
         "seed, index, message",
         [(2**64, 0, "unsigned 64-bit"), (2**70, 0, "unsigned 64-bit"), (-1, 0, "unsigned 64-bit"),
+         (1.0, 0, "must be an int"), (True, 0, "must be an int"),
          (0, True, "must be an int"), (0, 1.0, "must be an int"), (0, -1, "must not be negative")],
     )
     def test_point_seed_inputs_are_checked(self, seed, index, message):
@@ -804,76 +802,59 @@ class TestScan:
         with pytest.raises(ValueError, match=message):
             derive_point_seed(seed, index)
 
-    def test_bad_axis_and_empty_grid_are_rejected(self):
-        with pytest.raises(ValueError):
-            scan_phases([QM], "delta", self.GRID, ZERO, 100, seed=0)
-        with pytest.raises(ValueError):
-            scan_phases([QM], "alpha", [], ZERO, 100, seed=0)
-
     @pytest.mark.parametrize("model", [QM, RNL, CAUSAL_1, CAUSAL_2])
-    def test_point_configs_equal_run_configs_built_point_by_point(self, model):
-        # the analytic law comes from one grid call; each point must equal
-        # the RunConfig built alone, with row k of the grid law equal to the
-        # law run computes for it
+    def test_grid_points_equal_runs_made_point_by_point(self, model):
+        # the analytic law comes from one grid call; row k of it must equal
+        # the law of point k predicted alone, and the point's counters its
+        # run made alone
         base = PhaseSettings(0.0, math.pi / 3, 2 * math.pi / 3)  # TIED at alpha = 0
         grid = [0.0, 0.4, math.pi / 2, -2.9, 2 * math.pi]
-        [(law, configs, counts)] = scan_phases([model], "alpha", grid, base, 500, seed=21)
-        for k, (angle, point_config, r) in enumerate(zip(grid, configs, counts.tolist())):
-            config = RunConfig(
-                model=model,
-                phases=PhaseSettings(angle, base.beta, base.gamma),
-                events=500,
-                seed=derive_point_seed(21, k),
-            )
-            assert point_config == config
-            assert_same_law(Law(*(f if f is None else f[k : k + 1] for f in law)), law_of(config))
-            assert tuple(r) == run(config).r
+        settings, seeds = scan_points("alpha", grid, base, 21)
+        [law], [counts] = sample([model], settings, seeds, 500)
+        for k, (phases, seed, r) in enumerate(zip(settings, seeds, counts.tolist())):
+            row = Law(*(f if f is None else f[k : k + 1] for f in law))
+            assert_same_law(row, law_of(model, phases))
+            assert tuple(r) == run(model, phases, 500, seed).r
 
     @pytest.mark.parametrize(
         "events, message",
         [(0, "at least 1"), (-5, "at least 1"), (True, "must be an int"), (2.5, "must be an int")],
     )
-    def test_point_configs_check_their_event_count(self, events, message, monkeypatch):
-        monkeypatch.setattr(montecarlo, "block_tallies", lambda *args: pytest.fail("a point ran"))
+    def test_scan_event_count_is_checked_before_any_draw(self, events, message, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_sample_streams", lambda *args: pytest.fail("drawn"))
         with pytest.raises(ValueError, match=message):
-            scan_phases([QM, RNL], "alpha", self.GRID, ZERO, events, seed=0)
+            sample([QM, RNL], *scan_points("alpha", self.GRID, ZERO, 0), events)
 
     @pytest.mark.parametrize(
         "seed, message",
         [(-1, "unsigned 64-bit"), (2**64, "unsigned 64-bit"), (2**70, "unsigned 64-bit"),
          (1.0, "must be an int"), (True, "must be an int")],
     )
-    def test_scan_seed_is_range_checked_before_any_point_runs(self, seed, message, monkeypatch):
-        # point seeds are derived, so without the check 2**70 would run
-        monkeypatch.setattr(montecarlo, "block_tallies", lambda *args: pytest.fail("a point ran"))
+    def test_point_seeds_are_range_checked_before_any_draw(self, seed, message, monkeypatch):
+        # every seed is checked, not only the first
+        monkeypatch.setattr(montecarlo, "_sample_streams", lambda *args: pytest.fail("drawn"))
+        settings, [first, _, last] = scan_points("alpha", self.GRID, ZERO, 0)
         with pytest.raises(ValueError, match=message):
-            scan_phases([QM, RNL], "alpha", self.GRID, ZERO, 100, seed=seed)
+            sample([QM, RNL], settings, [first, seed, last], 100)
 
 
 class TestValueValidation:
-    def test_run_config_bounds(self):
+    def test_run_bounds(self):
         with pytest.raises(ValueError):
-            RunConfig(model=QM, phases=ZERO, events=0, seed=0)
+            sample([QM], [ZERO], [0], 0)
         with pytest.raises(ValueError):
-            RunConfig(model=QM, phases=ZERO, events=10, seed=-1)
+            sample([QM], [ZERO], [-1], 10)
         with pytest.raises(ValueError):
-            RunConfig(model=QM, phases=ZERO, events=10, seed=2**64)
+            sample([QM], [ZERO], [2**64], 10)
         for events, seed in ((True, 0), (2.5, 0), (10.0, 0), (10, True), (10, 1.0)):
             with pytest.raises(ValueError, match="must be an int"):
-                RunConfig(model=QM, phases=ZERO, events=events, seed=seed)
-
-    def test_run_config_is_provenance_only(self):
-        assert [f.name for f in dataclasses.fields(RunConfig)] == [
-            "model", "phases", "events", "seed", "target_sub"
-        ]
+                sample([QM], [ZERO], [seed], events)
 
     def test_a_target_outside_the_domain_fails_before_sampling(self, monkeypatch):
-        # the config holds provenance only; run's predict call rejects the
-        # target before any block is drawn
+        # sample's predict call rejects the target before any block is drawn
         monkeypatch.setattr(montecarlo, "block_tallies", lambda *args: pytest.fail("sampled"))
-        config = RunConfig(model=RNL, phases=ZERO, events=10, seed=0, target_sub=Subensemble.SHORT)
         with pytest.raises(ValueError, match="difference-L class only"):
-            run(config)
+            sample([RNL], [ZERO], [0], 10, Subensemble.SHORT)
 
     def test_tally_consistency_checks(self):
         with pytest.raises(ValueError):
