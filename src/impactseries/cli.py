@@ -23,7 +23,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .amplitudes import PHASE_NAMES, PhaseSettings
-from .montecarlo import derive_point_seed, estimate_E, sample
+from .montecarlo import _point_seeds, estimate_E, sample
 from .pathspace import OUTCOMES, Subensemble, TimeOrdering
 from .theories import Law, TheoryKind, TheoryModel, marginals, predict
 
@@ -88,7 +88,12 @@ def _json_cell(value) -> str:
     """``value`` as ``json.dumps`` writes it, floats rounded to 6 significant digits."""
     if isinstance(value, float):
         text = f"{value:.6g}"
-        return _JSON_NON_FINITE.get(text) or float.__repr__(float(text))
+        if "e" in text or "n" in text:
+            # an exponent (subnormals included), NaN or an infinity
+            return _JSON_NON_FINITE.get(text) or float.__repr__(float(text))
+        # a positional text of at most 6 digits is its float's shortest repr,
+        # less the ".0" of a whole number
+        return text if "." in text else text + ".0"
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     return "null" if value is None else int.__repr__(value)
@@ -370,7 +375,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     ordering = TimeOrdering(args.ordering)
     models = [TheoryModel(kind, ordering) for kind in (TheoryKind.QM, TheoryKind.RNL)]
     settings = [replace(phases, **{args.axis: angle}) for angle in grid.tolist()]
-    seeds = [derive_point_seed(args.seed, k) for k in range(len(settings))]
+    seeds = _point_seeds(args.seed, len(settings))
     laws, counts = sample(models, settings, seeds, args.events)
     columns = _concat([
         _run_columns(

@@ -16,10 +16,15 @@ beside them.
 
 Determinism contract: events are processed in fixed blocks of ``BLOCK_SIZE``;
 block ``j`` uses the PCG64 stream seeded by ``SeedSequence(seed,
-spawn_key=(j,))``.  A block of ``size`` events makes one ``random(2*size)``
-draw: the first ``size`` doubles are the events' class draws and the next
-``size`` their outcome draws, so every event, rejected or not, consumes its
-outcome draw.  A block's draws thus depend only on its seed, index and size.
+spawn_key=(j,))``.  Its state still equals ``PCG64(SeedSequence(seed,
+spawn_key=(j,)))``, but no ``SeedSequence`` or ``PCG64`` is built per
+stream: one array pass repeats numpy's ``SeedSequence`` hash for all of a
+call's streams (:func:`_seed_words`), and each state, made as numpy's
+``pcg64_set_seed`` makes it, is set on one reused generator.  The pass takes
+spawn keys below 2**32, so a seed runs at most 2**32 blocks (2**48 events).
+A block of ``size`` events makes one ``random(2*size)`` draw: the first
+``size`` doubles are the events' class draws and the next ``size`` their
+outcome draws, so every event, rejected or not, consumes its outcome draw.  A block's draws thus depend only on its seed, index and size.
 One :func:`block_tallies` call runs ``events`` events from each of its seeds,
 and every law reads every seed's blocks, so each ``(block, seed)`` stream is
 drawn once for all the laws: a scan gives point ``k`` the same seed under
@@ -35,13 +40,14 @@ Chunks and parallel runs: the streams of a call form a ``(block, seed)``
 grid, block-major over the seeds in their given order.  Up to ``BLOCK_SIZE //
 size`` consecutive streams of one block are drawn into the rows of one reused
 buffer (one row per chunk for full blocks), so a chunk never holds more than
-one full block of draws.  The compares run over the whole chunk once per law,
-each row against the law's thresholds for its seed, and the counts go into
-one ``(laws, seeds, blocks, 4)`` array.  The call makes one fan-out decision:
-one forked worker per CPU in the affinity set (``os.sched_getaffinity``), but
-at most one per ``_BLOCKS_PER_WORKER`` full blocks of the events drawn.  One
-worker stays in process; more count equal ranges of the streams over one
-pool, and the parent adds their arrays.  Each stream is still drawn from its
+one full block of draws.  Every law of a call accepts the same class, so the
+class compares run over the whole chunk once; the outcome compares run once
+per law, each row against the law's thresholds for its seed, and the counts
+go into one ``(laws, seeds, blocks, 4)`` array.  The call makes one fan-out
+decision: one forked worker per CPU in the affinity set
+(``os.sched_getaffinity``), but at most one per ``_BLOCKS_PER_WORKER`` full
+blocks of the events drawn.  One worker stays in process; more count equal
+ranges of the streams over one pool, and the parent adds their arrays.  Each stream is still drawn from its
 own seed, so the tallies are the same bits for any worker count:
 ``taskset -c 0`` gives a serial run that writes identical bytes.
 """
@@ -50,7 +56,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -95,8 +101,94 @@ def _require_runs(events: object, seeds: Sequence[object]) -> None:
     _require_int("events", events)
     if events < 1:
         raise ValueError("events must be at least 1")
+    if events > BLOCK_SIZE << 32:
+        raise ValueError("events must be at most 2**48: block indices are 32-bit spawn keys")
     for seed in seeds:
         _require_seed(seed)
+
+
+#: numpy's ``SeedSequence`` constants (O'Neill's ``seed_seq_fe``): the start
+#: and multiplier of the entropy pool's hash and of ``generate_state``'s, and
+#: ``mix``'s two multipliers.
+_POOL_HASH = (0x43B0D7E5, 0x931E8875)
+_STATE_HASH = (0x8B51F9DD, 0x58F38DED)
+_MIX_LEFT, _MIX_RIGHT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+#: PCG64's 128-bit LCG multiplier (O'Neill 2014).
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_steps(start: int, multiplier: int) -> Iterator[tuple[np.uint32, np.uint32]]:
+    """The ``(xor, multiply)`` pair of each successive ``hashmix`` call, which
+    xors its value with the hash constant, advances the constant by
+    ``multiplier`` and multiplies the value by the advanced constant."""
+    while True:
+        advanced = start * multiplier & 0xFFFFFFFF
+        yield np.uint32(start), np.uint32(advanced)
+        start = advanced
+
+
+def _hashmix(value: np.ndarray, steps: Iterator[tuple[np.uint32, np.uint32]]) -> np.ndarray:
+    xor, multiply = next(steps)
+    value = (value ^ xor) * multiply
+    return value ^ value >> 16
+
+
+def _seed_words(seeds, keys, n_words: int) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=(key,)).generate_state(n_words,
+    np.uint64)`` for each pair of ``seeds`` (checked 64-bit ints) and
+    ``keys``, as one ``(pairs, n_words)`` uint64 array, hashed for all the
+    pairs at once (``n_words`` at most 4).
+
+    The entropy is the seed's two 32-bit words, padded with zeros to numpy's
+    pool of 4, then the key as one word.  The hash runs on ``uint32`` arrays,
+    which wrap as numpy's C code does.  A key outside ``[0, 2**32)`` would be
+    two words and is a ``ValueError``.
+    """
+    keys = np.asarray(keys)
+    if keys.size and not 0 <= keys.min() <= keys.max() < 2**32:
+        raise ValueError("a spawn key must be below 2**32")
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    zero = np.zeros(len(seeds), dtype=np.uint32)
+    entropy = [(seeds & 0xFFFFFFFF).astype(np.uint32), (seeds >> 32).astype(np.uint32), zero, zero]
+
+    steps = _hash_steps(*_POOL_HASH)
+    pool = [_hashmix(word, steps) for word in entropy]
+
+    def mix(dst: int, source: np.ndarray) -> None:
+        value = pool[dst] * _MIX_LEFT - _hashmix(source, steps) * _MIX_RIGHT
+        pool[dst] = value ^ value >> 16
+
+    for src in range(len(pool)):
+        for dst in range(len(pool)):
+            if src != dst:
+                mix(dst, pool[src])
+    key = keys.astype(np.uint32)
+    for dst in range(len(pool)):
+        mix(dst, key)
+
+    steps = _hash_steps(*_STATE_HASH)
+    state = [_hashmix(pool[k % len(pool)], steps) for k in range(2 * n_words)]
+    # a word pair is little-endian: its first 32-bit word is the low half
+    return np.stack(state[0::2], axis=1).astype(np.uint64) | (
+        np.stack(state[1::2], axis=1).astype(np.uint64) << 32
+    )
+
+
+def _pcg64_state(words: Sequence[int]) -> dict:
+    """The ``PCG64.state`` that numpy's ``pcg64_set_seed`` makes of four seed
+    words, the 128-bit initial state and sequence, high words first: the
+    increment is ``2 * sequence + 1``, and the state is the initial state added
+    between two LCG steps from 0."""
+    state, increment = words[0] << 64 | words[1], words[2] << 64 | words[3]
+    increment = (increment << 1 | 1) & (1 << 128) - 1
+    state = ((state + increment) * _PCG64_MULTIPLIER + increment) & (1 << 128) - 1
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": increment},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 @dataclass(frozen=True)
@@ -145,50 +237,75 @@ def _sampled_law(law: Law) -> np.ndarray:
 def _accepted_counts(
     u_class: np.ndarray,
     u_outcome: np.ndarray,
+    accept: tuple[float, float],
     edges: np.ndarray,
     mask: np.ndarray,
     scratch: np.ndarray,
-) -> list[tuple[int, int, int, int]]:
-    """Outcome counts, four per row of draws, of the events whose class draw
-    lies in the row's ``[edges[i, 0], edges[i, 1])``.
+) -> list[list[tuple[int, int, int, int]]]:
+    """Outcome counts, four per law and row of draws, of the events whose
+    class draw lies in ``accept``, the interval ``[lo, hi)``.
 
-    Event ``e`` of row ``i`` is accepted when ``edges[i, 0] <= u_class[i, e] <
-    edges[i, 1]``, and its outcome is category ``k`` when ``c[k-1] <=
-    u_outcome[i, e] < c[k]``, where ``c`` is ``edges[i, 2:]`` followed by 1.0,
+    Event ``e`` of row ``i`` is accepted when ``lo <= u_class[i, e] < hi``,
+    and under law ``m`` its outcome is category ``k`` when ``c[k-1] <=
+    u_outcome[i, e] < c[k]``, where ``c`` is ``edges[m, i]`` followed by 1.0,
     above every uniform; this equals ``bincount(searchsorted(c, accepted,
     side="right"))``.  Tied edges (a category of probability zero) give a zero
-    count.  ``mask`` and ``scratch`` are ``bool`` buffers shaped like
-    ``u_class``; both are overwritten, and no draw is gathered.  Each row is
-    counted with a flat ``count_nonzero``: on a full block that is several
-    times faster than ``count_nonzero(..., axis=1)``.
+    count.  The class mask is made once for all the laws.  ``mask`` and
+    ``scratch`` are ``bool`` buffers shaped like ``u_class``; both are
+    overwritten, and no draw is gathered.
     """
-    # a single row compares with Python floats, which spares numpy's
-    # broadcast set-up on each call (~2% of a full block's time)
-    lo, hi, *cumulative = edges[0].tolist() if len(edges) == 1 else edges.T[:, :, None]
+    lo, hi = accept
     np.greater_equal(u_class, lo, out=mask)
     np.less(u_class, hi, out=scratch)
     np.logical_and(mask, scratch, out=mask)
-    rows = range(len(edges))
-    at_or_above = [[np.count_nonzero(mask[i]) for i in rows]]
-    for c in cumulative:
-        np.greater_equal(u_outcome, c, out=scratch)
-        np.logical_and(scratch, mask, out=scratch)
-        at_or_above.append([np.count_nonzero(scratch[i]) for i in rows])
-    return [(n0 - n1, n1 - n2, n2 - n3, n3) for n0, n1, n2, n3 in zip(*at_or_above)]
+    if len(u_class) == 1:
+        # a single row compares with Python floats, which spares numpy's
+        # broadcast set-up on each call (~2% of a full block's time), and is
+        # counted flat
+        thresholds = edges[:, 0].tolist()
+
+        def count(a: np.ndarray) -> list[int]:
+            return [np.count_nonzero(a)]
+    else:
+        thresholds = edges.transpose(0, 2, 1)[..., None]
+
+        # bytes summed into uint16 count rows ~4x faster than
+        # count_nonzero(..., axis=1); a row of a chunk of two or more holds
+        # at most BLOCK_SIZE // 2 events, below 2**16
+        def count(a: np.ndarray) -> list[int]:
+            return a.view(np.uint8).sum(axis=1, dtype=np.uint16).tolist()
+
+    accepted = count(mask)
+    per_law = []
+    for law_thresholds in thresholds:
+        at_or_above = [accepted]
+        for c in law_thresholds:
+            np.greater_equal(u_outcome, c, out=scratch)
+            np.logical_and(scratch, mask, out=scratch)
+            at_or_above.append(count(scratch))
+        per_law.append([(n0 - n1, n1 - n2, n2 - n3, n3) for n0, n1, n2, n3 in zip(*at_or_above)])
+    return per_law
 
 
 def _sample_streams(
-    streams: range, seeds: Sequence[int], sizes: Sequence[int], edges: np.ndarray
+    streams: range,
+    words: np.ndarray,
+    sizes: Sequence[int],
+    accept: tuple[float, float],
+    edges: np.ndarray,
 ) -> np.ndarray:
     """The one sampler, in process or in a worker: the outcome counts of the
     ``streams`` of a call, as a ``(laws, seeds, blocks, 4)`` array that is zero
     outside them.
 
-    Stream ``i`` is block ``i // S``, of ``sizes[i // S]`` events, of
-    ``seeds[i % S]``, where ``S = len(seeds)``; law ``m`` counts it into ``[m,
-    i % S, block]`` against ``edges[m, i % S]`` (see :func:`_accepted_counts`).
-    Up to ``BLOCK_SIZE // size`` consecutive streams of one block are drawn
-    into the rows of one reused buffer and counted at once, once per law.
+    Stream ``i`` is block ``i // S``, of ``sizes[i // S]`` events, of seed
+    ``i % S``, where ``S`` is the seed count of ``edges``, the laws' ``(laws,
+    seeds, 3)`` outcome edges; law ``m`` counts it into ``[m, i % S, block]``,
+    accepting the class draws in ``accept`` and against ``edges[m, i % S]``
+    (see :func:`_accepted_counts`).  Row ``k`` of ``words`` holds the
+    :func:`_seed_words` of stream ``streams[k]``, whose state is set in turn
+    on one generator.  Up to ``BLOCK_SIZE // size`` consecutive streams of one
+    block are drawn into the rows of one reused buffer and counted at once.
     """
     counts = np.zeros((*edges.shape[:2], len(sizes), len(OUTCOMES)), dtype=np.int64)
     # a chunk holds at most one full block, and never more than the streams draw
@@ -196,28 +313,32 @@ def _sample_streams(
     draws = np.empty(2 * capacity)
     mask = np.empty(capacity, dtype=bool)
     scratch = np.empty(capacity, dtype=bool)
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    # one row of words at a time: a list of them all would hold ~0.3 MB more
+    # in a worker of a 1e8-event run
+    stream_words = iter(words)
 
+    seeds = edges.shape[1]
     i = streams.start
     while i < streams.stop:
-        block, s = divmod(i, len(seeds))
+        block, s = divmod(i, seeds)
         size = sizes[block]
         # the chunk ends with the block's last seed at the latest
-        n = min(max(1, BLOCK_SIZE // size), streams.stop - i, len(seeds) - s)
+        n = min(max(1, BLOCK_SIZE // size), streams.stop - i, seeds - s)
         i += n
         u = draws[: 2 * size * n].reshape(n, 2 * size)
-        for row, seed in enumerate(seeds[s : s + n]):
-            rng = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(block,)))
-            )
-            rng.random(out=u[row])
-        for m, law_edges in enumerate(edges):
-            counts[m, s : s + n, block] = _accepted_counts(
-                u[:, :size],
-                u[:, size:],
-                law_edges[s : s + n],
-                mask[: n * size].reshape(n, size),
-                scratch[: n * size].reshape(n, size),
-            )
+        for row in u:
+            bit_generator.state = _pcg64_state(next(stream_words).tolist())
+            rng.random(out=row)
+        counts[:, s : s + n, block] = _accepted_counts(
+            u[:, :size],
+            u[:, size:],
+            accept,
+            edges[:, s : s + n],
+            mask[: n * size].reshape(n, size),
+            scratch[: n * size].reshape(n, size),
+        )
     return counts
 
 
@@ -240,8 +361,9 @@ def block_tallies(
     count is a ``ValueError``, and one bare :class:`Law` (itself a tuple) a
     ``TypeError``.  A :class:`Law` does not record its target, so the laws
     must be predicted for ``target``, the class whose events are accepted.
-    ``events`` (an int of at least 1) and the seeds (64-bit ints) are checked
-    before any draw; with no law or no seed the call returns ``[]``.  Stream
+    ``events`` (an int from 1 to 2**48, as block indices are 32-bit spawn
+    keys) and the seeds (64-bit ints) are checked before any draw; with no law
+    or no seed the call returns ``[]``.  Stream
     ``i``, block ``i // S`` of ``seeds[i % S]`` where ``S = len(seeds)``, is
     drawn once for every law.  The call starts at most one pool (see
     :func:`_worker_count`, which counts the events drawn), whose pieces are
@@ -257,17 +379,25 @@ def block_tallies(
     if not sampled or not seeds:
         return []
 
-    # per law and seed: the class interval, then the first three cumulative
-    # outcome edges; the top edge is 1.0, above every uniform, and never compared
+    # the target's class interval, and per law and seed the first three
+    # cumulative outcome edges; the top edge is 1.0, above every uniform, and
+    # never compared
     t = SUBENSEMBLE_ORDER.index(target)
-    cumulative = np.cumsum(sampled, axis=2)[:, :, :-1]
-    edges = np.dstack((np.full((*cumulative.shape[:2], 2), _CLASS_EDGES[t : t + 2]), cumulative))
+    accept = _CLASS_EDGES[t : t + 2]
+    edges = np.cumsum(sampled, axis=2)[:, :, :-1]
     sizes = [min(BLOCK_SIZE, events - j) for j in range(0, events, BLOCK_SIZE)]
     streams = len(sizes) * len(seeds)
+    # every stream's seed words, hashed before any fork: a worker that hashed
+    # its own would first touch numpy's uint32 loops (~0.5 MB of peak RSS)
+    words = _seed_words(
+        np.tile(np.asarray(seeds, dtype=np.uint64), len(sizes)),
+        np.repeat(np.arange(len(sizes)), len(seeds)),
+        4,
+    )
 
     workers = _worker_count(len(seeds) * events)
     if workers == 1:
-        counts = _sample_streams(range(streams), seeds, sizes, edges)
+        counts = _sample_streams(range(streams), words, sizes, accept, edges)
     else:
         # imported here: a run that never fans out does not pay their memory
         import multiprocessing
@@ -281,7 +411,12 @@ def block_tallies(
         with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
             # each stream is counted in one piece, zero in the others
             counts = sum(pool.map(
-                _sample_streams, pieces, [seeds] * workers, [sizes] * workers, [edges] * workers
+                _sample_streams,
+                pieces,
+                [words[piece.start : piece.stop] for piece in pieces],
+                [sizes] * workers,
+                [accept] * workers,
+                [edges] * workers,
             ))
 
     return [
@@ -341,11 +476,18 @@ def estimate_E(counts) -> tuple[np.ndarray, np.ndarray]:
     return value, std_error
 
 
+def _point_seeds(seed: int, points: int) -> list[int]:
+    """``derive_point_seed(seed, k)`` for every ``k`` below ``points``, in one pass."""
+    _require_seed(seed)
+    return _seed_words(np.full(points, seed, dtype=np.uint64), np.arange(points), 1)[:, 0].tolist()
+
+
 def derive_point_seed(seed: int, index: int) -> int:
-    """Stable 64-bit seed for grid point ``index`` of a scan."""
+    """Stable 64-bit seed for grid point ``index`` (below 2**32) of a scan: the
+    first word of ``SeedSequence(seed, spawn_key=(index,)).generate_state(1,
+    np.uint64)``."""
     _require_seed(seed)
     _require_int("index", index)
     if index < 0:
         raise ValueError("index must not be negative")
-    stream = np.random.SeedSequence(seed, spawn_key=(index,))
-    return int(stream.generate_state(1, np.uint64)[0])
+    return int(_seed_words([seed], [index], 1)[0, 0])

@@ -439,6 +439,9 @@ class TestJsonWriter:
         None, "qm", "L", 'quote " back \\ tab \t \u00e9 \u2603', "", 0, 7, -3, 2**70,
         0.0, -0.0, 4.08216e-17, 1.2246467991473532e-16, 1e-05, 1e16, 123456.7, 0.1666666666,
         -2.5e-300, 1.7976931348623157e308, math.nan, math.inf, -math.inf,
+        # the ends of .6g's positional range, and the subnormals
+        5e-324, 2.2250738585072014e-308, 1e-4, 9.99999e-05, 999999.0, 999999.5, 1e6,
+        -123456.0,
     ]
 
     @staticmethod

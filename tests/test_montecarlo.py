@@ -390,6 +390,8 @@ class TestSharedStreams:
     )
     # seed 0 appears twice, and one chunk holds all three streams of 1,000 events
     @example(events=1000, models=[QM, RNL], points=[(ZERO, 0), (TIED, 1), (ZERO, 0)], short=False)
+    # two rows of BLOCK_SIZE // 2 events, the longest rows a chunk of two holds
+    @example(events=BLOCK_SIZE // 2, models=[QM], points=[(ZERO, 0), (TIED, 1)], short=False)
     def test_block_tallies_equal_the_concatenated_reference(self, events, models, points, short):
         # the causal rules and RNL are defined on the difference-L class only
         qm_only = all(model is QM for model in models)
@@ -405,15 +407,18 @@ class TestSharedStreams:
 
     @staticmethod
     def count_streams(monkeypatch) -> list:
-        """Record the seed of every PCG64 stream built from here on."""
+        """Record the ``(seed, block)`` pair of every stream whose PCG64 state
+        the sampler computes from here on (a point seed takes one word, a
+        stream's state four)."""
         built = []
-        pcg64 = np.random.PCG64
+        seed_words = montecarlo._seed_words
 
-        def counted(seed_sequence):
-            built.append((seed_sequence.entropy, seed_sequence.spawn_key))
-            return pcg64(seed_sequence)
+        def counted(seeds, keys, n_words):
+            if n_words == 4:
+                built.extend(zip(np.asarray(seeds).tolist(), np.asarray(keys).tolist()))
+            return seed_words(seeds, keys, n_words)
 
-        monkeypatch.setattr(np.random, "PCG64", counted)
+        monkeypatch.setattr(montecarlo, "_seed_words", counted)
         return built
 
     def test_a_two_model_scan_draws_each_stream_once(self, monkeypatch):
@@ -451,10 +456,11 @@ class TestSharedStreams:
 
 
 def accepted_counts(u_class, u_outcome, lo, hi, cumulative):
-    """``_accepted_counts`` of one row of draws, with fresh mask and scratch buffers."""
-    edges = np.array([[lo, hi, *cumulative[:-1]]])
+    """``_accepted_counts`` of one row of draws under one law, with fresh mask
+    and scratch buffers."""
+    edges = np.array([[cumulative[:-1]]])
     buffers = [np.empty((1, len(u_class)), dtype=bool) for _ in range(2)]
-    [counts] = _accepted_counts(u_class[None], u_outcome[None], edges, *buffers)
+    [[counts]] = _accepted_counts(u_class[None], u_outcome[None], (lo, hi), edges, *buffers)
     return counts
 
 
@@ -514,32 +520,40 @@ class TestThresholdCounts:
 
     @settings(max_examples=50, deadline=None)
     @given(
-        rows=st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=len(SUBENSEMBLE_ORDER) - 1),
-                st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=4, max_size=4)
-                .filter(lambda w: sum(w) > 0),
-            ),
-            min_size=1,
-            max_size=6,
-        ),
+        target=st.integers(min_value=0, max_value=len(SUBENSEMBLE_ORDER) - 1),
+        laws=st.integers(min_value=1, max_value=3),
+        rows=st.integers(min_value=1, max_value=6),
         size=st.integers(min_value=0, max_value=300),
         seed=st.integers(min_value=0, max_value=2**32),
+        data=st.data(),
     )
-    def test_rows_are_counted_against_their_own_edges(self, rows, size, seed):
-        # a chunk counts each row of draws with the row's class interval and
-        # outcome edges, as if the row were counted alone (one row compares
-        # with Python floats, more rows with a column of thresholds)
-        u = np.random.default_rng(seed).random((len(rows), 2 * size))
-        edges = []
-        for target, weights in rows:
-            cum = np.cumsum(np.array(weights) / sum(weights))
-            edges.append([*_CLASS_EDGES[target : target + 2], *cum[:-1]])
-        buffers = [np.empty((len(rows), size), dtype=bool) for _ in range(2)]
-        together = _accepted_counts(u[:, :size], u[:, size:], np.array(edges), *buffers)
-        for row, row_edges, counts in zip(u, edges, together):
-            lo, hi, *cum = row_edges
-            assert counts == accepted_counts(row[:size], row[size:], lo, hi, [*cum, 1.0])
+    def test_rows_are_counted_against_their_own_edges(
+        self, target, laws, rows, size, seed, data
+    ):
+        # a chunk counts each row of draws under each law with the call's
+        # class interval and the law's outcome edges for that row, as if the
+        # row were counted alone (one row compares with Python floats and is
+        # counted flat, more rows with a column of thresholds and a sum
+        # along the row axis)
+        weights = data.draw(st.lists(
+            st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=4, max_size=4)
+            .filter(lambda w: sum(w) > 0),
+            min_size=laws * rows,
+            max_size=laws * rows,
+        ))
+        cum = np.cumsum(np.array(weights) / np.sum(weights, axis=1, keepdims=True), axis=1)
+        edges = cum[:, :-1].reshape(laws, rows, 3)
+        lo, hi = _CLASS_EDGES[target : target + 2]
+        u = np.random.default_rng(seed).random((rows, 2 * size))
+        buffers = [np.empty((rows, size), dtype=bool) for _ in range(2)]
+        together = _accepted_counts(u[:, :size], u[:, size:], (lo, hi), edges, *buffers)
+        assert len(together) == laws
+        for law_edges, law_counts in zip(edges, together):
+            assert len(law_counts) == rows
+            for row, row_edges, counts in zip(u, law_edges, law_counts):
+                assert counts == accepted_counts(
+                    row[:size], row[size:], lo, hi, [*row_edges, 1.0]
+                )
 
 
 def product_reference(law: Law) -> list[list[float]]:
@@ -762,6 +776,79 @@ class TestJointLaw:
             expected = [result.accepted * p for p in law]
             chi2 = sum((n - e) ** 2 / e for n, e in zip(result.r, expected))
             assert chi2_survival_3dof(chi2) >= 1e-4, f"point {k}: chi2 = {chi2:.2f}"
+
+
+# seeds and spawn keys at the ends of their 32-bit words
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 5, 2**64 - 1]
+EDGE_KEYS = [0, 1, 2**32 - 1]
+
+
+class TestSeeding:
+    """Stream states and point seeds, hashed for a whole grid at once, are
+    numpy's ``SeedSequence`` construction bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=2**64 - 1),
+                st.one_of(st.sampled_from(EDGE_KEYS), st.integers(0, 2**32 - 1)),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    @example(pairs=[(seed, key) for seed in EDGE_SEEDS for key in EDGE_KEYS])
+    def test_states_and_point_seeds_equal_numpys(self, pairs):
+        seeds, keys = zip(*pairs)
+        states = montecarlo._seed_words(seeds, keys, 4).tolist()
+        point_seeds = montecarlo._seed_words(seeds, keys, 1)[:, 0].tolist()
+        for (seed, key), words, point_seed in zip(pairs, states, point_seeds):
+            sequence = np.random.SeedSequence(seed, spawn_key=(key,))
+            assert montecarlo._pcg64_state(words) == np.random.PCG64(sequence).state
+            assert point_seed == int(sequence.generate_state(1, np.uint64)[0])
+            assert derive_point_seed(seed, key) == point_seed
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    def test_a_scans_point_seeds_equal_derive_point_seed(self, seed):
+        assert montecarlo._point_seeds(seed, 7) == [
+            int(np.random.SeedSequence(seed, spawn_key=(k,)).generate_state(1, np.uint64)[0])
+            for k in range(7)
+        ]
+        assert montecarlo._point_seeds(seed, 0) == []
+
+    def test_a_set_state_draws_numpys_stream(self):
+        # one generator, its state set stream after stream, draws what a
+        # generator built per stream draws
+        bit_generator = np.random.PCG64(0)
+        rng = np.random.Generator(bit_generator)
+        for seed, block in [(5, 0), (2**64 - 1, 3), (5, 1)]:
+            [words] = montecarlo._seed_words([seed], [block], 4).tolist()
+            bit_generator.state = montecarlo._pcg64_state(words)
+            want = np.random.Generator(
+                np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(block,)))
+            ).random(100)
+            assert np.array_equal(rng.random(100), want)
+
+    @pytest.mark.parametrize("key", [2**32, 2**32 + 1, 2**70, -1])
+    def test_a_key_outside_32_bits_is_rejected(self, key):
+        # numpy would hash such a key as two words (or reject a negative one);
+        # the one-pass hash takes one word and never falls back to numpy
+        with pytest.raises(ValueError, match=r"spawn key must be below 2\*\*32"):
+            montecarlo._seed_words([0, 1], [0, key], 4)
+        with pytest.raises(ValueError):
+            derive_point_seed(0, key)
+
+    def test_block_2_to_the_32_is_rejected_before_any_draw(self, monkeypatch):
+        # 2**48 events per seed fill blocks 0 to 2**32 - 1; one more event
+        # would need block key 2**32
+        monkeypatch.setattr(montecarlo, "_sample_streams", lambda *args: pytest.fail("drawn"))
+        built = TestSharedStreams.count_streams(monkeypatch)
+        with pytest.raises(ValueError, match=r"at most 2\*\*48"):
+            sample([QM], [ZERO], [0], BLOCK_SIZE * 2**32 + 1)
+        with pytest.raises(ValueError, match=r"at most 2\*\*48"):
+            block_tallies([law_of(QM, ZERO)], [0], BLOCK_SIZE * 2**32 + 1)
+        assert built == []
 
 
 class TestScan:
