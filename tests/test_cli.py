@@ -366,7 +366,10 @@ class TestCompare:
         assert captured.err.startswith(f"error: grid {grid!r}: ")
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
-    @pytest.mark.parametrize("flag, value", [("--events", "0"), ("--seed", "-1")])
+    # 2**48 + 1 events would need block spawn key 2**32
+    @pytest.mark.parametrize(
+        "flag, value", [("--events", "0"), ("--events", str(2**48 + 1)), ("--seed", "-1")]
+    )
     def test_contract_error_prints_nothing_to_stdout(self, flag, value, capsys):
         code = main(["compare", "--grid", "0:1:2", flag, value])
         captured = capsys.readouterr()
