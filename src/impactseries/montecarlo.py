@@ -44,19 +44,21 @@ one full block of draws.  Every law of a call accepts the same class, so the
 class compares run over the whole chunk once; the outcome compares run once
 per law, each row against the law's thresholds for its seed, and the counts
 go into one ``(laws, seeds, blocks, 4)`` array.  The call makes one fan-out
-decision: one forked worker per CPU in the affinity set
-(``os.sched_getaffinity``), but at most one per ``_BLOCKS_PER_WORKER`` full
-blocks of the events drawn.  One worker stays in process; more count equal
-ranges of the streams over one pool, and the parent adds their arrays.  Each stream is still drawn from its
-own seed, so the tallies are the same bits for any worker count:
-``taskset -c 0`` gives a serial run that writes identical bytes.
+decision: one worker per CPU in the affinity set (``os.sched_getaffinity``),
+but at most one per ``_BLOCKS_PER_WORKER`` full blocks of the events drawn.
+One worker stays in process.  More are children made by a bare ``os.fork``,
+one per equal range of the streams; each writes its count array to its own
+pipe, and the parent, which only waits, adds them.  Each stream is still
+drawn from its own seed, so the tallies are the same bits for any worker
+count: ``taskset -c 0`` gives a serial run that writes identical bytes.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -79,10 +81,11 @@ SUBENSEMBLE_WEIGHTS: tuple[float, ...] = (0.125, 0.375, 0.375, 0.125)
 #: Class ``k`` takes the class draws in ``[edges[k], edges[k+1])``; exact dyadics.
 _CLASS_EDGES: tuple[float, ...] = (0.0, *np.cumsum(SUBENSEMBLE_WEIGHTS).tolist())
 
-#: Fewest full blocks of events a worker is given.  In a fresh interpreter on
-#: 2 CPUs the pool's imports, forks and first blocks cost ~40-70 ms, so two
-#: workers break even with one process near 160-200 blocks (~0.75 ms per
-#: block); only 2 CPUs were measured.
+#: Fewest full blocks of events a worker is given (~0.75 ms each).  Starting
+#: the forked workers costs tens of milliseconds, and on a 2-vCPU host two
+#: workers lost to one process at 458 blocks and won at 700 (medians of 7
+#: fresh interpreters); the value is not yet tuned to that, and only 2 CPUs
+#: were measured.
 _BLOCKS_PER_WORKER = 96
 
 
@@ -351,6 +354,91 @@ def _worker_count(events: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), events // per_worker))
 
 
+def _exit_with_counts(
+    read_ends: Sequence[int], write_end: int, streams: range, words: np.ndarray, *args
+) -> NoReturn:
+    """In a forked child: write to the pipe ``write_end`` status byte 0 and
+    the bytes of the :func:`_sample_streams` counts of ``streams``, or status
+    1 and the pickled exception, and leave through ``os._exit``, which never
+    returns into the parent's code, flushes inherited stdio or runs
+    ``atexit``; the exit status is 0 once the whole result is written.  The
+    inherited ``read_ends``, its own pipe's among them, are closed first, so
+    that once the parent is gone the write fails instead of blocking.
+    """
+    code = 1
+    try:
+        for read_end in read_ends:
+            os.close(read_end)
+        try:
+            counts = _sample_streams(streams, words[streams.start : streams.stop], *args)
+            result = b"\0" + counts.tobytes()
+        except BaseException as error:
+            result = b"\1" + pickle.dumps(error)
+        with open(write_end, "wb") as pipe:
+            pipe.write(result)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _forked_counts(pieces: Sequence[range], words: np.ndarray, *args) -> np.ndarray:
+    """The sum of the :func:`_sample_streams` counts of ``pieces``, as a flat
+    int64 array: each piece is counted in its own forked child, which takes
+    the rows of ``words`` for its streams and ``args`` as the other
+    arguments, and sends its counts back through its own pipe.
+
+    The parent only waits: it never samples, so it never imports
+    ``numpy.random``, whose pages a forked child does not count in its peak
+    RSS.  It reads each pipe to EOF before it reaps the child, so a result
+    larger than the pipe buffer cannot block the child.  A child's exception
+    is raised again, type kept, and a child that ends without a result is a
+    ``RuntimeError``; on any exception every child left is killed and reaped
+    first.  ``os.fork`` copies only the calling thread, and Python 3.12 and
+    later warn when a process with threads forks.  The CLI is
+    single-threaded: it starts no thread, and the OpenBLAS threads that
+    ``import numpy`` starts are stopped by OpenBLAS's own fork handler.
+    """
+    read_ends, pids = [], []
+    try:
+        for piece in pieces:
+            read_end, write_end = os.pipe()
+            read_ends.append(read_end)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _exit_with_counts(read_ends, write_end, piece, words, *args)
+            finally:
+                # a later child must not hold this pipe open
+                os.close(write_end)
+            pids.append(pid)
+        counts = 0
+        for read_end, pid in zip(read_ends, list(pids)):
+            with open(read_end, "rb", closefd=False) as pipe:
+                result = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            pids.remove(pid)
+            if result[:1] == b"\1":
+                raise pickle.loads(result[1:])
+            if status != 0 or result[:1] != b"\0":
+                raise RuntimeError(
+                    f"sampler child {pid} ended without a result"
+                    f" (exit status {os.waitstatus_to_exitcode(status)})"
+                )
+            # each stream is counted in one piece, zero in the others
+            counts = counts + np.frombuffer(result, dtype=np.int64, offset=1)
+        return counts
+    finally:
+        if pids:
+            # imported on this path only: the module costs ~1 ms at import
+            from signal import SIGKILL
+
+            for pid in pids:
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+        for read_end in read_ends:
+            os.close(read_end)
+
+
 def block_tallies(
     laws: Sequence[Law], seeds: Sequence[int], events: int, target: Subensemble = Subensemble.LONG
 ) -> list[CoincidenceTally]:
@@ -365,9 +453,9 @@ def block_tallies(
     keys) and the seeds (64-bit ints) are checked before any draw; with no law
     or no seed the call returns ``[]``.  Stream
     ``i``, block ``i // S`` of ``seeds[i % S]`` where ``S = len(seeds)``, is
-    drawn once for every law.  The call starts at most one pool (see
-    :func:`_worker_count`, which counts the events drawn), whose pieces are
-    equal ranges of streams.
+    drawn once for every law.  The call fans out at most once (see
+    :func:`_worker_count`, which counts the events drawn), forking one child
+    per equal range of streams.
     """
     if isinstance(laws, Law):
         raise TypeError("laws must be a sequence of Law records; pass one law as [law]")
@@ -399,25 +487,9 @@ def block_tallies(
     if workers == 1:
         counts = _sample_streams(range(streams), words, sizes, accept, edges)
     else:
-        # imported here: a run that never fans out does not pay their memory
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # fork, not spawn: a spawned worker would pay an interpreter start and
-        # the numpy import; Python 3.14 makes forkserver the Linux default
-        context = multiprocessing.get_context("fork")
         bounds = [p * streams // workers for p in range(workers + 1)]
         pieces = [range(start, stop) for start, stop in zip(bounds, bounds[1:])]
-        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-            # each stream is counted in one piece, zero in the others
-            counts = sum(pool.map(
-                _sample_streams,
-                pieces,
-                [words[piece.start : piece.stop] for piece in pieces],
-                [sizes] * workers,
-                [accept] * workers,
-                [edges] * workers,
-            ))
+        counts = _forked_counts(pieces, words, sizes, accept, edges)
 
     return [
         CoincidenceTally(r=tuple(r), rejected=size - sum(r))

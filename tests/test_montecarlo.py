@@ -1,12 +1,13 @@
 """Monte Carlo engine: determinism, partition independence, statistics."""
 
-import concurrent.futures
 import dataclasses
 import math
 import os
 import random
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,31 @@ LONG = Subensemble.LONG
 
 def tally(pp, pm, mp, mm, rejected=0) -> CoincidenceTally:
     return CoincidenceTally(r=(pp, pm, mp, mm), rejected=rejected)
+
+
+#: Script lines that count the ``os.fork`` calls made from there on in ``forks``.
+COUNT_FORKS = "forks = []\nfork = os.fork\nos.fork = lambda: forks.append(1) or fork()\n"
+
+
+def run_python(script: str) -> str:
+    """The standard output of ``script`` run by a fresh interpreter on this
+    checkout's package, which must exit 0 within a minute.  Its stdout is a
+    pipe and block-buffered, even where the caller's environment sets
+    ``PYTHONUNBUFFERED``."""
+    src = str(Path(impactseries.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("PYTHONUNBUFFERED", None)
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        timeout=60, check=True,
+    )
+    return result.stdout
+
+
+def assert_no_child_left() -> None:
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def assert_same_law(got: Law, want: Law) -> None:
@@ -233,6 +259,44 @@ class TestWorkers:
         monkeypatch.setattr(montecarlo, "_accepted_counts", counts_outside_the_parent)
         with pytest.raises(ZeroDivisionError, match="raised in a worker"):
             tallies_of(QM, ZERO, 2 * BLOCK_SIZE, 5)
+        assert_no_child_left()
+
+    def test_a_worker_without_a_result_is_a_runtime_error(self, cpus, monkeypatch):
+        cpus(2)
+        parent = os.getpid()
+
+        def exit_outside_the_parent(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return _accepted_counts(*args)
+
+        monkeypatch.setattr(montecarlo, "_accepted_counts", exit_outside_the_parent)
+        with pytest.raises(
+            RuntimeError, match=r"child \d+ ended without a result \(exit status 3\)"
+        ):
+            tallies_of(QM, ZERO, 2 * BLOCK_SIZE, 5)
+        # the sibling of the first failing child is reaped too
+        assert_no_child_left()
+
+    def test_an_interrupted_parent_kills_and_reaps_every_worker(self, cpus, monkeypatch):
+        # the second worker interrupts the parent, as Ctrl-C would, while the
+        # parent waits on the first; both would sleep for a minute, so the
+        # call returns early only if the parent kills them
+        cpus(2)
+        parent = os.getpid()
+
+        def interrupt_and_hang(streams, *args):
+            if streams.start > 0:
+                time.sleep(0.2)
+                os.kill(parent, signal.SIGINT)
+            time.sleep(60)
+
+        monkeypatch.setattr(montecarlo, "_sample_streams", interrupt_and_hang)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            tallies_of(QM, ZERO, 2 * BLOCK_SIZE, 5)
+        assert time.monotonic() - start < 30
+        assert_no_child_left()
 
     def test_worker_count(self, monkeypatch):
         # the rule counts full blocks of events, so a partial block adds no worker
@@ -251,19 +315,19 @@ class TestWorkers:
     def test_a_scan_starts_one_pool(self, cpus, monkeypatch):
         # two blocks per point and a worker per block of events: each point
         # would fan out alone; the two models' scans are one sampler call,
-        # split over one pool into pieces of whole streams
+        # split over one child per piece of whole streams
         cpus(2)
-        pools = []
+        forks = []
+        fork = os.fork
 
-        class CountedPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(kwargs["max_workers"])
-                super().__init__(*args, **kwargs)
+        def counted_fork():
+            forks.append(os.getpid())
+            return fork()
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+        monkeypatch.setattr(os, "fork", counted_fork)
         settings, seeds = scan_points("alpha", [0.0, 0.4, 2.0], ZERO, 3)
         _, counts = sample([QM, RNL], settings, seeds, BLOCK_SIZE + 17)
-        assert pools == [2]
+        assert forks == [os.getpid()] * 2
         for model, model_counts in zip([QM, RNL], counts.tolist()):
             for phases, seed, r in zip(settings, seeds, model_counts):
                 assert tuple(r) == run(model, phases, BLOCK_SIZE + 17, seed).r
@@ -272,27 +336,39 @@ class TestWorkers:
                 )
 
     @staticmethod
-    def record_pieces(monkeypatch) -> list:
-        """Record the stream ranges of every pool's pieces from here on."""
-        pieces = []
+    def record_pieces(monkeypatch, tmp_path):
+        """Record the stream range of every piece sampled from here on, each
+        in a file the sampling process writes; the returned function reads
+        them back in stream order, and checks that every piece was sampled in
+        its own child."""
+        sample_streams = montecarlo._sample_streams
 
-        class RecordedPool(concurrent.futures.ProcessPoolExecutor):
-            def map(self, fn, *iterables, **kwargs):
-                pieces.append(list(iterables[0]))
-                return super().map(fn, *iterables, **kwargs)
+        def recorded(streams, *args):
+            path = tmp_path / f"piece-{streams.start}"
+            path.write_text(f"{os.getpid()} {streams.start} {streams.stop}")
+            return sample_streams(streams, *args)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordedPool)
+        monkeypatch.setattr(montecarlo, "_sample_streams", recorded)
+
+        def pieces() -> list:
+            records = [path.read_text().split() for path in tmp_path.glob("piece-*")]
+            pids = {pid for pid, _, _ in records}
+            assert str(os.getpid()) not in pids
+            assert len(pids) == len(records)
+            ranges = [range(int(start), int(stop)) for _, start, stop in records]
+            return sorted(ranges, key=lambda piece: piece.start)
+
         return pieces
 
-    def test_a_pool_piece_can_end_inside_a_run(self, cpus, monkeypatch):
+    def test_a_pool_piece_can_end_inside_a_run(self, cpus, monkeypatch, tmp_path):
         # one run's 3 full blocks are 3 streams of one seed; 2 workers cut them
         cpus(2)
-        pieces = self.record_pieces(monkeypatch)
+        pieces = self.record_pieces(monkeypatch, tmp_path)
         run_args = (RNL, ZERO, 3 * BLOCK_SIZE, 8)
         assert tallies_of(*run_args) == searchsorted_block_tallies(*run_args)
-        assert pieces == [[range(0, 1), range(1, 3)]]
+        assert pieces() == [range(0, 1), range(1, 3)]
 
-    def test_a_pool_piece_can_cut_a_chunk_of_short_streams(self, cpus, monkeypatch):
+    def test_a_pool_piece_can_cut_a_chunk_of_short_streams(self, cpus, monkeypatch, tmp_path):
         # 8 one-block points of 20,000 events: a serial chunk holds 3 streams,
         # and 2 workers take 4 each, so a piece ends inside the second chunk
         assert BLOCK_SIZE // 20_000 == 3
@@ -300,9 +376,9 @@ class TestWorkers:
         cpus(1)
         serial_laws, serial = sample([QM, RNL], settings, seeds, 20_000)
         cpus(2)
-        pieces = self.record_pieces(monkeypatch)
+        pieces = self.record_pieces(monkeypatch, tmp_path)
         laws, counts = sample([QM, RNL], settings, seeds, 20_000)
-        assert pieces == [[range(0, 4), range(4, 8)]]
+        assert pieces() == [range(0, 4), range(4, 8)]
         assert len(laws) == len(serial_laws) == 2
         for law, serial_law in zip(laws, serial_laws):
             assert_same_law(law, serial_law)
@@ -345,11 +421,13 @@ class TestWorkers:
         assert sample([], [ZERO], [0], 10)[1].shape == (0, 1, len(OUTCOMES))
 
     def test_in_process_run_imports_no_pool(self):
-        # the pool modules cost memory at import; work below the pool
+        # the pool modules cost memory at import: work below the fan-out
         # threshold (a one-block run, a two-model scan of 1,001 one-block
-        # points, as scan-fine samples, a predict) must not load them
-        script = (
-            "import sys, impactseries.cli\n"
+        # points, as scan-fine samples, a predict) must not load them, and
+        # neither must a run forked over two workers
+        stdout = run_python(
+            "import os, sys, impactseries.cli\n"
+            "from impactseries import montecarlo\n"
             "from impactseries.amplitudes import PhaseSettings\n"
             "from impactseries.montecarlo import derive_point_seed, sample\n"
             "from impactseries.theories import TheoryKind, TheoryModel\n"
@@ -357,16 +435,38 @@ class TestWorkers:
             "sample([TheoryModel(TheoryKind.QM), TheoryModel(TheoryKind.RNL)],"
             " [PhaseSettings(alpha=k / 100) for k in range(1001)],"
             " [derive_point_seed(1, k) for k in range(1001)], 1000)\n"
-            "print(sorted(m for m in sys.modules"
+            f"{COUNT_FORKS}"
+            "montecarlo._BLOCKS_PER_WORKER = 1\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "sample([TheoryModel(TheoryKind.QM)], [PhaseSettings()], [1], 2 * 65536)\n"
+            "print(len(forks), sorted(m for m in sys.modules"
             " if m.startswith(('multiprocessing', 'concurrent.futures'))))\n"
         )
-        src = str(Path(impactseries.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src}
-        result = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
-            timeout=60, check=True,
+        assert stdout == "2 []\n"
+
+    def test_a_worker_result_may_exceed_the_pipe_buffer(self):
+        # 2 laws x 1,200 one-block seeds: each worker's count array holds
+        # 2 * 1,200 * 4 int64, 76,800 bytes, more than a 64 KB pipe buffer,
+        # so a parent that reaped a child before reading its pipe would hang
+        # until the timeout.  Text buffered on stdout before the fork is
+        # written once, by the parent: a worker never flushes inherited stdio.
+        stdout = run_python(
+            "import os, sys\n"
+            "from impactseries import montecarlo\n"
+            "from impactseries.amplitudes import PhaseSettings\n"
+            "from impactseries.theories import TheoryKind, TheoryModel\n"
+            "models = [TheoryModel(TheoryKind.QM), TheoryModel(TheoryKind.RNL)]\n"
+            "settings = [PhaseSettings(alpha=k / 100) for k in range(1200)]\n"
+            "sys.stdout.write('buffered before the fan-out\\n')\n"
+            f"{COUNT_FORKS}"
+            "montecarlo._BLOCKS_PER_WORKER = 1\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "_, forked = montecarlo.sample(models, settings, list(range(1200)), 1000)\n"
+            "os.sched_getaffinity = lambda pid: {0}\n"
+            "_, serial = montecarlo.sample(models, settings, list(range(1200)), 1000)\n"
+            "print(len(forks), forked.shape, (forked == serial).all())\n"
         )
-        assert result.stdout == "[]\n"
+        assert stdout == "buffered before the fan-out\n2 (2, 1200, 4) True\n"
 
 
 class TestSharedStreams:
