@@ -181,7 +181,7 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("events", [3 * BLOCK_SIZE + 17, BLOCK_SIZE + 1])
     def test_short_block_after_full_ones_reads_no_stale_bits(self, events):
-        # one in-process call reuses its draw, mask and scratch buffers
+        # one forked worker reuses its draw, mask and scratch buffers
         # between the full blocks and the short last one
         assert _worker_count(events) == 1
         run_args = (QM, ZERO, events, 2024)
@@ -450,6 +450,7 @@ class TestWorkers:
         # so a parent that reaped a child before reading its pipe would hang
         # until the timeout.  Text buffered on stdout before the fork is
         # written once, by the parent: a worker never flushes inherited stdio.
+        # The fan-out forks 2 workers and the serial reference 1.
         stdout = run_python(
             "import os, sys\n"
             "from impactseries import montecarlo\n"
@@ -466,7 +467,47 @@ class TestWorkers:
             "_, serial = montecarlo.sample(models, settings, list(range(1200)), 1000)\n"
             "print(len(forks), forked.shape, (forked == serial).all())\n"
         )
-        assert stdout == "buffered before the fan-out\n2 (2, 1200, 4) True\n"
+        assert stdout == "buffered before the fan-out\n3 (2, 1200, 4) True\n"
+
+    def test_the_parent_never_samples(self):
+        # a one-worker simulate and a two-model scan of 1,001 one-block
+        # points, as scan-fine samples, each fork one child, and the parent
+        # never imports numpy.random, whose pages would count in its peak RSS
+        stdout = run_python(
+            "import os, sys\n"
+            "from impactseries import cli\n"
+            "from impactseries.amplitudes import PhaseSettings\n"
+            "from impactseries.montecarlo import _point_seeds, sample\n"
+            "from impactseries.theories import TheoryKind, TheoryModel\n"
+            f"{COUNT_FORKS}"
+            "status = cli.main(['simulate', '--model', 'qm', '--events', '100000',"
+            " '--out', os.devnull])\n"
+            "print(status, len(forks), 'numpy.random' in sys.modules)\n"
+            "sample([TheoryModel(TheoryKind.QM), TheoryModel(TheoryKind.RNL)],"
+            " [PhaseSettings(alpha=k / 100) for k in range(1001)], _point_seeds(1, 1001), 1000)\n"
+            "print(len(forks), 'numpy.random' in sys.modules)\n"
+        )
+        assert stdout.splitlines()[-2:] == ["0 1 False", "2 False"]
+
+    def test_without_fork_the_call_samples_in_process(self, cpus, monkeypatch):
+        # where os.fork is missing (Windows) one call samples every stream in
+        # the parent, with the forked call's bits
+        cpus(2)
+        laws = [law_of(QM, ZERO), law_of(RNL, ZERO)]
+        forked = block_tallies(laws, [5], 3 * BLOCK_SIZE + 17)
+        calls = []
+        sample_streams = montecarlo._sample_streams
+
+        def recorded(streams, *args):
+            calls.append((os.getpid(), streams))
+            return sample_streams(streams, *args)
+
+        monkeypatch.setattr(montecarlo, "_sample_streams", recorded)
+        monkeypatch.delattr(os, "fork")
+        assert block_tallies(laws, [5], 3 * BLOCK_SIZE + 17) == forked
+        assert summed(forked[:4]) == (6316, 6225, 55249, 6147)
+        assert sample([QM], [ZERO], [1], 1000)[1].tolist() == [[[32, 31, 295, 28]]]
+        assert calls == [(os.getpid(), range(0, 4)), (os.getpid(), range(0, 1))]
 
 
 class TestSharedStreams:
@@ -776,10 +817,10 @@ class TestEstimator:
         runs, coverage = 400, 0.6827
         side1 = predict(model, [phases]).side1
         signed = side1[0, 0] - side1[0, 1]
-        inside = 0
-        for seed in range(runs):
-            value, std_error = estimate_E(run(model, phases, 10_000, seed).r)
-            inside += abs(value - signed) < std_error
+        # run k from seed k, all in one sampler call
+        _, [counts] = sample([model], [phases] * runs, list(range(runs)), 10_000)
+        value, std_error = estimate_E(counts)
+        inside = int(np.count_nonzero(np.abs(value - signed) < std_error))
         bound = 5 * math.sqrt(coverage * (1 - coverage) / runs)
         assert abs(inside / runs - coverage) <= bound, f"share {inside / runs}"
 
