@@ -46,19 +46,22 @@ per law, each row against the law's thresholds for its seed, and the counts
 go into one ``(laws, seeds, blocks, 4)`` array.  The call makes one fan-out
 decision: one worker per CPU in the affinity set (``os.sched_getaffinity``),
 but at most one per ``_BLOCKS_PER_WORKER`` full blocks of the events drawn.
-Every worker, a single one included, is a child made by a bare ``os.fork``,
-one per equal range of the streams; each writes its count array to its own
-pipe, and the parent, which only waits, adds them, so the parent never
-imports ``numpy.random``.  Only a platform without ``os.fork`` (Windows)
-samples in process.  Each stream is still drawn from its own seed, so the
-tallies are the same bits for any worker count: ``taskset -c 0`` gives a run
-of one worker that writes identical bytes.
+The workers are children made by a bare ``os.fork``, one per equal range of
+the streams; each writes its count array to its own pipe, and the parent,
+which only waits, adds them.  A single worker is forked too, so that the
+parent never imports ``numpy.random``, unless that gains nothing or is unsafe
+(see :func:`_forks`); then the call samples in process.  Each stream is still
+drawn from its own seed, so the tallies are the same bits for any worker
+count, forked or not: ``taskset -c 0`` gives a run of one worker that writes
+identical bytes.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+import sys
+import threading
 from dataclasses import dataclass
 from typing import Iterator, NoReturn, Sequence
 
@@ -83,11 +86,11 @@ SUBENSEMBLE_WEIGHTS: tuple[float, ...] = (0.125, 0.375, 0.375, 0.125)
 #: Class ``k`` takes the class draws in ``[edges[k], edges[k+1])``; exact dyadics.
 _CLASS_EDGES: tuple[float, ...] = (0.0, *np.cumsum(SUBENSEMBLE_WEIGHTS).tolist())
 
-#: Fewest full blocks of events a worker is given (~0.6 ms each).  Every
-#: worker is forked and pays 20-30 ms to start, mostly its import of
-#: ``numpy.random``.  On a 2-vCPU host two workers tied with one at 32 and 48
-#: blocks, and won in at least 16 of 21 paired runs of fresh interpreters
-#: from 96 blocks up; only 2 CPUs were measured.
+#: Fewest full blocks of events a worker is given (~0.6 ms each).  A forked
+#: worker pays 20-30 ms to start, mostly its import of ``numpy.random``.  On
+#: a 2-vCPU host two workers tied with one forked worker at 32 and 48 blocks,
+#: and won in at least 16 of 21 paired runs of fresh interpreters from 96
+#: blocks up; only 2 CPUs were measured.
 _BLOCKS_PER_WORKER = 48
 
 
@@ -299,9 +302,9 @@ def _sample_streams(
     accept: tuple[float, float],
     edges: np.ndarray,
 ) -> np.ndarray:
-    """The one sampler, run in a forked worker (in process only where
-    ``os.fork`` is missing): the outcome counts of the ``streams`` of a call,
-    as a ``(laws, seeds, blocks, 4)`` array that is zero outside them.
+    """The one sampler, in a forked worker or in process: the outcome counts
+    of the ``streams`` of a call, as a ``(laws, seeds, blocks, 4)`` array that
+    is zero outside them.
 
     Stream ``i`` is block ``i // S``, of ``sizes[i // S]`` events, of seed
     ``i % S``, where ``S`` is the seed count of ``edges``, the laws' ``(laws,
@@ -348,13 +351,33 @@ def _sample_streams(
 
 
 def _worker_count(events: int) -> int:
-    """The number of forked workers: one per CPU the process may run on, as
-    long as each gets ``_BLOCKS_PER_WORKER`` full blocks of the drawn
-    ``events``, and at least one."""
+    """The number of workers: one per CPU the process may run on, as long as
+    each gets ``_BLOCKS_PER_WORKER`` full blocks of the drawn ``events``, and
+    at least one."""
     if not hasattr(os, "sched_getaffinity"):
         return 1
     per_worker = _BLOCKS_PER_WORKER * BLOCK_SIZE
     return max(1, min(len(os.sched_getaffinity(0)), events // per_worker))
+
+
+def _forks(workers: int) -> bool:
+    """Whether a call of ``workers`` workers samples in forked children.
+
+    More than one always fork.  One worker is forked only to keep
+    ``numpy.random`` (~5.5 MB) out of the parent's own peak RSS; the process
+    tree's summed PSS rises, and the child's import takes 20-30 ms.  So it
+    is forked only where that gains something and is safe: ``numpy.random`` is
+    not imported yet (before numpy 2, ``import numpy`` imports it), the
+    platform is one where the call can fan out (``os.sched_getaffinity``; not
+    macOS, where forking is unsafe, nor Windows), and no other thread runs (a
+    library host such as a Jupyter kernel has threads, and ``os.fork`` copies
+    only the calling one).
+    """
+    return workers > 1 or (
+        "numpy.random" not in sys.modules
+        and hasattr(os, "sched_getaffinity")
+        and threading.active_count() == 1
+    )
 
 
 def _exit_with_counts(
@@ -391,14 +414,13 @@ def _forked_counts(pieces: Sequence[range], words: np.ndarray, *args) -> np.ndar
     ``args`` as the other arguments, and sends its counts back through its
     own pipe.
 
-    The parent only waits: it never samples, so it never imports
-    ``numpy.random`` (~5.5 MB), whose pages then count only in the children's
-    peak RSS.  It reads each pipe to EOF before it reaps the child, so a
-    result larger than the pipe buffer cannot block the child.  A child's
-    exception is raised again, type kept, and a child that ends without a
-    result is a ``RuntimeError``; on any exception every child left is killed
-    and reaped first.  ``os.fork`` copies only the calling thread, and Python
-    3.12 and later warn when a process with threads forks.  The CLI is
+    The parent only waits: it never samples, so this call does not import
+    ``numpy.random`` into it.  It reads each pipe to EOF before it reaps the
+    child, so a result larger than the pipe buffer cannot block the child.  A
+    child's exception is raised again, type kept, and a child that ends
+    without a result is a ``RuntimeError``; on any exception every child left
+    is killed and reaped first.  ``os.fork`` copies only the calling thread,
+    and Python 3.12 and later warn when a process with threads forks.  The CLI is
     single-threaded: it starts no thread, and the OpenBLAS threads that
     ``import numpy`` starts are stopped by OpenBLAS's own fork handler.
     """
@@ -457,10 +479,11 @@ def block_tallies(
     keys) and the seeds (64-bit ints) are checked before any draw; with no law
     or no seed the call returns ``[]``.  Stream
     ``i``, block ``i // S`` of ``seeds[i % S]`` where ``S = len(seeds)``, is
-    drawn once for every law.  The call forks once per equal range of
+    drawn once for every law.  The call forks one child per equal range of
     streams, one range per worker (see :func:`_worker_count`, which counts
-    the events drawn), and samples nothing itself; only where ``os.fork`` is
-    missing does it sample every stream in process.
+    the events drawn), and samples nothing itself; one worker samples in
+    process where forking it would gain nothing or be unsafe (see
+    :func:`_forks`).
     """
     if isinstance(laws, Law):
         raise TypeError("laws must be a sequence of Law records; pass one law as [law]")
@@ -488,13 +511,12 @@ def block_tallies(
         4,
     )
 
-    if hasattr(os, "fork"):
-        workers = _worker_count(len(seeds) * events)
+    workers = _worker_count(len(seeds) * events)
+    if _forks(workers):
         bounds = [p * streams // workers for p in range(workers + 1)]
         pieces = [range(start, stop) for start, stop in zip(bounds, bounds[1:])]
         counts = _forked_counts(pieces, words, sizes, accept, edges)
     else:
-        # a platform without fork (Windows) samples in process
         counts = _sample_streams(range(streams), words, sizes, accept, edges)
 
     return [

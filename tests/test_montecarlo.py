@@ -181,8 +181,8 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("events", [3 * BLOCK_SIZE + 17, BLOCK_SIZE + 1])
     def test_short_block_after_full_ones_reads_no_stale_bits(self, events):
-        # one forked worker reuses its draw, mask and scratch buffers
-        # between the full blocks and the short last one
+        # one worker, forked or not, reuses its draw, mask and scratch
+        # buffers between the full blocks and the short last one
         assert _worker_count(events) == 1
         run_args = (QM, ZERO, events, 2024)
         assert tallies_of(*run_args) == searchsorted_block_tallies(*run_args)
@@ -420,29 +420,55 @@ class TestWorkers:
         assert sample([model], [], [], 10)[1].shape == (1, 0, len(OUTCOMES))
         assert sample([], [ZERO], [0], 10)[1].shape == (0, 1, len(OUTCOMES))
 
-    def test_in_process_run_imports_no_pool(self):
-        # the pool modules cost memory at import: work below the fan-out
-        # threshold (a one-block run, a two-model scan of 1,001 one-block
-        # points, as scan-fine samples, a predict) must not load them, and
-        # neither must a run forked over two workers
+    def test_the_parent_samples_nothing_while_a_fork_gains_memory(self):
+        # a one-worker simulate and a two-model scan of 1,001 one-block
+        # points, as scan-fine samples, each fork one child, so the parent
+        # never imports numpy.random, whose pages would count in its peak
+        # RSS.  With another thread running, or once numpy.random is imported
+        # (numpy before 2 imports it with numpy), one worker samples in
+        # process, with the same bits.  A run over two workers forks two.
+        # No call loads the pool modules, which cost memory at import.
         stdout = run_python(
-            "import os, sys, impactseries.cli\n"
-            "from impactseries import montecarlo\n"
+            "import os, sys, threading\n"
+            "import numpy\n"
+            "eager = 'numpy.random' in sys.modules\n"
+            "from impactseries import cli, montecarlo\n"
             "from impactseries.amplitudes import PhaseSettings\n"
-            "from impactseries.montecarlo import derive_point_seed, sample\n"
+            "from impactseries.montecarlo import _point_seeds, sample\n"
             "from impactseries.theories import TheoryKind, TheoryModel\n"
-            "sample([TheoryModel(TheoryKind.QM)], [PhaseSettings()], [1], 1000)\n"
-            "sample([TheoryModel(TheoryKind.QM), TheoryModel(TheoryKind.RNL)],"
-            " [PhaseSettings(alpha=k / 100) for k in range(1001)],"
-            " [derive_point_seed(1, k) for k in range(1001)], 1000)\n"
+            "models = [TheoryModel(TheoryKind.QM), TheoryModel(TheoryKind.RNL)]\n"
+            "settings = [PhaseSettings(alpha=k / 100) for k in range(1001)]\n"
             f"{COUNT_FORKS}"
+            "counts = []\n"
+            "status = cli.main(['simulate', '--model', 'qm', '--events', '100000',"
+            " '--out', os.devnull])\n"
+            "counts.append(len(forks))\n"
+            "_, forked = sample(models, settings, _point_seeds(1, 1001), 1000)\n"
+            "counts.append(len(forks))\n"
+            "loaded = 'numpy.random' in sys.modules\n"
+            "stop = threading.Event()\n"
+            "thread = threading.Thread(target=stop.wait)\n"
+            "thread.start()\n"
+            "_, threaded = sample(models, settings, _point_seeds(1, 1001), 1000)\n"
+            "stop.set()\n"
+            "thread.join()\n"
+            "counts.append(len(forks))\n"
+            "_, again = sample(models, settings, _point_seeds(1, 1001), 1000)\n"
+            "counts.append(len(forks))\n"
             "montecarlo._BLOCKS_PER_WORKER = 1\n"
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
             "sample([TheoryModel(TheoryKind.QM)], [PhaseSettings()], [1], 2 * 65536)\n"
-            "print(len(forks), sorted(m for m in sys.modules"
+            "counts.append(len(forks))\n"
+            "same = (forked == threaded).all() and (forked == again).all()\n"
+            "print(eager, status, counts, loaded, same, sorted(m for m in sys.modules"
             " if m.startswith(('multiprocessing', 'concurrent.futures'))))\n"
         )
-        assert stdout == "2 []\n"
+        last = stdout.splitlines()[-1]
+        if last.startswith("True"):
+            # numpy.random came with numpy: no single worker is forked
+            assert last == "True 0 [0, 0, 0, 0, 2] True True []"
+        else:
+            assert last == "False 0 [1, 2, 2, 2, 4] False True []"
 
     def test_a_worker_result_may_exceed_the_pipe_buffer(self):
         # 2 laws x 1,200 one-block seeds: each worker's count array holds
@@ -450,7 +476,6 @@ class TestWorkers:
         # so a parent that reaped a child before reading its pipe would hang
         # until the timeout.  Text buffered on stdout before the fork is
         # written once, by the parent: a worker never flushes inherited stdio.
-        # The fan-out forks 2 workers and the serial reference 1.
         stdout = run_python(
             "import os, sys\n"
             "from impactseries import montecarlo\n"
@@ -463,35 +488,16 @@ class TestWorkers:
             "montecarlo._BLOCKS_PER_WORKER = 1\n"
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
             "_, forked = montecarlo.sample(models, settings, list(range(1200)), 1000)\n"
+            "fanned_out = len(forks)\n"
             "os.sched_getaffinity = lambda pid: {0}\n"
             "_, serial = montecarlo.sample(models, settings, list(range(1200)), 1000)\n"
-            "print(len(forks), forked.shape, (forked == serial).all())\n"
+            "print(fanned_out, forked.shape, (forked == serial).all())\n"
         )
-        assert stdout == "buffered before the fan-out\n3 (2, 1200, 4) True\n"
+        assert stdout == "buffered before the fan-out\n2 (2, 1200, 4) True\n"
 
-    def test_the_parent_never_samples(self):
-        # a one-worker simulate and a two-model scan of 1,001 one-block
-        # points, as scan-fine samples, each fork one child, and the parent
-        # never imports numpy.random, whose pages would count in its peak RSS
-        stdout = run_python(
-            "import os, sys\n"
-            "from impactseries import cli\n"
-            "from impactseries.amplitudes import PhaseSettings\n"
-            "from impactseries.montecarlo import _point_seeds, sample\n"
-            "from impactseries.theories import TheoryKind, TheoryModel\n"
-            f"{COUNT_FORKS}"
-            "status = cli.main(['simulate', '--model', 'qm', '--events', '100000',"
-            " '--out', os.devnull])\n"
-            "print(status, len(forks), 'numpy.random' in sys.modules)\n"
-            "sample([TheoryModel(TheoryKind.QM), TheoryModel(TheoryKind.RNL)],"
-            " [PhaseSettings(alpha=k / 100) for k in range(1001)], _point_seeds(1, 1001), 1000)\n"
-            "print(len(forks), 'numpy.random' in sys.modules)\n"
-        )
-        assert stdout.splitlines()[-2:] == ["0 1 False", "2 False"]
-
-    def test_without_fork_the_call_samples_in_process(self, cpus, monkeypatch):
-        # where os.fork is missing (Windows) one call samples every stream in
-        # the parent, with the forked call's bits
+    def test_without_fan_out_the_call_samples_in_process(self, cpus, monkeypatch):
+        # where os.sched_getaffinity is missing (macOS, Windows) one call
+        # samples every stream in the parent, with the forked call's bits
         cpus(2)
         laws = [law_of(QM, ZERO), law_of(RNL, ZERO)]
         forked = block_tallies(laws, [5], 3 * BLOCK_SIZE + 17)
@@ -503,7 +509,11 @@ class TestWorkers:
             return sample_streams(streams, *args)
 
         monkeypatch.setattr(montecarlo, "_sample_streams", recorded)
-        monkeypatch.delattr(os, "fork")
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        # as if numpy.random were not imported yet, which alone would let one
+        # worker fork; the module stays bound as numpy's attribute
+        monkeypatch.delitem(sys.modules, "numpy.random", raising=False)
         assert block_tallies(laws, [5], 3 * BLOCK_SIZE + 17) == forked
         assert summed(forked[:4]) == (6316, 6225, 55249, 6147)
         assert sample([QM], [ZERO], [1], 1000)[1].tolist() == [[[32, 31, 295, 28]]]
