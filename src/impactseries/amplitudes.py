@@ -65,7 +65,7 @@ CLASS_ROWS: dict[Subensemble, tuple[int, ...]] = {
 }
 
 # Columns in outcome order ++, +-, -+, --.
-JOINT_COEFFICIENTS = np.array(
+_JOINT_COEFFICIENTS = np.array(
     [
         [-1, 1j, -1j, -1],  # (l,lL)
         [-1, -1j, -1j, 1],  # (l,Ll)
@@ -75,7 +75,7 @@ JOINT_COEFFICIENTS = np.array(
         [1, 1j, -1j, 1],  # (L,Ll)
     ]
 )
-JOINT_EXPONENTS = np.array(
+_JOINT_EXPONENTS = np.array(
     [[0, 0, 1], [0, 1, 0], [1, 1, 1], [0, 0, 0], [1, 0, 1], [1, 1, 0]]
 )
 
@@ -87,8 +87,8 @@ SINGLE_PATHS = (Arm2Path.LONG_SHORT, Arm2Path.SHORT_LONG, Arm2Path.LONG_LONG)
 SEQUENTIAL_GROUPS = ((0, 1), (2,))
 
 # Columns in detector order +, -.
-SINGLE_COEFFICIENTS = np.array([[-1, -1j], [-1, 1j], [-1, 1j]])
-SINGLE_EXPONENTS = np.array([[0, 1, 0], [0, 0, 1], [0, 1, 1]])
+_SINGLE_COEFFICIENTS = np.array([[-1, -1j], [-1, 1j], [-1, 1j]])
+_SINGLE_EXPONENTS = np.array([[0, 1, 0], [0, 0, 1], [0, 1, 1]])
 
 def evaluate(
     coefficients: np.ndarray, exponents: np.ndarray, phases: Sequence[PhaseSettings]
@@ -107,12 +107,12 @@ def evaluate(
 
 def joint_amplitudes(phases: Sequence[PhaseSettings]) -> np.ndarray:
     """The joint table at each point of ``phases``: rows :data:`JOINT_PAIRS`, columns outcomes."""
-    return evaluate(JOINT_COEFFICIENTS * JOINT_MAGNITUDE, JOINT_EXPONENTS, phases)
+    return evaluate(_JOINT_COEFFICIENTS * JOINT_MAGNITUDE, _JOINT_EXPONENTS, phases)
 
 
 def single_amplitudes(phases: Sequence[PhaseSettings]) -> np.ndarray:
     """The single-path table at each point of ``phases``: rows :data:`SINGLE_PATHS`, signs +, -."""
-    return evaluate(SINGLE_COEFFICIENTS * SINGLE_MAGNITUDE, SINGLE_EXPONENTS, phases)
+    return evaluate(_SINGLE_COEFFICIENTS * SINGLE_MAGNITUDE, _SINGLE_EXPONENTS, phases)
 
 
 def interference_law(

@@ -69,7 +69,7 @@ from .pathspace import OUTCOMES, Arm, Sign
 _UNITARITY_TOL = 1e-12
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
-PORTS = ("a", "b")
+_PORTS = ("a", "b")
 
 
 @dataclass(frozen=True)
@@ -98,8 +98,8 @@ class ArmWiring:
     phase: str | None = None
 
     def __post_init__(self) -> None:
-        if self.out_port not in PORTS or self.in_port not in PORTS:
-            raise ValueError(f"ports must be one of {PORTS}")
+        if self.out_port not in _PORTS or self.in_port not in _PORTS:
+            raise ValueError(f"ports must be one of {_PORTS}")
         if self.phase is not None and self.phase not in PHASE_NAMES:
             raise ValueError(f"phase must be one of {PHASE_NAMES}")
 
@@ -132,12 +132,12 @@ class PhotonWiring:
     detector_minus: str
 
     def __post_init__(self) -> None:
-        if self.source_port not in PORTS:
-            raise ValueError(f"source port must be one of {PORTS}")
+        if self.source_port not in _PORTS:
+            raise ValueError(f"source port must be one of {_PORTS}")
         if not self.stages:
             raise ValueError("a cascade needs at least one stage")
-        if self.detector_plus not in PORTS or self.detector_minus not in PORTS:
-            raise ValueError(f"detector ports must be one of {PORTS}")
+        if self.detector_plus not in _PORTS or self.detector_minus not in _PORTS:
+            raise ValueError(f"detector ports must be one of {_PORTS}")
         if self.detector_plus == self.detector_minus:
             raise ValueError("both detectors on one out-port; the other dangles")
 
@@ -215,35 +215,6 @@ def load_geometry(path: str | Path) -> Geometry:
     return parse_geometry(Path(path).read_text(encoding="utf-8"))
 
 
-def walk_path(
-    wiring: PhotonWiring,
-    arms: Sequence[Arm],
-    detector: Sign,
-    convention: SplitterConvention,
-) -> tuple[complex, tuple[int, ...]]:
-    """Splitter factor and phase exponents of one choice of arms ending at one detector.
-
-    The factor multiplies ``t`` at each splitter the photon leaves on the
-    port it arrived on and ``r`` at each other one; the exponents count each
-    of :data:`PHASE_NAMES` on the chosen arms.  The path's amplitude is
-    ``factor * exp(i * exponents . phases)``.
-    """
-    if len(arms) != len(wiring.stages):
-        raise ValueError("one arm choice is needed per stage")
-    factor = complex(1.0, 0.0)
-    exponents = [0] * len(PHASE_NAMES)
-    port = wiring.source_port
-    for stage, arm in zip(wiring.stages, arms):
-        chosen = stage.short if arm is Arm.SHORT else stage.long
-        factor *= convention.t if chosen.out_port == port else convention.r
-        if chosen.phase is not None:
-            exponents[PHASE_NAMES.index(chosen.phase)] += 1
-        port = chosen.in_port
-    detector_port = wiring.detector_plus if detector is Sign.PLUS else wiring.detector_minus
-    factor *= convention.t if detector_port == port else convention.r
-    return factor, tuple(exponents)
-
-
 def _renormalized(coefficients: np.ndarray) -> np.ndarray:
     total = float(np.sum(np.abs(coefficients) ** 2))
     if total <= 0.0:
@@ -254,11 +225,35 @@ def _renormalized(coefficients: np.ndarray) -> np.ndarray:
 def _walks(
     wiring: PhotonWiring, arm_choices: Sequence[Sequence[Arm]], convention: SplitterConvention
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Factors ``[choice, sign]`` and exponents ``[choice, phase]`` of one photon's paths."""
-    # A phase sits on an arm, not on a detector: both signs walk the same exponents.
-    walks = [[walk_path(wiring, arms, sign, convention) for sign in Sign] for arms in arm_choices]
-    factors = np.array([[factor for factor, _ in row] for row in walks])
-    return factors, np.array([row[0][1] for row in walks])
+    """Factors ``[choice, sign]`` and exponents ``[choice, phase]`` of one
+    photon's paths, one choice of arms per path and one arm per stage.
+
+    A factor multiplies ``t`` at each splitter the photon leaves on the port
+    it arrived on and ``r`` at each other one, the last splitter, where the
+    sign's detector sits, included; the exponents count each of
+    :data:`PHASE_NAMES` on the chosen arms.  A path's amplitude is ``factor * exp(i * exponents .
+    phases)``.  A phase sits on an arm, not on a detector, so both signs share
+    the choice's exponents.
+    """
+    factors, exponents = [], []
+    for arms in arm_choices:
+        if len(arms) != len(wiring.stages):
+            raise ValueError("one arm choice is needed per stage")
+        factor = complex(1.0, 0.0)
+        counts = [0] * len(PHASE_NAMES)
+        port = wiring.source_port
+        for stage, arm in zip(wiring.stages, arms):
+            chosen = stage.short if arm is Arm.SHORT else stage.long
+            factor *= convention.t if chosen.out_port == port else convention.r
+            if chosen.phase is not None:
+                counts[PHASE_NAMES.index(chosen.phase)] += 1
+            port = chosen.in_port
+        factors.append([
+            factor * (convention.t if detector == port else convention.r)
+            for detector in (wiring.detector_plus, wiring.detector_minus)
+        ])
+        exponents.append(counts)
+    return np.array(factors), np.array(exponents)
 
 
 def derive_tables(
@@ -308,25 +303,14 @@ class CheckResult:
     first_mismatch: str | None = None
 
 
-@dataclass(frozen=True)
-class OracleReport:
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(check.passed for check in self.checks)
-
-
 #: Largest deviation a check passes with, in every check.
 _TOLERANCE = 1e-9
 
-# Grid intentionally mixes symmetric and incommensurate angles.
-_DEFAULT_GRID_VALUES = (0.0, 0.7, 1.9, math.pi, 4.4)
-
-
-def default_phase_grid() -> tuple[PhaseSettings, ...]:
-    """Every combination of the grid values, alpha-major, then beta, then gamma."""
-    return tuple(PhaseSettings(*point) for point in product(_DEFAULT_GRID_VALUES, repeat=3))
+#: Every combination of values that mix symmetric and incommensurate angles,
+#: alpha-major, then beta, then gamma.
+_DEFAULT_GRID = tuple(
+    PhaseSettings(*point) for point in product((0.0, 0.7, 1.9, math.pi, 4.4), repeat=3)
+)
 
 
 @dataclass(frozen=True)
@@ -399,8 +383,9 @@ def validate_against_reference(
     geometry: Geometry,
     convention: SplitterConvention,
     phase_grid: Sequence[PhaseSettings] | None = None,
-) -> OracleReport:
-    """Compare the cascade-derived tables against the hand-coded ones.
+) -> tuple[CheckResult, ...]:
+    """Compare the cascade-derived tables against the hand-coded ones, one
+    :class:`CheckResult` per check; the tables agree where every check passed.
 
     Three row groups are checked the same way: the difference-L class and
     the difference-l class of the joint table, and the single-path table.
@@ -411,7 +396,7 @@ def validate_against_reference(
     them reproduces the tables in every physical respect.  Each check is
     one array comparison over the whole phase grid, which must not be empty.
     """
-    grid = default_phase_grid() if phase_grid is None else tuple(phase_grid)
+    grid = _DEFAULT_GRID if phase_grid is None else tuple(phase_grid)
     if not grid:
         raise ValueError("grid must not be empty")
     derived_tables = derive_tables(geometry, convention, grid)
@@ -445,4 +430,4 @@ def validate_against_reference(
                 f"reference {reference_p[p, j]:.12g}",
             ),
         )
-    return OracleReport(checks=tuple(checks))
+    return tuple(checks)

@@ -22,7 +22,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .amplitudes import PHASE_NAMES, PhaseSettings
-from .montecarlo import _point_seeds, estimate_E, sample
+from .montecarlo import estimate_E, point_seeds, sample
 from .pathspace import OUTCOMES, Subensemble, TimeOrdering
 from .theories import Law, TheoryKind, TheoryModel, marginals, predict
 
@@ -281,8 +281,8 @@ def _parse_grid(text: str, degrees: bool) -> np.ndarray:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ValueError(f"cannot parse grid {text!r}: {exc}") from None
-    if count < 1:
-        raise ValueError("grid count must be at least 1")
+    if not 1 <= count <= 2**32:
+        raise ValueError("grid count must be from 1 to 2**32: point indices are 32-bit spawn keys")
     # checked before any array is built, so numpy has no overflow to warn of
     radians = (start * math.pi / 180.0, stop * math.pi / 180.0) if degrees else ()
     if not all(map(math.isfinite, (start, stop, stop - start, *radians))):
@@ -317,7 +317,7 @@ def _rule_labels(model: TheoryModel, target: Subensemble) -> tuple[str | None, s
     return "1/2 exactly", f"1/2 + {cos_diff}/3"
 
 
-def cmd_predict(args: argparse.Namespace) -> int:
+def _cmd_predict(args: argparse.Namespace) -> int:
     model = _parse_model(args)
     phases = _phases_from(args)
     target = Subensemble(args.subensemble)
@@ -342,7 +342,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> int:
     model = _parse_model(args)
     phases = _phases_from(args)
     target = Subensemble(args.subensemble)
@@ -368,13 +368,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
+def _cmd_compare(args: argparse.Namespace) -> int:
     phases = _phases_from(args)
     grid = _parse_grid(args.grid, args.degrees)
     ordering = TimeOrdering(args.ordering)
     models = [TheoryModel(kind, ordering) for kind in (TheoryKind.QM, TheoryKind.RNL)]
     settings = [PhaseSettings(**{**vars(phases), args.axis: angle}) for angle in grid.tolist()]
-    seeds = _point_seeds(args.seed, len(settings))
+    seeds = point_seeds(args.seed, len(settings))
     laws, counts = sample(models, settings, seeds, args.events)
     columns = _concat([
         _run_columns(
@@ -399,7 +399,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_validate_oracle(args: argparse.Namespace) -> int:
+def _cmd_validate_oracle(args: argparse.Namespace) -> int:
     # imported here: the other commands never load the oracle
     from .bsnetwork import (
         SplitterConvention,
@@ -421,8 +421,8 @@ def cmd_validate_oracle(args: argparse.Namespace) -> int:
     else:
         geometry = default_geometry()
 
-    report = validate_against_reference(geometry, convention)
-    for result in report.checks:
+    checks = validate_against_reference(geometry, convention)
+    for result in checks:
         status = "PASS" if result.passed else "FAIL"
         print(
             f"{status} {result.name}: max deviation {result.max_deviation:.3g} "
@@ -430,8 +430,8 @@ def cmd_validate_oracle(args: argparse.Namespace) -> int:
         )
         if result.first_mismatch:
             print(f"     first mismatch: {result.first_mismatch}")
-    if report.passed:
-        print(f"oracle validation: PASS ({len(report.checks)} checks)")
+    if all(result.passed for result in checks):
+        print(f"oracle validation: PASS ({len(checks)} checks)")
         return 0
     print("oracle validation: FAIL")
     return 3
@@ -475,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_phase_arguments(p)
     p.add_argument("--subensemble", choices=["L", "l"], default="L")
     _add_output_arguments(p)
-    p.set_defaults(handler=cmd_predict)
+    p.set_defaults(handler=_cmd_predict)
 
     p = sub.add_parser("simulate", help="Monte Carlo coincidence run")
     _add_model_arguments(p)
@@ -484,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--events", type=int, default=100_000, help="photon pairs to emit")
     p.add_argument("--seed", type=int, default=0, help="64-bit run seed")
     _add_output_arguments(p)
-    p.set_defaults(handler=cmd_simulate)
+    p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("compare", help="QM vs RNL phase scan, analytic and Monte Carlo")
     _add_ordering_argument(p)
@@ -498,10 +498,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--events", type=int, default=100_000, help="pairs emitted per grid point")
     p.add_argument(
         "--seed", type=int, default=0,
-        help="64-bit scan seed; point k runs with derive_point_seed(seed, k)",
+        help="64-bit scan seed; point k runs with point_seeds(seed, points)[k]",
     )
     _add_output_arguments(p)
-    p.set_defaults(handler=cmd_compare)
+    p.set_defaults(handler=_cmd_compare)
 
     p = sub.add_parser("validate-oracle", help="check amplitude tables against the splitter-network derivation")
     p.add_argument("--geometry", help="wiring description file (defaults to the built-in layout)")
@@ -515,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=complex,
         help="complex reflection amplitude, e.g. 0.7071067811865476j",
     )
-    p.set_defaults(handler=cmd_validate_oracle)
+    p.set_defaults(handler=_cmd_validate_oracle)
 
     return parser
 

@@ -1,59 +1,13 @@
 """Deterministic Monte Carlo emulation of the coincidence measurement.
 
-Each emitted pair is assigned an arrival-time class with the a-priori weights
-1/8, 3/8, 3/8, 1/8 (equal splitting over the eight coarse path pairs;
-interference redistributes probability only within a class).  Events outside
-the target class are rejected, emulating the coincidence electronics; accepted
-events draw a joint outcome from the active model's distribution and feed the
-four counters.  A run is named by its model, phases, seed, event count and
-target: :func:`sample` takes the models, a phase grid, one seed per point, one
-event count and one target, predicts each model's law once for the grid and
-samples every law in one :func:`block_tallies` call.  The counters are in
-``OUTCOMES`` order, like the columns of the law they sample.  The module hands
-back counts and plain values: the laws and counters of :func:`sample` and
-:func:`estimate_E`'s ``(value, std_error)``; the output row puts the E anchors
-beside them.
-
-Determinism contract: events are processed in fixed blocks of ``BLOCK_SIZE``;
-block ``j`` uses the PCG64 stream seeded by ``SeedSequence(seed,
-spawn_key=(j,))``.  Its state still equals ``PCG64(SeedSequence(seed,
-spawn_key=(j,)))``, but no ``SeedSequence`` or ``PCG64`` is built per
-stream: one array pass repeats numpy's ``SeedSequence`` hash for all of a
-call's streams (:func:`_seed_words`), and each state, made as numpy's
-``pcg64_set_seed`` makes it, is set on one reused generator.  The pass takes
-spawn keys below 2**32, so a seed runs at most 2**32 blocks (2**48 events).
-A block of ``size`` events makes one ``random(2*size)`` draw: the first
-``size`` doubles are the events' class draws and the next ``size`` their
-outcome draws, so every event, rejected or not, consumes its outcome draw.  A block's draws thus depend only on its seed, index and size.
-One :func:`block_tallies` call runs ``events`` events from each of its seeds,
-and every law reads every seed's blocks, so each ``(block, seed)`` stream is
-drawn once for all the laws: a scan gives point ``k`` the same seed under
-every model, so a compare draws each point's blocks once.  Categories are
-picked by thresholds on the cumulative weights, which equals an inverse CDF
-(``searchsorted(..., side="right")``): the accepted outcomes are counted by
-masked threshold compares into two reused ``bool`` buffers, and never
-gathered into a new array.  A run's counters are the sum of its blocks'
-counters, so they are independent of how blocks are grouped and added, and
-reproducible across platforms for a given seed.
-
-Chunks and parallel runs: the streams of a call form a ``(block, seed)``
-grid, block-major over the seeds in their given order.  Up to ``BLOCK_SIZE //
-size`` consecutive streams of one block are drawn into the rows of one reused
-buffer (one row per chunk for full blocks), so a chunk never holds more than
-one full block of draws.  Every law of a call accepts the same class, so the
-class compares run over the whole chunk once; the outcome compares run once
-per law, each row against the law's thresholds for its seed, and the counts
-go into one ``(laws, seeds, blocks, 4)`` array.  The call makes one fan-out
-decision: one worker per CPU in the affinity set (``os.sched_getaffinity``),
-but at most one per ``_BLOCKS_PER_WORKER`` full blocks of the events drawn.
-The workers are children made by a bare ``os.fork``, one per equal range of
-the streams; each writes its count array to its own pipe, and the parent,
-which only waits, adds them.  A single worker is forked too, so that the
-parent never imports ``numpy.random``, unless that gains nothing or is unsafe
-(see :func:`_forks`); then the call samples in process.  Each stream is still
-drawn from its own seed, so the tallies are the same bits for any worker
-count, forked or not: ``taskset -c 0`` gives a run of one worker that writes
-identical bytes.
+Each emitted pair draws an arrival-time class and an outcome.  Events outside
+the target class are rejected, as the coincidence electronics reject them, and
+accepted events feed the four counters, in ``OUTCOMES`` order like the columns
+of the law they sample.  :func:`sample` predicts each model's law once for a
+phase grid and samples every law in one :func:`block_tallies` call;
+:func:`estimate_E` turns counters into E.  The sampling contract (blocks,
+seeding, draws, chunks and the forked fan-out) is stated once, in README's
+"Determinism" section.
 """
 
 from __future__ import annotations
@@ -74,17 +28,14 @@ from .theories import Law, TheoryModel, predict
 #: Events per RNG block; fixed so tallies are independent of how blocks are grouped.
 BLOCK_SIZE = 1 << 16
 
-#: Arrival-time classes in draw order, with their a-priori weights.
-SUBENSEMBLE_ORDER: tuple[Subensemble, ...] = (
-    Subensemble.SATELLITE_LONG,
-    Subensemble.LONG,
-    Subensemble.SHORT,
-    Subensemble.SATELLITE_SHORT,
-)
-SUBENSEMBLE_WEIGHTS: tuple[float, ...] = (0.125, 0.375, 0.375, 0.125)
-
-#: Class ``k`` takes the class draws in ``[edges[k], edges[k+1])``; exact dyadics.
-_CLASS_EDGES: tuple[float, ...] = (0.0, *np.cumsum(SUBENSEMBLE_WEIGHTS).tolist())
+#: The class draws each arrival-time class takes, ``[lo, hi)``: its a-priori
+#: weight (1/8, 3/8, 3/8, 1/8 in draw order) laid end to end; exact dyadics.
+_CLASS_INTERVALS: dict[Subensemble, tuple[float, float]] = {
+    Subensemble.SATELLITE_LONG: (0.0, 0.125),
+    Subensemble.LONG: (0.125, 0.5),
+    Subensemble.SHORT: (0.5, 0.875),
+    Subensemble.SATELLITE_SHORT: (0.875, 1.0),
+}
 
 #: Fewest full blocks of events a worker is given (~0.6 ms each).  A forked
 #: worker pays 20-30 ms to start, mostly its import of ``numpy.random``.  On
@@ -498,8 +449,7 @@ def block_tallies(
     # the target's class interval, and per law and seed the first three
     # cumulative outcome edges; the top edge is 1.0, above every uniform, and
     # never compared
-    t = SUBENSEMBLE_ORDER.index(target)
-    accept = _CLASS_EDGES[t : t + 2]
+    accept = _CLASS_INTERVALS[target]
     edges = np.cumsum(sampled, axis=2)[:, :, :-1]
     sizes = [min(BLOCK_SIZE, events - j) for j in range(0, events, BLOCK_SIZE)]
     streams = len(sizes) * len(seeds)
@@ -576,18 +526,14 @@ def estimate_E(counts) -> tuple[np.ndarray, np.ndarray]:
     return value, std_error
 
 
-def _point_seeds(seed: int, points: int) -> list[int]:
-    """``derive_point_seed(seed, k)`` for every ``k`` below ``points``, in one pass."""
+def point_seeds(seed: int, points: int) -> list[int]:
+    """The 64-bit seed of each of the ``points`` points of a scan (an int from
+    0 to 2**32, as point indices are 32-bit spawn keys): point ``k``'s is the
+    first word of ``SeedSequence(seed, spawn_key=(k,)).generate_state(1,
+    np.uint64)``, hashed for all the points in one pass.  Both arguments are
+    checked before any array is built."""
     _require_seed(seed)
+    _require_int("points", points)
+    if not 0 <= points <= 2**32:
+        raise ValueError("points must be from 0 to 2**32: point indices are 32-bit spawn keys")
     return _seed_words(np.full(points, seed, dtype=np.uint64), np.arange(points), 1)[:, 0].tolist()
-
-
-def derive_point_seed(seed: int, index: int) -> int:
-    """Stable 64-bit seed for grid point ``index`` (below 2**32) of a scan: the
-    first word of ``SeedSequence(seed, spawn_key=(index,)).generate_state(1,
-    np.uint64)``."""
-    _require_seed(seed)
-    _require_int("index", index)
-    if index < 0:
-        raise ValueError("index must not be negative")
-    return int(_seed_words([seed], [index], 1)[0, 0])

@@ -104,12 +104,9 @@ class TimeOrdering(Enum):
     SPACELIKE = "spacelike"
 
 
-def enumerate_path_pairs() -> tuple[PathPair, ...]:
-    """All 8 path pairs in canonical order.
-
-    Photon 1 varies slowest (l before L); photon 2 runs ll, lL, Ll, LL.
-    """
-    return tuple(PathPair(arm, path) for arm in Arm for path in Arm2Path)
+#: All 8 path pairs in canonical order: photon 1 varies slowest (l before L);
+#: photon 2 runs ll, lL, Ll, LL.
+_PATH_PAIRS = tuple(PathPair(arm, path) for arm in Arm for path in Arm2Path)
 
 
 def _difference_coefficients(pair: PathPair) -> tuple[int, int]:
@@ -135,7 +132,7 @@ def classify(pair: PathPair) -> Subensemble:
 
 
 _MEMBERS = {
-    sub: tuple(pair for pair in enumerate_path_pairs() if classify(pair) is sub)
+    sub: tuple(pair for pair in _PATH_PAIRS if classify(pair) is sub)
     for sub in Subensemble
 }
 

@@ -339,6 +339,18 @@ class TestCompare:
         assert main(["compare", flag, value, "--events", "100"]) == 2
         assert capsys.readouterr().out == ""
 
+    def test_grid_count_above_2_to_the_32_is_rejected_before_any_array(
+        self, monkeypatch, capsys
+    ):
+        # point indices are 32-bit spawn keys; numpy would first be asked for
+        # the grid's 2**32 + 1 doubles, 32 GiB
+        monkeypatch.setattr(np, "linspace", lambda *args: pytest.fail("grid built"))
+        code = main(["compare", "--grid", f"0:1:{2**32 + 1}", "--events", "100"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: grid count must be from 1 to 2**32")
+
     def test_malformed_grid(self, capsys):
         code = main(["compare", "--grid", "0:1"])
         captured = capsys.readouterr()

@@ -1,8 +1,9 @@
-"""No module imports a name it never uses, and README names no missing one.
+"""No module imports a name it never uses, README names no missing one, and
+every public name of the package has a reader.
 
 CI enforces the first with ``python -m pyflakes src tests``; this test applies
 the same unused-import rule with the standard library alone, so it runs
-wherever the tier-1 tests run.
+wherever the tier-1 tests run.  The public-surface rule is stdlib-only too.
 """
 
 import ast
@@ -75,3 +76,73 @@ def test_readme_imports_resolve():
         if not hasattr(importlib.import_module(module), name)
     ]
     assert missing == []
+
+
+PACKAGE = sorted((ROOT / "src" / "impactseries").glob("*.py"))
+
+#: A README code span: a fenced block or an inline span, which may wrap a line.
+CODE_SPAN = re.compile(r"```.*?```|`[^`]+`", re.DOTALL)
+
+
+def public_names(source: str) -> list[str]:
+    """The public module-level ``def``, ``class`` and assigned names of ``source``."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [name for name in names if not name.startswith("_")]
+
+
+def referenced_names(source: str) -> set[str]:
+    """Every name ``source`` reads, imports or reaches as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def readerless_names(modules: dict[str, str], readme: str, harness: str) -> list[str]:
+    """``module.name`` for each public name of ``modules`` (module name to
+    source) that no other module references, no README code span names and
+    the ``harness`` text (the benchmark scripts and the project metadata)
+    does not name."""
+    documented = {word for span in CODE_SPAN.findall(readme) for word in re.findall(r"\w+", span)}
+    named = documented | set(re.findall(r"\w+", harness))
+    readers = {module: referenced_names(source) for module, source in modules.items()}
+    return [
+        f"{module}.{name}"
+        for module, source in modules.items()
+        for name in public_names(source)
+        if name not in named
+        and not any(name in refs for other, refs in readers.items() if other != module)
+    ]
+
+
+def test_the_rule_finds_a_public_name_without_a_reader():
+    modules = {
+        "a": "import b\nLIMIT, _HIDDEN = 1, 2\nclass Box: pass\ndef lonely(): pass\n"
+             "def _helper(): pass\ndef shown(): pass\ndef timed(): pass\n",
+        "b": "from a import Box\nimport a\nVALUE: int = a.LIMIT\n",
+    }
+    readme = "Call `a.shown()`.\n```\nb.VALUE\n```\nlonely, outside a span\n"
+    assert readerless_names(modules, readme, "spans = ['a.timed']") == ["a.lonely"]
+
+
+def test_every_public_name_has_a_reader():
+    # a public name is used by another module, named in a README code span,
+    # or named by the benchmark scripts or pyproject.toml; else it is private
+    modules = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    harness = "\n".join(
+        path.read_text(encoding="utf-8")
+        for path in [*sorted((ROOT / "bench").glob("*.py")), ROOT / "pyproject.toml"]
+    )
+    assert readerless_names(modules, readme, harness) == []

@@ -21,15 +21,13 @@ from impactseries.amplitudes import PhaseSettings
 from impactseries.cli import _run_columns
 from impactseries.montecarlo import (
     BLOCK_SIZE,
-    SUBENSEMBLE_ORDER,
-    SUBENSEMBLE_WEIGHTS,
     CoincidenceTally,
     block_tallies,
-    derive_point_seed,
     estimate_E,
+    point_seeds,
     sample,
     _BLOCKS_PER_WORKER,
-    _CLASS_EDGES,
+    _CLASS_INTERVALS,
     _accepted_counts,
     _sampled_law,
     _worker_count,
@@ -103,7 +101,7 @@ def run(model, phases, events, seed, target=LONG) -> CoincidenceTally:
 def scan_points(axis, grid, base, seed) -> tuple[list[PhaseSettings], list[int]]:
     """A scan's settings and point seeds, built as ``compare`` builds them."""
     settings = [dataclasses.replace(base, **{axis: float(angle)}) for angle in grid]
-    return settings, [derive_point_seed(seed, k) for k in range(len(grid))]
+    return settings, point_seeds(seed, len(grid))
 
 
 def summed(tallies: list[CoincidenceTally]) -> tuple[int, ...]:
@@ -117,8 +115,9 @@ def searchsorted_block_tallies(
     """Reference sampler: two draws per block, inverse CDF by searchsorted, bincount."""
     outcome_cum = np.cumsum(_sampled_law(law_of(model, phases, target))[0])
     outcome_cum[-1] = 1.0
-    class_cum = np.cumsum(SUBENSEMBLE_WEIGHTS)
-    target_index = SUBENSEMBLE_ORDER.index(target)
+    # the classes in draw order, each ending where the next begins
+    class_cum = [hi for _, hi in _CLASS_INTERVALS.values()]
+    target_index = list(_CLASS_INTERVALS).index(target)
     full, remainder = divmod(events, BLOCK_SIZE)
     sizes = [BLOCK_SIZE] * full + ([remainder] if remainder else [])
     tallies = []
@@ -434,7 +433,7 @@ class TestWorkers:
             "eager = 'numpy.random' in sys.modules\n"
             "from impactseries import cli, montecarlo\n"
             "from impactseries.amplitudes import PhaseSettings\n"
-            "from impactseries.montecarlo import _point_seeds, sample\n"
+            "from impactseries.montecarlo import point_seeds, sample\n"
             "from impactseries.theories import TheoryKind, TheoryModel\n"
             "models = [TheoryModel(TheoryKind.QM), TheoryModel(TheoryKind.RNL)]\n"
             "settings = [PhaseSettings(alpha=k / 100) for k in range(1001)]\n"
@@ -443,17 +442,17 @@ class TestWorkers:
             "status = cli.main(['simulate', '--model', 'qm', '--events', '100000',"
             " '--out', os.devnull])\n"
             "counts.append(len(forks))\n"
-            "_, forked = sample(models, settings, _point_seeds(1, 1001), 1000)\n"
+            "_, forked = sample(models, settings, point_seeds(1, 1001), 1000)\n"
             "counts.append(len(forks))\n"
             "loaded = 'numpy.random' in sys.modules\n"
             "stop = threading.Event()\n"
             "thread = threading.Thread(target=stop.wait)\n"
             "thread.start()\n"
-            "_, threaded = sample(models, settings, _point_seeds(1, 1001), 1000)\n"
+            "_, threaded = sample(models, settings, point_seeds(1, 1001), 1000)\n"
             "stop.set()\n"
             "thread.join()\n"
             "counts.append(len(forks))\n"
-            "_, again = sample(models, settings, _point_seeds(1, 1001), 1000)\n"
+            "_, again = sample(models, settings, point_seeds(1, 1001), 1000)\n"
             "counts.append(len(forks))\n"
             "montecarlo._BLOCKS_PER_WORKER = 1\n"
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
@@ -642,7 +641,7 @@ class TestThresholdCounts:
             min_size=4,
             max_size=4,
         ).filter(lambda w: sum(w) > 0),
-        target=st.integers(min_value=0, max_value=len(SUBENSEMBLE_ORDER) - 1),
+        accept=st.sampled_from(list(_CLASS_INTERVALS.values())),
         draws=st.lists(
             st.tuples(
                 st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
@@ -651,11 +650,11 @@ class TestThresholdCounts:
             max_size=200,
         ),
     )
-    def test_masked_counts_equal_the_gather_reference(self, weights, target, draws):
+    def test_masked_counts_equal_the_gather_reference(self, weights, accept, draws):
         # a leading zero weight gives cum[0] == 0.0, an inner one a tied edge
         cum = np.cumsum(np.array(weights) / sum(weights))
         cum[-1] = 1.0
-        lo, hi = _CLASS_EDGES[target : target + 2]
+        lo, hi = accept
         class_values = [v for v in (lo, hi, np.nextafter(lo, 0.0), np.nextafter(hi, 0.0))
                         if 0.0 <= v < 1.0]
         outcome_values = [c for c in cum.tolist() if c < 1.0] + [0.0]
@@ -671,7 +670,7 @@ class TestThresholdCounts:
 
     @settings(max_examples=50, deadline=None)
     @given(
-        target=st.integers(min_value=0, max_value=len(SUBENSEMBLE_ORDER) - 1),
+        accept=st.sampled_from(list(_CLASS_INTERVALS.values())),
         laws=st.integers(min_value=1, max_value=3),
         rows=st.integers(min_value=1, max_value=6),
         size=st.integers(min_value=0, max_value=300),
@@ -679,7 +678,7 @@ class TestThresholdCounts:
         data=st.data(),
     )
     def test_rows_are_counted_against_their_own_edges(
-        self, target, laws, rows, size, seed, data
+        self, accept, laws, rows, size, seed, data
     ):
         # a chunk counts each row of draws under each law with the call's
         # class interval and the law's outcome edges for that row, as if the
@@ -694,7 +693,7 @@ class TestThresholdCounts:
         ))
         cum = np.cumsum(np.array(weights) / np.sum(weights, axis=1, keepdims=True), axis=1)
         edges = cum[:, :-1].reshape(laws, rows, 3)
-        lo, hi = _CLASS_EDGES[target : target + 2]
+        lo, hi = accept
         u = np.random.default_rng(seed).random((rows, 2 * size))
         buffers = [np.empty((rows, size), dtype=bool) for _ in range(2)]
         together = _accepted_counts(u[:, :size], u[:, size:], (lo, hi), edges, *buffers)
@@ -765,8 +764,12 @@ class TestAcceptanceRate:
         )
 
     def test_weights_are_the_documented_constants(self):
-        assert SUBENSEMBLE_WEIGHTS == (0.125, 0.375, 0.375, 0.125)
-        assert SUBENSEMBLE_ORDER.index(Subensemble.LONG) == 1
+        intervals = list(_CLASS_INTERVALS.values())
+        assert tuple(hi - lo for lo, hi in intervals) == (0.125, 0.375, 0.375, 0.125)
+        # laid end to end over [0, 1), each class once, in draw order
+        assert [lo for lo, _ in intervals] == [0.0] + [hi for _, hi in intervals[:-1]]
+        assert intervals[-1][1] == 1.0 and set(_CLASS_INTERVALS) == set(Subensemble)
+        assert list(_CLASS_INTERVALS).index(Subensemble.LONG) == 1
 
     def test_short_class_can_be_targeted(self):
         result = run(QM, ZERO, 200_000, 3, Subensemble.SHORT)
@@ -929,6 +932,66 @@ class TestJointLaw:
             assert chi2_survival_3dof(chi2) >= 1e-4, f"point {k}: chi2 = {chi2:.2f}"
 
 
+def wilson_hilferty_z(chi2: float, dof: int) -> float:
+    """The standard normal deviate of a chi-square statistic of ``dof`` degrees
+    of freedom, by the cube-root transform of Wilson and Hilferty (1931)."""
+    scale = 2 / (9 * dof)
+    return ((chi2 / dof) ** (1 / 3) - (1 - scale)) / math.sqrt(scale)
+
+
+def calibration_grid() -> list[PhaseSettings]:
+    """200 phase points from one fixed generator, and 16 where a QM joint cell
+    nearly vanishes: 8 points of the pi/3 lattice whose three unit phasors of
+    one cell lie 120 degrees apart (each outcome cell vanishes at two of them,
+    in either central class), and the same 8 with alpha moved by 0.1, where
+    that cell holds 8.3e-4 of the law, about 16 of 18,750 accepted events."""
+    random_points = np.random.default_rng(1931).uniform(-math.pi, math.pi, (200, 3))
+    lattice = [(1, 2), (1, 5), (2, 1), (2, 4), (4, 2), (4, 5), (5, 1), (5, 4)]
+    vanishing = [(0.0, beta * math.pi / 3, gamma * math.pi / 3) for beta, gamma in lattice]
+    nudged = [(alpha + 0.1, beta, gamma) for alpha, beta, gamma in vanishing]
+    return [PhaseSettings(*point) for point in [*random_points.tolist(), *vanishing, *nudged]]
+
+
+class TestCalibration:
+    """One Pearson chi-square of the four counters against the law the sampler
+    reads, summed over a whole phase grid, turned into a z by Wilson-Hilferty.
+
+    A per-point test misses a small bias that every point shares; the sum over
+    216 points of 50,000 events sees it: moving one outcome threshold by
+    0.0025 gives every case z > 4.  A cell whose probability is below 1e-12
+    must stay empty and counts no degree of freedom.  The seeds were fixed
+    before the first run.
+    """
+
+    EVENTS = 50_000
+    EMPTY = 1e-12
+
+    @pytest.mark.parametrize(
+        "model, target, seed",
+        [
+            (QM, Subensemble.LONG, 1),
+            (QM, Subensemble.SHORT, 2),
+            (CAUSAL_1, Subensemble.LONG, 3),
+            (CAUSAL_2, Subensemble.LONG, 4),
+            (RNL, Subensemble.LONG, 5),
+        ],
+    )
+    def test_the_summed_chi_square_is_calibrated(self, model, target, seed):
+        grid = calibration_grid()
+        [law], [counts] = sample([model], grid, point_seeds(seed, len(grid)), self.EVENTS, target)
+        p = _sampled_law(law)
+        expected = counts.sum(axis=1, keepdims=True) * p
+        empty = p < self.EMPTY
+        assert (counts[empty] == 0).all()
+        if model is QM:
+            assert empty[200:208].any(axis=1).all() and not empty[208:].any()
+        kept = ~empty
+        chi2 = float((((counts - expected) ** 2)[kept] / expected[kept]).sum())
+        dof = int(kept.sum()) - len(grid)
+        z = wilson_hilferty_z(chi2, dof)
+        assert abs(z) < 4, f"chi2 = {chi2:.1f} on {dof} dof, z = {z:.2f}"
+
+
 # seeds and spawn keys at the ends of their 32-bit words
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 5, 2**64 - 1]
 EDGE_KEYS = [0, 1, 2**32 - 1]
@@ -958,15 +1021,14 @@ class TestSeeding:
             sequence = np.random.SeedSequence(seed, spawn_key=(key,))
             assert montecarlo._pcg64_state(words) == np.random.PCG64(sequence).state
             assert point_seed == int(sequence.generate_state(1, np.uint64)[0])
-            assert derive_point_seed(seed, key) == point_seed
 
     @pytest.mark.parametrize("seed", EDGE_SEEDS)
-    def test_a_scans_point_seeds_equal_derive_point_seed(self, seed):
-        assert montecarlo._point_seeds(seed, 7) == [
+    def test_point_seeds_equal_numpys(self, seed):
+        assert point_seeds(seed, 7) == [
             int(np.random.SeedSequence(seed, spawn_key=(k,)).generate_state(1, np.uint64)[0])
             for k in range(7)
         ]
-        assert montecarlo._point_seeds(seed, 0) == []
+        assert point_seeds(seed, 0) == []
 
     def test_a_set_state_draws_numpys_stream(self):
         # one generator, its state set stream after stream, draws what a
@@ -987,8 +1049,6 @@ class TestSeeding:
         # the one-pass hash takes one word and never falls back to numpy
         with pytest.raises(ValueError, match=r"spawn key must be below 2\*\*32"):
             montecarlo._seed_words([0, 1], [0, key], 4)
-        with pytest.raises(ValueError):
-            derive_point_seed(0, key)
 
     def test_block_2_to_the_32_is_rejected_before_any_draw(self, monkeypatch):
         # 2**48 events per seed fill blocks 0 to 2**32 - 1; one more event
@@ -1026,19 +1086,27 @@ class TestScan:
             assert replayed.tolist() == [[r]]
 
     def test_point_seeds_are_stable(self):
-        assert derive_point_seed(9, 0) == 5941392204501240012
-        assert derive_point_seed(9, 1) != derive_point_seed(9, 0)
+        assert point_seeds(9, 1) == [5941392204501240012]
+        first, second = point_seeds(9, 2)
+        assert first == 5941392204501240012 and second != first
 
     @pytest.mark.parametrize(
-        "seed, index, message",
-        [(2**64, 0, "unsigned 64-bit"), (2**70, 0, "unsigned 64-bit"), (-1, 0, "unsigned 64-bit"),
-         (1.0, 0, "must be an int"), (True, 0, "must be an int"),
-         (0, True, "must be an int"), (0, 1.0, "must be an int"), (0, -1, "must not be negative")],
+        "seed, points, message",
+        [(2**64, 1, "unsigned 64-bit"), (2**70, 1, "unsigned 64-bit"), (-1, 1, "unsigned 64-bit"),
+         (1.0, 1, "must be an int"), (True, 1, "must be an int"),
+         (0, True, "must be an int"), (0, 1.0, "must be an int"),
+         (0, -1, r"from 0 to 2\*\*32"), (0, 2**32 + 1, r"from 0 to 2\*\*32")],
     )
-    def test_point_seed_inputs_are_checked(self, seed, index, message):
-        # numpy would take 2**64 and 2**70 as seeds, and True as index 1
+    def test_point_seed_inputs_are_checked_before_any_array(
+        self, seed, points, message, monkeypatch
+    ):
+        # numpy would take 2**64 and 2**70 as seeds, and True as one point;
+        # 2**32 + 1 points would first ask for two arrays of 32 GiB
+        for name in ("full", "arange"):
+            monkeypatch.setattr(np, name, lambda *args, **kwargs: pytest.fail("allocated"))
+        monkeypatch.setattr(montecarlo, "_seed_words", lambda *args: pytest.fail("hashed"))
         with pytest.raises(ValueError, match=message):
-            derive_point_seed(seed, index)
+            point_seeds(seed, points)
 
     @pytest.mark.parametrize("model", [QM, RNL, CAUSAL_1, CAUSAL_2])
     def test_grid_points_equal_runs_made_point_by_point(self, model):

@@ -9,8 +9,8 @@ from impactseries.pathspace import (
     PathPair,
     Subensemble,
     classify,
-    enumerate_path_pairs,
     members,
+    _PATH_PAIRS,
 )
 
 
@@ -19,7 +19,7 @@ def pair(label1: str, label2: str) -> PathPair:
 
 
 def test_enumeration_has_eight_unique_pairs_in_canonical_order():
-    pairs = enumerate_path_pairs()
+    pairs = _PATH_PAIRS
     assert len(pairs) == 8
     assert len(set(pairs)) == 8
     labels = [p.label for p in pairs]
@@ -56,7 +56,7 @@ def test_class_sizes_partition_the_ensemble():
     }
     everything = [p for sub in Subensemble for p in members(sub)]
     assert sorted(everything, key=lambda p: p.label) == sorted(
-        enumerate_path_pairs(), key=lambda p: p.label
+        _PATH_PAIRS, key=lambda p: p.label
     )
 
 
@@ -72,7 +72,7 @@ def test_members_matches_explicit_class_rosters():
 
 
 def test_classify_and_members_are_mutually_inverse():
-    for p in enumerate_path_pairs():
+    for p in _PATH_PAIRS:
         assert p in members(classify(p))
 
 
