@@ -237,12 +237,10 @@ def _walks(
     """
     factors, exponents = [], []
     for arms in arm_choices:
-        if len(arms) != len(wiring.stages):
-            raise ValueError("one arm choice is needed per stage")
         factor = complex(1.0, 0.0)
         counts = [0] * len(PHASE_NAMES)
         port = wiring.source_port
-        for stage, arm in zip(wiring.stages, arms):
+        for stage, arm in zip(wiring.stages, arms, strict=True):
             chosen = stage.short if arm is Arm.SHORT else stage.long
             factor *= convention.t if chosen.out_port == port else convention.r
             if chosen.phase is not None:

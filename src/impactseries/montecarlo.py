@@ -16,7 +16,6 @@ import os
 import pickle
 import sys
 import threading
-from dataclasses import dataclass
 from typing import Iterator, NoReturn, Sequence
 
 import numpy as np
@@ -36,6 +35,10 @@ _CLASS_INTERVALS: dict[Subensemble, tuple[float, float]] = {
     Subensemble.SHORT: (0.5, 0.875),
     Subensemble.SATELLITE_SHORT: (0.875, 1.0),
 }
+
+#: One block's tally: its four counters in ``OUTCOMES`` order, their sum, and
+#: the block's other events.
+_TALLY = np.dtype([("r", np.int64, (4,)), ("accepted", np.int64), ("rejected", np.int64)])
 
 #: Fewest full blocks of events a worker is given (~0.6 ms each).  A forked
 #: worker pays 20-30 ms to start, mostly its import of ``numpy.random``.  On
@@ -148,35 +151,6 @@ def _pcg64_state(words: Sequence[int]) -> dict:
         "has_uint32": 0,
         "uinteger": 0,
     }
-
-
-@dataclass(frozen=True)
-class CoincidenceTally:
-    """The four coincidence counters in ``OUTCOMES`` order, and the rejected total.
-
-    The element type of :func:`block_tallies`' per-block list, which the
-    benchmark's tracer reads to count the blocks sampled (CI pins 1,526 and
-    2,002 of them on its two sampling workloads).
-    """
-
-    r: tuple[int, int, int, int]
-    rejected: int
-
-    def __post_init__(self) -> None:
-        if len(self.r) != len(OUTCOMES):
-            raise ValueError("tally must carry all four counters")
-        if min(self.r) < 0:
-            raise ValueError("negative counter")
-        if self.rejected < 0:
-            raise ValueError("negative rejected total")
-
-    @property
-    def accepted(self) -> int:
-        return sum(self.r)
-
-    @property
-    def events(self) -> int:
-        return self.accepted + self.rejected
 
 
 def _sampled_law(law: Law) -> np.ndarray:
@@ -301,34 +275,29 @@ def _sample_streams(
     return counts
 
 
-def _worker_count(events: int) -> int:
-    """The number of workers: one per CPU the process may run on, as long as
-    each gets ``_BLOCKS_PER_WORKER`` full blocks of the drawn ``events``, and
-    at least one."""
-    if not hasattr(os, "sched_getaffinity"):
-        return 1
-    per_worker = _BLOCKS_PER_WORKER * BLOCK_SIZE
-    return max(1, min(len(os.sched_getaffinity(0)), events // per_worker))
+def _pieces(streams: int, events: int) -> list[range]:
+    """The stream ranges of a call of ``streams`` streams and ``events`` drawn
+    events, one per forked worker; ``[]`` samples in process.
 
-
-def _forks(workers: int) -> bool:
-    """Whether a call of ``workers`` workers samples in forked children.
-
-    More than one always fork.  One worker is forked only to keep
-    ``numpy.random`` (~5.5 MB) out of the parent's own peak RSS; the process
-    tree's summed PSS rises, and the child's import takes 20-30 ms.  So it
-    is forked only where that gains something and is safe: ``numpy.random`` is
-    not imported yet (before numpy 2, ``import numpy`` imports it), the
-    platform is one where the call can fan out (``os.sched_getaffinity``; not
-    macOS, where forking is unsafe, nor Windows), and no other thread runs (a
-    library host such as a Jupyter kernel has threads, and ``os.fork`` copies
-    only the calling one).
+    The call forks one worker per CPU the process may run on, as long as each
+    gets ``_BLOCKS_PER_WORKER`` full blocks of the ``events``, and at least
+    one, each worker taking an equal range of the streams.  It never forks
+    where that is unsafe: without ``os.sched_getaffinity`` (macOS, where
+    forking is unsafe, and Windows) or while another thread runs (a library
+    host such as a Jupyter kernel has threads, and ``os.fork`` copies only
+    the calling one).  A lone worker is forked only to keep ``numpy.random``
+    (~5.5 MB) out of the parent's own peak RSS, so only while it is not
+    imported (before numpy 2, ``import numpy`` imports it); the process
+    tree's summed PSS rises, and the child's import takes 20-30 ms.
     """
-    return workers > 1 or (
-        "numpy.random" not in sys.modules
-        and hasattr(os, "sched_getaffinity")
-        and threading.active_count() == 1
-    )
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return []
+    per_worker = _BLOCKS_PER_WORKER * BLOCK_SIZE
+    workers = max(1, min(len(os.sched_getaffinity(0)), events // per_worker))
+    if workers == 1 and "numpy.random" in sys.modules:
+        return []
+    bounds = [p * streams // workers for p in range(workers + 1)]
+    return [range(start, stop) for start, stop in zip(bounds, bounds[1:])]
 
 
 def _exit_with_counts(
@@ -370,10 +339,9 @@ def _forked_counts(pieces: Sequence[range], words: np.ndarray, *args) -> np.ndar
     child, so a result larger than the pipe buffer cannot block the child.  A
     child's exception is raised again, type kept, and a child that ends
     without a result is a ``RuntimeError``; on any exception every child left
-    is killed and reaped first.  ``os.fork`` copies only the calling thread,
-    and Python 3.12 and later warn when a process with threads forks.  The CLI is
-    single-threaded: it starts no thread, and the OpenBLAS threads that
-    ``import numpy`` starts are stopped by OpenBLAS's own fork handler.
+    is killed and reaped first.  :func:`_pieces` forks only while no other
+    Python thread runs; the OpenBLAS threads that ``import numpy`` starts are
+    stopped by OpenBLAS's own fork handler.
     """
     read_ends, pids = [], []
     try:
@@ -418,9 +386,12 @@ def _forked_counts(pieces: Sequence[range], words: np.ndarray, *args) -> np.ndar
 
 def block_tallies(
     laws: Sequence[Law], seeds: Sequence[int], events: int, target: Subensemble = Subensemble.LONG
-) -> list[CoincidenceTally]:
+) -> np.recarray:
     """Per-block tallies of a run of ``events`` events from each of ``seeds``
-    under each of ``laws``: law by law, then seed by seed, each in block order.
+    under each of ``laws``, as one record array with a record per block: law
+    by law, then seed by seed, each in block order.  A record's fields are
+    ``r``, the block's four int64 counters in ``OUTCOMES`` order,
+    ``accepted``, their sum, and ``rejected``, the block's other events.
 
     Row ``k`` of every law is sampled from ``seeds[k]``; a law of another row
     count is a ``ValueError``, and one bare :class:`Law` (itself a tuple) a
@@ -428,13 +399,11 @@ def block_tallies(
     must be predicted for ``target``, the class whose events are accepted.
     ``events`` (an int from 1 to 2**48, as block indices are 32-bit spawn
     keys) and the seeds (64-bit ints) are checked before any draw; with no law
-    or no seed the call returns ``[]``.  Stream
-    ``i``, block ``i // S`` of ``seeds[i % S]`` where ``S = len(seeds)``, is
-    drawn once for every law.  The call forks one child per equal range of
-    streams, one range per worker (see :func:`_worker_count`, which counts
-    the events drawn), and samples nothing itself; one worker samples in
-    process where forking it would gain nothing or be unsafe (see
-    :func:`_forks`).
+    or no seed the call returns an empty record array.  Stream ``i``, block
+    ``i // S`` of ``seeds[i % S]`` where ``S = len(seeds)``, is drawn once for
+    every law.  The call forks one child per range of streams that
+    :func:`_pieces` gives, counting the events drawn, and samples nothing
+    itself; with no range it samples in process.
     """
     if isinstance(laws, Law):
         raise TypeError("laws must be a sequence of Law records; pass one law as [law]")
@@ -444,7 +413,7 @@ def block_tallies(
         if len(law) != len(seeds):
             raise ValueError(f"law rows ({len(law)}) must match seeds ({len(seeds)})")
     if not sampled or not seeds:
-        return []
+        return np.recarray(0, dtype=_TALLY)
 
     # the target's class interval, and per law and seed the first three
     # cumulative outcome edges; the top edge is 1.0, above every uniform, and
@@ -461,19 +430,17 @@ def block_tallies(
         4,
     )
 
-    workers = _worker_count(len(seeds) * events)
-    if _forks(workers):
-        bounds = [p * streams // workers for p in range(workers + 1)]
-        pieces = [range(start, stop) for start, stop in zip(bounds, bounds[1:])]
+    pieces = _pieces(streams, len(seeds) * events)
+    if pieces:
         counts = _forked_counts(pieces, words, sizes, accept, edges)
     else:
         counts = _sample_streams(range(streams), words, sizes, accept, edges)
 
-    return [
-        CoincidenceTally(r=tuple(r), rejected=size - sum(r))
-        for per_run in counts.reshape(-1, len(sizes), len(OUTCOMES)).tolist()
-        for r, size in zip(per_run, sizes)
-    ]
+    tallies = np.recarray(counts.size // len(OUTCOMES), dtype=_TALLY)
+    tallies.r = counts.reshape(-1, len(OUTCOMES))
+    tallies.accepted = tallies.r.sum(axis=1)
+    tallies.rejected = np.tile(sizes, len(tallies) // len(sizes)) - tallies.accepted
+    return tallies
 
 
 def sample(
@@ -495,8 +462,7 @@ def sample(
     ``sample([model], [phases], [seed], events, target)`` replays one run.
     """
     laws = [predict(model, settings, target) for model in models]
-    tallies = block_tallies(laws, seeds, events, target)
-    r = np.array([tally.r for tally in tallies], dtype=np.int64)
+    r = block_tallies(laws, seeds, events, target).r
     blocks = -(-events // BLOCK_SIZE)
     return laws, r.reshape(len(laws), len(seeds), blocks, len(OUTCOMES)).sum(axis=2)
 
@@ -505,7 +471,7 @@ def estimate_E(counts) -> tuple[np.ndarray, np.ndarray]:
     """Normalized side-1 counter asymmetry (R++ + R+- - R-+ - R--)/accepted,
     and its standard error, of ``OUTCOMES``-ordered counters.
 
-    ``counts`` holds the four counters on its last axis: one tally's ``r``, or
+    ``counts`` holds the four counters on its last axis: a block's ``r``, or
     one row of them per run.  Both results have the shape of the other axes.
     The error is the binomial ``2*sqrt(p*(1-p)/n)`` of the side-1 "+"
     fraction ``p``.  When every accepted event lands on one side-1 detector

@@ -108,10 +108,9 @@ def marginals(weights, total: float = 1) -> tuple[np.ndarray, np.ndarray]:
     """Side-1 and side-2 singles of ``OUTCOMES``-ordered weights.
 
     ``weights`` holds the four outcomes on its last axis: a law grid of shape
-    ``(points, 4)``, or one tally's four counters.  Each side comes back with
-    the outcomes axis replaced by its ``(+, -)`` pair, and its sums divided
-    by ``total``: 1 for a joint law, the accepted count for a tally's
-    counters.
+    ``(points, 4)``, or a block's ``r``.  Each side comes back with the
+    outcomes axis replaced by its ``(+, -)`` pair, and its sums divided by
+    ``total``: 1 for a joint law, the accepted count for a block's ``r``.
     """
     weights = np.asarray(weights)
     # axis -2 is side 1's sign and axis -1 side 2's, as OUTCOMES orders them
