@@ -6,9 +6,10 @@ JSON files carry the same values, floats rounded to 6 significant digits.
 Every row embeds the provenance needed to replay it (model, phases, seed,
 events).  Every command, ``simulate`` and ``compare`` included, computes each
 model's analytic law once for its whole grid and hands that one law to the
-sampler and to the rows.  The rows are built column by column, one list per
-column, and ``--out`` is written as it is formatted.  Exit codes: 0 success,
-2 argument or contract error, 3 validation failure.
+sampler and to the rows.  The rows are built column by column, one array per
+column, and converted, formatted and written (``--out`` and ``compare``'s
+standard output) a batch of rows at a time.  Exit codes: 0 success, 2
+argument or contract error, 3 validation failure.
 """
 
 from __future__ import annotations
@@ -16,8 +17,10 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 from json.encoder import encode_basestring_ascii
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -104,30 +107,26 @@ def _analytic_columns(
     target: Subensemble,
     settings: list[PhaseSettings],
     law: Law,
-) -> dict[str, list]:
-    """Rows with their provenance, phases and analytic columns, one list per
-    column and one entry per setting; the other columns are None.
-
-    The analytic columns are ``law``, the law on the grid ``settings``.
-    """
-    n = len(settings)
-    columns = {column: [None] * n for column in COLUMNS}
-    columns.update(
-        command=[command] * n,
-        model=[model.kind.value] * n,
-        ordering=[model.ordering.value] * n,
-        subensemble=[target.value] * n,
-        alpha=[phases.alpha for phases in settings],
-        beta=[phases.beta for phases in settings],
-        gamma=[phases.gamma for phases in settings],
-    )
+) -> dict:
+    """Rows with their provenance, phases and analytic columns (``law``, the law
+    on the grid ``settings``), one row per setting.  A column is an array (or a
+    list) of one cell per row, or the one cell of every row; a column left out
+    is empty on every row."""
+    columns = {
+        "command": command,
+        "model": model.kind.value,
+        "ordering": model.ordering.value,
+        "subensemble": target.value,
+    }
+    for name in PHASE_NAMES:
+        columns[name] = np.fromiter((getattr(p, name) for p in settings), float, len(settings))
     for names, field in (
         (("p1_plus_analytic", "p1_minus_analytic"), law.side1),
         (("p2_plus_analytic", "p2_minus_analytic"), law.side2),
         (("joint_pp", "joint_pm", "joint_mp", "joint_mm"), law.joint),
     ):
         if field is not None:
-            columns.update(zip(names, field.T.tolist()))
+            columns.update(zip(names, field.T))
     return columns
 
 
@@ -141,7 +140,7 @@ def _run_columns(
     events: int,
     seeds: list[int],
     axis: str | None = None,
-) -> dict[str, list]:
+) -> dict:
     """The analytic columns of the runs of ``model`` at ``settings``, whose
     rows of ``law`` were sampled for ``target``, plus each run's provenance
     (``events`` events from ``seeds[k]``), its counters, row ``k`` of the
@@ -149,102 +148,108 @@ def _run_columns(
 
     ``axis`` names the phase a scan sweeps; a row's ``angle`` is its value.
     The Monte Carlo columns are computed as arrays over the rows; a run with no
-    accepted event leaves its Monte Carlo singles and E empty.  Beside the
-    Monte Carlo E go the two rules' anchors: the superposition rule's magnitude
-    (2/3)|cos(alpha+beta)| and the causal rules' 0.  The Monte Carlo E is
-    signed; the superposition rule's signed E is ``law.side1[:, 0] -
-    law.side1[:, 1]``, which the frozen columns leave out.
+    accepted event leaves its Monte Carlo singles and E empty (None, in object
+    arrays).  Beside the Monte Carlo E go the two rules' anchors: the
+    superposition rule's magnitude (2/3)|cos(alpha+beta)| and the causal rules'
+    0.  The Monte Carlo E is signed; the superposition rule's signed E is
+    ``law.side1[:, 0] - law.side1[:, 1]``, which the frozen columns leave out.
     """
     columns = _analytic_columns(command, model, target, settings, law)
     accepted = counts.sum(axis=1)
     n = len(settings)
     columns.update(
-        axis=[axis] * n,
-        angle=[None] * n if axis is None else [getattr(phases, axis) for phases in settings],
-        events=[events] * n,
-        seed=list(seeds),
-        accepted=accepted.tolist(),
-        rejected=(events - accepted).tolist(),
-        acceptance_rate=(accepted / events).tolist(),
-        e_analytic_qm=[
-            (2.0 / 3.0) * abs(math.cos(phases.alpha + phases.beta)) for phases in settings
-        ],
-        e_analytic_causal=[0.0] * n,  # the causal rules split side 1 evenly at any phase
+        axis=axis,
+        angle=columns.get(axis),
+        events=events,
+        seed=seeds,
+        accepted=accepted,
+        rejected=events - accepted,
+        acceptance_rate=accepted / events,
+        e_analytic_qm=np.fromiter(
+            ((2.0 / 3.0) * abs(math.cos(p.alpha + p.beta)) for p in settings), float, n
+        ),
+        e_analytic_causal=0.0,  # the causal rules split side 1 evenly at any phase
     )
-    columns.update(zip(("r_pp", "r_pm", "r_mp", "r_mm"), counts.T.tolist()))
+    columns.update(zip(("r_pp", "r_pm", "r_mp", "r_mm"), counts.T))
     seen = accepted > 0
     side1, side2 = marginals(counts[seen], accepted[seen, None])
-    mc = (*side1.T, *side2.T, *estimate_E(counts[seen]))
+    mc = np.stack((*side1.T, *side2.T, *estimate_E(counts[seen])))
+    if not seen.all():
+        found, mc = mc, np.full((len(mc), n), None, dtype=object)
+        mc[:, seen] = found
     names = ("p1_plus_mc", "p1_minus_mc", "p2_plus_mc", "p2_minus_mc", "e_value", "e_std_error")
-    for name, values in zip(names, mc):
-        found = iter(values.tolist())
-        columns[name] = [next(found) if row_seen else None for row_seen in seen.tolist()]
+    columns.update(zip(names, mc))
     return columns
 
 
-def _first_row(columns: dict[str, list]) -> dict:
-    return {column: values[0] for column, values in columns.items()}
+#: Rows converted, formatted and written at a time.
+_BATCH_ROWS = 256
 
 
-def _concat(parts: list[dict[str, list]]) -> dict[str, list]:
-    """The rows of ``parts`` one after the other, as one set of columns."""
-    return {column: sum((part[column] for part in parts), []) for column in COLUMNS}
+def _batches(parts: list[dict], names: tuple[str, ...] = COLUMNS) -> Iterator[list[Sequence]]:
+    """The rows of ``parts`` (see :func:`_analytic_columns`), one part after
+    the other, ``_BATCH_ROWS`` at a time: per batch, each ``names`` column's
+    cells as a list of Python values, or a tuple of its value on every row.
+    A part has as many rows as ``alpha``."""
+    for columns in parts:
+        n = len(columns["alpha"])
+        for start in range(0, n, _BATCH_ROWS):
+            stop = min(n, start + _BATCH_ROWS)
+            yield [
+                values[start:stop].tolist() if isinstance(values, np.ndarray)
+                else values[start:stop] if isinstance(values, list)
+                else (values,) * (stop - start)
+                for values in map(columns.get, names)
+            ]
+
+
+def _first_row(columns: dict) -> dict:
+    return {name: cells[0] for name, cells in zip(COLUMNS, next(_batches([columns])))}
 
 
 def _fields(row: dict, *names: str) -> str:
     return " ".join(f"{name}={_format_cell(row[name])}" for name in names)
 
 
-#: Rows formatted at a time, a column at a time, on their way to ``--out``.
-_BATCH_ROWS = 256
+def _column_texts(values: Sequence, cell, prefix: str) -> list[str]:
+    """``prefix + cell(value)`` for each of ``values``, one column's cells of
+    one batch: each distinct cell, or a tuple's one value, formatted once.
 
-
-def _column_texts(values: list, cell, prefix: str, floats: dict, others: dict) -> list[str]:
-    """``prefix + cell(value)`` for each of ``values``, one column's cells.
-
-    The texts are memoised in ``floats`` and ``others``, keyed by value.  A
-    zero or NaN float is formatted afresh, never keyed: ``0.0 == -0.0`` and
-    NaN equals nothing.  Floats have a memo of their own, apart from the str
-    and int cells, as ``1 == 1.0`` prints differently.
-    """
-    texts = []
+    Floats have a memo apart from the str, int and empty cells, as ``1 ==
+    1.0`` prints differently; a zero float is keyed with its sign, as ``0.0 ==
+    -0.0``, and NaN, which equals nothing, is formatted afresh."""
+    if type(values) is tuple:
+        return [prefix + cell(values[0])] * len(values)
+    floats, others, texts = {}, {}, []
     for value in values:
         kind = type(value)
-        if kind is float and value and value == value:
-            memo = floats
-        elif kind is str or kind is int:
-            memo = others
+        if kind is float and value == value:
+            memo, key = floats, value or (value, math.copysign(1.0, value))
+        elif kind is str or kind is int or value is None:
+            memo, key = others, value
         else:
             texts.append(prefix + cell(value))
             continue
-        text = memo.get(value)
+        text = memo.get(key)
         if text is None:
-            text = memo[value] = prefix + cell(value)
+            text = memo[key] = prefix + cell(value)
         texts.append(text)
     return texts
 
 
-def _emit(columns: dict[str, list], fmt: str, out_path: str) -> None:
-    """Write the rows of ``columns`` to ``out_path`` as CSV or JSON, row by row.
-
-    The JSON text is ``json.dumps({"rows": rows}, indent=2) + "\\n"``, byte
-    for byte, written straight into its fixed layout.  The cells are
-    formatted a column at a time, ``_BATCH_ROWS`` rows at a time, so the
-    formatted text never holds more than one batch.
-    """
+def _emit(parts: list[dict], fmt: str, out_path: str) -> None:
+    """Write the rows of ``parts`` (see :func:`_batches`) to ``out_path`` as
+    CSV or JSON, a batch at a time.  The JSON text is ``json.dumps({"rows":
+    rows}, indent=2) + "\\n"``, byte for byte, written straight into its
+    fixed layout."""
     if fmt == "csv":
         cell, prefixes = _format_cell, [""] * len(COLUMNS)
     else:
         cell, prefixes = _json_cell, _JSON_KEYS
-    memos = [({}, {}) for _ in COLUMNS]
-    n = len(columns[COLUMNS[0]])
     rows = (
         row
-        for start in range(0, n, _BATCH_ROWS)
-        for row in zip(*(
-            _column_texts(columns[column][start : start + _BATCH_ROWS], cell, prefix, *memo)
-            for column, prefix, memo in zip(COLUMNS, prefixes, memos)
-        ))
+        for batch in _batches(parts)
+        for row in zip(*map(_column_texts, batch, [cell] * len(COLUMNS), prefixes))
     )
     try:
         with open(out_path, "w", encoding="utf-8") as handle:
@@ -262,10 +267,12 @@ def _emit(columns: dict[str, list], fmt: str, out_path: str) -> None:
         raise ValueError(f"cannot write --out file: {exc}") from None
 
 
-def _parse_model(args: argparse.Namespace) -> TheoryModel:
-    return TheoryModel(
-        kind=TheoryKind(args.model), ordering=TimeOrdering(args.ordering)
-    )
+def _check_out(path: str) -> None:
+    """Fail before any draw if ``--out`` is a folder or in a missing one."""
+    if os.path.isdir(path):
+        raise ValueError(f"cannot write --out file: {path!r} is a folder")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ValueError(f"cannot write --out file: {path!r} is in a missing folder")
 
 
 def _phases_from(args: argparse.Namespace) -> PhaseSettings:
@@ -318,13 +325,13 @@ def _rule_labels(model: TheoryModel, target: Subensemble) -> tuple[str | None, s
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    model = _parse_model(args)
+    model = TheoryModel(TheoryKind(args.model), TimeOrdering(args.ordering))
     phases = _phases_from(args)
     target = Subensemble(args.subensemble)
     law = predict(model, [phases], target)
     columns = _analytic_columns("predict", model, target, [phases], law)
     if args.out:
-        _emit(columns, args.format, args.out)
+        _emit([columns], args.format, args.out)
     row = _first_row(columns)
 
     rule1, rule2 = _rule_labels(model, target)
@@ -343,7 +350,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    model = _parse_model(args)
+    model = TheoryModel(TheoryKind(args.model), TimeOrdering(args.ordering))
     phases = _phases_from(args)
     target = Subensemble(args.subensemble)
     [law], [counts] = sample([model], [phases], [args.seed], args.events, target)
@@ -351,7 +358,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "simulate", model, law, counts, target, [phases], args.events, [args.seed]
     )
     if args.out:
-        _emit(columns, args.format, args.out)
+        _emit([columns], args.format, args.out)
     row = _first_row(columns)
 
     print(_fields(row, "model", "ordering", "subensemble", *PHASE_NAMES, "events", "seed"))
@@ -376,26 +383,27 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     settings = [PhaseSettings(**{**vars(phases), args.axis: angle}) for angle in grid.tolist()]
     seeds = point_seeds(args.seed, len(settings))
     laws, counts = sample(models, settings, seeds, args.events)
-    columns = _concat([
+    parts = [
         _run_columns(
             "compare", model, law, model_counts, Subensemble.LONG, settings, args.events, seeds,
             args.axis,
         )
         for model, law, model_counts in zip(models, laws, counts)
-    ])
+    ]
     if args.out:
-        _emit(columns, args.format, args.out)
+        _emit(parts, args.format, args.out)
 
     print(
         f"compare axis={args.axis} points={len(grid)} events_per_point={args.events} "
         f"seed={args.seed} base {_fields(vars(phases), *PHASE_NAMES)}"
     )
     shown = ("model", "angle", "p1_plus_analytic", "p1_plus_mc", "e_value", "e_std_error")
-    print("\n".join(
-        f"model={model} angle={_format_cell(angle)} p1_plus analytic={_shown(analytic)} "
-        f"mc={_shown(mc)} E={_shown(value)}±{_shown(error)}"
-        for model, angle, analytic, mc, value, error in zip(*map(columns.get, shown))
-    ))
+    for batch in _batches(parts, shown):
+        print("\n".join(
+            f"model={model} angle={_format_cell(angle)} p1_plus analytic={_shown(analytic)} "
+            f"mc={_shown(mc)} E={_shown(value)}±{_shown(error)}"
+            for model, angle, analytic, mc, value, error in zip(*batch)
+        ))
     return 0
 
 
@@ -527,6 +535,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if getattr(args, "out", None):
+            _check_out(args.out)
         return args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

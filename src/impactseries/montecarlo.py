@@ -238,12 +238,13 @@ def _sample_streams(
     (see :func:`_accepted_counts`).  Row ``k`` of ``words`` holds the
     :func:`_seed_words` of stream ``streams[k]``, whose state is set in turn
     on one generator.  Up to ``BLOCK_SIZE // size`` consecutive streams of one
-    block are drawn into the rows of one reused buffer and counted at once.
+    block are drawn into a reused buffer, whose first row holds their class
+    draws and second row their outcome draws, and counted at once.
     """
     counts = np.zeros((*edges.shape[:2], len(sizes), len(OUTCOMES)), dtype=np.int64)
     # a chunk holds at most one full block, and never more than the streams draw
     capacity = min(BLOCK_SIZE, len(streams) * sizes[0])
-    draws = np.empty(2 * capacity)
+    draws = np.empty((2, capacity))
     mask = np.empty(capacity, dtype=bool)
     scratch = np.empty(capacity, dtype=bool)
     bit_generator = np.random.PCG64(0)
@@ -260,13 +261,14 @@ def _sample_streams(
         # the chunk ends with the block's last seed at the latest
         n = min(max(1, BLOCK_SIZE // size), streams.stop - i, seeds - s)
         i += n
-        u = draws[: 2 * size * n].reshape(n, 2 * size)
-        for row in u:
+        u_class, u_outcome = draws[:, : n * size].reshape(2, n, size)
+        for class_row, outcome_row in zip(u_class, u_outcome):
             bit_generator.state = _pcg64_state(next(stream_words).tolist())
-            rng.random(out=row)
+            rng.random(out=class_row)
+            rng.random(out=outcome_row)
         counts[:, s : s + n, block] = _accepted_counts(
-            u[:, :size],
-            u[:, size:],
+            u_class,
+            u_outcome,
             accept,
             edges[:, s : s + n],
             mask[: n * size].reshape(n, size),

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -18,10 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import impactseries
-from impactseries import montecarlo
+from impactseries import cli, montecarlo
 from impactseries.amplitudes import PhaseSettings
 from impactseries.cli import (
-    _BATCH_ROWS, COLUMNS, _emit, _format_cell, _rule_labels, _run_columns, main
+    _BATCH_ROWS, COLUMNS, _emit, _first_row, _format_cell, _rule_labels, _run_columns, main
 )
 from impactseries.montecarlo import sample
 from impactseries.pathspace import Subensemble, TimeOrdering
@@ -155,9 +156,11 @@ class TestRunRow:
         for alpha, anchor in ((0.0, 2 / 3), (math.pi / 2, 0.0)):
             settings = [PhaseSettings(alpha=alpha)]
             law = predict(model, settings)
-            row = _run_columns("simulate", model, law, counts, Subensemble.LONG, settings, 4, [0])
-            assert row["e_analytic_qm"] == [pytest.approx(anchor, abs=1e-12)]
-            assert row["e_analytic_causal"] == [0.0]
+            row = _first_row(
+                _run_columns("simulate", model, law, counts, Subensemble.LONG, settings, 4, [0])
+            )
+            assert row["e_analytic_qm"] == pytest.approx(anchor, abs=1e-12)
+            assert row["e_analytic_causal"] == 0.0
 
 
 @pytest.mark.parametrize(
@@ -420,21 +423,45 @@ def test_phase_sum_overflow_is_one_error_line(argv, capsys):
 
 
 @pytest.mark.parametrize(
+    "target, reason",
+    [("no-such-dir/rows.csv", "is in a missing folder"), (".", "is a folder")],
+    ids=["missing-folder", "folder"],
+)
+@pytest.mark.parametrize(
     "argv",
     [
         ["predict", "--model", "qm"],
-        ["simulate", "--model", "qm", "--events", "1000"],
+        ["simulate", "--model", "qm", "--events", "100000000"],
         ["compare", "--grid", "0:1:2", "--events", "1000"],
     ],
 )
-def test_unwritable_out_file_is_an_argument_error(argv, tmp_path, capsys):
-    # main returns instead of raising, so no traceback reaches the user
-    code = main(argv + ["--out", str(tmp_path / "no-such-dir" / "rows.csv")])
+def test_unwritable_out_file_is_an_argument_error(argv, target, reason, tmp_path, monkeypatch,
+                                                  capsys):
+    # main returns instead of raising, so no traceback reaches the user; the
+    # target is checked before any draw, so a long run cannot end in this error
+    monkeypatch.setattr(cli, "sample", lambda *args: pytest.fail("sampled"))
+    out = tmp_path / target
+    code = main(argv + ["--out", str(out)])
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err.startswith("error: cannot write --out file: ")
-    assert "no-such-dir" in captured.err
+    assert captured.err == f"error: cannot write --out file: {str(out)!r} {reason}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["predict", "--model", "rnl", "--subensemble", "l"],
+        ["simulate", "--model", "causal"],
+        ["simulate", "--model", "qm", "--events", "0"],
+        ["compare", "--grid", "0:1:0"],
+    ],
+)
+def test_argument_or_domain_error_makes_no_out_file(argv, tmp_path, capsys):
+    out_file = tmp_path / "rows.csv"
+    assert main(argv + ["--out", str(out_file)]) == 2
+    assert capsys.readouterr().out == ""
+    assert not out_file.exists()
 
 
 def json_dumps_rows(rows):
@@ -445,6 +472,11 @@ def json_dumps_rows(rows):
         for row in rows
     ]
     return json.dumps({"rows": payload}, indent=2) + "\n"
+
+
+#: The writer takes a column as a list or as an array of its cells.
+COLUMN_TYPES = [list, lambda cells: np.array(cells, dtype=object)]
+COLUMN_KINDS = pytest.mark.parametrize("column", COLUMN_TYPES, ids=["list", "array"])
 
 
 class TestJsonWriter:
@@ -460,19 +492,20 @@ class TestJsonWriter:
     ]
 
     @staticmethod
-    def written(rows, tmp_path, fmt="json"):
+    def written(rows, tmp_path, fmt="json", column=list):
         out_file = tmp_path / f"rows.{fmt}"
-        _emit({c: [row[c] for row in rows] for c in COLUMNS}, fmt, str(out_file))
+        _emit([{c: column([row[c] for row in rows]) for c in COLUMNS}], fmt, str(out_file))
         return out_file.read_text(encoding="utf-8")
 
+    @COLUMN_KINDS
     @pytest.mark.parametrize("count", [1, 2, len(VALUES)])
-    def test_equals_json_dumps(self, count, tmp_path):
+    def test_equals_json_dumps(self, count, column, tmp_path):
         # every column meets every value across the rows
         rows = [
             {c: self.VALUES[(i + k) % len(self.VALUES)] for i, c in enumerate(COLUMNS)}
             for k in range(count)
         ]
-        assert self.written(rows, tmp_path) == json_dumps_rows(rows)
+        assert self.written(rows, tmp_path, column=column) == json_dumps_rows(rows)
 
     @settings(max_examples=60)
     @given(
@@ -488,7 +521,9 @@ class TestJsonWriter:
     )
     def test_equals_json_dumps_on_drawn_rows(self, values, tmp_path_factory):
         rows = [dict(zip(COLUMNS, row)) for row in values]
-        assert self.written(rows, tmp_path_factory.mktemp("rows")) == json_dumps_rows(rows)
+        for column in COLUMN_TYPES:
+            written = self.written(rows, tmp_path_factory.mktemp("rows"), column=column)
+            assert written == json_dumps_rows(rows)
 
     # a column meets each of these again and again, across the batches the
     # writer formats at a time: equal keys that print apart (0.0 and -0.0,
@@ -503,17 +538,61 @@ class TestJsonWriter:
             for k in range(count)
         ]
 
-    def test_repeated_cells_equal_json_dumps(self, tmp_path):
+    @COLUMN_KINDS
+    def test_repeated_cells_equal_json_dumps(self, column, tmp_path):
         rows = self.repeated_rows()
-        assert self.written(rows, tmp_path) == json_dumps_rows(rows)
+        assert self.written(rows, tmp_path, column=column) == json_dumps_rows(rows)
 
-    def test_repeated_cells_equal_the_csv_writer(self, tmp_path):
+    @COLUMN_KINDS
+    def test_repeated_cells_equal_the_csv_writer(self, column, tmp_path):
         rows = self.repeated_rows()
         expected = io.StringIO()
         writer = csv.writer(expected, lineterminator="\n")
         writer.writerow(COLUMNS)
         writer.writerows([_format_cell(row[c]) for c in COLUMNS] for row in rows)
-        assert self.written(rows, tmp_path, "csv") == expected.getvalue()
+        assert self.written(rows, tmp_path, "csv", column) == expected.getvalue()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_numeric_arrays_equal_their_lists(self, fmt, tmp_path):
+        # float64 and int64 columns, signed zeros and NaN across the batches,
+        # beside one value and a left-out column standing for every row
+        count = 2 * _BATCH_ROWS + 7
+        zeros = np.tile([0.0, -0.0, math.nan, 1.0, 2.5], count)[:count]
+        arrays = {
+            c: zeros if k % 2 else np.arange(count) % 3 for k, c in enumerate(COLUMNS)
+        }
+        arrays.update(command="compare", axis=None)
+        listed = {c: [v] * count if v is None or isinstance(v, str) else v.tolist()
+                  for c, v in arrays.items()}
+        written = []
+        for columns in (arrays, listed):
+            out_file = tmp_path / f"rows-{len(written)}.{fmt}"
+            _emit([columns], fmt, str(out_file))
+            written.append(out_file.read_bytes())
+        assert written[0] == written[1]
+        assert b"-0" in written[0] and (b"NaN" if fmt == "json" else b"nan") in written[0]
+
+    @pytest.mark.parametrize("as_list", [True, False], ids=["list", "array"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_memory_does_not_grow_with_the_rows(self, fmt, as_list, tmp_path):
+        # distinct floats in six columns, the others left out: ten times the
+        # rows must not take more memory to write than a few batches do
+        def peak(batches):
+            rng = np.random.default_rng(batches)
+            rows = batches * _BATCH_ROWS
+            distinct = ("alpha", "beta", "gamma", "e_value", "e_std_error", "e_analytic_qm")
+            columns = {c: rng.random(rows) for c in distinct}
+            if as_list:
+                columns = {c: values.tolist() for c, values in columns.items()}
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                _emit([columns], fmt, str(tmp_path / f"rows-{batches}.{fmt}"))
+                return tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+
+        assert peak(40) <= 1.5 * peak(4)
 
 
 class TestFrozenOutput:
