@@ -99,8 +99,8 @@ def evaluate(
     The exponent sum runs over an outer axis, term by term in phase order, so
     a grid's tables and grids of one agree bit for bit.
     """
-    grid = [(p.alpha, p.beta, p.gamma) for p in phases]
-    phi = np.array(grid, dtype=float).reshape(-1, len(PHASE_NAMES))
+    values = (value for p in phases for value in (p.alpha, p.beta, p.gamma))
+    phi = np.fromiter(values, float, len(phases) * len(PHASE_NAMES)).reshape(-1, len(PHASE_NAMES))
     angle = (phi.T[:, :, None] * exponents.T[:, None, :]).sum(axis=0)
     return coefficients * np.exp(1j * angle)[..., None]
 

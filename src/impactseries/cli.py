@@ -8,24 +8,24 @@ events).  Every command, ``simulate`` and ``compare`` included, computes each
 model's analytic law once for its whole grid and hands that one law to the
 sampler and to the rows.  The rows are built column by column, one array per
 column, and converted, formatted and written (``--out`` and ``compare``'s
-standard output) a batch of rows at a time.  Exit codes: 0 success, 2
-argument or contract error, 3 validation failure.
+standard output) a batch of rows at a time.  Each command imports only the
+code it runs: the sampler in ``simulate`` and ``compare``, the oracle in
+``validate-oracle``, and ``csv`` or ``json.encoder`` only to write ``--out``
+in that format.  Exit codes: 0 success, 2 argument or contract error, 3
+validation failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import sys
-from json.encoder import encode_basestring_ascii
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .amplitudes import PHASE_NAMES, PhaseSettings
-from .montecarlo import estimate_E, point_seeds, sample
 from .pathspace import OUTCOMES, Subensemble, TimeOrdering
 from .theories import Law, TheoryKind, TheoryModel, marginals, predict
 
@@ -81,8 +81,6 @@ def _shown(value) -> str:
     return "n/a" if value is None else _format_cell(value)
 
 
-#: Each column's key line inside a ``json.dumps(..., indent=2)`` row object.
-_JSON_KEYS = tuple(f"      {encode_basestring_ascii(column)}: " for column in COLUMNS)
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
@@ -97,6 +95,8 @@ def _json_cell(value) -> str:
         # less the ".0" of a whole number
         return text if "." in text else text + ".0"
     if isinstance(value, str):
+        from json.encoder import encode_basestring_ascii
+
         return encode_basestring_ascii(value)
     return "null" if value is None else int.__repr__(value)
 
@@ -154,6 +154,8 @@ def _run_columns(
     0.  The Monte Carlo E is signed; the superposition rule's signed E is
     ``law.side1[:, 0] - law.side1[:, 1]``, which the frozen columns leave out.
     """
+    from .montecarlo import estimate_E
+
     columns = _analytic_columns(command, model, target, settings, law)
     accepted = counts.sum(axis=1)
     n = len(settings)
@@ -245,7 +247,8 @@ def _emit(parts: list[dict], fmt: str, out_path: str) -> None:
     if fmt == "csv":
         cell, prefixes = _format_cell, [""] * len(COLUMNS)
     else:
-        cell, prefixes = _json_cell, _JSON_KEYS
+        # each column's key line inside a ``json.dumps(..., indent=2)`` row object
+        cell, prefixes = _json_cell, [f"      {_json_cell(column)}: " for column in COLUMNS]
     rows = (
         row
         for batch in _batches(parts)
@@ -254,6 +257,8 @@ def _emit(parts: list[dict], fmt: str, out_path: str) -> None:
     try:
         with open(out_path, "w", encoding="utf-8") as handle:
             if fmt == "csv":
+                import csv
+
                 writer = csv.writer(handle, lineterminator="\n")
                 writer.writerow(COLUMNS)
                 writer.writerows(rows)
@@ -268,7 +273,9 @@ def _emit(parts: list[dict], fmt: str, out_path: str) -> None:
 
 
 def _check_out(path: str) -> None:
-    """Fail before any draw if ``--out`` is a folder or in a missing one."""
+    """Fail before any draw if ``--out`` is empty, a folder or in a missing one."""
+    if not path:
+        raise ValueError("cannot write --out file: '' is empty")
     if os.path.isdir(path):
         raise ValueError(f"cannot write --out file: {path!r} is a folder")
     if not os.path.isdir(os.path.dirname(path) or "."):
@@ -330,7 +337,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     target = Subensemble(args.subensemble)
     law = predict(model, [phases], target)
     columns = _analytic_columns("predict", model, target, [phases], law)
-    if args.out:
+    if args.out is not None:
         _emit([columns], args.format, args.out)
     row = _first_row(columns)
 
@@ -350,6 +357,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .montecarlo import sample
+
     model = TheoryModel(TheoryKind(args.model), TimeOrdering(args.ordering))
     phases = _phases_from(args)
     target = Subensemble(args.subensemble)
@@ -357,7 +366,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     columns = _run_columns(
         "simulate", model, law, counts, target, [phases], args.events, [args.seed]
     )
-    if args.out:
+    if args.out is not None:
         _emit([columns], args.format, args.out)
     row = _first_row(columns)
 
@@ -376,6 +385,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from .montecarlo import point_seeds, sample
+
     phases = _phases_from(args)
     grid = _parse_grid(args.grid, args.degrees)
     ordering = TimeOrdering(args.ordering)
@@ -390,7 +401,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         )
         for model, law, model_counts in zip(models, laws, counts)
     ]
-    if args.out:
+    if args.out is not None:
         _emit(parts, args.format, args.out)
 
     print(
@@ -535,7 +546,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if getattr(args, "out", None):
+        if getattr(args, "out", None) is not None:
             _check_out(args.out)
         return args.handler(args)
     except ValueError as exc:

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, output schema, reproducibility."""
 
+import ast
 import csv
 import hashlib
 import io
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import impactseries
-from impactseries import cli, montecarlo
+from impactseries import montecarlo
 from impactseries.amplitudes import PhaseSettings
 from impactseries.cli import (
     _BATCH_ROWS, COLUMNS, _emit, _first_row, _format_cell, _rule_labels, _run_columns, main
@@ -424,8 +425,8 @@ def test_phase_sum_overflow_is_one_error_line(argv, capsys):
 
 @pytest.mark.parametrize(
     "target, reason",
-    [("no-such-dir/rows.csv", "is in a missing folder"), (".", "is a folder")],
-    ids=["missing-folder", "folder"],
+    [("no-such-dir/rows.csv", "is in a missing folder"), (".", "is a folder"), (None, "is empty")],
+    ids=["missing-folder", "folder", "empty"],
 )
 @pytest.mark.parametrize(
     "argv",
@@ -438,13 +439,14 @@ def test_phase_sum_overflow_is_one_error_line(argv, capsys):
 def test_unwritable_out_file_is_an_argument_error(argv, target, reason, tmp_path, monkeypatch,
                                                   capsys):
     # main returns instead of raising, so no traceback reaches the user; the
-    # target is checked before any draw, so a long run cannot end in this error
-    monkeypatch.setattr(cli, "sample", lambda *args: pytest.fail("sampled"))
-    out = tmp_path / target
-    code = main(argv + ["--out", str(out)])
+    # target is checked before any draw, so a long run cannot end in this error;
+    # an empty --out names no file, and is not a request to write none
+    monkeypatch.setattr(montecarlo, "sample", lambda *args: pytest.fail("sampled"))
+    out = "" if target is None else str(tmp_path / target)
+    code = main(argv + ["--out", out])
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err == f"error: cannot write --out file: {str(out)!r} {reason}\n"
+    assert captured.err == f"error: cannot write --out file: {out!r} {reason}\n"
     assert captured.out == ""
 
 
@@ -795,20 +797,64 @@ class TestValidateOracle:
         assert "geometry" in captured.err
 
 
-def test_sampling_commands_do_not_load_the_oracle():
-    # only validate-oracle needs the splitter-network oracle
-    script = (
-        "import sys, contextlib, io\n"
-        "from impactseries.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    codes = [main(['predict', '--model', 'qm']),\n"
-        "             main(['simulate', '--model', 'qm', '--events', '1000']),\n"
-        "             main(['compare', '--grid', '0:1:3', '--events', '1000'])]\n"
-        "print(codes, 'impactseries.bsnetwork' in sys.modules)\n"
-    )
+#: The modules whose loading ``test_each_command_loads_only_the_code_it_runs`` checks.
+WATCHED_MODULES = ("impactseries.montecarlo", "impactseries.bsnetwork", "csv", "json.encoder")
+
+
+def test_each_command_loads_only_the_code_it_runs(tmp_path):
+    # the analytic commands load no sampler, only validate-oracle loads the
+    # oracle, and a writer's module loads only for an --out file in its format.
+    # Each command runs in its own fork of a child that has imported numpy
+    # and nothing else; what numpy loads differs between numpy 1 and 2, so the
+    # child reports which watched modules that import left loaded.
+    out = str(tmp_path / "rows")
+    simulate = ["simulate", "--model", "qm", "--events", "1000"]
+    compare = ["compare", "--grid", "0:1:3", "--events", "1000"]
+    sampler = "impactseries.montecarlo"
+    loads = [
+        (["predict", "--model", "qm"], set()),
+        (["validate-oracle"], {"impactseries.bsnetwork"}),
+        (simulate, {sampler}),
+        (compare, {sampler}),
+        (["predict", "--model", "qm", "--format", "json", "--out", out], {"json.encoder"}),
+        (["predict", "--model", "qm", "--format", "csv", "--out", out], {"csv"}),
+        (simulate + ["--format", "json", "--out", out], {sampler, "json.encoder"}),
+        (simulate + ["--format", "csv", "--out", out], {sampler, "csv"}),
+        (compare + ["--format", "json", "--out", out], {sampler, "json.encoder"}),
+        (compare + ["--format", "csv", "--out", out], {sampler, "csv"}),
+    ]
+    script = f"""
+import os, sys, traceback
+import numpy
+
+baseline = set(sys.modules)
+watched = {WATCHED_MODULES!r}
+print(sorted(baseline.intersection(watched)), flush=True)
+
+def run(argv):
+    import contextlib, io
+    from impactseries.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, sorted(set(sys.modules).difference(baseline).intersection(watched))
+
+for argv in {[argv for argv, _ in loads]!r}:
+    if os.fork() == 0:
+        try:
+            print(run(argv), flush=True)
+        except Exception:
+            traceback.print_exc()
+        finally:
+            os._exit(0)
+    os.wait()
+"""
     src = str(Path(impactseries.__file__).resolve().parents[1])
     result = subprocess.run(
         [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, timeout=60, check=True,
     )
-    assert result.stdout == "[0, 0, 0] False\n"
+    first, *lines = result.stdout.splitlines()
+    preloaded = set(ast.literal_eval(first))
+    assert [ast.literal_eval(line) for line in lines] == [
+        (0, sorted(modules - preloaded)) for _, modules in loads
+    ], result.stderr
