@@ -11,8 +11,8 @@ column, and converted, formatted and written (``--out`` and ``compare``'s
 standard output) a batch of rows at a time.  Each command imports only the
 code it runs: the sampler in ``simulate`` and ``compare``, the oracle in
 ``validate-oracle``, and ``csv`` or ``json.encoder`` only to write ``--out``
-in that format.  Exit codes: 0 success, 2 argument or contract error, 3
-validation failure.
+in that format.  Exit codes: 0 success, 1 standard output closed early, 2
+argument or contract error, 3 validation failure.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .amplitudes import PHASE_NAMES, PhaseSettings
+from .amplitudes import CLASS_ROWS, PHASE_NAMES, PhaseSettings
 from .pathspace import OUTCOMES, Subensemble, TimeOrdering
 from .theories import Law, TheoryKind, TheoryModel, marginals, predict
 
@@ -102,21 +102,17 @@ def _json_cell(value) -> str:
 
 
 def _analytic_columns(
-    command: str,
-    model: TheoryModel,
-    target: Subensemble,
-    settings: list[PhaseSettings],
-    law: Law,
+    command: str, model: TheoryModel, settings: list[PhaseSettings], law: Law
 ) -> dict:
     """Rows with their provenance, phases and analytic columns (``law``, the law
-    on the grid ``settings``), one row per setting.  A column is an array (or a
-    list) of one cell per row, or the one cell of every row; a column left out
-    is empty on every row."""
+    on the grid ``settings``, and its class), one row per setting.  A column is
+    an array (or a list) of one cell per row, or the one cell of every row; a
+    column left out is empty on every row."""
     columns = {
         "command": command,
         "model": model.kind.value,
         "ordering": model.ordering.value,
-        "subensemble": target.value,
+        "subensemble": law.target.value,
     }
     for name in PHASE_NAMES:
         columns[name] = np.fromiter((getattr(p, name) for p in settings), float, len(settings))
@@ -135,16 +131,15 @@ def _run_columns(
     model: TheoryModel,
     law: Law,
     counts: np.ndarray,
-    target: Subensemble,
     settings: list[PhaseSettings],
     events: int,
     seeds: list[int],
     axis: str | None = None,
 ) -> dict:
-    """The analytic columns of the runs of ``model`` at ``settings``, whose
-    rows of ``law`` were sampled for ``target``, plus each run's provenance
-    (``events`` events from ``seeds[k]``), its counters, row ``k`` of the
-    ``(runs, 4)`` ``counts``, and the runs' singles and E.
+    """The analytic columns of the runs of ``model`` at ``settings``, which
+    sampled the rows of ``law``, plus each run's provenance (``events`` events
+    from ``seeds[k]``), its counters, row ``k`` of the ``(runs, 4)``
+    ``counts``, and the runs' singles and E.
 
     ``axis`` names the phase a scan sweeps; a row's ``angle`` is its value.
     The Monte Carlo columns are computed as arrays over the rows; a run with no
@@ -156,7 +151,7 @@ def _run_columns(
     """
     from .montecarlo import estimate_E
 
-    columns = _analytic_columns(command, model, target, settings, law)
+    columns = _analytic_columns(command, model, settings, law)
     accepted = counts.sum(axis=1)
     n = len(settings)
     columns.update(
@@ -317,31 +312,31 @@ def _singles_line(row: dict, side: int, rule: str | None) -> str:
     return line
 
 
-def _rule_labels(model: TheoryModel, target: Subensemble) -> tuple[str | None, str | None]:
+def _rule_labels(law: Law) -> tuple[str | None, str | None]:
+    """Each side's ``p(+)`` rule in ``law``, None where the side is undefined."""
     cos_sum = "cos(alpha+beta)"
     cos_diff = "cos(beta-gamma)"
-    if model.kind is TheoryKind.QM:
-        if target is Subensemble.LONG:
-            return f"1/2 - {cos_sum}/3", f"1/2 + {cos_diff}/3"
-        return f"1/2 + {cos_sum}/3", "marginal of the three-path interference law"
-    if model.kind is TheoryKind.CAUSAL:
-        if model.ordering is TimeOrdering.PHOTON2_FIRST:
-            return None, f"1/2 + {cos_diff}/3"
-        return "1/2 exactly", None
-    return "1/2 exactly", f"1/2 + {cos_diff}/3"
+    if law.joint is not None:
+        if law.target is Subensemble.SHORT:
+            return f"1/2 + {cos_sum}/3", "marginal of the three-path interference law"
+        return f"1/2 - {cos_sum}/3", f"1/2 + {cos_diff}/3"
+    # the causal rules: photon 1 splits evenly, photon 2's Ll and lL interfere
+    return (
+        None if law.side1 is None else "1/2 exactly",
+        None if law.side2 is None else f"1/2 + {cos_diff}/3",
+    )
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
     model = TheoryModel(TheoryKind(args.model), TimeOrdering(args.ordering))
     phases = _phases_from(args)
-    target = Subensemble(args.subensemble)
-    law = predict(model, [phases], target)
-    columns = _analytic_columns("predict", model, target, [phases], law)
+    law = predict(model, [phases], Subensemble(args.subensemble))
+    columns = _analytic_columns("predict", model, [phases], law)
     if args.out is not None:
         _emit([columns], args.format, args.out)
     row = _first_row(columns)
 
-    rule1, rule2 = _rule_labels(model, target)
+    rule1, rule2 = _rule_labels(law)
     print(_fields(row, "model", "ordering", "subensemble", *PHASE_NAMES))
     if law.joint is not None:
         cells = " ".join(
@@ -363,9 +358,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     phases = _phases_from(args)
     target = Subensemble(args.subensemble)
     [law], [counts] = sample([model], [phases], [args.seed], args.events, target)
-    columns = _run_columns(
-        "simulate", model, law, counts, target, [phases], args.events, [args.seed]
-    )
+    columns = _run_columns("simulate", model, law, counts, [phases], args.events, [args.seed])
     if args.out is not None:
         _emit([columns], args.format, args.out)
     row = _first_row(columns)
@@ -395,10 +388,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     seeds = point_seeds(args.seed, len(settings))
     laws, counts = sample(models, settings, seeds, args.events)
     parts = [
-        _run_columns(
-            "compare", model, law, model_counts, Subensemble.LONG, settings, args.events, seeds,
-            args.axis,
-        )
+        _run_columns("compare", model, law, model_counts, settings, args.events, seeds, args.axis)
         for model, law, model_counts in zip(models, laws, counts)
     ]
     if args.out is not None:
@@ -475,6 +465,8 @@ def _add_ordering_argument(parser: argparse.ArgumentParser) -> None:
 def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model", required=True, choices=[k.value for k in TheoryKind])
     _add_ordering_argument(parser)
+    # the classes with an amplitude table
+    parser.add_argument("--subensemble", choices=[sub.value for sub in CLASS_ROWS], default="L")
 
 
 def _add_output_arguments(parser: argparse.ArgumentParser) -> None:
@@ -492,14 +484,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="analytic singles/joint probabilities")
     _add_model_arguments(p)
     _add_phase_arguments(p)
-    p.add_argument("--subensemble", choices=["L", "l"], default="L")
     _add_output_arguments(p)
     p.set_defaults(handler=_cmd_predict)
 
     p = sub.add_parser("simulate", help="Monte Carlo coincidence run")
     _add_model_arguments(p)
     _add_phase_arguments(p)
-    p.add_argument("--subensemble", choices=["L", "l"], default="L")
     p.add_argument("--events", type=int, default=100_000, help="photon pairs to emit")
     p.add_argument("--seed", type=int, default=0, help="64-bit run seed")
     _add_output_arguments(p)
@@ -555,7 +545,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # inside the try, so a closed reader fails here
+    except BrokenPipeError:
+        # standard output was closed early (``| head``): as Python's SIGPIPE
+        # note advises, the exit's flush goes to devnull, so no traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -16,24 +16,24 @@ import os
 import pickle
 import sys
 import threading
+from itertools import accumulate
 from typing import Iterator, NoReturn, Sequence
 
 import numpy as np
 
 from .amplitudes import PhaseSettings
-from .pathspace import OUTCOMES, Subensemble
+from .pathspace import OUTCOMES, Subensemble, members
 from .theories import Law, TheoryModel, predict
 
 #: Events per RNG block; fixed so tallies are independent of how blocks are grouped.
 BLOCK_SIZE = 1 << 16
 
 #: The class draws each arrival-time class takes, ``[lo, hi)``: its a-priori
-#: weight (1/8, 3/8, 3/8, 1/8 in draw order) laid end to end; exact dyadics.
+#: weight, its share of the 8 path pairs (1/8, 3/8, 3/8, 1/8 in draw order),
+#: laid end to end; exact dyadics.
+_ENDS = list(accumulate((len(members(sub)) for sub in Subensemble), initial=0))
 _CLASS_INTERVALS: dict[Subensemble, tuple[float, float]] = {
-    Subensemble.SATELLITE_LONG: (0.0, 0.125),
-    Subensemble.LONG: (0.125, 0.5),
-    Subensemble.SHORT: (0.5, 0.875),
-    Subensemble.SATELLITE_SHORT: (0.875, 1.0),
+    sub: (lo / _ENDS[-1], hi / _ENDS[-1]) for sub, lo, hi in zip(Subensemble, _ENDS, _ENDS[1:])
 }
 
 #: One block's tally: its four counters in ``OUTCOMES`` order, their sum, and
@@ -386,22 +386,20 @@ def _forked_counts(pieces: Sequence[range], words: np.ndarray, *args) -> np.ndar
             os.close(read_end)
 
 
-def block_tallies(
-    laws: Sequence[Law], seeds: Sequence[int], events: int, target: Subensemble = Subensemble.LONG
-) -> np.recarray:
+def block_tallies(laws: Sequence[Law], seeds: Sequence[int], events: int) -> np.recarray:
     """Per-block tallies of a run of ``events`` events from each of ``seeds``
     under each of ``laws``, as one record array with a record per block: law
     by law, then seed by seed, each in block order.  A record's fields are
     ``r``, the block's four int64 counters in ``OUTCOMES`` order,
     ``accepted``, their sum, and ``rejected``, the block's other events.
 
-    Row ``k`` of every law is sampled from ``seeds[k]``; a law of another row
-    count is a ``ValueError``, and one bare :class:`Law` (itself a tuple) a
-    ``TypeError``.  A :class:`Law` does not record its target, so the laws
-    must be predicted for ``target``, the class whose events are accepted.
-    ``events`` (an int from 1 to 2**48, as block indices are 32-bit spawn
-    keys) and the seeds (64-bit ints) are checked before any draw; with no law
-    or no seed the call returns an empty record array.  Stream ``i``, block
+    Row ``k`` of every law is sampled from ``seeds[k]``, accepting the events
+    of the laws' shared ``target`` class; a law of another row count, or laws
+    of more than one class, are a ``ValueError``, and one bare :class:`Law`
+    (itself a tuple) a ``TypeError``.  ``events`` (an int from 1 to 2**48, as
+    block indices are 32-bit spawn keys), the seeds (64-bit ints) and the
+    class are checked before any draw; with no law or no seed the call
+    returns an empty record array.  Stream ``i``, block
     ``i // S`` of ``seeds[i % S]`` where ``S = len(seeds)``, is drawn once for
     every law.  The call forks one child per range of streams that
     :func:`_pieces` gives, counting the events drawn, and samples nothing
@@ -410,6 +408,10 @@ def block_tallies(
     if isinstance(laws, Law):
         raise TypeError("laws must be a sequence of Law records; pass one law as [law]")
     _require_runs(events, seeds)
+    targets = {law.target for law in laws}
+    if len(targets) > 1:
+        classes = ", ".join(sorted(target.value for target in targets))
+        raise ValueError(f"laws of more than one arrival class ({classes}) cannot share a call")
     sampled = [_sampled_law(law) for law in laws]
     for law in sampled:
         if len(law) != len(seeds):
@@ -417,10 +419,10 @@ def block_tallies(
     if not sampled or not seeds:
         return np.recarray(0, dtype=_TALLY)
 
-    # the target's class interval, and per law and seed the first three
+    # the laws' class interval, and per law and seed the first three
     # cumulative outcome edges; the top edge is 1.0, above every uniform, and
     # never compared
-    accept = _CLASS_INTERVALS[target]
+    accept = _CLASS_INTERVALS[targets.pop()]
     edges = np.cumsum(sampled, axis=2)[:, :, :-1]
     sizes = [min(BLOCK_SIZE, events - j) for j in range(0, events, BLOCK_SIZE)]
     streams = len(sizes) * len(seeds)
@@ -464,7 +466,7 @@ def sample(
     ``sample([model], [phases], [seed], events, target)`` replays one run.
     """
     laws = [predict(model, settings, target) for model in models]
-    r = block_tallies(laws, seeds, events, target).r
+    r = block_tallies(laws, seeds, events).r
     blocks = -(-events // BLOCK_SIZE)
     return laws, r.reshape(len(laws), len(seeds), blocks, len(OUTCOMES)).sum(axis=2)
 

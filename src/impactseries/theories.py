@@ -16,12 +16,13 @@ Three models are implemented.
 A model's law on a phase grid is one :class:`Law` record of arrays, row ``k``
 for grid point ``k``: the joint law over ``OUTCOMES`` (++, +-, -+, --) and
 each side's singles over its (+, -) detectors, with ``None`` for what the
-model leaves undefined.  :func:`marginals` folds four ``OUTCOMES``-ordered
-weights (a joint law, or counts of the four outcomes) into the two sides'
-singles.  Every law here is computed through the amplitude tables.  The
-cosine closed forms that the CLI's rule labels state are written out in the
-test suite (``tests/closed_forms.py``) as a second, independent route, and the
-tests cross-check the two.
+model leaves undefined, and the arrival-time class it is predicted for.
+:func:`marginals` folds four ``OUTCOMES``-ordered weights (a joint law, or
+counts of the four outcomes) into the two sides' singles.  Every law here is
+computed through the amplitude tables, except the causal rules' side-1 split,
+the constant 1/2.  The cosine closed forms that the CLI's rule labels state
+are written out in the test suite (``tests/closed_forms.py``) as a second,
+independent route, and the tests cross-check the two.
 """
 
 from __future__ import annotations
@@ -60,12 +61,14 @@ class Law(NamedTuple):
     ``joint`` has shape ``(points, 4)``, its columns in ``OUTCOMES`` order;
     ``side1`` and ``side2`` have shape ``(points, 2)``, their columns the
     side's ``+`` and ``-`` detectors.  A field the model leaves undefined is
-    None.
+    None.  ``target`` is the arrival-time class the law is predicted for, the
+    class whose events a sampler of the law accepts.
     """
 
     joint: np.ndarray | None
     side1: np.ndarray | None
     side2: np.ndarray | None
+    target: Subensemble
 
     def validated(self) -> Law:
         """This law, once every row of every defined field is checked.
@@ -134,14 +137,14 @@ def predict(
     ordering) but no joint law.  The causal rules are built from the
     difference-L class's paths, so any other target is a ``ValueError``,
     raised before any table is evaluated.  The whole grid is one table
-    evaluation, and the returned :class:`Law` is validated once, row by row;
-    one setting is the grid ``[phases]``.
+    evaluation, and the returned :class:`Law`, which records ``target``, is
+    validated once, row by row; one setting is the grid ``[phases]``.
     """
     if model.kind is TheoryKind.QM:
         if target not in CLASS_ROWS:
             raise ValueError(f"no amplitude table for satellite class {target.value}")
         joint = interference_law(joint_amplitudes(phases), (CLASS_ROWS[target],))
-        law = Law(joint, *marginals(joint))
+        law = Law(joint, *marginals(joint), target)
     elif target is not Subensemble.LONG:
         raise ValueError(
             f"the {model.kind.value} rule is defined for the difference-L class only, "
@@ -161,5 +164,5 @@ def predict(
             if first is TimeOrdering.PHOTON1_FIRST
             else interference_law(single_amplitudes(phases), SEQUENTIAL_GROUPS)
         )
-        law = Law(None, side1, side2)
+        law = Law(None, side1, side2, target)
     return law.validated()

@@ -130,9 +130,9 @@ class TestRuleLabels:
     @pytest.mark.parametrize("kind, ordering, target", IN_DOMAIN)
     def test_labels_evaluate_to_the_predicted_singles(self, kind, ordering, target):
         model = TheoryModel(kind, ordering)
-        labels = _rule_labels(model, target)
         for ph in self.GRID:
             law = predict(model, [ph], target)
+            labels = _rule_labels(law)
             pairs = (law.side1, law.side2)
             for side, (label, pair) in enumerate(zip(labels, pairs)):
                 assert (label is None) == (pair is None)
@@ -158,7 +158,7 @@ class TestRunRow:
             settings = [PhaseSettings(alpha=alpha)]
             law = predict(model, settings)
             row = _first_row(
-                _run_columns("simulate", model, law, counts, Subensemble.LONG, settings, 4, [0])
+                _run_columns("simulate", model, law, counts, settings, 4, [0])
             )
             assert row["e_analytic_qm"] == pytest.approx(anchor, abs=1e-12)
             assert row["e_analytic_causal"] == 0.0
@@ -401,6 +401,21 @@ class TestCompare:
         assert code == 2
         assert captured.err == "error: seed must fit in an unsigned 64-bit integer\n"
         assert captured.out == ""
+
+    def test_a_closed_standard_output_is_exit_1_without_a_traceback(self):
+        # 6,000 rows (~480 KB) outgrow the 64 KB pipe buffer, so once the
+        # reader has taken one line and closed the pipe a print fails (EPIPE)
+        src = str(Path(impactseries.__file__).resolve().parents[1])
+        child = subprocess.Popen(
+            [sys.executable, "-m", "impactseries.cli", "compare", "--grid", "0:6:3000",
+             "--events", "100"],
+            env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert child.stdout.readline().startswith(b"compare axis=alpha points=3000 ")
+        child.stdout.close()
+        _, err = child.communicate(timeout=60)
+        assert child.returncode == 1
+        assert err == b""
 
 
 @pytest.mark.parametrize(

@@ -101,7 +101,7 @@ def law_of(model, phases, target=LONG) -> Law:
 
 def tallies_of(model, phases, events, seed, target=LONG) -> np.recarray:
     """``block_tallies`` of one run."""
-    return block_tallies([law_of(model, phases, target)], [seed], events, target)
+    return block_tallies([law_of(model, phases, target)], [seed], events)
 
 
 def run(model, phases, events, seed, target=LONG) -> tuple[tuple[int, ...], int]:
@@ -602,6 +602,8 @@ class TestSharedStreams:
     @example(events=1000, models=[QM, RNL], points=[(ZERO, 0), (TIED, 1), (ZERO, 0)], short=False)
     # two rows of BLOCK_SIZE // 2 events, the longest rows a chunk of two holds
     @example(events=BLOCK_SIZE // 2, models=[QM], points=[(ZERO, 0), (TIED, 1)], short=False)
+    # the difference-l class, which each law records, in a multi-block run
+    @example(events=BLOCK_SIZE + 17, models=[QM, QM], points=[(ZERO, 0), (TIED, 1)], short=True)
     def test_block_tallies_equal_the_concatenated_reference(self, events, models, points, short):
         # the causal rules and RNL are defined on the difference-L class only
         qm_only = all(model is QM for model in models)
@@ -614,7 +616,7 @@ class TestSharedStreams:
             ]
         ).view(np.recarray)
         laws = [predict(model, [phases for phases, _ in points], target) for model in models]
-        got = block_tallies(laws, [seed for _, seed in points], events, target)
+        got = block_tallies(laws, [seed for _, seed in points], events)
         assert_same_tallies(got, expected)
 
     @staticmethod
@@ -665,6 +667,20 @@ class TestSharedStreams:
         with pytest.raises(ValueError, match=message):
             block_tallies([predict(QM, [ZERO] * len(seeds))], seeds, events)
         assert built == []
+
+    def test_laws_of_two_classes_are_rejected_before_any_draw(self, monkeypatch):
+        # one call accepts the events of one class, the one its laws record
+        for name in ("_seed_words", "_pieces", "_sample_streams"):
+            monkeypatch.setattr(montecarlo, name, lambda *args, name=name: pytest.fail(name))
+        laws = [predict(QM, [ZERO], Subensemble.SHORT), predict(QM, [ZERO])]
+        with pytest.raises(ValueError, match=r"more than one arrival class \(L, l\)"):
+            block_tallies(laws, [0], 200_000)
+
+    def test_a_short_law_samples_the_short_class(self):
+        # the class comes from the law: no call can sample it for another
+        tallies = block_tallies([predict(QM, [ZERO], Subensemble.SHORT)], [0], 200_000)
+        assert summed(tallies) == run(QM, ZERO, 200_000, 0, Subensemble.SHORT)[0]
+        assert summed(tallies) != run(QM, ZERO, 200_000, 0)[0]
 
 
 def test_the_benchmark_tracer_reads_the_records():
@@ -882,7 +898,7 @@ class TestEstimator:
         # side-1 plus is the rarer outcome here, so the signed value is negative
         assert value == pytest.approx(-2 / 3, abs=0.01)
         row = _run_columns(
-            "simulate", QM, law_of(QM, ZERO), np.array([r]), LONG, [ZERO], 1_000_000, [42]
+            "simulate", QM, law_of(QM, ZERO), np.array([r]), [ZERO], 1_000_000, [42]
         )
         assert abs(value) == pytest.approx(row["e_analytic_qm"][0], abs=0.01)
         # the dominant counter holds 3/4 of the accepted events
@@ -1190,7 +1206,9 @@ class TestScan:
         settings, seeds = scan_points("alpha", grid, base, 21)
         [law], [counts] = sample([model], settings, seeds, 500)
         for k, (phases, seed, r) in enumerate(zip(settings, seeds, counts.tolist())):
-            row = Law(*(f if f is None else f[k : k + 1] for f in law))
+            row = law._replace(
+                **{name: f[k : k + 1] for name, f in zip(Law._fields[:3], law) if f is not None}
+            )
             assert_same_law(row, law_of(model, phases))
             assert tuple(r) == run(model, phases, 500, seed)[0]
 

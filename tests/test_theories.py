@@ -21,11 +21,14 @@ QM = TheoryModel(TheoryKind.QM)
 RNL = TheoryModel(TheoryKind.RNL)
 CAUSAL_1 = TheoryModel(TheoryKind.CAUSAL, TimeOrdering.PHOTON2_FIRST)
 CAUSAL_2 = TheoryModel(TheoryKind.CAUSAL, TimeOrdering.PHOTON1_FIRST)
+LONG = Subensemble.LONG
+#: A law's array fields, in record order; its class follows them.
+ARRAYS = Law._fields[:3]
 
 
 def joint(pp, pm, mp, mm) -> np.ndarray:
     """One validated joint row, as ``predict`` returns it for a grid of one."""
-    return Law(np.array([(pp, pm, mp, mm)]), None, None).validated().joint[0]
+    return Law(np.array([(pp, pm, mp, mm)]), None, None, LONG).validated().joint[0]
 
 
 def joint_at(sub: Subensemble, ph: PhaseSettings) -> np.ndarray:
@@ -34,17 +37,21 @@ def joint_at(sub: Subensemble, ph: PhaseSettings) -> np.ndarray:
 
 
 def assert_same_law(got: Law, want: Law) -> None:
-    """Every field is None in both laws or equal bit for bit, shape included."""
-    for name, a, b in zip(Law._fields, got, want):
+    """Both laws have one class, and every array field is None in both or
+    equal bit for bit, shape included."""
+    assert got.target is want.target
+    for name, a, b in zip(ARRAYS, got, want):
         assert (a is None) == (b is None), name
         assert a is None or np.array_equal(a, b), name
 
 
 def assert_grid_equals_point_by_point(model, grid, target):
     law = predict(model, grid, target)
-    assert all(field is None or len(field) == len(grid) for field in law)
+    assert all(field is None or len(field) == len(grid) for field in law[:3])
     for k, ph in enumerate(grid):
-        row = Law(*(None if field is None else field[k : k + 1] for field in law))
+        row = law._replace(
+            **{name: field[k : k + 1] for name, field in zip(ARRAYS, law) if field is not None}
+        )
         assert_same_law(row, predict(model, [ph], target))
 
 
@@ -306,6 +313,7 @@ class TestPredictGrid:
     def test_tied_setting_as_a_grid_of_one(self, model, target):
         law = predict(model, [self.TIED], target)
         assert isinstance(law, Law)
+        assert law.target is target
         for field, width in zip(law, (4, 2, 2)):
             assert field is None or field.shape == (1, width)
         assert_grid_equals_point_by_point(model, [self.TIED, self.TIED], target)
@@ -333,7 +341,7 @@ class TestPredictGrid:
         original = getattr(theories, table)
         monkeypatch.setattr(theories, table, lambda phases: calls.append(1) or original(phases))
         law = predict(model, self.SCAN_FINE)
-        assert all(field is None or len(field) == len(self.SCAN_FINE) for field in law)
+        assert all(field is None or len(field) == len(self.SCAN_FINE) for field in law[:3])
         assert len(calls) == 1
 
     @pytest.mark.parametrize(
@@ -369,9 +377,9 @@ class TestPredictGrid:
 class TestValueValidation:
     def test_singles_pair_must_sum_to_one(self):
         with pytest.raises(ValueError, match="singles probabilities must sum to 1"):
-            Law(None, np.array([(0.7, 0.7)]), None).validated()
+            Law(None, np.array([(0.7, 0.7)]), None, LONG).validated()
         with pytest.raises(ValueError, match=r"probability -0.2 outside \[0, 1\]"):
-            Law(None, None, np.array([(-0.2, 1.2)])).validated()
+            Law(None, None, np.array([(-0.2, 1.2)]), LONG).validated()
 
     def test_joint_distribution_validation(self):
         with pytest.raises(ValueError, match="joint probabilities must sum to 1"):
@@ -379,11 +387,11 @@ class TestValueValidation:
         with pytest.raises(ValueError, match=r"probability 1.5 outside \[0, 1\]"):
             joint(1.5, -0.5, 0.0, 0.0)
         with pytest.raises(ValueError, match="must cover the four outcomes"):
-            Law(np.array([(1.0,)]), None, None).validated()
+            Law(np.array([(1.0,)]), None, None, LONG).validated()
 
     def test_nan_is_outside_the_unit_interval(self):
         with pytest.raises(ValueError, match=r"probability nan outside \[0, 1\]"):
-            Law(None, np.array([(math.nan, 0.5)]), None).validated()
+            Law(None, np.array([(math.nan, 0.5)]), None, LONG).validated()
 
     BAD_ROWS = [
         pytest.param(QM, (1.5, 0.0, 0.0, 0.0), r"probability 1.5 outside \[0, 1\]", id="qm-entry"),
