@@ -13,16 +13,16 @@ arm of photon 2's first interferometer, ``gamma`` on the second one.  Each
 table is a pair of arrays: unit coefficients ``C[row, column]`` and integer
 phase exponents ``K[row, (alpha, beta, gamma)]``, so entry ``(row, column)``
 is ``magnitude * C[row, column] * exp(i * K[row] . phases)``.  The tables
-take a grid of :class:`PhaseSettings` and add a leading point axis.  The
-network derivation in :mod:`impactseries.bsnetwork` reproduces both tables
-independently, in the same coefficient/exponent form.
+take a grid, a sequence of :class:`PhaseSettings` or a ``(points, 3)`` array,
+and add a leading point axis.  The network derivation in
+:mod:`impactseries.bsnetwork` reproduces both tables independently, in the
+same coefficient/exponent form.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,21 +38,12 @@ JOINT_MAGNITUDE = 1.0 / (2.0 * math.sqrt(3.0))
 SINGLE_MAGNITUDE = 1.0 / math.sqrt(6.0)
 
 
-@dataclass(frozen=True)
-class PhaseSettings:
+class PhaseSettings(NamedTuple):
     """The three adjustable phases, in radians, on the long arms."""
 
     alpha: float = 0.0
     beta: float = 0.0
     gamma: float = 0.0
-
-    def __post_init__(self) -> None:
-        # rounding is monotonic, so this bounds every phase sum the tables form
-        if not math.isfinite(abs(self.alpha) + abs(self.beta) + abs(self.gamma)):
-            raise ValueError(
-                f"phases alpha={self.alpha:g} beta={self.beta:g} gamma={self.gamma:g}: "
-                "|alpha| + |beta| + |gamma| must be finite"
-            )
 
 
 #: Rows of the joint table: the difference-L class, then the difference-l class.
@@ -96,11 +87,22 @@ def evaluate(
     """Entry ``(point, row, column)`` is ``coefficients[row, column] * exp(i *
     exponents[row] . phases[point])``.
 
-    The exponent sum runs over an outer axis, term by term in phase order, so
-    a grid's tables and grids of one agree bit for bit.
+    ``phases``, settings or a ``(points, 3)`` array, is checked here: a bare
+    setting is a ``TypeError``, and a point whose ``|alpha| + |beta| +
+    |gamma|`` is not finite a ``ValueError``.  The exponent sum runs over an
+    outer axis, term by term in phase order, so a grid's tables and grids of
+    one agree bit for bit.
     """
-    values = (value for p in phases for value in (p.alpha, p.beta, p.gamma))
-    phi = np.fromiter(values, float, len(phases) * len(PHASE_NAMES)).reshape(-1, len(PHASE_NAMES))
+    phi = np.asarray(phases, dtype=float).reshape(-1, len(PHASE_NAMES))
+    if len(phi) != len(phases):
+        raise TypeError("phases must be a grid of settings; pass one setting as [phases]")
+    # rounding is monotonic, so this bounds every phase sum the tables form
+    with np.errstate(over="ignore"):
+        bad = ~np.isfinite(np.abs(phi).sum(axis=1))
+    if bad.any():
+        alpha, beta, gamma = phi[bad.argmax()].tolist()
+        message = f"phases alpha={alpha:g} beta={beta:g} gamma={gamma:g}: "
+        raise ValueError(message + "|alpha| + |beta| + |gamma| must be finite")
     angle = (phi.T[:, :, None] * exponents.T[:, None, :]).sum(axis=0)
     return coefficients * np.exp(1j * angle)[..., None]
 

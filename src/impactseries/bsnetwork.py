@@ -306,9 +306,7 @@ _TOLERANCE = 1e-9
 
 #: Every combination of values that mix symmetric and incommensurate angles,
 #: alpha-major, then beta, then gamma.
-_DEFAULT_GRID = tuple(
-    PhaseSettings(*point) for point in product((0.0, 0.7, 1.9, math.pi, 4.4), repeat=3)
-)
+_DEFAULT_GRID = tuple(product((0.0, 0.7, 1.9, math.pi, 4.4), repeat=3))
 
 
 @dataclass(frozen=True)
@@ -371,7 +369,7 @@ def _check(
     first_mismatch = None
     if failed.any():
         point, row, column = np.unravel_index(np.argmax(failed), failed.shape)
-        at = " ".join(f"{phase}={getattr(grid[point], phase):.6g}" for phase in PHASE_NAMES)
+        at = " ".join(f"{phase}={value:.6g}" for phase, value in zip(PHASE_NAMES, grid[point]))
         first_mismatch = f"{describe(point, row, column)} at {at}"
     max_deviation = float(deviations.max(initial=0.0))
     return CheckResult(name, max_deviation, _TOLERANCE, first_mismatch is None, first_mismatch)

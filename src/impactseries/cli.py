@@ -25,7 +25,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .amplitudes import CLASS_ROWS, PHASE_NAMES, PhaseSettings
+from .amplitudes import CLASS_ROWS, PHASE_NAMES, PhaseSettings, joint_amplitudes
 from .pathspace import OUTCOMES, Subensemble, TimeOrdering
 from .theories import Law, TheoryKind, TheoryModel, marginals, predict
 
@@ -102,7 +102,7 @@ def _json_cell(value) -> str:
 
 
 def _analytic_columns(
-    command: str, model: TheoryModel, settings: list[PhaseSettings], law: Law
+    command: str, model: TheoryModel, settings: Sequence[PhaseSettings], law: Law
 ) -> dict:
     """Rows with their provenance, phases and analytic columns (``law``, the law
     on the grid ``settings``, and its class), one row per setting.  A column is
@@ -114,8 +114,7 @@ def _analytic_columns(
         "ordering": model.ordering.value,
         "subensemble": law.target.value,
     }
-    for name in PHASE_NAMES:
-        columns[name] = np.fromiter((getattr(p, name) for p in settings), float, len(settings))
+    columns.update(zip(PHASE_NAMES, np.asarray(settings, dtype=float).T))
     for names, field in (
         (("p1_plus_analytic", "p1_minus_analytic"), law.side1),
         (("p2_plus_analytic", "p2_minus_analytic"), law.side2),
@@ -131,7 +130,7 @@ def _run_columns(
     model: TheoryModel,
     law: Law,
     counts: np.ndarray,
-    settings: list[PhaseSettings],
+    settings: Sequence[PhaseSettings],
     events: int,
     seeds: list[int],
     axis: str | None = None,
@@ -153,7 +152,8 @@ def _run_columns(
 
     columns = _analytic_columns(command, model, settings, law)
     accepted = counts.sum(axis=1)
-    n = len(settings)
+    n = len(accepted)
+    sums = (columns["alpha"] + columns["beta"]).tolist()
     columns.update(
         axis=axis,
         angle=columns.get(axis),
@@ -162,9 +162,7 @@ def _run_columns(
         accepted=accepted,
         rejected=events - accepted,
         acceptance_rate=accepted / events,
-        e_analytic_qm=np.fromiter(
-            ((2.0 / 3.0) * abs(math.cos(p.alpha + p.beta)) for p in settings), float, n
-        ),
+        e_analytic_qm=np.fromiter(((2.0 / 3.0) * abs(math.cos(s)) for s in sums), float, n),
         e_analytic_causal=0.0,  # the causal rules split side 1 evenly at any phase
     )
     columns.update(zip(("r_pp", "r_pm", "r_mp", "r_mm"), counts.T))
@@ -381,11 +379,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     from .montecarlo import point_seeds, sample
 
     phases = _phases_from(args)
+    joint_amplitudes([phases])  # checks the base point, the swept phase's value included
     grid = _parse_grid(args.grid, args.degrees)
     ordering = TimeOrdering(args.ordering)
     models = [TheoryModel(kind, ordering) for kind in (TheoryKind.QM, TheoryKind.RNL)]
-    settings = [PhaseSettings(**{**vars(phases), args.axis: angle}) for angle in grid.tolist()]
-    seeds = point_seeds(args.seed, len(settings))
+    settings = np.tile(phases, (len(grid), 1))
+    settings[:, PHASE_NAMES.index(args.axis)] = grid
+    seeds = point_seeds(args.seed, len(grid))
     laws, counts = sample(models, settings, seeds, args.events)
     parts = [
         _run_columns("compare", model, law, model_counts, settings, args.events, seeds, args.axis)
@@ -396,7 +396,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
     print(
         f"compare axis={args.axis} points={len(grid)} events_per_point={args.events} "
-        f"seed={args.seed} base {_fields(vars(phases), *PHASE_NAMES)}"
+        f"seed={args.seed} base {_fields(phases._asdict(), *PHASE_NAMES)}"
     )
     shown = ("model", "angle", "p1_plus_analytic", "p1_plus_mc", "e_value", "e_std_error")
     for batch in _batches(parts, shown):

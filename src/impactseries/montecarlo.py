@@ -394,11 +394,12 @@ def block_tallies(laws: Sequence[Law], seeds: Sequence[int], events: int) -> np.
     ``accepted``, their sum, and ``rejected``, the block's other events.
 
     Row ``k`` of every law is sampled from ``seeds[k]``, accepting the events
-    of the laws' shared ``target`` class; a law of another row count, or laws
-    of more than one class, are a ``ValueError``, and one bare :class:`Law`
-    (itself a tuple) a ``TypeError``.  ``events`` (an int from 1 to 2**48, as
-    block indices are 32-bit spawn keys), the seeds (64-bit ints) and the
-    class are checked before any draw; with no law or no seed the call
+    of the laws' shared ``target`` class; a law that fails
+    :meth:`Law.validated` or has another row count, or laws of more than one
+    class, are a ``ValueError``, and one bare :class:`Law` (itself a tuple) a
+    ``TypeError``.  ``events`` (an int from 1 to 2**48, as block indices are
+    32-bit spawn keys), the seeds (64-bit ints) and the laws are checked
+    before any seed word is hashed; with no law or no seed the call
     returns an empty record array.  Stream ``i``, block
     ``i // S`` of ``seeds[i % S]`` where ``S = len(seeds)``, is drawn once for
     every law.  The call forks one child per range of streams that
@@ -408,6 +409,8 @@ def block_tallies(laws: Sequence[Law], seeds: Sequence[int], events: int) -> np.
     if isinstance(laws, Law):
         raise TypeError("laws must be a sequence of Law records; pass one law as [law]")
     _require_runs(events, seeds)
+    for law in laws:
+        law.validated()
     targets = {law.target for law in laws}
     if len(targets) > 1:
         classes = ", ".join(sorted(target.value for target in targets))

@@ -71,18 +71,33 @@ class Law(NamedTuple):
     target: Subensemble
 
     def validated(self) -> Law:
-        """This law, once every row of every defined field is checked.
+        """This law, once its class, its shapes and every row are checked.
 
-        Raises ``ValueError`` for a joint law that is not four outcomes wide,
-        an entry outside [0, 1] or a row that does not sum to 1.
+        Raises ``ValueError`` for a ``target`` that is not a :class:`Subensemble`,
+        no defined field, fields not 2-D or not of one row count, a joint law not
+        four outcomes wide or singles not two wide, an entry outside [0, 1], a
+        row that does not sum to 1, or a side that is not the joint's marginal.
         """
+        if not isinstance(self.target, Subensemble):
+            raise ValueError(f"law target {self.target!r} is not an arrival-time class")
+        defined = [field for field in self[:3] if field is not None]
+        if not defined:
+            raise ValueError("a law must define a joint law or a side's singles")
+        if any(field.ndim != 2 for field in defined) or len(set(map(len, defined))) > 1:
+            raise ValueError("a law's fields must be 2-D and share one row count")
         if self.joint is not None:
             if self.joint.shape[1] != len(OUTCOMES):
                 raise ValueError("joint distribution must cover the four outcomes")
             _check_rows(self.joint, "joint")
         for side in (self.side1, self.side2):
             if side is not None:
+                if side.shape[1] != 2:
+                    raise ValueError("singles must cover the + and - detectors")
                 _check_rows(side, "singles")
+        if self.joint is not None:
+            for side, marginal in zip((self.side1, self.side2), marginals(self.joint)):
+                if side is not None and (np.abs(side - marginal) > _PROBABILITY_TOL).any():
+                    raise ValueError("each side's singles must be the joint law's marginal")
         return self
 
 
@@ -137,8 +152,8 @@ def predict(
     ordering) but no joint law.  The causal rules are built from the
     difference-L class's paths, so any other target is a ``ValueError``,
     raised before any table is evaluated.  The whole grid is one table
-    evaluation, and the returned :class:`Law`, which records ``target``, is
-    validated once, row by row; one setting is the grid ``[phases]``.
+    evaluation, which checks the phases under every rule, and the returned
+    :class:`Law`, which records ``target``, is validated once, row by row.
     """
     if model.kind is TheoryKind.QM:
         if target not in CLASS_ROWS:
@@ -154,15 +169,11 @@ def predict(
         # the causal rule defines only the first-impacting photon's singles; RNL
         # applies the causal rules to both photons under any time ordering
         first = model.ordering if model.kind is TheoryKind.CAUSAL else None
-        # photon 1 impacting first: the arm it took remains knowable, so its
-        # alternatives add as probabilities and split evenly at every phase
-        side1 = None if first is TimeOrdering.PHOTON2_FIRST else np.full((len(phases), 2), 0.5)
         # photon 2 impacting first: Ll and lL stay indistinguishable and
         # interfere, while LL is distinguishable at impact time
-        side2 = (
-            None
-            if first is TimeOrdering.PHOTON1_FIRST
-            else interference_law(single_amplitudes(phases), SEQUENTIAL_GROUPS)
-        )
-        law = Law(None, side1, side2, target)
+        side2 = interference_law(single_amplitudes(phases), SEQUENTIAL_GROUPS)
+        # photon 1 impacting first: the arm it took remains knowable, so its
+        # alternatives add as probabilities and split evenly at every phase
+        side1 = None if first is TimeOrdering.PHOTON2_FIRST else np.full_like(side2, 0.5)
+        law = Law(None, side1, None if first is TimeOrdering.PHOTON1_FIRST else side2, target)
     return law.validated()

@@ -18,6 +18,7 @@ from impactseries.amplitudes import (
     joint_amplitudes,
     single_amplitudes,
 )
+from impactseries.bsnetwork import SplitterConvention, default_geometry, validate_against_reference
 from impactseries.pathspace import (
     OUTCOMES,
     Arm,
@@ -26,8 +27,10 @@ from impactseries.pathspace import (
     PathPair,
     Sign,
     Subensemble,
+    TimeOrdering,
     members,
 )
+from impactseries.theories import TheoryKind, TheoryModel, predict
 
 TOL = 1e-12
 
@@ -35,6 +38,26 @@ C = JOINT_MAGNITUDE  # 1/(2*sqrt(3))
 S = SINGLE_MAGNITUDE  # 1/sqrt(6)
 
 phases_strategy = st.floats(min_value=-8 * math.pi, max_value=8 * math.pi)
+
+#: Every public reader of a phase grid: the two tables, each rule's law in its
+#: domain and the oracle's check of the tables.
+GRID_READERS = [
+    joint_amplitudes,
+    single_amplitudes,
+    *(
+        lambda grid, model=model, target=target: predict(model, grid, target)
+        for model, target in [
+            (TheoryModel(TheoryKind.QM), Subensemble.LONG),
+            (TheoryModel(TheoryKind.QM), Subensemble.SHORT),
+            (TheoryModel(TheoryKind.RNL), Subensemble.LONG),
+            (TheoryModel(TheoryKind.CAUSAL, TimeOrdering.PHOTON2_FIRST), Subensemble.LONG),
+            (TheoryModel(TheoryKind.CAUSAL, TimeOrdering.PHOTON1_FIRST), Subensemble.LONG),
+        ]
+    ),
+    lambda grid: validate_against_reference(
+        default_geometry(), SplitterConvention(), phase_grid=grid
+    ),
+]
 
 
 def pair(label1: str, label2: str) -> PathPair:
@@ -216,14 +239,16 @@ class TestContracts:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_phases_must_be_finite(self, bad):
-        with pytest.raises(ValueError):
-            PhaseSettings(alpha=bad)
+        for read in GRID_READERS:
+            with pytest.raises(ValueError):
+                read([PhaseSettings(alpha=bad)])
 
     @pytest.mark.parametrize(
         "phases", [(1e308, 1e308, 0.0), (0.0, -1e308, 1e308), (6e307, 6e307, -6e307)]
     )
     def test_phase_magnitudes_must_have_a_finite_sum(self, phases):
         # every phase is finite, but a sum the tables form may overflow
-        with pytest.raises(ValueError, match="alpha.*beta.*gamma"):
-            PhaseSettings(*phases)
-        PhaseSettings(*(phase / 2 for phase in phases))
+        for read in GRID_READERS:
+            with pytest.raises(ValueError, match="alpha.*beta.*gamma"):
+                read([PhaseSettings(*phases)])
+            read([PhaseSettings(*(phase / 2 for phase in phases))])

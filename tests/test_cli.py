@@ -425,6 +425,8 @@ class TestCompare:
         ["simulate", "--model", "qm", "--alpha", "1e308", "--beta", "1e308", "--events", "100"],
         # the base phases pass; the last grid point's alpha + beta does not
         ["compare", "--grid", "0:1e308:3", "--beta", "1e308", "--events", "100"],
+        # every grid point passes, but the base point, swept phase included, does not
+        ["compare", "--alpha", "1e308", "--beta", "1e308", "--grid", "0:1:3", "--events", "100"],
     ],
 )
 def test_phase_sum_overflow_is_one_error_line(argv, capsys):

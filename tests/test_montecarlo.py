@@ -1,6 +1,5 @@
 """Monte Carlo engine: determinism, partition independence, statistics."""
 
-import dataclasses
 import importlib.util
 import itertools
 import math
@@ -111,8 +110,8 @@ def run(model, phases, events, seed, target=LONG) -> tuple[tuple[int, ...], int]
 
 
 def scan_points(axis, grid, base, seed) -> tuple[list[PhaseSettings], list[int]]:
-    """A scan's settings and point seeds, built as ``compare`` builds them."""
-    settings = [dataclasses.replace(base, **{axis: float(angle)}) for angle in grid]
+    """A scan's settings and point seeds, with the values ``compare`` gives them."""
+    settings = [base._replace(**{axis: float(angle)}) for angle in grid]
     return settings, point_seeds(seed, len(grid))
 
 
@@ -675,6 +674,36 @@ class TestSharedStreams:
         laws = [predict(QM, [ZERO], Subensemble.SHORT), predict(QM, [ZERO])]
         with pytest.raises(ValueError, match=r"more than one arrival class \(L, l\)"):
             block_tallies(laws, [0], 200_000)
+
+    # laws that no sampler can draw from, each checked before any seed word
+    # is hashed; alpha = 0.3 gives side 1 unequal singles
+    TILTED = predict(QM, [PhaseSettings(0.3)])
+    PAIR = predict(QM, [ZERO, ZERO])
+    UNSAMPLEABLE = [
+        pytest.param(
+            Law(np.array([[0.5] * 4]), None, None, LONG), [0], "joint probabilities must sum to 1",
+            id="joint-sums-to-2",
+        ),
+        pytest.param(Law(None, None, None, LONG), [0], "must define", id="nothing-defined"),
+        pytest.param(Law(np.full(4, 0.25), None, None, LONG), [0], "2-D", id="joint-1-d"),
+        pytest.param(
+            TILTED._replace(side1=TILTED.side1[:, ::-1]), [0], "joint law's marginal",
+            id="side1-swapped",
+        ),
+        pytest.param(
+            PAIR._replace(side1=PAIR.side1[:1]), [0, 1], "one row count", id="side1-one-row"
+        ),
+        pytest.param(TILTED._replace(target="L"), [0], "not an arrival-time class", id="target-str"),
+    ]
+
+    @pytest.mark.parametrize("law, seeds, message", UNSAMPLEABLE)
+    def test_a_law_it_cannot_sample_is_rejected_before_any_draw(
+        self, law, seeds, message, monkeypatch
+    ):
+        for name in ("_seed_words", "_pieces", "_sample_streams"):
+            monkeypatch.setattr(montecarlo, name, lambda *args, name=name: pytest.fail(name))
+        with pytest.raises(ValueError, match=message):
+            block_tallies([law], seeds, 10_000)
 
     def test_a_short_law_samples_the_short_class(self):
         # the class comes from the law: no call can sample it for another

@@ -307,7 +307,10 @@ class TestPredictGrid:
 
     @pytest.mark.parametrize("model, target", IN_DOMAIN)
     def test_scan_fine_grid_equals_point_by_point(self, model, target):
-        assert_grid_equals_point_by_point(model, self.SCAN_FINE + [self.TIED], target)
+        grid = self.SCAN_FINE + [self.TIED]
+        assert_grid_equals_point_by_point(model, grid, target)
+        # a list of settings and a (points, 3) array are the same grid
+        assert_same_law(predict(model, np.asarray(grid), target), predict(model, grid, target))
 
     @pytest.mark.parametrize("model, target", IN_DOMAIN)
     def test_tied_setting_as_a_grid_of_one(self, model, target):
@@ -373,6 +376,14 @@ class TestPredictGrid:
         with pytest.raises(TypeError):
             predict(model, PhaseSettings(0.3, 1.0, -0.5), target)
 
+    @pytest.mark.parametrize(
+        "grid", [["nonsense", None], [(math.inf, 0, 0)]], ids=["not-phases", "infinite"]
+    )
+    def test_a_rule_without_a_table_still_reads_its_grid(self, grid):
+        # causal ordering 2's law is the constant 1/2, yet its grid is checked
+        with pytest.raises(ValueError):
+            predict(CAUSAL_2, grid)
+
 
 class TestValueValidation:
     def test_singles_pair_must_sum_to_one(self):
@@ -380,6 +391,8 @@ class TestValueValidation:
             Law(None, np.array([(0.7, 0.7)]), None, LONG).validated()
         with pytest.raises(ValueError, match=r"probability -0.2 outside \[0, 1\]"):
             Law(None, None, np.array([(-0.2, 1.2)]), LONG).validated()
+        with pytest.raises(ValueError, match="singles must cover the . and . detectors"):
+            Law(None, np.array([(0.5, 0.25, 0.25)]), None, LONG).validated()
 
     def test_joint_distribution_validation(self):
         with pytest.raises(ValueError, match="joint probabilities must sum to 1"):
