@@ -87,15 +87,19 @@ def evaluate(
     """Entry ``(point, row, column)`` is ``coefficients[row, column] * exp(i *
     exponents[row] . phases[point])``.
 
-    ``phases``, settings or a ``(points, 3)`` array, is checked here: a bare
-    setting is a ``TypeError``, and a point whose ``|alpha| + |beta| +
-    |gamma|`` is not finite a ``ValueError``.  The exponent sum runs over an
-    outer axis, term by term in phase order, so a grid's tables and grids of
-    one agree bit for bit.
+    ``phases``, settings or a ``(points, 3)`` array, is checked here: a grid
+    that is not numbers is a ``ValueError``, a bare setting or any other shape
+    a ``TypeError``, and a point whose ``|alpha| + |beta| + |gamma|`` is not
+    finite a ``ValueError``.  The exponent sum runs over an outer axis, term by
+    term in phase order, so a grid's tables and grids of one agree bit for bit.
     """
-    phi = np.asarray(phases, dtype=float).reshape(-1, len(PHASE_NAMES))
-    if len(phi) != len(phases):
+    try:
+        phi = np.asarray(phases, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError("phases must be a grid of (alpha, beta, gamma) numbers") from None
+    if phi.shape[1:] != (len(PHASE_NAMES),) and phi.shape != (0,):
         raise TypeError("phases must be a grid of settings; pass one setting as [phases]")
+    phi = phi.reshape(-1, len(PHASE_NAMES))
     # rounding is monotonic, so this bounds every phase sum the tables form
     with np.errstate(over="ignore"):
         bad = ~np.isfinite(np.abs(phi).sum(axis=1))

@@ -208,28 +208,10 @@ def _fields(row: dict, *names: str) -> str:
 
 def _column_texts(values: Sequence, cell, prefix: str) -> list[str]:
     """``prefix + cell(value)`` for each of ``values``, one column's cells of
-    one batch: each distinct cell, or a tuple's one value, formatted once.
-
-    Floats have a memo apart from the str, int and empty cells, as ``1 ==
-    1.0`` prints differently; a zero float is keyed with its sign, as ``0.0 ==
-    -0.0``, and NaN, which equals nothing, is formatted afresh."""
+    one batch; a tuple's one value is formatted once."""
     if type(values) is tuple:
         return [prefix + cell(values[0])] * len(values)
-    floats, others, texts = {}, {}, []
-    for value in values:
-        kind = type(value)
-        if kind is float and value == value:
-            memo, key = floats, value or (value, math.copysign(1.0, value))
-        elif kind is str or kind is int or value is None:
-            memo, key = others, value
-        else:
-            texts.append(prefix + cell(value))
-            continue
-        text = memo.get(key)
-        if text is None:
-            text = memo[key] = prefix + cell(value)
-        texts.append(text)
-    return texts
+    return [prefix + cell(value) for value in values]
 
 
 def _emit(parts: list[dict], fmt: str, out_path: str) -> None:

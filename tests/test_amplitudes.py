@@ -252,3 +252,25 @@ class TestContracts:
             with pytest.raises(ValueError, match="alpha.*beta.*gamma"):
                 read([PhaseSettings(*phases)])
             read([PhaseSettings(*(phase / 2 for phase in phases))])
+
+    @pytest.mark.parametrize(
+        "grid",
+        [["nonsense", None], [(0, 0, 0), (1, 2)], [(object(), 0, 0)]],
+        ids=["not-numbers", "ragged", "objects"],
+    )
+    def test_a_grid_of_other_than_numbers_is_a_value_error(self, grid):
+        # in the contract's words, not numpy's
+        for read in GRID_READERS:
+            with pytest.raises(ValueError, match=r"grid of \(alpha, beta, gamma\) numbers"):
+                read(grid)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [[(1, 2)], [None], [[(0, 0, 0)]], np.zeros((2, 3, 1)), [[], []]],
+        ids=["pairs", "none", "nested", "deep-array", "empty-rows"],
+    )
+    def test_a_grid_of_another_shape_is_a_type_error(self, grid):
+        # numbers, but not one (alpha, beta, gamma) row per point
+        for read in GRID_READERS:
+            with pytest.raises(TypeError, match="must be a grid of settings"):
+                read(grid)

@@ -514,7 +514,8 @@ class TestJsonWriter:
     def written(rows, tmp_path, fmt="json", column=list):
         out_file = tmp_path / f"rows.{fmt}"
         _emit([{c: column([row[c] for row in rows]) for c in COLUMNS}], fmt, str(out_file))
-        return out_file.read_text(encoding="utf-8")
+        # bytes as written: reading as text would turn a cell's "\r" into "\n"
+        return out_file.read_bytes().decode("utf-8")
 
     @COLUMN_KINDS
     @pytest.mark.parametrize("count", [1, 2, len(VALUES)])
@@ -530,7 +531,11 @@ class TestJsonWriter:
     @given(
         values=st.lists(
             st.lists(
-                st.one_of(st.none(), st.text(), st.integers(), st.floats()),
+                st.one_of(
+                    st.none(), st.text(), st.integers(), st.floats(),
+                    # text the CSV writer must quote
+                    st.sampled_from(["a,b", 'say "hi"', "two\nlines", "cr\r\nlf", " ,\""]),
+                ),
                 min_size=len(COLUMNS),
                 max_size=len(COLUMNS),
             ),
@@ -539,10 +544,17 @@ class TestJsonWriter:
         )
     )
     def test_equals_json_dumps_on_drawn_rows(self, values, tmp_path_factory):
+        # and, written as CSV, the csv module's writer over the formatted cells
         rows = [dict(zip(COLUMNS, row)) for row in values]
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(COLUMNS)
+        writer.writerows([_format_cell(row[c]) for c in COLUMNS] for row in rows)
         for column in COLUMN_TYPES:
             written = self.written(rows, tmp_path_factory.mktemp("rows"), column=column)
             assert written == json_dumps_rows(rows)
+            written = self.written(rows, tmp_path_factory.mktemp("rows"), "csv", column)
+            assert written == expected.getvalue()
 
     # a column meets each of these again and again, across the batches the
     # writer formats at a time: equal keys that print apart (0.0 and -0.0,

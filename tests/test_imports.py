@@ -1,9 +1,11 @@
-"""No module imports a name it never uses, README names no missing one, and
-every public name of the package has a reader.
+"""No module imports a name it never uses, README names no missing one,
+every public name of the package has a reader, and every private one is
+read inside the package.
 
 CI enforces the first with ``python -m pyflakes src tests``; this test applies
 the same unused-import rule with the standard library alone, so it runs
-wherever the tier-1 tests run.  The public-surface rule is stdlib-only too.
+wherever the tier-1 tests run.  The public-surface and private-name rules are
+stdlib-only too.
 """
 
 import ast
@@ -84,25 +86,31 @@ PACKAGE = sorted((ROOT / "src" / "impactseries").glob("*.py"))
 CODE_SPAN = re.compile(r"```.*?```|`[^`]+`", re.DOTALL)
 
 
-def public_names(source: str) -> list[str]:
-    """The public module-level ``def``, ``class`` and assigned names of ``source``."""
+def defined_names(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
+    """Each module-level ``def``, ``class`` and assigned name of ``tree``, with
+    the statement that defines it."""
     names = []
-    for node in ast.parse(source).body:
+    for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names.append(node.name)
+            names.append((node.name, node))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-    return [name for name in names if not name.startswith("_")]
+            names += [(n.id, node) for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return names
 
 
-def referenced_names(source: str) -> set[str]:
-    """Every name ``source`` reads, imports or reaches as an attribute."""
+def public_names(source: str) -> list[str]:
+    """The public module-level ``def``, ``class`` and assigned names of ``source``."""
+    return [name for name, _ in defined_names(ast.parse(source)) if not name.startswith("_")]
+
+
+def referenced_names(tree: ast.AST) -> set[str]:
+    """Every name ``tree`` reads, imports or reaches as an attribute."""
     names = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             names.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name)
@@ -116,7 +124,7 @@ def readerless_names(modules: dict[str, str], readme: str, harness: str) -> list
     does not name."""
     documented = {word for span in CODE_SPAN.findall(readme) for word in re.findall(r"\w+", span)}
     named = documented | set(re.findall(r"\w+", harness))
-    readers = {module: referenced_names(source) for module, source in modules.items()}
+    readers = {module: referenced_names(ast.parse(source)) for module, source in modules.items()}
     return [
         f"{module}.{name}"
         for module, source in modules.items()
@@ -146,3 +154,36 @@ def test_every_public_name_has_a_reader():
         for path in [*sorted((ROOT / "bench").glob("*.py")), ROOT / "pyproject.toml"]
     )
     assert readerless_names(modules, readme, harness) == []
+
+
+def unread_private_names(modules: dict[str, str]) -> list[str]:
+    """``module.name`` for each private, non-dunder name that a module of
+    ``modules`` (module name to source) defines at module level and that no
+    statement of ``modules`` references, apart from the one defining it."""
+    trees = {module: ast.parse(source) for module, source in modules.items()}
+    statements = [(node, referenced_names(node)) for tree in trees.values() for node in tree.body]
+    return [
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name, definition in defined_names(tree)
+        if name.startswith("_") and not name.startswith("__")
+        and not any(name in refs for node, refs in statements if node is not definition)
+    ]
+
+
+def test_the_rule_finds_a_private_name_without_a_reader():
+    modules = {
+        "a": "__all__ = ['run']\n_LIMIT, _SPARE = 1, 2\nclass _Box: pass\n"
+             "def _recurse(n): return _recurse(n - 1)\ndef _used(): return _LIMIT\n"
+             "def run():\n    global _SPARE\n    _SPARE = 3\n    return _Box()\n",
+        "b": "from a import _used\nimport a\nVALUE = _used() + a._table()\n",
+        "c": "def _table(): pass\n",
+    }
+    assert unread_private_names(modules) == ["a._SPARE", "a._recurse"]
+
+
+def test_every_private_name_has_a_reader():
+    # tests, README and the benchmark scripts do not count: a private name
+    # that only they read is dead code in the package
+    modules = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE}
+    assert unread_private_names(modules) == []
