@@ -167,31 +167,33 @@ def _sampled_law(law: Law) -> np.ndarray:
     return (side1[:, :, None] * side2[:, None, :]).reshape(-1, len(OUTCOMES))
 
 
-def _accepted_counts(
-    u_class: np.ndarray,
-    u_outcome: np.ndarray,
-    accept: tuple[float, float],
-    edges: np.ndarray,
-    mask: np.ndarray,
-    scratch: np.ndarray,
-) -> list[list[tuple[int, int, int, int]]]:
-    """Outcome counts, four per law and row of draws, of the events whose
-    class draw lies in ``accept``, the interval ``[lo, hi)``.
-
-    Event ``e`` of row ``i`` is accepted when ``lo <= u_class[i, e] < hi``,
-    and under law ``m`` its outcome is category ``k`` when ``c[k-1] <=
-    u_outcome[i, e] < c[k]``, where ``c`` is ``edges[m, i]`` followed by 1.0,
-    above every uniform; this equals ``bincount(searchsorted(c, accepted,
-    side="right"))``.  Tied edges (a category of probability zero) give a zero
-    count.  The class mask is made once for all the laws.  ``mask`` and
-    ``scratch`` are ``bool`` buffers shaped like ``u_class``; both are
-    overwritten, and no draw is gathered.
-    """
+def _class_mask(
+    u_class: np.ndarray, accept: tuple[float, float], mask: np.ndarray, scratch: np.ndarray
+) -> None:
+    """Sets ``mask`` where a class draw of ``u_class`` lies in ``accept``,
+    the interval ``[lo, hi)``; ``mask`` and ``scratch`` are ``bool`` buffers
+    shaped like ``u_class``, and both are overwritten."""
     lo, hi = accept
     np.greater_equal(u_class, lo, out=mask)
     np.less(u_class, hi, out=scratch)
     np.logical_and(mask, scratch, out=mask)
-    if len(u_class) == 1:
+
+
+def _accepted_counts(
+    u_outcome: np.ndarray, mask: np.ndarray, edges: np.ndarray, scratch: np.ndarray
+) -> list[list[tuple[int, int, int, int]]]:
+    """Outcome counts, four per law and row of draws, of the events set in
+    ``mask`` (see :func:`_class_mask`).
+
+    Under law ``m`` an accepted event ``e`` of row ``i`` has outcome category
+    ``k`` when ``c[k-1] <= u_outcome[i, e] < c[k]``, where ``c`` is
+    ``edges[m, i]`` followed by 1.0, above every uniform; this equals
+    ``bincount(searchsorted(c, accepted, side="right"))``.  Tied edges (a
+    category of probability zero) give a zero count.  ``scratch`` is a
+    ``bool`` buffer shaped like ``u_outcome`` and ``mask``, and is
+    overwritten; no draw is gathered.
+    """
+    if len(u_outcome) == 1:
         # a single row compares with Python floats, which spares numpy's
         # broadcast set-up on each call (~2% of a full block's time), and is
         # counted flat
@@ -234,19 +236,18 @@ def _sample_streams(
     Stream ``i`` is block ``i // S``, of ``sizes[i // S]`` events, of seed
     ``i % S``, where ``S`` is the seed count of ``edges``, the laws' ``(laws,
     seeds, 3)`` outcome edges; law ``m`` counts it into ``[m, i % S, block]``,
-    accepting the class draws in ``accept`` and against ``edges[m, i % S]``
-    (see :func:`_accepted_counts`).  Row ``k`` of ``words`` holds the
-    :func:`_seed_words` of stream ``streams[k]``, whose state is set in turn
-    on one generator.  Up to ``BLOCK_SIZE // size`` consecutive streams of one
-    block are drawn into a reused buffer, whose first row holds their class
-    draws and second row their outcome draws, and counted at once.
+    accepting the class draws in ``accept`` and against ``edges[m, i % S]``.
+    Row ``k`` of ``words`` holds the :func:`_seed_words` of stream
+    ``streams[k]``, whose state is set in turn on one generator.  Up to
+    ``BLOCK_SIZE // size`` consecutive streams of one block form a chunk of
+    one reused buffer: each stream's class draws are masked as they are drawn
+    (:func:`_class_mask`), and its outcome draws overwrite them; the chunk is
+    then counted at once (:func:`_accepted_counts`).
     """
     counts = np.zeros((*edges.shape[:2], len(sizes), len(OUTCOMES)), dtype=np.int64)
     # a chunk holds at most one full block, and never more than the streams draw
     capacity = min(BLOCK_SIZE, len(streams) * sizes[0])
-    draws = np.empty((2, capacity))
-    mask = np.empty(capacity, dtype=bool)
-    scratch = np.empty(capacity, dtype=bool)
+    buffers = np.empty(capacity), np.empty(capacity, dtype=bool), np.empty(capacity, dtype=bool)
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
     # one row of words at a time: a list of them all would hold ~0.3 MB more
@@ -261,19 +262,13 @@ def _sample_streams(
         # the chunk ends with the block's last seed at the latest
         n = min(max(1, BLOCK_SIZE // size), streams.stop - i, seeds - s)
         i += n
-        u_class, u_outcome = draws[:, : n * size].reshape(2, n, size)
-        for class_row, outcome_row in zip(u_class, u_outcome):
+        u, mask, scratch = (buffer[: n * size].reshape(n, size) for buffer in buffers)
+        for row, mask_row, scratch_row in zip(u, mask, scratch):
             bit_generator.state = _pcg64_state(next(stream_words).tolist())
-            rng.random(out=class_row)
-            rng.random(out=outcome_row)
-        counts[:, s : s + n, block] = _accepted_counts(
-            u_class,
-            u_outcome,
-            accept,
-            edges[:, s : s + n],
-            mask[: n * size].reshape(n, size),
-            scratch[: n * size].reshape(n, size),
-        )
+            rng.random(out=row)
+            _class_mask(row, accept, mask_row, scratch_row)
+            rng.random(out=row)
+        counts[:, s : s + n, block] = _accepted_counts(u, mask, edges[:, s : s + n], scratch)
     return counts
 
 

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from impactseries.montecarlo import (
     _BLOCKS_PER_WORKER,
     _CLASS_INTERVALS,
     _accepted_counts,
+    _class_mask,
     _pieces,
     _sampled_law,
 )
@@ -731,12 +733,45 @@ def test_the_benchmark_tracer_reads_the_records():
     assert counts["accepted"] == tallies.r.sum() > 0
 
 
+def test_a_sampler_call_draws_into_one_block_of_memory(monkeypatch):
+    # each stream's outcome draws overwrite its class draws once they are
+    # masked, so a call's draws take one block of float64 values (8 bytes an
+    # event); the bound adds the mask and scratch buffers (2 bytes an event),
+    # the buffer numpy's iterator fills from a multi-row chunk's threshold
+    # column (up to 8,192 float64 values) and slack, and stays below the two
+    # blocks that separate class and outcome rows take.  numpy reports its
+    # data buffers to tracemalloc; an untraced first call imports
+    # numpy.random.
+    peaks = []
+    sample_streams = montecarlo._sample_streams
+
+    def traced(*args):
+        sample_streams(*args)
+        tracemalloc.start()
+        try:
+            return sample_streams(*args)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(montecarlo, "_sample_streams", traced)
+    monkeypatch.setattr(montecarlo, "_pieces", lambda *args: [])
+    block_tallies([law_of(QM, ZERO)], [5], 3 * BLOCK_SIZE + 17)
+    # scan-shaped: 70 one-block streams of 1,000 events under two laws
+    settings, seeds = scan_points("alpha", np.linspace(0.0, 3.0, 70), ZERO, 3)
+    block_tallies([predict(QM, settings), predict(RNL, settings)], seeds, 1000)
+    assert len(peaks) == 2
+    assert max(peaks) < BLOCK_SIZE * 10 + 2 * 2**16 < 2 * BLOCK_SIZE * 8, peaks
+
+
 def accepted_counts(u_class, u_outcome, lo, hi, cumulative):
-    """``_accepted_counts`` of one row of draws under one law, with fresh mask
-    and scratch buffers."""
+    """``_accepted_counts`` of one row of draws under one law, masked by
+    ``_class_mask`` as the sampler masks a stream, with fresh mask and scratch
+    buffers."""
     edges = np.array([[cumulative[:-1]]])
-    buffers = [np.empty((1, len(u_class)), dtype=bool) for _ in range(2)]
-    [[counts]] = _accepted_counts(u_class[None], u_outcome[None], (lo, hi), edges, *buffers)
+    mask, scratch = (np.empty((1, len(u_class)), dtype=bool) for _ in range(2))
+    _class_mask(u_class[None], (lo, hi), mask, scratch)
+    [[counts]] = _accepted_counts(u_outcome[None], mask, edges, scratch)
     return counts
 
 
@@ -821,8 +856,9 @@ class TestThresholdCounts:
         edges = cum[:, :-1].reshape(laws, rows, 3)
         lo, hi = accept
         u = np.random.default_rng(seed).random((rows, 2 * size))
-        buffers = [np.empty((rows, size), dtype=bool) for _ in range(2)]
-        together = _accepted_counts(u[:, :size], u[:, size:], (lo, hi), edges, *buffers)
+        mask, scratch = (np.empty((rows, size), dtype=bool) for _ in range(2))
+        _class_mask(u[:, :size], (lo, hi), mask, scratch)
+        together = _accepted_counts(u[:, size:], mask, edges, scratch)
         assert len(together) == laws
         for law_edges, law_counts in zip(edges, together):
             assert len(law_counts) == rows
