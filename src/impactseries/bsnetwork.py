@@ -16,7 +16,10 @@ arm (one stage), and the long arm may carry one of the named phases.  Photon
 1 has one stage; photon 2 has two, with the middle splitter shared between
 them, which is the default reading of the layout (it reproduces the reference
 tables; a chain with a separate exit and entrance splitter in the middle does
-not).  Detectors sit on the two output ports of the last splitter.
+not).  Detectors sit on the two output ports of the last splitter.  The
+wiring records are plain ``NamedTuple``s; the wiring rules (ports, phases, no
+dangling port, one stage for photon 1 and two for photon 2) are checked in one
+place, which both :func:`parse_geometry` and :func:`derive_tables` call.
 
 Geometry file format (``#`` starts a comment)::
 
@@ -43,10 +46,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from itertools import product
-from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -72,8 +73,7 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _PORTS = ("a", "b")
 
 
-@dataclass(frozen=True)
-class SplitterConvention:
+class SplitterConvention(NamedTuple):
     """Transmission/reflection amplitudes of the (identical) splitters."""
 
     t: complex = complex(_INV_SQRT2, 0.0)
@@ -89,41 +89,20 @@ class SplitterConvention:
             )
 
 
-@dataclass(frozen=True)
-class ArmWiring:
+class ArmWiring(NamedTuple):
     """One arm: out-port it leaves on, in-port it arrives on, optional phase."""
 
     out_port: str
     in_port: str
     phase: str | None = None
 
-    def __post_init__(self) -> None:
-        if self.out_port not in _PORTS or self.in_port not in _PORTS:
-            raise ValueError(f"ports must be one of {_PORTS}")
-        if self.phase is not None and self.phase not in PHASE_NAMES:
-            raise ValueError(f"phase must be one of {PHASE_NAMES}")
 
-
-@dataclass(frozen=True)
-class Stage:
+class Stage(NamedTuple):
     short: ArmWiring
     long: ArmWiring
 
-    def __post_init__(self) -> None:
-        if self.short.out_port == self.long.out_port:
-            raise ValueError(
-                f"both arms leave on out-port {self.short.out_port}; "
-                f"the other out-port dangles"
-            )
-        if self.short.in_port == self.long.in_port:
-            raise ValueError(
-                f"both arms arrive on in-port {self.short.in_port}; "
-                f"the other in-port dangles"
-            )
 
-
-@dataclass(frozen=True)
-class PhotonWiring:
+class PhotonWiring(NamedTuple):
     """A photon's splitter cascade: source port, stages, detector ports."""
 
     source_port: str
@@ -131,21 +110,39 @@ class PhotonWiring:
     detector_plus: str
     detector_minus: str
 
-    def __post_init__(self) -> None:
-        if self.source_port not in _PORTS:
-            raise ValueError(f"source port must be one of {_PORTS}")
-        if not self.stages:
-            raise ValueError("a cascade needs at least one stage")
-        if self.detector_plus not in _PORTS or self.detector_minus not in _PORTS:
-            raise ValueError(f"detector ports must be one of {_PORTS}")
-        if self.detector_plus == self.detector_minus:
-            raise ValueError("both detectors on one out-port; the other dangles")
 
-
-@dataclass(frozen=True)
-class Geometry:
+class Geometry(NamedTuple):
     photon1: PhotonWiring
     photon2: PhotonWiring
+
+
+def _check_wiring(geometry: Geometry) -> None:
+    """Raise ``ValueError`` at the first wiring fault of ``geometry``: photon
+    by photon, each stage's arms, then the stage, then the source and detector
+    ports; the stage counts, which the reference tables fix, come last."""
+    for photon in geometry:
+        for short, long in photon.stages:
+            for arm in (short, long):
+                if arm.out_port not in _PORTS or arm.in_port not in _PORTS:
+                    raise ValueError(f"ports must be one of {_PORTS}")
+                if arm.phase is not None and arm.phase not in PHASE_NAMES:
+                    raise ValueError(f"phase must be one of {PHASE_NAMES}")
+            if short.out_port == long.out_port:
+                raise ValueError(
+                    f"both arms leave on out-port {short.out_port}; the other out-port dangles"
+                )
+            if short.in_port == long.in_port:
+                raise ValueError(
+                    f"both arms arrive on in-port {short.in_port}; the other in-port dangles"
+                )
+        if photon.source_port not in _PORTS:
+            raise ValueError(f"source port must be one of {_PORTS}")
+        if photon.detector_plus not in _PORTS or photon.detector_minus not in _PORTS:
+            raise ValueError(f"detector ports must be one of {_PORTS}")
+        if photon.detector_plus == photon.detector_minus:
+            raise ValueError("both detectors on one out-port; the other dangles")
+    if [len(photon.stages) for photon in geometry] != [1, 2]:
+        raise ValueError("reference tables need one stage for photon 1 and two for photon 2")
 
 
 def default_geometry() -> Geometry:
@@ -164,7 +161,8 @@ _ARM_PATTERN = re.compile(
 
 
 def parse_geometry(text: str) -> Geometry:
-    """Parse the plain-text wiring format documented in the module docstring."""
+    """Parse the plain-text wiring format documented in the module docstring,
+    and check its wiring as :func:`derive_tables` does."""
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -206,13 +204,10 @@ def parse_geometry(text: str) -> Geometry:
         )
 
     geometry = Geometry(photon1=photon("photon1"), photon2=photon("photon2"))
+    _check_wiring(geometry)
     if entries:
         raise ValueError(f"unrecognized geometry entries: {sorted(entries)}")
     return geometry
-
-
-def load_geometry(path: str | Path) -> Geometry:
-    return parse_geometry(Path(path).read_text(encoding="utf-8"))
 
 
 def _renormalized(coefficients: np.ndarray) -> np.ndarray:
@@ -265,15 +260,13 @@ def derive_tables(
     :func:`~impactseries.amplitudes.joint_amplitudes` and
     :func:`~impactseries.amplitudes.single_amplitudes`: joint rows are
     renormalized within each arrival-time class, single-path rows over
-    photon 2's paths Ll, lL, LL.  The cascade is walked once into
+    photon 2's paths Ll, lL, LL.  A non-unitary convention or a wiring fault
+    is a ``ValueError``, raised first.  The cascade is walked once into
     coefficients and exponents; every phase factor has modulus 1, so one
     renormalization of the coefficients serves every phase setting.
     """
     convention.require_unitary()
-    if len(geometry.photon1.stages) != 1 or len(geometry.photon2.stages) != 2:
-        raise ValueError(
-            "reference tables need one stage for photon 1 and two for photon 2"
-        )
+    _check_wiring(geometry)
     arms1 = [(pair.photon1,) for pair in JOINT_PAIRS]
     arms2 = [(pair.photon2.first, pair.photon2.second) for pair in JOINT_PAIRS]
     factors1, exponents1 = _walks(geometry.photon1, arms1, convention)
@@ -290,8 +283,7 @@ def derive_tables(
     )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of one validation check, aggregated over a phase grid."""
 
     name: str
@@ -309,8 +301,7 @@ _TOLERANCE = 1e-9
 _DEFAULT_GRID = tuple(product((0.0, 0.7, 1.9, math.pi, 4.4), repeat=3))
 
 
-@dataclass(frozen=True)
-class _Group:
+class _Group(NamedTuple):
     """Rows of one table that are checked together.
 
     ``rows`` are compared on magnitudes and on ratios to their first row;

@@ -395,7 +395,7 @@ def _cmd_validate_oracle(args: argparse.Namespace) -> int:
     from .bsnetwork import (
         SplitterConvention,
         default_geometry,
-        load_geometry,
+        parse_geometry,
         validate_against_reference,
     )
 
@@ -406,7 +406,8 @@ def _cmd_validate_oracle(args: argparse.Namespace) -> int:
     )
     if args.geometry:
         try:
-            geometry = load_geometry(args.geometry)
+            with open(args.geometry, encoding="utf-8") as handle:
+                geometry = parse_geometry(handle.read())
         except OSError as exc:
             raise ValueError(f"cannot read geometry file: {exc}") from None
     else:

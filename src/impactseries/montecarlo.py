@@ -458,11 +458,14 @@ def sample(
 
     Point ``k`` runs from ``seeds[k]`` under every model, so the models' point
     ``k`` share their draws.  Each law is one :func:`predict` call, and every
-    model is sampled in one :func:`block_tallies` call, so a target outside a
-    model's domain fails before any draw.  A run's rejected total is
-    ``events`` less its accepted count, and the call
+    model is sampled in one :func:`block_tallies` call, so a model or target
+    outside its rule's domain fails before any draw; one bare
+    :class:`TheoryModel` (itself a tuple) is a ``TypeError``, raised first.
+    A run's rejected total is ``events`` less its accepted count, and the call
     ``sample([model], [phases], [seed], events, target)`` replays one run.
     """
+    if isinstance(models, TheoryModel):
+        raise TypeError("models must be a sequence of models; pass one model as [model]")
     laws = [predict(model, settings, target) for model in models]
     r = block_tallies(laws, seeds, events).r
     blocks = -(-events // BLOCK_SIZE)

@@ -3,7 +3,8 @@
 Photon 1 crosses one unbalanced interferometer, taking the short arm ``l`` or
 the long arm ``L``.  Photon 2 crosses a series of two such interferometers, so
 its path has two segments (``ll``, ``lL``, ``Ll``, ``LL``).  A joint detection
-event is labelled by a :class:`PathPair`, e.g. ``(l,Ll)``.
+event is labelled by a :class:`PathPair`, e.g. ``(l,Ll)``; like every record
+of the package it is a ``NamedTuple``, so it compares as a tuple of its fields.
 
 Pairs that share the same difference between the two photons' total path
 lengths arrive with the same relative delay and are therefore grouped into one
@@ -16,8 +17,8 @@ Arm lengths stay symbolic throughout: only the ordering
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum, unique
+from typing import NamedTuple
 
 
 @unique
@@ -46,8 +47,7 @@ class Arm2Path(Enum):
         return Arm(self.value[1])
 
 
-@dataclass(frozen=True)
-class PathPair:
+class PathPair(NamedTuple):
     """Joint path label: photon 1's arm plus photon 2's two-segment path."""
 
     photon1: Arm

@@ -17,6 +17,8 @@ A model's law on a phase grid is one :class:`Law` record of arrays, row ``k``
 for grid point ``k``: the joint law over ``OUTCOMES`` (++, +-, -+, --) and
 each side's singles over its (+, -) detectors, with ``None`` for what the
 model leaves undefined, and the arrival-time class it is predicted for.
+A :class:`TheoryModel` is a plain record; :func:`predict` alone checks that
+its ordering and the target class lie in the rule's domain.
 :func:`marginals` folds four ``OUTCOMES``-ordered weights (a joint law, or
 counts of the four outcomes) into the two sides' singles.  Every law here is
 computed through the amplitude tables, except the causal rules' side-1 split,
@@ -27,7 +29,6 @@ independent route, and the tests cross-check the two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum, unique
 from typing import NamedTuple, Sequence
 
@@ -108,18 +109,11 @@ class TheoryKind(Enum):
     RNL = "rnl"
 
 
-@dataclass(frozen=True)
-class TheoryModel:
+class TheoryModel(NamedTuple):
     """A prediction rule together with the time ordering it is applied to."""
 
     kind: TheoryKind
     ordering: TimeOrdering = TimeOrdering.SPACELIKE
-
-    def __post_init__(self) -> None:
-        if self.kind is TheoryKind.CAUSAL and self.ordering is TimeOrdering.SPACELIKE:
-            raise ValueError(
-                "causal predictions are defined only for time orderings 1 and 2"
-            )
 
 
 def marginals(weights, total: float = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -149,12 +143,15 @@ def predict(
     satellite classes have a single member and no amplitude table.  The
     causal rule yields only the first-impacting photon's singles and leaves
     the rest None.  RNL yields both singles (causal rules under every
-    ordering) but no joint law.  The causal rules are built from the
-    difference-L class's paths, so any other target is a ``ValueError``,
-    raised before any table is evaluated.  The whole grid is one table
-    evaluation, which checks the phases under every rule, and the returned
-    :class:`Law`, which records ``target``, is validated once, row by row.
+    ordering) but no joint law.  Each rule's domain is checked here alone,
+    before any table is evaluated, and a call outside it is a ``ValueError``:
+    the causal rule needs time ordering 1 or 2, and the causal rules, built
+    from the difference-L class's paths, need that class.  The whole grid is
+    one table evaluation, which checks the phases under every rule, and the
+    returned :class:`Law`, which records ``target``, is validated once.
     """
+    if model.kind is TheoryKind.CAUSAL and model.ordering is TimeOrdering.SPACELIKE:
+        raise ValueError("causal predictions are defined only for time orderings 1 and 2")
     if model.kind is TheoryKind.QM:
         if target not in CLASS_ROWS:
             raise ValueError(f"no amplitude table for satellite class {target.value}")

@@ -25,7 +25,6 @@ from impactseries.bsnetwork import (
     Stage,
     default_geometry,
     derive_tables,
-    load_geometry,
     parse_geometry,
     validate_against_reference,
     _DEFAULT_GRID,
@@ -239,7 +238,7 @@ class TestGeometryParsing:
         assert parse_geometry(DEFAULT_GEOM) == default_geometry()
         path = tmp_path / "layout.geom"
         path.write_text(DEFAULT_GEOM)
-        assert load_geometry(path) == default_geometry()
+        assert parse_geometry(path.read_text(encoding="utf-8")) == default_geometry()
 
     def test_comments_and_blank_lines_are_ignored(self):
         assert parse_geometry(CROSSED_STAGE2 + "\n# trailing comment\n")
@@ -275,23 +274,106 @@ class TestGeometryParsing:
             parse_geometry(text)
 
 
+DEFAULT_WIRING = default_geometry()
+#: Photon 1's usual stage, and two stages of one fault each.
+STRAIGHT = DEFAULT_WIRING.photon1.stages[0]
+DANGLING = Stage(ArmWiring("a", "a"), ArmWiring("a", "b"))
+BAD_PHASE = Stage(ArmWiring("a", "a"), ArmWiring("b", "b", "delta"))
+
+
+def photon1_with(**fields) -> Geometry:
+    """The default geometry, with ``fields`` of photon 1's wiring replaced."""
+    return DEFAULT_WIRING._replace(photon1=DEFAULT_WIRING.photon1._replace(**fields))
+
+
+def geometry_text(geometry: Geometry) -> str:
+    """``geometry`` written in the wiring file format."""
+    lines = []
+    for name, photon in zip(Geometry._fields, geometry):
+        lines.append(f"{name}.source = {photon.source_port}")
+        for k, stage in enumerate(photon.stages, start=1):
+            for arm_name, arm in zip(Stage._fields, stage):
+                phase = "" if arm.phase is None else f" phase={arm.phase}"
+                lines.append(f"{name}.stage{k}.{arm_name} = {arm.out_port}->{arm.in_port}{phase}")
+        lines.append(f"{name}.detector.plus = {photon.detector_plus}")
+        lines.append(f"{name}.detector.minus = {photon.detector_minus}")
+    return "\n".join(lines)
+
+
+def assert_wiring_rejected(geometry: Geometry, message: str) -> None:
+    """``derive_tables`` rejects the hand-built ``geometry`` with ``message``,
+    and ``parse_geometry`` the file that writes it out."""
+    with pytest.raises(ValueError, match=message):
+        derive_tables(geometry, DEFAULT, [PhaseSettings()])
+    with pytest.raises(ValueError, match=message):
+        parse_geometry(geometry_text(geometry))
+
+
 class TestWiringValidation:
+    def test_the_file_writer_round_trips(self):
+        assert geometry_text(DEFAULT_WIRING) == DEFAULT_GEOM.replace("  =", " =").strip()
+
     def test_dangling_output_port(self):
-        with pytest.raises(ValueError, match="dangles"):
-            Stage(ArmWiring("a", "a"), ArmWiring("a", "b"))
+        geometry = photon1_with(stages=(DANGLING,))
+        assert_wiring_rejected(
+            geometry, "^both arms leave on out-port a; the other out-port dangles$"
+        )
 
     def test_dangling_input_port(self):
-        with pytest.raises(ValueError, match="dangles"):
-            Stage(ArmWiring("a", "b"), ArmWiring("b", "b"))
+        geometry = photon1_with(stages=(Stage(ArmWiring("a", "b"), ArmWiring("b", "b")),))
+        assert_wiring_rejected(
+            geometry, "^both arms arrive on in-port b; the other in-port dangles$"
+        )
 
     def test_detectors_on_distinct_ports(self):
-        with pytest.raises(ValueError, match="dangles"):
-            PhotonWiring(
-                source_port="a",
-                stages=(Stage(ArmWiring("a", "a"), ArmWiring("b", "b")),),
-                detector_plus="a",
-                detector_minus="a",
-            )
+        geometry = photon1_with(detector_plus="a", detector_minus="a")
+        assert_wiring_rejected(geometry, "^both detectors on one out-port; the other dangles$")
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"stages": (Stage(ArmWiring("a", "c"), ArmWiring("b", "b")),)}, "ports must be"),
+            ({"source_port": "c"}, "source port must be"),
+            ({"detector_minus": "c"}, "detector ports must be"),
+        ],
+    )
+    def test_a_hand_built_port_fault_is_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=rf"^{message} one of \('a', 'b'\)$"):
+            derive_tables(photon1_with(**fields), DEFAULT, [PhaseSettings()])
+
+    def test_a_hand_built_phase_fault_is_rejected(self):
+        message = r"^phase must be one of \('alpha', 'beta', 'gamma'\)$"
+        with pytest.raises(ValueError, match=message):
+            derive_tables(photon1_with(stages=(BAD_PHASE,)), DEFAULT, [PhaseSettings()])
+
+    @pytest.mark.parametrize(
+        "geometry, message",
+        [
+            # within a photon, stage by stage: each arm, then the stage
+            (photon1_with(stages=(DANGLING, BAD_PHASE)), "out-port dangles"),
+            (photon1_with(stages=(BAD_PHASE, DANGLING)), "phase must be"),
+            # then the source port and the detectors
+            (photon1_with(stages=(DANGLING,), source_port="c"), "out-port dangles"),
+            (photon1_with(source_port="c", detector_plus="c"), "source port"),
+            (photon1_with(detector_plus="c", detector_minus="c"), "detector ports"),
+            # the stage counts come last, after both photons
+            (photon1_with(stages=(), detector_minus="a"), "detectors on one"),
+            (
+                photon1_with(stages=(STRAIGHT, STRAIGHT))._replace(
+                    photon2=DEFAULT_WIRING.photon2._replace(detector_plus="b")
+                ),
+                "detectors on one",
+            ),
+        ],
+    )
+    def test_the_first_fault_is_reported(self, geometry, message):
+        assert_wiring_rejected(geometry, message)
+
+    def test_zero_stages_get_the_stage_count_message(self):
+        geometry = photon1_with(stages=())
+        assert_wiring_rejected(
+            geometry, "^reference tables need one stage for photon 1 and two for photon 2$"
+        )
 
     def test_stage_counts_required_for_table_derivation(self):
         one_stage = PhotonWiring(

@@ -827,7 +827,9 @@ class TestValidateOracle:
 
 
 #: The modules whose loading ``test_each_command_loads_only_the_code_it_runs`` checks.
-WATCHED_MODULES = ("impactseries.montecarlo", "impactseries.bsnetwork", "csv", "json.encoder")
+WATCHED_MODULES = (
+    "impactseries.montecarlo", "impactseries.bsnetwork", "csv", "json.encoder", "dataclasses"
+)
 
 
 def test_each_command_loads_only_the_code_it_runs(tmp_path):

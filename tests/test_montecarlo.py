@@ -457,6 +457,14 @@ class TestWorkers:
             block_tallies([law_of(QM, ZERO), law_of(RNL, ZERO)], [0], 10), expected
         )
 
+    def test_a_bare_model_is_a_type_error(self, monkeypatch):
+        # a bare TheoryModel is a tuple of fields, not a sequence of models;
+        # it is rejected before any law is predicted
+        monkeypatch.setattr(montecarlo, "predict", lambda *args: pytest.fail("predicted"))
+        for model in (QM, CAUSAL_1):
+            with pytest.raises(TypeError, match=r"pass one model as \[model\]"):
+                sample(model, [ZERO], [0], 10)
+
     @pytest.mark.parametrize("model", [QM, RNL, CAUSAL_1, CAUSAL_2])
     def test_no_law_or_no_seed_samples_nothing(self, model, monkeypatch):
         # returned before any buffer is allocated or a fan-out decided

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from impactseries import theories
+from impactseries import montecarlo, theories
 from impactseries.amplitudes import CLASS_ROWS, PhaseSettings, interference_law, joint_amplitudes
 from impactseries.pathspace import Subensemble, TimeOrdering
 from impactseries.theories import Law, TheoryKind, TheoryModel, marginals, predict
@@ -275,11 +275,20 @@ class TestPredict:
             with pytest.raises(ValueError, match="difference-L class only"):
                 predict(model, [PhaseSettings()], target)
 
-    def test_causal_model_rejects_spacelike_ordering(self):
-        with pytest.raises(ValueError):
-            TheoryModel(TheoryKind.CAUSAL, TimeOrdering.SPACELIKE)
-        with pytest.raises(ValueError):
-            TheoryModel(TheoryKind.CAUSAL)  # the default ordering is spacelike
+    def test_causal_model_rejects_spacelike_ordering(self, monkeypatch):
+        # the model is a plain record; predict rejects it before any table is
+        # evaluated (a non-finite phase, any target), and sample before any draw
+        for name in ("_seed_words", "_pieces", "_sample_streams"):
+            monkeypatch.setattr(montecarlo, name, lambda *args, name=name: pytest.fail(name))
+        message = "causal predictions are defined only for time orderings 1 and 2"
+        # the default ordering is spacelike
+        for model in (TheoryModel(TheoryKind.CAUSAL, TimeOrdering.SPACELIKE),
+                      TheoryModel(TheoryKind.CAUSAL)):
+            for target in Subensemble:
+                with pytest.raises(ValueError, match=message):
+                    predict(model, [PhaseSettings(math.nan)], target)
+            with pytest.raises(ValueError, match=message):
+                montecarlo.sample([model], [PhaseSettings()], [0], 10)
 
 
 class TestPredictGrid:
