@@ -1,22 +1,13 @@
 """Closed-form probability amplitudes for the in-scope paths.
 
-Joint amplitudes are tabulated for the six path pairs of the two central
-arrival-time classes (difference ``L`` and difference ``l``); each class is
-normalized to its own three pairs, which fixes every entry's magnitude at
-``1/(2*sqrt(3))``.  Single-path amplitudes cover photon 2's three paths
-``Ll``, ``lL`` and ``LL`` as if the setup carried only those paths, which
-fixes their magnitude at ``1/sqrt(6)``.  The two satellite pairs ``(l,LL)``
-and ``(L,ll)`` have no row; nothing in scope needs them.
-
-Phase bookkeeping: ``alpha`` sits on photon 1's long arm, ``beta`` on the long
-arm of photon 2's first interferometer, ``gamma`` on the second one.  Each
-table is a pair of arrays: unit coefficients ``C[row, column]`` and integer
-phase exponents ``K[row, (alpha, beta, gamma)]``, so entry ``(row, column)``
-is ``magnitude * C[row, column] * exp(i * K[row] . phases)``.  The tables
-take a grid, a sequence of :class:`PhaseSettings` or a ``(points, 3)`` array,
-and add a leading point axis.  The network derivation in
-:mod:`impactseries.bsnetwork` reproduces both tables independently, in the
-same coefficient/exponent form.
+Joint amplitudes cover the six path pairs of the two central arrival-time
+classes, each class normalized to its own three pairs; single-path
+amplitudes cover photon 2's paths ``Ll``, ``lL`` and ``LL`` as if the setup
+carried only those.  The satellite pairs ``(l,LL)`` and ``(L,ll)`` have no
+row; nothing in scope needs them.  Each table is unit coefficients
+``C[row, column]`` and integer phase exponents ``K[row, (alpha, beta,
+gamma)]``: entry ``(row, column)`` is ``magnitude * C[row, column] * exp(i *
+K[row] . phases)``, with a leading point axis for the grid's points.
 """
 
 from __future__ import annotations

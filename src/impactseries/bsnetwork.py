@@ -1,45 +1,10 @@
 """First-principles derivation of the amplitude tables from splitter cascades.
 
-Every path amplitude is a splitter factor times integer phase exponents:
-the product of the complex transmission or reflection coefficient at each
-splitter it passes, times ``exp(i * k . (alpha, beta, gamma))`` where ``k``
-counts each named phase on its arms.  That is the coefficient/exponent form
-of the hand-coded tables in :mod:`impactseries.amplitudes`, so the cascade
-is walked once per derivation and evaluated over a whole phase grid.  The
-wiring of the cascade is data, described by a small plain-text format, so
-alternative readings of the optical layout can be tried against the
-hand-coded tables.
-
-Network model. Each photon crosses a chain of two-port splitters with ports
-``a`` and ``b``; consecutive splitters are connected by a short and a long
-arm (one stage), and the long arm may carry one of the named phases.  Photon
-1 has one stage; photon 2 has two, with the middle splitter shared between
-them, which is the default reading of the layout (it reproduces the reference
-tables; a chain with a separate exit and entrance splitter in the middle does
-not).  Detectors sit on the two output ports of the last splitter.  The
-wiring records are plain ``NamedTuple``s; the wiring rules (ports, phases, no
-dangling port, one stage for photon 1 and two for photon 2) are checked in one
-place, which both :func:`parse_geometry` and :func:`derive_tables` call.
-
-Geometry file format (``#`` starts a comment)::
-
-    photon1.source = a              # port the photon enters the first splitter on
-    photon1.stage1.short = a->a     # leaves splitter 1 on out-port a, enters splitter 2 on in-port a
-    photon1.stage1.long  = b->b phase=alpha
-    photon1.detector.plus  = a      # out-port of the last splitter
-    photon1.detector.minus = b
-    photon2.source = a
-    photon2.stage1.short = a->a
-    photon2.stage1.long  = b->b phase=beta
-    photon2.stage2.short = a->a
-    photon2.stage2.long  = b->b phase=gamma
-    photon2.detector.plus  = a
-    photon2.detector.minus = b
-
-Derived tables are compared with the reference ones on magnitudes, on
-within-class amplitude ratios and on probabilities only, over the whole phase
-grid in one array pass; absolute phases are unphysical and are never
-asserted.
+The cascade is walked once per derivation into splitter factors and integer
+phase exponents, the coefficient/exponent form of the hand-coded tables in
+:mod:`impactseries.amplitudes`, and both are evaluated over a whole phase grid
+and compared (README "Oracle geometry files").  The wiring is data, in the
+format documented in ``geometries/default.geom``.
 """
 
 from __future__ import annotations
@@ -161,8 +126,8 @@ _ARM_PATTERN = re.compile(
 
 
 def parse_geometry(text: str) -> Geometry:
-    """Parse the plain-text wiring format documented in the module docstring,
-    and check its wiring as :func:`derive_tables` does."""
+    """Parse the wiring format documented in ``geometries/default.geom``; a
+    line, entry or wiring fault is a ``ValueError``."""
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -254,16 +219,13 @@ def derive_tables(
     convention: SplitterConvention,
     phases: Sequence[PhaseSettings],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Path-by-path amplitudes of the cascade over the phase grid ``phases``.
-
-    Returns the joint and single-path tables in the shapes of
+    """Path-by-path amplitudes of the cascade over the phase grid ``phases``,
+    as the joint and single-path tables in the shapes of
     :func:`~impactseries.amplitudes.joint_amplitudes` and
-    :func:`~impactseries.amplitudes.single_amplitudes`: joint rows are
+    :func:`~impactseries.amplitudes.single_amplitudes`: joint rows
     renormalized within each arrival-time class, single-path rows over
-    photon 2's paths Ll, lL, LL.  A non-unitary convention or a wiring fault
-    is a ``ValueError``, raised first.  The cascade is walked once into
-    coefficients and exponents; every phase factor has modulus 1, so one
-    renormalization of the coefficients serves every phase setting.
+    photon 2's paths Ll, lL, LL.  A non-unitary convention, a wiring fault or
+    a cascade of zero total is a ``ValueError``.
     """
     convention.require_unitary()
     _check_wiring(geometry)
@@ -271,6 +233,8 @@ def derive_tables(
     arms2 = [(pair.photon2.first, pair.photon2.second) for pair in JOINT_PAIRS]
     factors1, exponents1 = _walks(geometry.photon1, arms1, convention)
     factors2, exponents2 = _walks(geometry.photon2, arms2, convention)
+    # every phase factor has modulus 1, so one renormalization of the
+    # coefficients serves every phase setting
     # Outcome columns ++, +-, -+, --: photon 1's sign, then photon 2's.
     joint = (factors1[:, :, None] * factors2[:, None, :]).reshape(len(JOINT_PAIRS), len(OUTCOMES))
     for rows in CLASS_ROWS.values():
@@ -374,14 +338,12 @@ def validate_against_reference(
     """Compare the cascade-derived tables against the hand-coded ones, one
     :class:`CheckResult` per check; the tables agree where every check passed.
 
-    Three row groups are checked the same way: the difference-L class and
-    the difference-l class of the joint table, and the single-path table.
-    Per group: entry magnitudes, amplitude ratios relative to the group's
-    first row, and the probability law that superposes the group's
-    interfering rows (the sequential-impact law for the single-path table).
-    Ratios and probabilities are global-phase-free, so a cascade matching
-    them reproduces the tables in every physical respect.  Each check is
-    one array comparison over the whole phase grid, which must not be empty.
+    Each of three row groups, the difference-L and difference-l classes of
+    the joint table and the single-path table, is checked on its entry
+    magnitudes, its amplitude ratios to the group's first row, and the
+    probability law of its interfering rows, over the whole ``phase_grid``
+    (a default grid if None).  An empty grid is a ``ValueError``, and so is
+    what :func:`derive_tables` rejects.
     """
     grid = _DEFAULT_GRID if phase_grid is None else tuple(phase_grid)
     if not grid:

@@ -1,18 +1,9 @@
 """Command-line surface: analytic prediction, simulation, model comparison,
 and validation of the amplitude tables against the splitter-network oracle.
 
-All data emissions share one frozen column set (see ``COLUMNS``); CSV and
-JSON files carry the same values, floats rounded to 6 significant digits.
-Every row embeds the provenance needed to replay it (model, phases, seed,
-events).  Every command, ``simulate`` and ``compare`` included, computes each
-model's analytic law once for its whole grid and hands that one law to the
-sampler and to the rows.  The rows are built column by column, one array per
-column, and converted, formatted and written (``--out`` and ``compare``'s
-standard output) a batch of rows at a time.  Each command imports only the
-code it runs: the sampler in ``simulate`` and ``compare``, the oracle in
-``validate-oracle``, and ``csv`` or ``json.encoder`` only to write ``--out``
-in that format.  Exit codes: 0 success, 1 standard output closed early, 2
-argument or contract error, 3 validation failure.
+README states the commands, exit codes and output schema.  Each command
+computes each model's law once for its whole grid, and builds its rows column
+by column, one array per column, written a batch of rows at a time.
 """
 
 from __future__ import annotations
@@ -138,15 +129,10 @@ def _run_columns(
     """The analytic columns of the runs of ``model`` at ``settings``, which
     sampled the rows of ``law``, plus each run's provenance (``events`` events
     from ``seeds[k]``), its counters, row ``k`` of the ``(runs, 4)``
-    ``counts``, and the runs' singles and E.
-
-    ``axis`` names the phase a scan sweeps; a row's ``angle`` is its value.
-    The Monte Carlo columns are computed as arrays over the rows; a run with no
-    accepted event leaves its Monte Carlo singles and E empty (None, in object
-    arrays).  Beside the Monte Carlo E go the two rules' anchors: the
-    superposition rule's magnitude (2/3)|cos(alpha+beta)| and the causal rules'
-    0.  The Monte Carlo E is signed; the superposition rule's signed E is
-    ``law.side1[:, 0] - law.side1[:, 1]``, which the frozen columns leave out.
+    ``counts``, its singles and E, and the two rules' E anchors (README,
+    "Output schema").  ``axis`` names the phase a scan sweeps; a row's
+    ``angle`` is its value.  A run with no accepted event leaves its Monte
+    Carlo cells None, in object arrays.
     """
     from .montecarlo import estimate_E
 

@@ -1,13 +1,9 @@
 """Deterministic Monte Carlo emulation of the coincidence measurement.
 
-Each emitted pair draws an arrival-time class and an outcome.  Events outside
-the target class are rejected, as the coincidence electronics reject them, and
-accepted events feed the four counters, in ``OUTCOMES`` order like the columns
-of the law they sample.  :func:`sample` predicts each model's law once for a
-phase grid and samples every law in one :func:`block_tallies` call;
-:func:`estimate_E` turns counters into E.  The sampling contract (blocks,
-seeding, draws, chunks and the forked fan-out) is stated once, in README's
-"Determinism" section.
+:func:`sample` predicts each model's law once for a phase grid and samples
+every law in one :func:`block_tallies` call; :func:`estimate_E` turns counters
+into E.  The sampling contract (classes, blocks, seeding, draws, chunks and
+the forked fan-out) is stated once, in README's "Determinism" section.
 """
 
 from __future__ import annotations
@@ -40,11 +36,7 @@ _CLASS_INTERVALS: dict[Subensemble, tuple[float, float]] = {
 #: the block's other events.
 _TALLY = np.dtype([("r", np.int64, (4,)), ("accepted", np.int64), ("rejected", np.int64)])
 
-#: Fewest full blocks of events a worker is given (~0.6 ms each).  A forked
-#: worker pays 20-30 ms to start, mostly its import of ``numpy.random``.  On
-#: a 2-vCPU host two workers tied with one forked worker at 32 and 48 blocks,
-#: and won in at least 16 of 21 paired runs of fresh interpreters from 96
-#: blocks up; only 2 CPUs were measured.
+#: Fewest full blocks of events a worker is given: fewer do not pay for its start.
 _BLOCKS_PER_WORKER = 48
 
 
@@ -99,18 +91,14 @@ def _hashmix(value: np.ndarray, steps: Iterator[tuple[np.uint32, np.uint32]]) ->
 def _seed_words(seeds, keys, n_words: int) -> np.ndarray:
     """``SeedSequence(seed, spawn_key=(key,)).generate_state(n_words,
     np.uint64)`` for each pair of ``seeds`` (checked 64-bit ints) and
-    ``keys``, as one ``(pairs, n_words)`` uint64 array, hashed for all the
-    pairs at once (``n_words`` at most 4).
-
-    The entropy is the seed's two 32-bit words, padded with zeros to numpy's
-    pool of 4, then the key as one word.  The hash runs on ``uint32`` arrays,
-    which wrap as numpy's C code does.  A key outside ``[0, 2**32)`` would be
-    two words and is a ``ValueError``.
-    """
+    ``keys``, as one ``(pairs, n_words)`` uint64 array (``n_words`` at most
+    4).  A key outside ``[0, 2**32)`` is a ``ValueError``."""
     keys = np.asarray(keys)
     if keys.size and not 0 <= keys.min() <= keys.max() < 2**32:
         raise ValueError("a spawn key must be below 2**32")
     seeds = np.asarray(seeds, dtype=np.uint64)
+    # numpy's pool of 4 words: the seed's two, padded with zeros; uint32
+    # arrays wrap as numpy's C code does
     zero = np.zeros(len(seeds), dtype=np.uint32)
     entropy = [(seeds & 0xFFFFFFFF).astype(np.uint32), (seeds >> 32).astype(np.uint32), zero, zero]
 
@@ -154,13 +142,8 @@ def _pcg64_state(words: Sequence[int]) -> dict:
 
 
 def _sampled_law(law: Law) -> np.ndarray:
-    """The ``(points, 4)`` law an accepted event's outcome is drawn from.
-
-    QM samples its joint law for the target class.  Causal and RNL define no
-    joint law, so outcomes are drawn from the product of the defined singles,
-    with an undefined side filled in at 1/2; this cannot bias the side-1
-    asymmetry, but it is not a physical correlation model.
-    """
+    """The ``(points, 4)`` law an accepted event's outcome is drawn from: the
+    joint law, or else the product of the singles, an undefined side at 1/2."""
     if law.joint is not None:
         return law.joint
     side1, side2 = (np.full((1, 2), 0.5) if s is None else s for s in (law.side1, law.side2))
@@ -182,21 +165,12 @@ def _class_mask(
 def _accepted_counts(
     u_outcome: np.ndarray, mask: np.ndarray, edges: np.ndarray, scratch: np.ndarray
 ) -> list[list[tuple[int, int, int, int]]]:
-    """Outcome counts, four per law and row of draws, of the events set in
-    ``mask`` (see :func:`_class_mask`).
-
-    Under law ``m`` an accepted event ``e`` of row ``i`` has outcome category
-    ``k`` when ``c[k-1] <= u_outcome[i, e] < c[k]``, where ``c`` is
-    ``edges[m, i]`` followed by 1.0, above every uniform; this equals
-    ``bincount(searchsorted(c, accepted, side="right"))``.  Tied edges (a
-    category of probability zero) give a zero count.  ``scratch`` is a
-    ``bool`` buffer shaped like ``u_outcome`` and ``mask``, and is
-    overwritten; no draw is gathered.
-    """
+    """Outcome counts, four per law and row of ``u_outcome``, of the events
+    set in ``mask``, against the ``(laws, rows, 3)`` cumulative ``edges``
+    (README "Determinism"); ``scratch`` is a ``bool`` buffer shaped like
+    ``mask``, and is overwritten."""
     if len(u_outcome) == 1:
-        # a single row compares with Python floats, which spares numpy's
-        # broadcast set-up on each call (~2% of a full block's time), and is
-        # counted flat
+        # one row compares with Python floats, sparing numpy's broadcast set-up
         thresholds = edges[:, 0].tolist()
 
         def count(a: np.ndarray) -> list[int]:
@@ -231,27 +205,17 @@ def _sample_streams(
 ) -> np.ndarray:
     """The one sampler, in a forked worker or in process: the outcome counts
     of the ``streams`` of a call, as a ``(laws, seeds, blocks, 4)`` array that
-    is zero outside them.
-
-    Stream ``i`` is block ``i // S``, of ``sizes[i // S]`` events, of seed
-    ``i % S``, where ``S`` is the seed count of ``edges``, the laws' ``(laws,
-    seeds, 3)`` outcome edges; law ``m`` counts it into ``[m, i % S, block]``,
-    accepting the class draws in ``accept`` and against ``edges[m, i % S]``.
-    Row ``k`` of ``words`` holds the :func:`_seed_words` of stream
-    ``streams[k]``, whose state is set in turn on one generator.  Up to
-    ``BLOCK_SIZE // size`` consecutive streams of one block form a chunk of
-    one reused buffer: each stream's class draws are masked as they are drawn
-    (:func:`_class_mask`), and its outcome draws overwrite them; the chunk is
-    then counted at once (:func:`_accepted_counts`).
-    """
+    is zero outside them (README "Determinism").  Row ``k`` of ``words`` seeds
+    stream ``streams[k]``; block ``j`` has ``sizes[j]`` events, ``accept`` is
+    the accepted class interval and ``edges`` the laws' ``(laws, seeds, 3)``
+    outcome edges."""
     counts = np.zeros((*edges.shape[:2], len(sizes), len(OUTCOMES)), dtype=np.int64)
     # a chunk holds at most one full block, and never more than the streams draw
     capacity = min(BLOCK_SIZE, len(streams) * sizes[0])
     buffers = np.empty(capacity), np.empty(capacity, dtype=bool), np.empty(capacity, dtype=bool)
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
-    # one row of words at a time: a list of them all would hold ~0.3 MB more
-    # in a worker of a 1e8-event run
+    # one row of words at a time: a list of them all would hold more memory
     stream_words = iter(words)
 
     seeds = edges.shape[1]
@@ -274,23 +238,13 @@ def _sample_streams(
 
 def _pieces(streams: int, events: int) -> list[range]:
     """The stream ranges of a call of ``streams`` streams and ``events`` drawn
-    events, one per forked worker; ``[]`` samples in process.
-
-    The call forks one worker per CPU the process may run on, as long as each
-    gets ``_BLOCKS_PER_WORKER`` full blocks of the ``events``, and at least
-    one, each worker taking an equal range of the streams.  It never forks
-    where that is unsafe: without ``os.sched_getaffinity`` (macOS, where
-    forking is unsafe, and Windows) or while another thread runs (a library
-    host such as a Jupyter kernel has threads, and ``os.fork`` copies only
-    the calling one).  A lone worker is forked only to keep ``numpy.random``
-    (~5.5 MB) out of the parent's own peak RSS, so only while it is not
-    imported (before numpy 2, ``import numpy`` imports it); the process
-    tree's summed PSS rises, and the child's import takes 20-30 ms.
-    """
+    events, one per forked worker, by README's fan-out rule; ``[]`` samples in
+    process."""
     if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
         return []
     per_worker = _BLOCKS_PER_WORKER * BLOCK_SIZE
     workers = max(1, min(len(os.sched_getaffinity(0)), events // per_worker))
+    # a lone worker forks only to keep numpy.random out of this process
     if workers == 1 and "numpy.random" in sys.modules:
         return []
     bounds = [p * streams // workers for p in range(workers + 1)]
@@ -302,14 +256,11 @@ def _exit_with_counts(
 ) -> NoReturn:
     """In a forked child: write to the pipe ``write_end`` status byte 0 and
     the bytes of the :func:`_sample_streams` counts of ``streams``, or status
-    1 and the pickled exception, and leave through ``os._exit``, which never
-    returns into the parent's code, flushes inherited stdio or runs
-    ``atexit``; the exit status is 0 once the whole result is written.  The
-    inherited ``read_ends``, its own pipe's among them, are closed first, so
-    that once the parent is gone the write fails instead of blocking.
-    """
+    1 and the pickled exception, and leave through ``os._exit``, with status 0
+    once the whole result is written."""
     code = 1
     try:
+        # with every read end closed, a write to a parent that is gone fails
         for read_end in read_ends:
             os.close(read_end)
         try:
@@ -326,26 +277,19 @@ def _exit_with_counts(
 
 def _forked_counts(pieces: Sequence[range], words: np.ndarray, *args) -> np.ndarray:
     """The sum of the :func:`_sample_streams` counts of ``pieces``, as a flat
-    int64 array: each piece, a single one included, is counted in its own
-    forked child, which takes the rows of ``words`` for its streams and
-    ``args`` as the other arguments, and sends its counts back through its
-    own pipe.
-
-    The parent only waits: it never samples, so this call does not import
-    ``numpy.random`` into it.  It reads each pipe to EOF before it reaps the
-    child, so a result larger than the pipe buffer cannot block the child.  A
-    child's exception is raised again, type kept, and a child that ends
-    without a result is a ``RuntimeError``; on any exception every child left
-    is killed and reaped first.  :func:`_pieces` forks only while no other
-    Python thread runs; the OpenBLAS threads that ``import numpy`` starts are
-    stopped by OpenBLAS's own fork handler.
-    """
+    int64 array, each piece counted in its own forked child with the rows of
+    ``words`` for its streams and ``args``.  A child's exception is raised
+    again, type kept, and a child that ends without a result is a
+    ``RuntimeError``; on any exception every child left is killed and reaped
+    first."""
     read_ends, pids = [], []
     try:
         for piece in pieces:
             read_end, write_end = os.pipe()
             read_ends.append(read_end)
             try:
+                # no other Python thread runs (see _pieces), and OpenBLAS's own
+                # fork handler stops the threads that import numpy started
                 pid = os.fork()
                 if pid == 0:
                     _exit_with_counts(read_ends, write_end, piece, words, *args)
@@ -354,6 +298,8 @@ def _forked_counts(pieces: Sequence[range], words: np.ndarray, *args) -> np.ndar
                 os.close(write_end)
             pids.append(pid)
         counts = 0
+        # each pipe is read to EOF before its child is reaped, so a result
+        # larger than the pipe buffer cannot block the child
         for read_end, pid in zip(read_ends, list(pids)):
             with open(read_end, "rb", closefd=False) as pipe:
                 result = pipe.read()
@@ -371,7 +317,7 @@ def _forked_counts(pieces: Sequence[range], words: np.ndarray, *args) -> np.ndar
         return counts
     finally:
         if pids:
-            # imported on this path only: the module costs ~1 ms at import
+            # imported on this path only, so that no other path pays for it
             from signal import SIGKILL
 
             for pid in pids:
@@ -383,23 +329,18 @@ def _forked_counts(pieces: Sequence[range], words: np.ndarray, *args) -> np.ndar
 
 def block_tallies(laws: Sequence[Law], seeds: Sequence[int], events: int) -> np.recarray:
     """Per-block tallies of a run of ``events`` events from each of ``seeds``
-    under each of ``laws``, as one record array with a record per block: law
-    by law, then seed by seed, each in block order.  A record's fields are
-    ``r``, the block's four int64 counters in ``OUTCOMES`` order,
-    ``accepted``, their sum, and ``rejected``, the block's other events.
+    under each of ``laws``, row ``k`` of every law sampled from ``seeds[k]``
+    in the laws' one ``target`` class (README "Determinism"), as one record
+    array with a record per block: law by law, then seed by seed, each in
+    block order.  A record's fields are ``r``, the block's four int64
+    counters in ``OUTCOMES`` order, ``accepted``, their sum, and
+    ``rejected``, the block's other events.
 
-    Row ``k`` of every law is sampled from ``seeds[k]``, accepting the events
-    of the laws' shared ``target`` class; a law that fails
-    :meth:`Law.validated` or has another row count, or laws of more than one
-    class, are a ``ValueError``, and one bare :class:`Law` (itself a tuple) a
-    ``TypeError``.  ``events`` (an int from 1 to 2**48, as block indices are
-    32-bit spawn keys), the seeds (64-bit ints) and the laws are checked
-    before any seed word is hashed; with no law or no seed the call
-    returns an empty record array.  Stream ``i``, block
-    ``i // S`` of ``seeds[i % S]`` where ``S = len(seeds)``, is drawn once for
-    every law.  The call forks one child per range of streams that
-    :func:`_pieces` gives, counting the events drawn, and samples nothing
-    itself; with no range it samples in process.
+    ``events`` must be an int from 1 to 2**48 and each seed a 64-bit int.  A
+    law that fails :meth:`Law.validated` or has another row count, or laws of
+    more than one class, are a ``ValueError``, and one bare :class:`Law` a
+    ``TypeError``, all raised before any seed word is hashed.  No law or no
+    seed gives an empty record array.
     """
     if isinstance(laws, Law):
         raise TypeError("laws must be a sequence of Law records; pass one law as [law]")
@@ -425,7 +366,7 @@ def block_tallies(laws: Sequence[Law], seeds: Sequence[int], events: int) -> np.
     sizes = [min(BLOCK_SIZE, events - j) for j in range(0, events, BLOCK_SIZE)]
     streams = len(sizes) * len(seeds)
     # every stream's seed words, hashed before any fork: a worker that hashed
-    # its own would first touch numpy's uint32 loops (~0.5 MB of peak RSS)
+    # its own would also load numpy's uint32 loops into its memory
     words = _seed_words(
         np.tile(np.asarray(seeds, dtype=np.uint64), len(sizes)),
         np.repeat(np.arange(len(sizes)), len(seeds)),
@@ -453,16 +394,12 @@ def sample(
     target: Subensemble = Subensemble.LONG,
 ) -> tuple[list[Law], np.ndarray]:
     """Runs of ``events`` events at each of ``settings`` under each of
-    ``models``, as ``(laws, counts)``: one law per model, on the grid
-    ``settings``, and the ``(models, points, 4)`` int64 counters of the runs.
-
-    Point ``k`` runs from ``seeds[k]`` under every model, so the models' point
-    ``k`` share their draws.  Each law is one :func:`predict` call, and every
-    model is sampled in one :func:`block_tallies` call, so a model or target
-    outside its rule's domain fails before any draw; one bare
-    :class:`TheoryModel` (itself a tuple) is a ``TypeError``, raised first.
-    A run's rejected total is ``events`` less its accepted count, and the call
-    ``sample([model], [phases], [seed], events, target)`` replays one run.
+    ``models``, as ``(laws, counts)``: each model's :func:`predict` law on the
+    grid ``settings``, and the ``(models, points, 4)`` int64 counters of the
+    runs, point ``k`` run from ``seeds[k]`` under every model.  The laws are
+    sampled in one :func:`block_tallies` call and raise as it does; a model
+    or target outside its rule's domain fails in :func:`predict`, and one
+    bare :class:`TheoryModel` is a ``TypeError``, raised first.
     """
     if isinstance(models, TheoryModel):
         raise TypeError("models must be a sequence of models; pass one model as [model]")
@@ -474,15 +411,15 @@ def sample(
 
 def estimate_E(counts) -> tuple[np.ndarray, np.ndarray]:
     """Normalized side-1 counter asymmetry (R++ + R+- - R-+ - R--)/accepted,
-    and its standard error, of ``OUTCOMES``-ordered counters.
+    and its standard error, of counters with the four ``OUTCOMES`` on the last
+    axis (a block's ``r``, or one row per run); both results have the shape of
+    the other axes.
 
-    ``counts`` holds the four counters on its last axis: a block's ``r``, or
-    one row of them per run.  Both results have the shape of the other axes.
     The error is the binomial ``2*sqrt(p*(1-p)/n)`` of the side-1 "+"
-    fraction ``p``.  When every accepted event lands on one side-1 detector
-    that formula gives 0, so the error is instead ``1/(n+1)``, the z = 1
-    Wilson score half-width (Wilson 1927) on the E scale.  A row with no
-    accepted event is a ``ValueError``.
+    fraction ``p``, or ``1/(n+1)``, the z = 1 Wilson score half-width (Wilson
+    1927) on the E scale, where every accepted event lands on one side-1
+    detector and that formula gives 0.  A row with no accepted event is a
+    ``ValueError``.
     """
     counts = np.asarray(counts)
     n = counts.sum(axis=-1)
@@ -498,11 +435,10 @@ def estimate_E(counts) -> tuple[np.ndarray, np.ndarray]:
 
 
 def point_seeds(seed: int, points: int) -> list[int]:
-    """The 64-bit seed of each of the ``points`` points of a scan (an int from
-    0 to 2**32, as point indices are 32-bit spawn keys): point ``k``'s is the
-    first word of ``SeedSequence(seed, spawn_key=(k,)).generate_state(1,
-    np.uint64)``, hashed for all the points in one pass.  Both arguments are
-    checked before any array is built."""
+    """The 64-bit seed of each of the ``points`` points of a scan, point
+    ``k``'s the first word of ``SeedSequence(seed, spawn_key=(k,))``.
+    ``points`` must be an int from 0 to 2**32 and ``seed`` a 64-bit int,
+    both checked before any array is built."""
     _require_seed(seed)
     _require_int("points", points)
     if not 0 <= points <= 2**32:

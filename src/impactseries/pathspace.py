@@ -1,18 +1,9 @@
-"""Discrete path and outcome vocabulary for the two-photon impact-series setup.
-
-Photon 1 crosses one unbalanced interferometer, taking the short arm ``l`` or
-the long arm ``L``.  Photon 2 crosses a series of two such interferometers, so
-its path has two segments (``ll``, ``lL``, ``Ll``, ``LL``).  A joint detection
-event is labelled by a :class:`PathPair`, e.g. ``(l,Ll)``; like every record
-of the package it is a ``NamedTuple``, so it compares as a tuple of its fields.
-
-Pairs that share the same difference between the two photons' total path
-lengths arrive with the same relative delay and are therefore grouped into one
-:class:`Subensemble`; the four possible differences ``2L-l``, ``L``, ``l`` and
-``2l-L`` partition the eight pairs into groups of sizes 1, 3, 3 and 1.
+"""Discrete path and outcome vocabulary for the two-photon impact-series setup
+(README "The setup in brief").
 
 Arm lengths stay symbolic throughout: only the ordering
-``2l-L < l < L < 2L-l`` of the differences matters here, never metric lengths.
+``2l-L < l < L < 2L-l`` of the path differences that name the arrival-time
+classes matters here, never metric lengths.
 """
 
 from __future__ import annotations

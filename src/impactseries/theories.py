@@ -1,30 +1,8 @@
-"""Rival prediction rules for the impact-series experiment.
-
-Three models are implemented.
-
-* ``QM``: amplitudes of the three indistinguishable path pairs of a
-  subensemble are summed before squaring, for any time ordering.
-* ``Causal``: the photon impacting first must act on local information only.
-  Under ordering 1 (photon 2 first) its two recombining paths interfere at
-  first order while the path distinguishable at impact time adds as a
-  probability; under ordering 2 (photon 1 first) the arm taken remains
-  knowable, so photon 1's counts split 50/50.  The later photon's singles are
-  left undefined (they depend on the particular causal completion).
-* ``RNL``: singles depend on local information under every time ordering, so
-  the causal sum-of-probabilities rules apply even for spacelike impacts.
-
-A model's law on a phase grid is one :class:`Law` record of arrays, row ``k``
-for grid point ``k``: the joint law over ``OUTCOMES`` (++, +-, -+, --) and
-each side's singles over its (+, -) detectors, with ``None`` for what the
-model leaves undefined, and the arrival-time class it is predicted for.
-A :class:`TheoryModel` is a plain record; :func:`predict` alone checks that
-its ordering and the target class lie in the rule's domain.
-:func:`marginals` folds four ``OUTCOMES``-ordered weights (a joint law, or
-counts of the four outcomes) into the two sides' singles.  Every law here is
-computed through the amplitude tables, except the causal rules' side-1 split,
-the constant 1/2.  The cosine closed forms that the CLI's rule labels state
-are written out in the test suite (``tests/closed_forms.py``) as a second,
-independent route, and the tests cross-check the two.
+"""The rival prediction rules (qm, causal, rnl; README states each rule and
+its domain), each computed as one :class:`Law` record of arrays on a phase
+grid through the amplitude tables, except the causal rules' side-1 split, the
+constant 1/2.  ``tests/closed_forms.py`` writes out the cosine closed forms as
+a second, independent route.
 """
 
 from __future__ import annotations
@@ -136,19 +114,14 @@ def marginals(weights, total: float = 1) -> tuple[np.ndarray, np.ndarray]:
 def predict(
     model: TheoryModel, phases: Sequence[PhaseSettings], target: Subensemble = Subensemble.LONG
 ) -> Law:
-    """Analytic law of ``model`` on the grid ``phases`` for the ``target`` arrival-time class.
+    """The validated :class:`Law` of ``model`` on the grid ``phases`` for the
+    ``target`` arrival-time class: QM's joint law and both marginals, the
+    causal rule's first-impacting photon's singles, RNL's two singles.
 
-    QM yields the joint law, from the superposed path-pair amplitudes of the
-    target class, and both sides' marginals, for either central class; the
-    satellite classes have a single member and no amplitude table.  The
-    causal rule yields only the first-impacting photon's singles and leaves
-    the rest None.  RNL yields both singles (causal rules under every
-    ordering) but no joint law.  Each rule's domain is checked here alone,
-    before any table is evaluated, and a call outside it is a ``ValueError``:
-    the causal rule needs time ordering 1 or 2, and the causal rules, built
-    from the difference-L class's paths, need that class.  The whole grid is
-    one table evaluation, which checks the phases under every rule, and the
-    returned :class:`Law`, which records ``target``, is validated once.
+    A call outside the rule's domain is a ``ValueError``, raised before any
+    table is evaluated: QM needs a central class, the causal rule time
+    ordering 1 or 2, and the causal rules the difference-L class.  The grid is
+    checked as :func:`~impactseries.amplitudes.evaluate` checks it.
     """
     if model.kind is TheoryKind.CAUSAL and model.ordering is TimeOrdering.SPACELIKE:
         raise ValueError("causal predictions are defined only for time orderings 1 and 2")

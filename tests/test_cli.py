@@ -630,6 +630,7 @@ class TestFrozenOutput:
     """Exact ``--out`` and stdout bytes of fixed runs; a refactor of the row code must keep them."""
 
     PHASES = ["--alpha", "0.3", "--beta", "1.1", "--gamma", "-0.4"]
+    RUN = ["--events", "5000", "--seed", "7"]
     # the default 13-point grid: rows at alpha ~ pi/2 and 3*pi/2 carry
     # e_analytic_qm = 4.08216e-17 and 1.22465e-16, not 0
     COMPARE = ["compare", "--grid", "0:6.283185307179586:13", "--events", "2000", "--seed", "3"]
@@ -687,6 +688,18 @@ class TestFrozenOutput:
             MULTI_BLOCK, "83c9c5f48a3077a3e77ef7c4a581f26e6698f4b4e6faae29f8e595e65cde8070",
             id="compare-multi-block-json",
         ),
+        # the undefined side's Monte Carlo cells come from filler draws at 1/2:
+        # side 1's and E under ordering 1, side 2's under ordering 2
+        pytest.param(
+            ["simulate", "--model", "causal", "--ordering", "1", *RUN],
+            "0e562cc77150faa0f2ff420f25b843d92d04b415833cb3442182fd1dbd67c658",
+            id="simulate-causal1-csv",
+        ),
+        pytest.param(
+            ["simulate", "--model", "causal", "--ordering", "2", *RUN],
+            "d419810e324b5bde916d5906f5e039951ea71b79ede3ecf70100569936c420c7",
+            id="simulate-causal2-csv",
+        ),
     ]
 
     @pytest.mark.parametrize("argv, digest", CASES)
@@ -696,7 +709,6 @@ class TestFrozenOutput:
         capsys.readouterr()
         assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
 
-    RUN = ["--events", "5000", "--seed", "7"]
     STDOUT_CASES = [
         pytest.param(
             COMPARE, 0, "f30c8f723cd56da245a9a205237343a2bda4046063134e664eaad5b9352cb3b8",
@@ -721,6 +733,12 @@ class TestFrozenOutput:
             ["simulate", "--model", "rnl", *RUN], 0,
             "485a46471cbeb3f11d6cfea583cb9329bf45abd76f69d9ab3953a77321bc8924",
             id="simulate-rnl",
+        ),
+        pytest.param(
+            # E comes from side 1's filler draws
+            ["simulate", "--model", "causal", "--ordering", "1", *RUN], 0,
+            "7bb7c49fb93f056a79c26a6e375dd68a55474a3398a4177b325556608953a576",
+            id="simulate-causal1",
         ),
         pytest.param(
             ["simulate", "--model", "causal", "--ordering", "2", *RUN], 0,
@@ -806,11 +824,23 @@ class TestValidateOracle:
         assert "oracle validation: FAIL" in out
         assert "first mismatch" in out
 
-    def test_non_unitary_convention_is_rejected_before_derivation(self, capsys):
-        code = main(["validate-oracle", "--splitter-t", "1", "--splitter-r", "1"])
+    # the second convention is unitary to within ~2e-5 only
+    @pytest.mark.parametrize("t, r", [("1", "1"), ("0.7071", "0.7071j")])
+    def test_non_unitary_convention_is_rejected_before_derivation(self, t, r, capsys):
+        code = main(["validate-oracle", "--splitter-t", t, "--splitter-r", r])
         captured = capsys.readouterr()
         assert code == 2
-        assert "unitary" in captured.err
+        assert "splitter convention is not unitary" in captured.err
+
+    def test_a_cascade_of_zero_total_is_an_error_without_a_traceback(self, capsys):
+        # unitary, but every amplitude of the difference-L class is zero
+        code = main(["validate-oracle", "--splitter-t", "0", "--splitter-r", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: cascade yields zero total probability; cannot renormalize\n"
+        )
 
     def test_an_amplitude_left_out_keeps_its_default(self, capsys):
         # t = 1 beside the default r = i/sqrt(2) is not unitary

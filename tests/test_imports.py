@@ -1,6 +1,6 @@
-"""No module imports a name it never uses, README names no missing one,
-every public name of the package has a reader, and every private one is
-read inside the package.
+"""No module imports a name it never uses, README names no missing one and
+holds no measured figure, every public name of the package has a reader, and
+every private one is read inside the package.
 
 CI enforces the first with ``python -m pyflakes src tests``; this test applies
 the same unused-import rule with the standard library alone, so it runs
@@ -78,6 +78,22 @@ def test_readme_imports_resolve():
         if not hasattr(importlib.import_module(module), name)
     ]
     assert missing == []
+
+
+#: A measured figure: a number of megabytes or milliseconds.
+MEASURED_FIGURE = re.compile(r"\d[\d.,]*\s*(?:MB|ms)\b|milliseconds")
+
+
+def test_the_rule_finds_a_measured_figure():
+    text = "peaks at about 65 MB, adds 20 to 30\nmilliseconds, 0.6 ms; 512 KB, 2**32 points"
+    assert MEASURED_FIGURE.findall(text) == ["65 MB", "milliseconds", "0.6 ms"]
+
+
+def test_readme_holds_no_measured_figure():
+    # a measured figure goes stale with each memory or speed change; CHANGES.md
+    # records each one with its method
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert MEASURED_FIGURE.findall(readme) == []
 
 
 PACKAGE = sorted((ROOT / "src" / "impactseries").glob("*.py"))

@@ -406,6 +406,8 @@ class TestValueValidation:
     def test_joint_distribution_validation(self):
         with pytest.raises(ValueError, match="joint probabilities must sum to 1"):
             joint(0.5, 0.5, 0.5, 0.5)
+        with pytest.raises(ValueError, match="joint probabilities must sum to 1"):
+            joint(0.25, 0.25, 0.25, 0.25 + 1e-7)
         with pytest.raises(ValueError, match=r"probability 1.5 outside \[0, 1\]"):
             joint(1.5, -0.5, 0.0, 0.0)
         with pytest.raises(ValueError, match="must cover the four outcomes"):
