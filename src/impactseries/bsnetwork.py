@@ -265,50 +265,6 @@ _TOLERANCE = 1e-9
 _DEFAULT_GRID = tuple(product((0.0, 0.7, 1.9, math.pi, 4.4), repeat=3))
 
 
-class _Group(NamedTuple):
-    """Rows of one table that are checked together.
-
-    ``rows`` are compared on magnitudes and on ratios to their first row;
-    ``law_groups`` are the interfering row groups of the probability law.
-    """
-
-    names: tuple[str, ...]  # magnitude, ratio and law check names
-    table: int  # 0: joint table, 1: single-path table
-    rows: tuple[int, ...]
-    law_groups: tuple[tuple[int, ...], ...]
-    magnitude: float
-    row_labels: tuple[str, ...]
-    column_labels: tuple[str, ...]
-
-
-_GROUPS = tuple(
-    _Group(
-        names=tuple(
-            f"joint {check}, difference-{sub.value} class"
-            for check in ("magnitudes", "amplitude ratios", "probabilities")
-        ),
-        table=0,
-        rows=rows,
-        law_groups=(rows,),
-        magnitude=JOINT_MAGNITUDE,
-        row_labels=tuple(JOINT_PAIRS[row].label for row in rows),
-        column_labels=tuple(outcome.value for outcome in OUTCOMES),
-    )
-    for sub, rows in CLASS_ROWS.items()
-) + (
-    _Group(
-        names=("single-path magnitudes", "single-path amplitude ratios",
-               "sequential-impact singles probabilities"),
-        table=1,
-        rows=tuple(range(len(SINGLE_PATHS))),
-        law_groups=SEQUENTIAL_GROUPS,
-        magnitude=SINGLE_MAGNITUDE,
-        row_labels=tuple(f"({path.value})" for path in SINGLE_PATHS),
-        column_labels=tuple(sign.value for sign in Sign),
-    ),
-)
-
-
 def _check(
     name: str,
     deviations: np.ndarray,
@@ -330,6 +286,47 @@ def _check(
     return CheckResult(name, max_deviation, _TOLERANCE, first_mismatch is None, first_mismatch)
 
 
+def _group_checks(
+    names: Sequence[str],
+    derived: np.ndarray,
+    reference: np.ndarray,
+    law_groups: Sequence[Sequence[int]],
+    magnitude: float,
+    rows: Sequence[str],
+    columns: Sequence[str],
+    grid: Sequence[PhaseSettings],
+) -> tuple[CheckResult, ...]:
+    """The magnitude, amplitude-ratio and law checks, named ``names``, of one
+    row group: ``(point, row, column)`` tables ``derived`` and ``reference``
+    on ``grid``, labelled ``rows`` and ``columns``.  Every entry should have
+    ``magnitude``, ratios are to the first row, and the law's interfering
+    groups are ``law_groups`` of the group's rows."""
+    magnitudes = np.abs(derived)
+    derived_ratio = derived[:, 1:] / derived[:, :1]
+    reference_ratio = reference[:, 1:] / reference[:, :1]
+    derived_p = interference_law(derived, law_groups)
+    reference_p = interference_law(reference, law_groups)
+    magnitude_name, ratio_name, law_name = names
+    return (
+        _check(
+            magnitude_name, np.abs(magnitudes - magnitude), grid,
+            lambda p, i, j: f"|A{columns[j]}{rows[i]}| = {magnitudes[p, i, j]:.12g}, "
+            f"expected {magnitude:.12g}",
+        ),
+        _check(
+            ratio_name, np.abs(derived_ratio - reference_ratio), grid,
+            lambda p, i, j: f"A{columns[j]}{rows[i + 1]}/A{columns[j]}{rows[0]}: "
+            f"derived {derived_ratio[p, i, j]:.9g}, "
+            f"reference {reference_ratio[p, i, j]:.9g}",
+        ),
+        _check(
+            law_name, np.abs(derived_p - reference_p)[:, None, :], grid,
+            lambda p, _, j: f"P({columns[j]}): derived {derived_p[p, j]:.12g}, "
+            f"reference {reference_p[p, j]:.12g}",
+        ),
+    )
+
+
 def validate_against_reference(
     geometry: Geometry,
     convention: SplitterConvention,
@@ -348,35 +345,20 @@ def validate_against_reference(
     grid = _DEFAULT_GRID if phase_grid is None else tuple(phase_grid)
     if not grid:
         raise ValueError("grid must not be empty")
-    derived_tables = derive_tables(geometry, convention, grid)
-    reference_tables = (joint_amplitudes(grid), single_amplitudes(grid))
+    derived_joint, derived_single = derive_tables(geometry, convention, grid)
+    reference_joint = joint_amplitudes(grid)
+    outcomes = tuple(outcome.value for outcome in OUTCOMES)
     checks = []
-    for group in _GROUPS:
-        rows, columns = group.row_labels, group.column_labels
-        derived = derived_tables[group.table][:, list(group.rows)]
-        reference = reference_tables[group.table][:, list(group.rows)]
-        magnitudes = np.abs(derived)
-        derived_ratio = derived[:, 1:] / derived[:, :1]
-        reference_ratio = reference[:, 1:] / reference[:, :1]
-        derived_p = interference_law(derived_tables[group.table], group.law_groups)
-        reference_p = interference_law(reference_tables[group.table], group.law_groups)
-        magnitude_name, ratio_name, law_name = group.names
-        checks += (
-            _check(
-                magnitude_name, np.abs(magnitudes - group.magnitude), grid,
-                lambda p, i, j: f"|A{columns[j]}{rows[i]}| = {magnitudes[p, i, j]:.12g}, "
-                f"expected {group.magnitude:.12g}",
-            ),
-            _check(
-                ratio_name, np.abs(derived_ratio - reference_ratio), grid,
-                lambda p, i, j: f"A{columns[j]}{rows[i + 1]}/A{columns[j]}{rows[0]}: "
-                f"derived {derived_ratio[p, i, j]:.9g}, "
-                f"reference {reference_ratio[p, i, j]:.9g}",
-            ),
-            _check(
-                law_name, np.abs(derived_p - reference_p)[:, None, :], grid,
-                lambda p, _, j: f"P({columns[j]}): derived {derived_p[p, j]:.12g}, "
-                f"reference {reference_p[p, j]:.12g}",
-            ),
+    for sub, rows in CLASS_ROWS.items():
+        checks += _group_checks(
+            [f"joint {check}, difference-{sub.value} class"
+             for check in ("magnitudes", "amplitude ratios", "probabilities")],
+            derived_joint[:, list(rows)], reference_joint[:, list(rows)], (range(len(rows)),),
+            JOINT_MAGNITUDE, [JOINT_PAIRS[row].label for row in rows], outcomes, grid,
         )
-    return tuple(checks)
+    return (*checks, *_group_checks(
+        ["single-path magnitudes", "single-path amplitude ratios",
+         "sequential-impact singles probabilities"],
+        derived_single, single_amplitudes(grid), SEQUENTIAL_GROUPS, SINGLE_MAGNITUDE,
+        [f"({path.value})" for path in SINGLE_PATHS], [sign.value for sign in Sign], grid,
+    ))

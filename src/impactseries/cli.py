@@ -385,11 +385,8 @@ def _cmd_validate_oracle(args: argparse.Namespace) -> int:
         validate_against_reference,
     )
 
-    default = SplitterConvention()
-    convention = SplitterConvention(
-        t=default.t if args.splitter_t is None else args.splitter_t,
-        r=default.r if args.splitter_r is None else args.splitter_r,
-    )
+    given = {"t": args.splitter_t, "r": args.splitter_r}
+    convention = SplitterConvention(**{k: v for k, v in given.items() if v is not None})
     if args.geometry:
         try:
             with open(args.geometry, encoding="utf-8") as handle:

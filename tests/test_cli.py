@@ -43,6 +43,15 @@ def read_json(path):
         return json.load(handle)["rows"]
 
 
+def child_env():
+    """The environment of a CLI child process: this package on its path, and
+    standard output block-buffered, as it is by default, whatever
+    ``PYTHONUNBUFFERED`` the tests run with."""
+    src = str(Path(impactseries.__file__).resolve().parents[1])
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONPATH": src}
+
+
 class TestPredict:
     def test_qm_at_zero_phases(self, capsys):
         code = main(["predict", "--model", "qm", "--alpha", "0", "--beta", "0", "--gamma", "0"])
@@ -110,6 +119,16 @@ class TestPredict:
         assert rows[0]["p1_plus_analytic"] == pytest.approx(0.166667)
         assert rows[0]["events"] is None
         assert list(rows[0]) == list(COLUMNS)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_a_failed_write_of_the_out_file_is_an_argument_error(self, capsys):
+        # /dev/full passes the --out checks; its write fails with ENOSPC
+        code = main(["predict", "--model", "qm", "--out", "/dev/full"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == (
+            "error: cannot write --out file: [Errno 28] No space left on device\n"
+        )
 
 
 class TestRuleLabels:
@@ -299,6 +318,8 @@ class TestCompare:
         assert {r["e_analytic_causal"] for r in rows} == {"0"}
 
     def test_rows_replay_from_embedded_provenance(self, tmp_path, capsys):
+        # a row prints its phases to 6 significant digits, so it replays only
+        # where that rounding is exact: 0, 1.5 and 3 are, most grids' points not
         out_file = tmp_path / "scan.csv"
         assert main([
             "compare", "--axis", "beta", "--grid", "0:3:3",
@@ -355,11 +376,28 @@ class TestCompare:
         assert captured.out == ""
         assert captured.err.startswith("error: grid count must be from 1 to 2**32")
 
+    def test_degrees_grid_is_written_in_radians(self, tmp_path, capsys):
+        out_file = tmp_path / "scan.csv"
+        code = main(["compare", "--degrees", "--grid", "0:180:3", "--events", "100",
+                     "--out", str(out_file)])
+        capsys.readouterr()
+        assert code == 0
+        assert [row["angle"] for row in read_csv(out_file)] == ["0", "1.5708", "3.14159"] * 2
+
     def test_malformed_grid(self, capsys):
         code = main(["compare", "--grid", "0:1"])
         captured = capsys.readouterr()
         assert code == 2
         assert "grid" in captured.err
+
+    def test_grid_that_is_not_numbers_names_the_bad_part(self, capsys):
+        code = main(["compare", "--grid", "a:1:3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: cannot parse grid 'a:1:3': could not convert string to float: 'a'\n"
+        )
 
     @pytest.mark.parametrize(
         "grid, flags",
@@ -405,11 +443,10 @@ class TestCompare:
     def test_a_closed_standard_output_is_exit_1_without_a_traceback(self):
         # 6,000 rows (~480 KB) outgrow the 64 KB pipe buffer, so once the
         # reader has taken one line and closed the pipe a print fails (EPIPE)
-        src = str(Path(impactseries.__file__).resolve().parents[1])
         child = subprocess.Popen(
             [sys.executable, "-m", "impactseries.cli", "compare", "--grid", "0:6:3000",
              "--events", "100"],
-            env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         )
         assert child.stdout.readline().startswith(b"compare axis=alpha points=3000 ")
         child.stdout.close()
@@ -854,6 +891,51 @@ class TestValidateOracle:
         captured = capsys.readouterr()
         assert code == 2
         assert "geometry" in captured.err
+
+    def test_a_geometry_line_without_equals_names_its_line(self, tmp_path, capsys):
+        layout = tmp_path / "bad.geom"
+        layout.write_text("photon1.source a\n")
+        code = main(["validate-oracle", "--geometry", str(layout)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: line 1: expected 'key = value', got 'photon1.source a'\n"
+        )
+
+
+class TestEntrypoint:
+    """The exit code and streams of ``python -m impactseries.cli``, run as a process."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["predict", "--model", "causal"], 2),
+            (["validate-oracle", "--geometry", str(GEOMETRIES / "crossed-stage2.geom")], 3),
+        ],
+        ids=["contract-error", "oracle-fail"],
+    )
+    def test_the_process_exits_with_the_command_code(self, argv, code):
+        result = subprocess.run(
+            [sys.executable, "-m", "impactseries.cli", *argv],
+            env=child_env(), capture_output=True, timeout=60,
+        )
+        assert result.returncode == code
+
+    def test_a_reader_closed_before_the_start_is_exit_1_without_a_traceback(self):
+        # predict's lines fit in standard output's buffer, so the first write
+        # to the pipe is entrypoint's flush after main returns
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "impactseries.cli", "predict", "--model", "qm"],
+                env=child_env(), stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == 1
+        assert result.stderr == b""
 
 
 #: The modules whose loading ``test_each_command_loads_only_the_code_it_runs`` checks.
