@@ -162,14 +162,18 @@ def replacements(files: list[str]) -> list[tuple[str, str, str, str]]:
     return mutants
 
 
+#: Seconds per mutant: a tier-1 run that takes longer kills its mutant.
+TIMEOUT = 180.0
+
+
 def limit_child() -> None:
     # 2 GiB of address space: the tier-1 tests need a fraction of it
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
-def run_tests(copy: Path, timeout: float) -> str:
+def run_tests(copy: Path) -> str:
     """``killed`` or ``survived``: the tier-1 tests, less the import rules,
-    on ``copy``; a run past ``timeout`` seconds is killed, and kills its mutant."""
+    on ``copy``; a run past ``TIMEOUT`` seconds is killed, and kills its mutant."""
     env = {
         **os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1",
         "OPENBLAS_NUM_THREADS": "1",
@@ -183,7 +187,7 @@ def run_tests(copy: Path, timeout: float) -> str:
         preexec_fn=limit_child, start_new_session=True,
     )
     try:
-        return "survived" if child.wait(timeout=timeout) == 0 else "killed"
+        return "survived" if child.wait(timeout=TIMEOUT) == 0 else "killed"
     except subprocess.TimeoutExpired:
         return "killed (timeout)"
     finally:
@@ -201,7 +205,6 @@ def main() -> int:
                         help="each statement inside a function -> pass")
     parser.add_argument("--file", action="append",
                         help="a module of the package to mutate (default: every one)")
-    parser.add_argument("--timeout", type=float, default=180.0, help="seconds per mutant")
     args = parser.parse_args()
     files = args.file or sorted(path.name for path in (ROOT / PACKAGE).glob("*.py"))
 
@@ -217,7 +220,7 @@ def main() -> int:
             ]
         else:
             mutants = replacements(files)
-        if run_tests(copy, args.timeout) != "survived":
+        if run_tests(copy) != "survived":
             raise SystemExit("the tests fail on the unmutated copy")
 
         survivors, start = [], time.monotonic()
@@ -226,7 +229,7 @@ def main() -> int:
             original = target.read_text(encoding="utf-8")
             target.write_text(mutated, encoding="utf-8")
             try:
-                outcome = run_tests(copy, args.timeout)
+                outcome = run_tests(copy)
             finally:
                 target.write_text(original, encoding="utf-8")
             if outcome == "survived" and key in EQUIVALENT:

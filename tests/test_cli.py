@@ -318,8 +318,8 @@ class TestCompare:
         assert {r["e_analytic_causal"] for r in rows} == {"0"}
 
     def test_rows_replay_from_embedded_provenance(self, tmp_path, capsys):
-        # a row prints its phases to 6 significant digits, so it replays only
-        # where that rounding is exact: 0, 1.5 and 3 are, most grids' points not
+        # a row prints its phases to 6 significant digits, so it is only sure to
+        # replay where that rounding is exact: 0, 1.5 and 3 are, most grids' points not
         out_file = tmp_path / "scan.csv"
         assert main([
             "compare", "--axis", "beta", "--grid", "0:3:3",
@@ -991,9 +991,8 @@ for argv in {[argv for argv, _ in loads]!r}:
             os._exit(0)
     os.wait()
 """
-    src = str(Path(impactseries.__file__).resolve().parents[1])
     result = subprocess.run(
-        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+        [sys.executable, "-c", script], env=child_env(),
         capture_output=True, text=True, timeout=60, check=True,
     )
     first, *lines = result.stdout.splitlines()
