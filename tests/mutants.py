@@ -80,17 +80,26 @@ REPLACEMENTS = [
      "E's Wilson fallback at both ends"),
     ("bsnetwork.py", "    if [len(photon.stages) for photon in geometry] != [1, 2]:",
      "    if False:", "the reference tables fix the stage counts"),
+    ("bsnetwork.py", "    for photon in geometry:\n        for short, long in photon.stages:\n",
+     "    if [len(photon.stages) for photon in geometry] != [1, 2]:\n"
+     '        raise ValueError("reference tables need one stage for photon 1 and two for photon 2")\n'
+     "    for photon in geometry:\n        for short, long in photon.stages:\n",
+     "a wiring fault is reported before the stage counts"),
+    ("cli.py", '        return text if "." in text else text + ".0"',
+     "        return float.__repr__(float(text))", "the JSON cells' positional path"),
+    ("cli.py", 'handle.write("\\n    }\\n  ]\\n}\\n")', 'handle.write("\\n    }\\n  ]\\n}")',
+     "the JSON text ends with a newline"),
 ]
 
 #: Mutants that no output can show, keyed ``file: why`` for a replacement and
 #: ``file function: statement's first line`` for a deletion.
 EQUIVALENT = {
-    "montecarlo.py: the one-row counting branch":
-        "a speed path: the general branch counts one row the same",
     "montecarlo.py: the fan-out threshold":
         "a speed path: every fan-out gives the same counts",
     "cli.py: the rows written at a time":
         "a speed path: every batch size writes the same bytes",
+    "cli.py: the JSON cells' positional path":
+        "a speed path: the fallback writes the same text",
     "cli.py _column_texts: if type(values) is tuple:":
         "a speed path: the general path formats a tuple's cells the same",
     "cli.py _column_texts: return [prefix + cell(values[0])] * len(values)":

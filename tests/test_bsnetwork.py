@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +34,8 @@ from impactseries.bsnetwork import (
 from impactseries.pathspace import Arm, Arm2Path, Sign, Subensemble, members
 
 DEFAULT = SplitterConvention()
+
+GEOMETRIES = Path(__file__).resolve().parent.parent / "geometries"
 
 #: Every 16th point of the default 125-point grid, for the property tests.
 SPARSE_GRID = _DEFAULT_GRID[::16]
@@ -180,6 +183,11 @@ class TestDefaultGeometry:
         # a report over no point would pass every check with deviation 0
         with pytest.raises(ValueError, match="grid must not be empty"):
             validate_against_reference(default_geometry(), DEFAULT, [])
+
+    def test_the_documented_file_is_the_built_in_layout(self):
+        # README points to this file as the documented format
+        text = (GEOMETRIES / "default.geom").read_text(encoding="utf-8")
+        assert parse_geometry(text) == default_geometry()
 
 
 class TestMiswiredGeometry:

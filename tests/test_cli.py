@@ -886,6 +886,14 @@ class TestValidateOracle:
         assert code == 2
         assert "unitary" in captured.err
 
+    def test_the_documented_default_file_reports_as_the_built_in_layout(self, capsys):
+        code = main(["validate-oracle"])
+        built_in = capsys.readouterr().out
+        assert code == 0
+        code = main(["validate-oracle", "--geometry", str(GEOMETRIES / "default.geom")])
+        assert code == 0
+        assert capsys.readouterr().out == built_in
+
     def test_unreadable_geometry_file(self, capsys):
         code = main(["validate-oracle", "--geometry", "/no/such/file.geom"])
         captured = capsys.readouterr()

@@ -875,6 +875,16 @@ class TestThresholdCounts:
                     row[:size], row[size:], lo, hi, [*row_edges, 1.0]
                 )
 
+    def test_a_row_of_one_full_block_counts_every_event(self):
+        # a one-row chunk may hold BLOCK_SIZE events, all accepted: more than a
+        # uint16 sum of the row's bytes can hold (block_tallies' class
+        # intervals, at most 3/8 wide, never accept that many)
+        u_outcome = np.full((1, BLOCK_SIZE), 0.9)
+        mask = np.ones((1, BLOCK_SIZE), dtype=bool)
+        scratch = np.empty_like(mask)
+        edges = np.array([[[0.25, 0.5, 0.75]]])
+        assert _accepted_counts(u_outcome, mask, edges, scratch) == [[(0, 0, 0, BLOCK_SIZE)]]
+
 
 def product_reference(law: Law) -> list[list[float]]:
     """The sampled law of a model with no joint law, point by point in Python floats:
