@@ -45,7 +45,7 @@ class SplitterConvention(NamedTuple):
     r: complex = complex(0.0, _INV_SQRT2)
 
     def require_unitary(self) -> None:
-        norm = abs(abs(self.t) ** 2 + abs(self.r) ** 2 - 1.0)
+        norm = abs((self.t * self.t.conjugate() + self.r * self.r.conjugate()).real - 1.0)
         cross = abs(self.t * self.r.conjugate() + self.r * self.t.conjugate())
         if not (norm <= _UNITARITY_TOL and cross <= _UNITARITY_TOL):
             raise ValueError(

@@ -68,9 +68,6 @@ _POOL_HASH = (0x43B0D7E5, 0x931E8875)
 _STATE_HASH = (0x8B51F9DD, 0x58F38DED)
 _MIX_LEFT, _MIX_RIGHT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 
-#: PCG64's 128-bit LCG multiplier (O'Neill 2014).
-_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
-
 
 def _hash_steps(start: int, multiplier: int) -> Iterator[tuple[np.uint32, np.uint32]]:
     """The ``(xor, multiply)`` pair of each successive ``hashmix`` call, which
@@ -123,22 +120,6 @@ def _seed_words(seeds, keys, n_words: int) -> np.ndarray:
     return np.stack(state[0::2], axis=1).astype(np.uint64) | (
         np.stack(state[1::2], axis=1).astype(np.uint64) << 32
     )
-
-
-def _pcg64_state(words: Sequence[int]) -> dict:
-    """The ``PCG64.state`` that numpy's ``pcg64_set_seed`` makes of four seed
-    words, the 128-bit initial state and sequence, high words first: the
-    increment is ``2 * sequence + 1``, and the state is the initial state added
-    between two LCG steps from 0."""
-    state, increment = words[0] << 64 | words[1], words[2] << 64 | words[3]
-    increment = (increment << 1 | 1) & (1 << 128) - 1
-    state = ((state + increment) * _PCG64_MULTIPLIER + increment) & (1 << 128) - 1
-    return {
-        "bit_generator": "PCG64",
-        "state": {"state": state, "inc": increment},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
 
 
 def _sampled_law(law: Law) -> np.ndarray:
@@ -213,26 +194,33 @@ def _sample_streams(
     # a chunk holds at most one full block, and never more than the streams draw
     capacity = min(BLOCK_SIZE, len(streams) * sizes[0])
     buffers = np.empty(capacity), np.empty(capacity, dtype=bool), np.empty(capacity, dtype=bool)
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-    # one row of words at a time: a list of them all would hold more memory
-    stream_words = iter(words)
+
+    class HashedWords(np.random.bit_generator.ISeedSequence):
+        """A stream's row of ``words``, C-contiguous uint64: ``PCG64`` reads
+        four words of it unchecked as its seed sequence's
+        ``generate_state(4, np.uint64)``."""
+
+        def __init__(self, row: np.ndarray) -> None:
+            self.row = row
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            return self.row
 
     seeds = edges.shape[1]
-    i = streams.start
-    while i < streams.stop:
-        block, s = divmod(i, seeds)
+    k = 0
+    while k < len(streams):
+        block, s = divmod(streams[k], seeds)
         size = sizes[block]
         # the chunk ends with the block's last seed at the latest
-        n = min(max(1, BLOCK_SIZE // size), streams.stop - i, seeds - s)
-        i += n
+        n = min(max(1, BLOCK_SIZE // size), len(streams) - k, seeds - s)
         u, mask, scratch = (buffer[: n * size].reshape(n, size) for buffer in buffers)
-        for row, mask_row, scratch_row in zip(u, mask, scratch):
-            bit_generator.state = _pcg64_state(next(stream_words).tolist())
+        for row, mask_row, scratch_row, row_words in zip(u, mask, scratch, words[k : k + n]):
+            rng = np.random.Generator(np.random.PCG64(HashedWords(row_words)))
             rng.random(out=row)
             _class_mask(row, accept, mask_row, scratch_row)
             rng.random(out=row)
         counts[:, s : s + n, block] = _accepted_counts(u, mask, edges[:, s : s + n], scratch)
+        k += n
     return counts
 
 

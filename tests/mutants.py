@@ -89,6 +89,14 @@ REPLACEMENTS = [
      "        return float.__repr__(float(text))", "the JSON cells' positional path"),
     ("cli.py", 'handle.write("\\n    }\\n  ]\\n}\\n")', 'handle.write("\\n    }\\n  ]\\n}")',
      "the JSON text ends with a newline"),
+    ("bsnetwork.py",
+     "norm = abs((self.t * self.t.conjugate() + self.r * self.r.conjugate()).real - 1.0)",
+     "norm = abs(abs(self.t) ** 2 + abs(self.r) ** 2 - 1.0)",
+     "a huge amplitude is not unitary, not an OverflowError"),
+    # a copy: PCG64 reads the returned array's memory as four words unchecked,
+    # so a reversed view would be read past its row
+    ("montecarlo.py", "            return self.row\n", "            return self.row[::-1].copy()\n",
+     "a stream's words seed PCG64 in numpy's order"),
 ]
 
 #: Mutants that no output can show, keyed ``file: why`` for a replacement and

@@ -118,6 +118,8 @@ class TestConvention:
             (1.0, 1.0),
             (1 / math.sqrt(2), 1 / math.sqrt(2)),  # balanced but not orthogonal
             (0.9, 0.1j),
+            (1e308, DEFAULT.r),  # squared, above the largest float
+            (complex(1.7e308, 1.7e308), DEFAULT.r),  # its absolute value too
         ],
     )
     def test_non_unitary_conventions_are_rejected(self, t, r):

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, output schema, reproducibility."""
 
 import ast
+import contextlib
 import csv
 import hashlib
 import io
@@ -869,6 +870,22 @@ class TestValidateOracle:
         assert code == 2
         assert "splitter convention is not unitary" in captured.err
 
+    # a float power of such an amplitude overflows, where a product is inf;
+    # the absolute value of the last one is above the largest float
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--splitter-t", "1e308"), ("--splitter-r", "1e200j"), ("--splitter-t", "1.7e308+1.7e308j")],
+    )
+    def test_a_huge_amplitude_is_not_unitary(self, option, value, capsys):
+        code = main(["validate-oracle", option, value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: splitter convention is not unitary: need |t|^2+|r|^2 = 1 "
+            "and t*conj(r) + r*conj(t) = 0\n"
+        )
+
     def test_a_cascade_of_zero_total_is_an_error_without_a_traceback(self, capsys):
         # unitary, but every amplitude of the difference-L class is zero
         code = main(["validate-oracle", "--splitter-t", "0", "--splitter-r", "1"])
@@ -944,6 +961,97 @@ class TestEntrypoint:
             os.close(write_end)
         assert result.returncode == 1
         assert result.stderr == b""
+
+
+#: Values for the argv property test, valid and hostile.  Every valid value is
+#: small: at most 1,000 events and grids of at most 5 points.
+NUMBERS = ["0", "1.5", "-0", "1e-320", "1e308", "-1e308", "nan", "inf", "-inf", "", "x"]
+EVENTS = ["1", "1000", "0", "-1", str(2**48 + 1), "1e3", "nan", "", "x"]
+SEEDS = ["0", "7", str(2**64 - 1), str(2**64), "-1", "1.5", "", "x"]
+GRIDS = [
+    "0:1:3", "0:6.283185307179586:5", "1:0:2", "0:1:1", "0:1:0", "0:1:-1", "0:1:2.5",
+    "0:1e308:3", "-1e308:1e308:2", "0:nan:3", "0:inf:2", "0:1:4294967297", "0:1", "", "x:y:z",
+]
+AMPLITUDES = [
+    "0.7071067811865476", "0.7071067811865476j", "1", "0", "-0", "1e-320", "1e308",
+    "1e200j", "1.7e308+1.7e308j", "nan", "infj", "", "x",
+]
+
+
+def option_values(out_dir):
+    """The value pool of each option, ``--out`` and ``--geometry`` paths under
+    ``out_dir``; ``/dev/full`` is written, never read, as a read never ends."""
+    paths = ["", str(out_dir), str(out_dir / "missing" / "rows")]
+    outs = [str(out_dir / "rows"), *paths]
+    if os.path.exists("/dev/full"):
+        outs.append("/dev/full")
+    return {
+        "--ordering": ["1", "2", "spacelike", "3", ""],
+        "--subensemble": ["L", "l", "2L-l", "x"],
+        "--alpha": NUMBERS, "--beta": NUMBERS, "--gamma": NUMBERS,
+        "--format": ["csv", "json", "xml"],
+        "--out": outs,
+        "--events": EVENTS,
+        "--seed": SEEDS,
+        "--axis": ["alpha", "beta", "gamma", "delta"],
+        "--grid": GRIDS,
+        "--geometry": [
+            str(GEOMETRIES / "default.geom"), str(GEOMETRIES / "crossed-stage2.geom"), *paths
+        ],
+        "--splitter-t": AMPLITUDES,
+        "--splitter-r": AMPLITUDES,
+    }
+
+
+#: Each command's options, less ``--model`` and ``--degrees``.
+PREDICT_OPTIONS = ["--ordering", "--subensemble", "--alpha", "--beta", "--gamma", "--format", "--out"]
+COMMAND_OPTIONS = {
+    "predict": PREDICT_OPTIONS,
+    "simulate": [*PREDICT_OPTIONS, "--events", "--seed"],
+    "compare": [
+        "--ordering", "--alpha", "--beta", "--gamma", "--axis", "--grid", "--events", "--seed",
+        "--format", "--out",
+    ],
+    "validate-oracle": ["--geometry", "--splitter-t", "--splitter-r"],
+}
+ALL_OPTIONS = sorted({option for options in COMMAND_OPTIONS.values() for option in options})
+
+
+@st.composite
+def argvs(draw, out_dir):
+    """A subcommand, ``--model`` where it takes one, up to five options (one
+    in four drawn from every command's options) and ``--degrees``."""
+    values = option_values(out_dir)
+    command = draw(st.sampled_from(sorted(COMMAND_OPTIONS)))
+    argv = [command]
+    if command in ("predict", "simulate"):
+        argv += ["--model", draw(st.sampled_from(["qm", "causal", "rnl", "x"]))]
+    own, other = st.sampled_from(COMMAND_OPTIONS[command]), st.sampled_from(ALL_OPTIONS)
+    for option in draw(st.lists(st.one_of(own, own, own, other), max_size=5)):
+        argv += [option, draw(st.sampled_from(values[option]))]
+    if draw(st.booleans()):
+        argv.append("--degrees")
+    return argv
+
+
+@pytest.fixture(scope="module")
+def out_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("argv")
+
+
+@settings(max_examples=250, deadline=None)
+@given(data=st.data())
+def test_any_argv_exits_0_2_or_3_and_a_2_writes_only_its_error(data, out_dir):
+    # README's exit-code contract over argv: a command never raises out of
+    # main, and one that exits 2 prints nothing to stdout and no traceback
+    argv = data.draw(argvs(out_dir), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert "Traceback" not in err.getvalue()
 
 
 #: The modules whose loading ``test_each_command_loads_only_the_code_it_runs`` checks.
