@@ -376,6 +376,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+#: The longest ``--geometry`` file read; the shipped ones are under 2 KB.
+_GEOMETRY_BYTES = 64 * 1024
+
+
 def _cmd_validate_oracle(args: argparse.Namespace) -> int:
     # imported here: the other commands never load the oracle
     from .bsnetwork import (
@@ -389,10 +393,13 @@ def _cmd_validate_oracle(args: argparse.Namespace) -> int:
     convention = SplitterConvention(**{k: v for k, v in given.items() if v is not None})
     if args.geometry:
         try:
-            with open(args.geometry, encoding="utf-8") as handle:
-                geometry = parse_geometry(handle.read())
+            with open(args.geometry, "rb") as handle:
+                data = handle.read(_GEOMETRY_BYTES + 1)
         except OSError as exc:
             raise ValueError(f"cannot read geometry file: {exc}") from None
+        if len(data) > _GEOMETRY_BYTES:
+            raise ValueError(f"geometry file is longer than {_GEOMETRY_BYTES} bytes")
+        geometry = parse_geometry(data.decode("utf-8"))
     else:
         geometry = default_geometry()
 
@@ -511,15 +518,19 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
+    """Run :func:`main` as the console script: flush both standard streams,
+    then leave through ``os._exit`` with its code, skipping the interpreter's
+    teardown.  So atexit handlers and process-level wrappers (``python -m
+    cProfile``, ``coverage run -m``) see no normal exit: profile ``main(argv)``
+    in process.  A reader that closed standard output early (``| head``) is
+    exit 1, with no traceback."""
     try:
         code = main()
         sys.stdout.flush()  # inside the try, so a closed reader fails here
+        sys.stderr.flush()
     except BrokenPipeError:
-        # standard output was closed early (``| head``): as Python's SIGPIPE
-        # note advises, the exit's flush goes to devnull, so no traceback
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(1)
-    sys.exit(code)
+        code = 1
+    os._exit(code)
 
 
 if __name__ == "__main__":

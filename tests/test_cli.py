@@ -9,6 +9,7 @@ import itertools
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -917,6 +918,37 @@ class TestValidateOracle:
         assert code == 2
         assert "geometry" in captured.err
 
+    def test_a_geometry_file_of_64_kib_is_read_and_one_byte_more_is_not(self, tmp_path, capsys):
+        main(["validate-oracle"])
+        built_in = capsys.readouterr().out
+        layout = (GEOMETRIES / "default.geom").read_bytes()
+        padded = tmp_path / "padded.geom"
+        padded.write_bytes(b"#" * (64 * 1024 - len(layout) - 1) + b"\n" + layout)
+        assert main(["validate-oracle", "--geometry", str(padded)]) == 0
+        assert capsys.readouterr().out == built_in
+        padded.write_bytes(b" " + padded.read_bytes())
+        code = main(["validate-oracle", "--geometry", str(padded)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: geometry file is longer than 65536 bytes\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+    def test_an_endless_geometry_file_is_one_error_line(self):
+        # in a child capped at 512 MiB of address space: an unbounded read
+        # fails there with a MemoryError (exit 1) and does not fill the host
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+        result = subprocess.run(
+            [sys.executable, "-m", "impactseries.cli", "validate-oracle", "--geometry", "/dev/zero"],
+            env={**child_env(), "OPENBLAS_NUM_THREADS": "1"}, capture_output=True, timeout=60,
+            preexec_fn=cap,
+        )
+        assert result.returncode == 2
+        assert result.stdout == b""
+        assert result.stderr == b"error: geometry file is longer than 65536 bytes\n"
+
     def test_a_geometry_line_without_equals_names_its_line(self, tmp_path, capsys):
         layout = tmp_path / "bad.geom"
         layout.write_text("photon1.source a\n")
@@ -933,19 +965,28 @@ class TestEntrypoint:
     """The exit code and streams of ``python -m impactseries.cli``, run as a process."""
 
     @pytest.mark.parametrize(
-        "argv, code",
+        "argv",
         [
-            (["predict", "--model", "causal"], 2),
-            (["validate-oracle", "--geometry", str(GEOMETRIES / "crossed-stage2.geom")], 3),
+            # every line waits in standard output's buffer until entrypoint's flush
+            ["predict", "--model", "qm"],
+            # 2,000 rows (~160 KB) outgrow the 64 KB pipe buffer
+            ["compare", "--grid", "0:6:1000", "--events", "100"],
+            ["validate-oracle", "--geometry", str(GEOMETRIES / "crossed-stage2.geom")],
+            ["predict", "--model", "causal"],
         ],
-        ids=["contract-error", "oracle-fail"],
+        ids=["predict", "long-compare", "oracle-fail", "contract-error"],
     )
-    def test_the_process_exits_with_the_command_code(self, argv, code):
+    def test_the_process_writes_and_exits_as_main_does(self, argv, capsys):
+        # the process leaves through os._exit, which flushes nothing itself
         result = subprocess.run(
             [sys.executable, "-m", "impactseries.cli", *argv],
-            env=child_env(), capture_output=True, timeout=60,
+            env={**child_env(), "PYTHONIOENCODING": "utf-8"}, capture_output=True, timeout=60,
         )
+        code = main(argv)
+        captured = capsys.readouterr()
         assert result.returncode == code
+        assert result.stdout == captured.out.encode("utf-8")
+        assert result.stderr == captured.err.encode("utf-8")
 
     def test_a_reader_closed_before_the_start_is_exit_1_without_a_traceback(self):
         # predict's lines fit in standard output's buffer, so the first write
@@ -979,12 +1020,12 @@ AMPLITUDES = [
 
 
 def option_values(out_dir):
-    """The value pool of each option, ``--out`` and ``--geometry`` paths under
-    ``out_dir``; ``/dev/full`` is written, never read, as a read never ends."""
+    """The value pool of each option: ``--out`` and ``--geometry`` paths under
+    ``out_dir``, and ``/dev/full`` and ``/dev/zero``, whose reads never end
+    (a write to ``/dev/full`` fails)."""
     paths = ["", str(out_dir), str(out_dir / "missing" / "rows")]
+    paths += [path for path in ("/dev/full", "/dev/zero") if os.path.exists(path)]
     outs = [str(out_dir / "rows"), *paths]
-    if os.path.exists("/dev/full"):
-        outs.append("/dev/full")
     return {
         "--ordering": ["1", "2", "spacelike", "3", ""],
         "--subensemble": ["L", "l", "2L-l", "x"],
