@@ -167,54 +167,43 @@ def _run_columns(
 _BATCH_ROWS = 256
 
 
-def _batches(parts: list[dict], names: tuple[str, ...] = COLUMNS) -> Iterator[list[Sequence]]:
+def _batches(parts: list[dict], cell, names: tuple[str, ...] = COLUMNS) -> Iterator[list]:
     """The rows of ``parts`` (see :func:`_analytic_columns`), one part after
     the other, ``_BATCH_ROWS`` at a time: per batch, each ``names`` column's
-    cells as a list of Python values, or a tuple of its value on every row.
-    A part has as many rows as ``alpha``."""
+    cells as ``cell(value)`` gives them, value by value for an array or a
+    list, and once for a column's one value on every row.  A part has as
+    many rows as ``alpha``."""
     for columns in parts:
         n = len(columns["alpha"])
         for start in range(0, n, _BATCH_ROWS):
             stop = min(n, start + _BATCH_ROWS)
             yield [
-                values[start:stop].tolist() if isinstance(values, np.ndarray)
-                else values[start:stop] if isinstance(values, list)
-                else (values,) * (stop - start)
+                map(cell, values[start:stop].tolist()) if isinstance(values, np.ndarray)
+                else map(cell, values[start:stop]) if isinstance(values, list)
+                else [cell(values)] * (stop - start)
                 for values in map(columns.get, names)
             ]
 
 
 def _first_row(columns: dict) -> dict:
-    return {name: cells[0] for name, cells in zip(COLUMNS, next(_batches([columns])))}
+    cells = next(_batches([columns], lambda value: value))
+    return dict(zip(COLUMNS, next(zip(*cells))))
 
 
 def _fields(row: dict, *names: str) -> str:
     return " ".join(f"{name}={_format_cell(row[name])}" for name in names)
 
 
-def _column_texts(values: Sequence, cell, prefix: str) -> list[str]:
-    """``prefix + cell(value)`` for each of ``values``, one column's cells of
-    one batch; a tuple's one value is formatted once."""
-    if type(values) is tuple:
-        return [prefix + cell(values[0])] * len(values)
-    return [prefix + cell(value) for value in values]
+#: One row object of ``json.dumps(..., indent=2)``, a ``%s`` per cell.
+_JSON_ROW = "    {\n" + ",\n".join(f'      "{name}": %s' for name in COLUMNS) + "\n    }"
 
 
 def _emit(parts: list[dict], fmt: str, out_path: str) -> None:
     """Write the rows of ``parts`` (see :func:`_batches`) to ``out_path`` as
     CSV or JSON, a batch at a time.  The JSON text is ``json.dumps({"rows":
-    rows}, indent=2) + "\\n"``, byte for byte, written straight into its
-    fixed layout."""
-    if fmt == "csv":
-        cell, prefixes = _format_cell, [""] * len(COLUMNS)
-    else:
-        # each column's key line inside a ``json.dumps(..., indent=2)`` row object
-        cell, prefixes = _json_cell, [f"      {_json_cell(column)}: " for column in COLUMNS]
-    rows = (
-        row
-        for batch in _batches(parts)
-        for row in zip(*map(_column_texts, batch, [cell] * len(COLUMNS), prefixes))
-    )
+    rows}, indent=2) + "\\n"``, byte for byte: each row fills ``_JSON_ROW``."""
+    cell = _format_cell if fmt == "csv" else _json_cell
+    rows = (row for batch in _batches(parts, cell) for row in zip(*batch))
     try:
         with open(out_path, "w", encoding="utf-8") as handle:
             if fmt == "csv":
@@ -224,11 +213,11 @@ def _emit(parts: list[dict], fmt: str, out_path: str) -> None:
                 writer.writerow(COLUMNS)
                 writer.writerows(rows)
             else:
-                separator = '{\n  "rows": [\n    {\n'
+                separator = '{\n  "rows": [\n'
                 for row in rows:
-                    handle.write(separator + ",\n".join(row))
-                    separator = "\n    },\n    {\n"
-                handle.write("\n    }\n  ]\n}\n")
+                    handle.write(separator + _JSON_ROW % row)
+                    separator = ",\n"
+                handle.write("\n  ]\n}\n")
     except OSError as exc:
         raise ValueError(f"cannot write --out file: {exc}") from None
 
@@ -367,12 +356,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         f"seed={args.seed} base {_fields(phases._asdict(), *PHASE_NAMES)}"
     )
     shown = ("model", "angle", "p1_plus_analytic", "p1_plus_mc", "e_value", "e_std_error")
-    for batch in _batches(parts, shown):
-        print("\n".join(
-            f"model={model} angle={_format_cell(angle)} p1_plus analytic={_shown(analytic)} "
-            f"mc={_shown(mc)} E={_shown(value)}±{_shown(error)}"
-            for model, angle, analytic, mc, value, error in zip(*batch)
-        ))
+    line = "model=%s angle=%s p1_plus analytic=%s mc=%s E=%s±%s"
+    for batch in _batches(parts, _shown, shown):
+        print("\n".join(line % row for row in zip(*batch)))
     return 0
 
 
@@ -512,7 +498,7 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "out", None) is not None:
             _check_out(args.out)
         return args.handler(args)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

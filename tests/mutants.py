@@ -9,6 +9,7 @@ that can go, or an equivalent mutant that no output can show, listed in
     python tests/mutants.py                   # the replacement mutants
     python tests/mutants.py --deletions       # each statement in a function -> pass
     python tests/mutants.py --deletions --file cli.py --file bsnetwork.py
+    python tests/mutants.py --deletions --since REV   # only functions changed since REV
 
 The tests run without ``tests/test_imports.py``, which would fail on almost
 any deletion for an import or a private name it leaves unread.  Each mutant
@@ -87,8 +88,10 @@ REPLACEMENTS = [
      "a wiring fault is reported before the stage counts"),
     ("cli.py", '        return text if "." in text else text + ".0"',
      "        return float.__repr__(float(text))", "the JSON cells' positional path"),
-    ("cli.py", 'handle.write("\\n    }\\n  ]\\n}\\n")', 'handle.write("\\n    }\\n  ]\\n}")',
+    ("cli.py", 'handle.write("\\n  ]\\n}\\n")', 'handle.write("\\n  ]\\n}")',
      "the JSON text ends with a newline"),
+    ("cli.py", "except (ValueError, MemoryError) as exc:", "except ValueError as exc:",
+     "a request that memory cannot hold is one error line, exit 2"),
     ("bsnetwork.py",
      "norm = abs((self.t * self.t.conjugate() + self.r * self.r.conjugate()).real - 1.0)",
      "norm = abs(abs(self.t) ** 2 + abs(self.r) ** 2 - 1.0)",
@@ -108,19 +111,16 @@ EQUIVALENT = {
         "a speed path: every batch size writes the same bytes",
     "cli.py: the JSON cells' positional path":
         "a speed path: the fallback writes the same text",
-    "cli.py _column_texts: if type(values) is tuple:":
-        "a speed path: the general path formats a tuple's cells the same",
-    "cli.py _column_texts: return [prefix + cell(values[0])] * len(values)":
-        "a speed path: the general path formats a tuple's cells the same",
     "cli.py entrypoint: sys.stderr.flush()":
         "standard error is line-buffered, and the CLI writes it only whole lines",
 }
 
 
-def deletions(path: Path) -> list[tuple[str, str, str]]:
+def deletions(path: Path, lines: set[int] | None = None) -> list[tuple[str, str, str]]:
     """``(key, description, mutated source)`` for each statement inside a
     function of ``path``, replaced by ``pass``; docstrings and bare ``pass``
-    are kept."""
+    are kept.  Given ``lines``, only the functions (outermost, decorators
+    included) that span one of them are mutated."""
     source = path.read_text(encoding="utf-8")
     starts = [0]  # the offset of each line in source
     for line in source.splitlines(keepends=True):
@@ -131,6 +131,11 @@ def deletions(path: Path) -> list[tuple[str, str, str]]:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if child.name in NEVER_MUTATED:
+                    continue
+                top = min(node.lineno for node in [child, *child.decorator_list])
+                if function is None and lines is not None and lines.isdisjoint(
+                    range(top, child.end_lineno + 1)
+                ):
                     continue
                 inner = child.name if function is None else function
             else:
@@ -150,6 +155,28 @@ def deletions(path: Path) -> list[tuple[str, str, str]]:
 
     visit(ast.parse(source), None)
     return mutants
+
+
+def changed_lines(rev: str) -> dict[str, set[int]]:
+    """Per module of the package, the lines of the working tree that ``git
+    diff -U0 rev`` adds or changes; where lines are only deleted, the lines on
+    both sides of the cut.  A deleted module has none."""
+    diff = subprocess.run(
+        ["git", "diff", "-U0", "--no-color", "--no-ext-diff", rev, "--", str(PACKAGE)],
+        cwd=ROOT, capture_output=True, text=True, check=True,
+    ).stdout
+    lines: dict[str, set[int]] = {}
+    name = None
+    for text in diff.splitlines():
+        if text.startswith("+++ "):
+            name = None if text == "+++ /dev/null" else Path(text[4:]).name
+        elif text.startswith("@@ ") and name is not None:
+            # "@@ -a,b +start,count @@": count is 1 when left out
+            start, _, count = text.split()[2][1:].partition(",")
+            start, count = int(start), int(count or 1)
+            cut = range(start, start + count) if count else (start, start + 1)
+            lines.setdefault(name, set()).update(cut)
+    return lines
 
 
 def is_docstring(parent: ast.AST, node: ast.stmt) -> bool:
@@ -224,8 +251,15 @@ def main() -> int:
                         help="each statement inside a function -> pass")
     parser.add_argument("--file", action="append",
                         help="a module of the package to mutate (default: every one)")
+    parser.add_argument("--since", metavar="REV",
+                        help="with --deletions: only functions whose lines `git diff REV` touches")
     args = parser.parse_args()
+    if args.since and not args.deletions:
+        parser.error("--since needs --deletions")
     files = args.file or sorted(path.name for path in (ROOT / PACKAGE).glob("*.py"))
+    changed = changed_lines(args.since) if args.since else {}
+    if args.since:
+        files = [file for file in files if file in changed]
 
     with tempfile.TemporaryDirectory(prefix="mutants-") as scratch:
         copy = Path(scratch, "repo")
@@ -235,11 +269,13 @@ def main() -> int:
             mutants = [
                 (key, description, file, mutated)
                 for file in files
-                for key, description, mutated in deletions(ROOT / PACKAGE / file)
+                for key, description, mutated in deletions(
+                    ROOT / PACKAGE / file, changed.get(file) if args.since else None
+                )
             ]
         else:
             mutants = replacements(files)
-        if run_tests(copy) != "survived":
+        if mutants and run_tests(copy) != "survived":
             raise SystemExit("the tests fail on the unmutated copy")
 
         survivors, start = [], time.monotonic()

@@ -54,6 +54,20 @@ def child_env():
     return {**env, "PYTHONPATH": src}
 
 
+def capped_run(*argv):
+    """``python -m impactseries.cli argv`` in a child capped at 512 MiB of
+    address space, so a command that allocates without bound fails there
+    with a ``MemoryError`` and does not fill the host."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    return subprocess.run(
+        [sys.executable, "-m", "impactseries.cli", *argv],
+        env={**child_env(), "OPENBLAS_NUM_THREADS": "1"}, capture_output=True, timeout=60,
+        preexec_fn=cap,
+    )
+
+
 class TestPredict:
     def test_qm_at_zero_phases(self, capsys):
         code = main(["predict", "--model", "qm", "--alpha", "0", "--beta", "0", "--gamma", "0"])
@@ -935,16 +949,8 @@ class TestValidateOracle:
 
     @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
     def test_an_endless_geometry_file_is_one_error_line(self):
-        # in a child capped at 512 MiB of address space: an unbounded read
-        # fails there with a MemoryError (exit 1) and does not fill the host
-        def cap():
-            resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
-
-        result = subprocess.run(
-            [sys.executable, "-m", "impactseries.cli", "validate-oracle", "--geometry", "/dev/zero"],
-            env={**child_env(), "OPENBLAS_NUM_THREADS": "1"}, capture_output=True, timeout=60,
-            preexec_fn=cap,
-        )
+        # capped: an unbounded read would fail with the cap's MemoryError
+        result = capped_run("validate-oracle", "--geometry", "/dev/zero")
         assert result.returncode == 2
         assert result.stdout == b""
         assert result.stderr == b"error: geometry file is longer than 65536 bytes\n"
@@ -1002,6 +1008,35 @@ class TestEntrypoint:
             os.close(write_end)
         assert result.returncode == 1
         assert result.stderr == b""
+
+    # inside README's bounds, but past the cap: the grid's 763 MiB of points,
+    # and 128 MiB arrays of seed words for 2**24 blocks.  Never run them
+    # uncapped: the second would go on to draw 2**40 events.
+    @pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS"), reason="needs RLIMIT_AS")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "--grid", "0:1:100000000", "--events", "1"],
+            ["simulate", "--model", "qm", "--events", str(2**40)],
+        ],
+        ids=["grid", "events"],
+    )
+    def test_a_request_memory_cannot_hold_is_one_error_line(self, argv, tmp_path):
+        out = tmp_path / "rows.csv"
+        result = capped_run(*argv, "--out", str(out))
+        assert result.returncode == 2
+        assert result.stdout == b""
+        assert result.stderr.startswith(b"error: ")
+        assert result.stderr.count(b"\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS"), reason="needs RLIMIT_AS")
+    def test_a_command_runs_under_the_memory_cap(self, tmp_path):
+        out = tmp_path / "rows.csv"
+        result = capped_run("predict", "--model", "qm", "--out", str(out))
+        assert result.returncode == 0
+        assert result.stdout.startswith(b"model=qm ")
+        assert out.read_text().startswith("command,")
 
 
 #: Values for the argv property test, valid and hostile.  Every valid value is
